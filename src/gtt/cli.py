@@ -243,44 +243,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtt", parents=[common],
         description="check gradual typing judgments, derivations and models")
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    class _Sub:
-        def add_parser(self, name, **kw):
-            return subparsers.add_parser(name, parents=[common], **kw)
-
-    sub = _Sub()
-
-    p = sub.add_parser("check", help="infer the type of a term file")
+    p = sub.add_parser("check", parents=[common],
+                       help="infer the type of a term file")
     p.add_argument("file")
     p.set_defaults(run=_cmd_check)
 
-    p = sub.add_parser("dyncheck", help="decide 'A <= B' lines")
+    p = sub.add_parser("dyncheck", parents=[common],
+                       help="decide 'A <= B' lines")
     p.add_argument("file")
     p.set_defaults(run=_cmd_dyncheck)
 
-    p = sub.add_parser("prove", help="check a derivation file")
+    p = sub.add_parser("prove", parents=[common],
+                       help="check a derivation file")
     p.add_argument("file")
     p.set_defaults(run=_cmd_prove)
 
-    p = sub.add_parser("derive", help="emit a theorem's derivations")
+    p = sub.add_parser("derive", parents=[common],
+                       help="emit a theorem's derivations")
     p.add_argument("name")
     p.add_argument("params", nargs="*")
     p.set_defaults(run=_cmd_derive)
 
-    p = sub.add_parser("elaborate", help="rewrite casts to ground casts")
+    p = sub.add_parser("elaborate", parents=[common],
+                       help="rewrite casts to ground casts")
     p.add_argument("file")
     p.set_defaults(run=_cmd_elaborate)
 
-    p = sub.add_parser("normalize", help="elaborate and normalize a term")
+    p = sub.add_parser("normalize", parents=[common],
+                       help="elaborate and normalize a term")
     p.add_argument("file")
     p.set_defaults(run=_cmd_normalize)
 
-    p = sub.add_parser("eval", help="evaluate a closed term in the tree model")
+    p = sub.add_parser("eval", parents=[common],
+                       help="evaluate a closed term in the tree model")
     p.add_argument("file")
     p.set_defaults(run=_cmd_eval)
 
-    p = sub.add_parser("compare", help="compare two term files")
+    p = sub.add_parser("compare", parents=[common],
+                       help="compare two term files")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--syntactic", action="store_true")
     group.add_argument("--semantic", action="store_true")
@@ -289,12 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.set_defaults(run=_cmd_compare)
 
-    p = sub.add_parser("test-model", help="equipment laws over derivable pairs")
+    p = sub.add_parser("test-model", parents=[common],
+                       help="equipment laws over derivable pairs")
     p.add_argument("--bound", type=int, default=2)
     p.add_argument("--size", type=int, default=3)
     p.set_defaults(run=_cmd_test_model)
 
-    p = sub.add_parser("test-theorems", help="derive and cross-check the catalog")
+    p = sub.add_parser("test-theorems", parents=[common],
+                       help="derive and cross-check the catalog")
     p.add_argument("--bound", type=int, default=2)
     p.add_argument("--size", type=int, default=3)
     p.set_defaults(run=_cmd_test_theorems)
@@ -316,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except GttError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -4,14 +4,22 @@ A file holds one or more s-expressions, one per derivation::
 
     (rule
       (concl (ctx (x x' {Nat} {?}) ...) {left} {right} {A} {A'})
-      (aux ...)            ; rule-specific, may be absent
+      (aux ...)            # rule-specific, may be absent
       premise...)
 
 Aux forms: ``(aux fwd)`` / ``(aux bwd)`` for the beta and eta rules,
 ``(aux 1)`` / ``(aux 2)`` for projection congruence, ``(aux N)`` for an
 axiom index, ``(aux (sub (x {t}) ...) (sub (x' {t}) ...))`` for the
 substitution rule, and ``(aux (mid (ctx (x {A}) ...) {t} {A}))`` for the
-stored middle judgment of transitivity.
+stored middle judgment of transitivity.  Variable names are bare atoms;
+types and terms are ``{...}`` chunks, which may not contain ``}``.
+``#`` starts a comment that runs to the end of the line.
+
+Reading is one left-to-right pass of ``grammar.parse_sexps`` followed by a
+walk of the result, so its cost is linear in the file size.  Within one
+``parse_derivations`` call each distinct chunk text is parsed once as a
+type and once as a term, and every repeat shares that parse.  A malformed
+file raises ``ParseError``.
 """
 
 from __future__ import annotations
@@ -31,33 +39,66 @@ def _chunk(x) -> str:
     raise ParseError(f"expected a {{...}} chunk, found {x!r}")
 
 
-def _read_dynctx(sx, sig) -> DynCtx:
-    if not (isinstance(sx, SexpList) and sx and sx[0] == "ctx"):
+def _name(x) -> str:
+    if isinstance(x, str):
+        return x
+    raise ParseError(f"expected a variable name, found {x!r}")
+
+
+def _headed(sx, head: str) -> bool:
+    return isinstance(sx, SexpList) and len(sx) > 0 and sx[0] == head
+
+
+def _memo(parse):
+    table: dict = {}
+
+    def read(x):
+        text = _chunk(x)
+        out = table.get(text)
+        if out is None:
+            out = table[text] = parse(text)
+        return out
+    return read
+
+
+class _Reader:
+    """Chunk readers for one ``parse_derivations`` call, one table for types
+    and one for terms (``Nat`` is a base type in one, a variable in the
+    other).  Parses are frozen values and ``sig`` is fixed for the call, so
+    repeats can share them; the tables die with the call."""
+
+    def __init__(self, sig: Signature):
+        self.type = _memo(parse_type)
+        self.term = _memo(lambda text: parse_term(text, sig))
+
+
+def _binding(entry, read):
+    """``(x {chunk})``, with the chunk read by ``read``."""
+    if not (isinstance(entry, SexpList) and len(entry) == 2):
+        raise ParseError(f"expected (x {{...}}), found {entry!r}")
+    return _name(entry[0]), read(entry[1])
+
+
+def _read_dynctx(sx, rd: _Reader) -> DynCtx:
+    if not _headed(sx, "ctx"):
         raise ParseError("expected (ctx ...)")
     entries = []
     for entry in sx[1:]:
         if not (isinstance(entry, SexpList) and len(entry) == 4):
             raise ParseError("context entry must be (x x' {A} {A'})")
-        xl, xr = entry[0], entry[1]
-        entries.append((xl, xr,
-                        parse_type(_chunk(entry[2])),
-                        parse_type(_chunk(entry[3]))))
+        entries.append((_name(entry[0]), _name(entry[1]),
+                        rd.type(entry[2]), rd.type(entry[3])))
     return DynCtx(tuple(entries))
 
 
-def _read_concl(sx, sig) -> DynJudgment:
-    if not (isinstance(sx, SexpList) and len(sx) == 6 and sx[0] == "concl"):
+def _read_concl(sx, rd: _Reader) -> DynJudgment:
+    if not (_headed(sx, "concl") and len(sx) == 6):
         raise ParseError("expected (concl (ctx ...) {t} {t'} {A} {A'})")
-    phi = _read_dynctx(sx[1], sig)
-    return DynJudgment(
-        phi,
-        parse_term(_chunk(sx[2]), sig),
-        parse_term(_chunk(sx[3]), sig),
-        parse_type(_chunk(sx[4])),
-        parse_type(_chunk(sx[5])))
+    return DynJudgment(_read_dynctx(sx[1], rd), rd.term(sx[2]), rd.term(sx[3]),
+                       rd.type(sx[4]), rd.type(sx[5]))
 
 
-def _read_aux(sx, sig):
+def _read_aux(sx, rd: _Reader):
     body = sx[1:]
     if len(body) == 1 and isinstance(body[0], str):
         word = body[0]
@@ -66,92 +107,72 @@ def _read_aux(sx, sig):
         if not word.isdigit():
             raise ParseError(f"bad aux atom {word!r}")
         return int(word)
-    if len(body) == 2 and all(isinstance(b, SexpList) and b and b[0] == "sub"
-                              for b in body):
-        def read_sub(b):
-            return tuple((e[0], parse_term(_chunk(e[1]), sig)) for e in b[1:])
-        return (read_sub(body[0]), read_sub(body[1]))
-    if len(body) == 1 and isinstance(body[0], SexpList) and body[0][0] == "mid":
-        mid = body[0]
-        ctx_sx = mid[1]
-        entries = tuple((e[0], parse_type(_chunk(e[1]))) for e in ctx_sx[1:])
-        return (Context(entries), parse_term(_chunk(mid[2]), sig),
-                parse_type(_chunk(mid[3])))
+    if len(body) == 2 and all(_headed(b, "sub") for b in body):
+        return tuple(tuple(_binding(e, rd.term) for e in b[1:]) for b in body)
+    if len(body) == 1 and _headed(body[0], "mid") and len(body[0]) == 4:
+        _, ctx_sx, term, ty = body[0]
+        if not _headed(ctx_sx, "ctx"):
+            raise ParseError("expected (mid (ctx (x {A}) ...) {t} {A})")
+        entries = tuple(_binding(e, rd.type) for e in ctx_sx[1:])
+        return Context(entries), rd.term(term), rd.type(ty)
     raise ParseError(f"unrecognized aux form: {sx!r}")
 
 
-def sexp_to_derivation(sx, sig: Signature) -> Derivation:
+def _read_derivation(sx, rd: _Reader) -> Derivation:
     if not (isinstance(sx, SexpList) and sx and isinstance(sx[0], str)):
         raise ParseError("derivation must be (rule (concl ...) ...)")
     rule = sx[0]
     if len(sx) < 2:
         raise ParseError(f"rule {rule} is missing its conclusion")
-    conclusion = _read_concl(sx[1], sig)
+    conclusion = _read_concl(sx[1], rd)
     aux = None
     rest = sx[2:]
-    if rest and isinstance(rest[0], SexpList) and rest[0] and rest[0][0] == "aux":
-        aux = _read_aux(rest[0], sig)
+    if rest and _headed(rest[0], "aux"):
+        aux = _read_aux(rest[0], rd)
         rest = rest[1:]
-    premises = tuple(sexp_to_derivation(p, sig) for p in rest)
+    premises = tuple(_read_derivation(p, rd) for p in rest)
     return Derivation(rule, conclusion, premises, aux)
 
 
 def parse_derivations(text: str, sig: Signature) -> list[Derivation]:
-    return [sexp_to_derivation(sx, sig) for sx in parse_sexps(text)]
+    rd = _Reader(sig)
+    return [_read_derivation(sx, rd) for sx in parse_sexps(text)]
 
 
-def _ctx_sexp(phi: DynCtx) -> SexpList:
-    out = SexpList(["ctx"])
-    for xl, xr, tl, tr in phi:
-        out.append(SexpList([
-            xl, xr,
-            ("chunk", type_to_text(tl)),
-            ("chunk", type_to_text(tr))]))
-    return out
+def _ty(ty: Type) -> tuple[str, str]:
+    return ("chunk", type_to_text(ty))
 
 
-def _concl_sexp(j: DynJudgment) -> SexpList:
-    return SexpList([
-        "concl", _ctx_sexp(j.phi),
-        ("chunk", term_to_text(j.left)),
-        ("chunk", term_to_text(j.right)),
-        ("chunk", type_to_text(j.type_left)),
-        ("chunk", type_to_text(j.type_right))])
+def _tm(t: Term) -> tuple[str, str]:
+    return ("chunk", term_to_text(t))
 
 
-def _aux_sexp(aux) -> SexpList | None:
-    if aux is None:
-        return None
+def _aux_sexp(aux) -> SexpList:
     if isinstance(aux, str):
         return SexpList(["aux", aux])
     if isinstance(aux, int):
         return SexpList(["aux", str(aux)])
     if isinstance(aux, tuple) and len(aux) == 2 and all(
             isinstance(side, tuple) for side in aux):
-        subs = []
-        for side in aux:
-            sx = SexpList(["sub"])
-            for name, img in side:
-                sx.append(SexpList([name, ("chunk", term_to_text(img))]))
-            subs.append(sx)
-        return SexpList(["aux", *subs])
+        return SexpList(["aux", *(
+            SexpList(["sub", *(SexpList([name, _tm(img)]) for name, img in side)])
+            for side in aux)])
     if isinstance(aux, tuple) and len(aux) == 3:
         ctx, term, ty = aux
-        ctx_sx = SexpList(["ctx"])
-        for name, t in ctx:
-            ctx_sx.append(SexpList([name, ("chunk", type_to_text(t))]))
-        return SexpList(["aux", SexpList([
-            "mid", ctx_sx,
-            ("chunk", term_to_text(term)),
-            ("chunk", type_to_text(ty))])])
+        ctx_sx = SexpList(["ctx", *(SexpList([name, _ty(t)]) for name, t in ctx)])
+        return SexpList(["aux", SexpList(["mid", ctx_sx, _tm(term), _ty(ty)])])
     raise ValueError(f"cannot serialize aux {aux!r}")
 
 
 def derivation_to_sexp(d: Derivation) -> SexpList:
-    out = SexpList([d.rule, _concl_sexp(d.conclusion)])
-    aux = _aux_sexp(d.aux)
-    if aux is not None:
-        out.append(aux)
+    j = d.conclusion
+    ctx = SexpList(["ctx", *(SexpList([xl, xr, _ty(tl), _ty(tr)])
+                             for xl, xr, tl, tr in j.phi)])
+    out = SexpList([d.rule, SexpList([
+        "concl", ctx, _tm(j.left), _tm(j.right), _ty(j.type_left),
+        _ty(j.type_right)])])
+    if d.aux is not None:
+        out.append(_aux_sexp(d.aux))
     out.extend(derivation_to_sexp(p) for p in d.premises)
     return out
 

@@ -200,6 +200,8 @@ def _chk_trans(sig, d):
     if not alpha_eq(j2.right, j.right) or j2.type_right != j.type_right:
         out.append("right side does not match second premise")
     if d.aux is not None:
+        if not (isinstance(d.aux, tuple) and len(d.aux) == 3):
+            return out + ["aux must be the stored middle judgment"]
         mid_ctx, mid_term, mid_type = d.aux
         if ([ty for _, ty in mid_ctx] != [ty for _, ty in mid1]
                 or not alpha_eq(_rename_along(mid_term, mid_ctx, mid1), j1.right)
@@ -881,15 +883,9 @@ def cast_cong_up(low: Type, high: Type, yl: str = "y", yr: str = "y'") -> Deriva
 
 def under_dn(low: Type, high: Type, premise: Derivation) -> Derivation:
     """Apply a downcast to both sides of ``t <= t' : high <= high``."""
-    return _template_comp_pair(cast_cong_dn(low, high), premise)
+    return _template_comp(cast_cong_dn(low, high), premise)
 
 
 def under_up(low: Type, high: Type, premise: Derivation) -> Derivation:
     """Apply an upcast to both sides of ``t <= t' : low <= low``."""
-    return _template_comp_pair(cast_cong_up(low, high), premise)
-
-
-def _template_comp_pair(template: Derivation, premise: Derivation) -> Derivation:
-    p = premise.conclusion
-    (yl, yr, _, _), = template.conclusion.phi.entries
-    return comp_node(template, {yl: p.left}, {yr: p.right}, (premise,))
+    return _template_comp(cast_cong_up(low, high), premise)

@@ -383,77 +383,63 @@ def parse_signature(text: str):
     """
     from .typecheck import Signature
 
-    base_types: list[str] = []
-    tydyn_lines: list[str] = []
-    fnsym_lines: list[str] = []
-    tmdyn_lines: list[str] = []
-    flags: dict[str, bool] = {}
-    base_codes: dict[str, tuple[int, int]] = {}
-
+    found: dict = {name: [] for name in _SECTIONS}
+    found["flags"], found["basecodes"] = {}, {}
     section = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head = line.split(":", 1)[0].strip().lower()
-        if line.endswith(":") or head in (
-                "basetypes", "tydyn", "fnsyms", "tmdyn", "flags", "basecodes"):
-            if head not in ("basetypes", "tydyn", "fnsyms", "tmdyn", "flags", "basecodes"):
+        head, _, rest = line.partition(":")
+        head = head.strip().lower()
+        if line.endswith(":") or head in _SECTIONS:
+            if head not in _SECTIONS:
                 raise ParseError(f"unknown signature section {head!r}")
-            section = head
-            rest = line.split(":", 1)[1].strip()
-            if rest:
-                _sig_line(section, rest, base_types, tydyn_lines, fnsym_lines,
-                          tmdyn_lines, flags, base_codes)
-            continue
-        if section is None:
+            section, line = head, rest.strip()
+            if not line:
+                continue
+        elif section is None:
             raise ParseError(f"signature line outside any section: {line!r}")
-        _sig_line(section, line, base_types, tydyn_lines, fnsym_lines,
-                  tmdyn_lines, flags, base_codes)
-
-    fn_symbols = {}
-    for line in fnsym_lines:
-        name, ins, out = _parse_fnsym(line)
-        fn_symbols[name] = (ins, out)
-    tydyn_axioms = tuple(_parse_type_pair(line) for line in tydyn_lines)
+        _sig_line(section, line, found)
 
     sig = Signature(
-        base_types=frozenset(base_types),
-        tydyn_axioms=tydyn_axioms,
-        fn_symbols=fn_symbols,
+        base_types=frozenset(found["basetypes"]),
+        tydyn_axioms=tuple(_parse_type_pair(line) for line in found["tydyn"]),
+        fn_symbols={name: (ins, out) for name, ins, out in
+                    map(_parse_fnsym, found["fnsyms"])},
         tmdyn_axioms=(),
-        retract=flags.get("retract", True),
-        disjointness=flags.get("disjointness", True),
-        base_codes=base_codes,
+        retract=found["flags"].get("retract", True),
+        disjointness=found["flags"].get("disjointness", True),
+        base_codes=found["basecodes"],
     )
-    if tmdyn_lines:
-        axioms = tuple(_parse_tmdyn(line, sig) for line in tmdyn_lines)
+    if found["tmdyn"]:
+        axioms = tuple(_parse_tmdyn(line, sig) for line in found["tmdyn"])
         sig = sig.replace(tmdyn_axioms=axioms)
     return sig
 
 
-def _sig_line(section, line, base_types, tydyn_lines, fnsym_lines, tmdyn_lines,
-              flags, base_codes):
+_SECTIONS = ("basetypes", "tydyn", "fnsyms", "tmdyn", "flags", "basecodes")
+
+
+def _sig_line(section: str, line: str, found: dict):
     if section == "basetypes":
-        base_types.extend(line.split())
-    elif section == "tydyn":
-        tydyn_lines.append(line)
-    elif section == "fnsyms":
-        fnsym_lines.append(line)
-    elif section == "tmdyn":
-        tmdyn_lines.append(line)
+        found[section].extend(line.split())
     elif section == "flags":
         key, _, val = line.partition("=")
         key = key.strip().lower()
         val = val.strip().lower()
         if key not in ("retract", "disjointness") or val not in ("on", "off", "true", "false"):
             raise ParseError(f"bad flag line: {line!r}")
-        flags[key] = val in ("on", "true")
+        found[section][key] = val in ("on", "true")
     elif section == "basecodes":
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"bad basecodes line: {line!r}")
-        base_codes[parts[0]] = (int(parts[1]), int(parts[2]))
+        name, *codes = line.split()
+        try:
+            low, high = map(int, codes)
+        except ValueError:
+            raise ParseError(f"bad basecodes line: {line!r}") from None
+        found[section][name] = (low, high)
+    else:
+        found[section].append(line)
 
 
 def _parse_type_pair(line: str) -> tuple[Type, Type]:
@@ -501,58 +487,51 @@ class SexpList(list):
     pass
 
 
+# one token, if any, and the whitespace and comments after it
+_SEXP_TOKEN = re.compile(r"""
+    (?: (?P<atom>[^\s(){}\#]+)
+      | \{(?P<chunk>[^}]*)\}
+      | (?P<open>\()
+      | (?P<close>\))
+      | (?P<unterminated>\{)
+      | (?P<stray>\})
+    )?
+    (?:\s+|\#[^\n]*)*
+""", re.VERBOSE)
+
+
 def parse_sexps(text: str) -> list:
-    """Parse a sequence of s-expressions.
+    """Parse a sequence of s-expressions in one left-to-right pass.
 
     Atoms are bare words; ``{...}`` chunks are raw text handed to the term
     and type parsers by the derivation reader.  ``#`` comments allowed.
+    Open lists are kept on an explicit stack, so nesting depth is not
+    bounded by the interpreter's recursion limit.
     """
-    items, pos = _sexp_seq(text, 0, top=True)
+    stack: list[list] = []
+    items: list = []
+    for m in _SEXP_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "atom":
+            items.append(m.group(kind))
+        elif kind == "chunk":
+            items.append(("chunk", m.group(kind)))
+        elif kind == "open":
+            stack.append(items)
+            items = []
+        elif kind == "close":
+            if not stack:
+                raise ParseError("unbalanced ')'", m.start())
+            inner = SexpList(items)
+            items = stack.pop()
+            items.append(inner)
+        elif kind == "unterminated":
+            raise ParseError("unterminated '{' chunk", m.start())
+        elif kind == "stray":
+            raise ParseError("unbalanced '}'", m.start())
+    if stack:
+        raise ParseError("unexpected end of input in s-expression", len(text))
     return items
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-        elif text[pos] == "#":
-            nl = text.find("\n", pos)
-            pos = len(text) if nl < 0 else nl + 1
-        else:
-            break
-    return pos
-
-
-def _sexp_seq(text: str, pos: int, top: bool = False):
-    items = []
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            if not top:
-                raise ParseError("unexpected end of input in s-expression", pos)
-            return items, pos
-        ch = text[pos]
-        if ch == ")":
-            if top:
-                raise ParseError("unbalanced ')'", pos)
-            return items, pos
-        if ch == "(":
-            inner, pos = _sexp_seq(text, pos + 1)
-            pos = _skip_ws(text, pos)
-            if pos >= len(text) or text[pos] != ")":
-                raise ParseError("expected ')'", pos)
-            items.append(SexpList(inner))
-            pos += 1
-        elif ch == "{":
-            end = text.find("}", pos)
-            if end < 0:
-                raise ParseError("unterminated '{' chunk", pos)
-            items.append(("chunk", text[pos + 1:end]))
-            pos = end + 1
-        else:
-            m = re.match(r"[^\s(){}#]+", text[pos:])
-            items.append(m.group())
-            pos += m.end()
 
 
 def sexp_to_text(x, indent: int = 0) -> str:

@@ -2,12 +2,16 @@
 
 These deliberately take different routes from the library code they
 check: alpha equivalence by brute-force canonical renaming, substitution
-through a nameless (de Bruijn) representation, and the tree order by
-enumerating every subtree replacement.
+through a nameless (de Bruijn) representation, the tree order by
+enumerating every subtree replacement, and s-expressions by recursive
+descent.
 """
 
 from __future__ import annotations
 
+import re
+
+from gtt.grammar import ParseError, SexpList
 from gtt.syntax import (
     App, Downcast, Err, FnApp, Lam, Pair, Proj, Term, Upcast, UnitVal, Var,
 )
@@ -146,3 +150,60 @@ def replacements(t: Tree) -> set[Tree]:
 
 def tree_leq_oracle(a: Tree, b: Tree) -> bool:
     return a in replacements(b)
+
+
+# -- s-expressions by recursive descent ---------------------------------------
+#
+# One call per list, character tests in place of a token regex.  Errors are
+# the first one met left to right, with the same message and offset as
+# ``gtt.grammar.parse_sexps``.
+
+_ATOM = re.compile(r"[^\s(){}#]+")
+
+
+def parse_sexps_reference(text: str) -> list:
+    items, _ = _sexp_seq(text, 0, top=True)
+    return items
+
+
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+        elif text[pos] == "#":
+            nl = text.find("\n", pos)
+            pos = len(text) if nl < 0 else nl + 1
+        else:
+            break
+    return pos
+
+
+def _sexp_seq(text: str, pos: int, top: bool = False):
+    items = []
+    while True:
+        pos = _skip_ws(text, pos)
+        if pos >= len(text):
+            if not top:
+                raise ParseError("unexpected end of input in s-expression", pos)
+            return items, pos
+        ch = text[pos]
+        if ch == ")":
+            if top:
+                raise ParseError("unbalanced ')'", pos)
+            return items, pos
+        if ch == "(":
+            inner, pos = _sexp_seq(text, pos + 1)
+            items.append(SexpList(inner))
+            pos += 1
+        elif ch == "{":
+            end = text.find("}", pos)
+            if end < 0:
+                raise ParseError("unterminated '{' chunk", pos)
+            items.append(("chunk", text[pos + 1:end]))
+            pos = end + 1
+        elif ch == "}":
+            raise ParseError("unbalanced '}'", pos)
+        else:
+            m = _ATOM.match(text, pos)
+            items.append(m.group())
+            pos = m.end()

@@ -14,6 +14,7 @@ from gtt.syntax import (
     Var, alpha_eq, num,
 )
 from gtt.typecheck import DynCtx, default_signature, enumerate_types, infer_type
+from gtt.derivio import derivations_to_text, parse_derivations
 from gtt.dynamism import DynJudgment, check_derivation, derivation_errors
 from gtt.elaborate import elaborate, equal_terms, is_elaborated, normalize
 from gtt.model import (
@@ -220,3 +221,10 @@ def test_criterion_7_elaboration_fuzz():
     _report(7, ok, f"{good}/{total} random well-typed terms elaborate to "
                    f"ground casts, preserve types and normalize within the "
                    f"watchdog in {elapsed:.1f}s (first failure: {first_failure})")
+
+
+def test_corpus_round_trips_through_derivation_files(corpus):
+    """Every corpus instance is read back from its ``.gttd`` text unchanged."""
+    mismatched = [(name, params) for name, params, ds in corpus
+                  if parse_derivations(derivations_to_text(ds), SIG) != list(ds)]
+    assert not mismatched, f"{len(mismatched)} instances differ, first {mismatched[0]}"

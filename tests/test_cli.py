@@ -134,3 +134,65 @@ def test_entry_point_runs_as_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Nat -> Nat"
+
+
+def run_cli_err(*argv, capsys):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return code, captured.err
+
+
+@pytest.mark.parametrize("text", [
+    # a (mid ...) aux with nothing inside
+    "(trans (concl (ctx) {0} {0} {Nat} {Nat}) (aux (mid)))",
+    # a chunk where a context entry names its variable
+    "(var (concl (ctx ({x} x' {Nat} {Nat})) {x} {x'} {Nat} {Nat}) (aux 0))",
+    # a chunk where a substitution names its variable
+    "(comp (concl (ctx) {0} {0} {Nat} {Nat}) (aux (sub ({x} {0})) (sub (x' {0}))))",
+    # a chunk where the stored middle context names its variable
+    "(trans (concl (ctx) {0} {0} {Nat} {Nat}) (aux (mid (ctx ({x} {Nat})) {0} {Nat})))",
+])
+def test_malformed_derivation_file_is_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.gttd"
+    path.write_text(text)
+    code, err = run_cli_err("prove", path, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_non_numeric_basecodes_is_exit_2(tmp_path, capsys):
+    sig = tmp_path / "bad.gttsig"
+    sig.write_text("basetypes: Nat\nbasecodes:\n  Nat a b\n")
+    code, err = run_cli_err("--sig", sig, "check", FIXTURES / "zero.gtt",
+                            capsys=capsys)
+    assert code == 2
+    assert "bad basecodes line" in err
+
+
+def test_deeply_nested_term_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.gtt"
+    path.write_text("fst " * 3000 + "(0, 0)")
+    code, err = run_cli_err("check", path, capsys=capsys)
+    assert code == 2
+    assert err == "error: input nested too deeply\n"
+
+
+def test_deeply_nested_derivation_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.gttd"
+    path.write_text("(" * 5000 + ")" * 5000)
+    code, err = run_cli_err("prove", path, capsys=capsys)
+    assert code == 2
+    assert "derivation must be" in err
+
+
+@pytest.mark.parametrize("aux", ["fwd", "1"])
+def test_transitivity_with_a_foreign_aux_is_rejected(tmp_path, capsys, aux):
+    leaf = "(refl (concl (ctx) {0} {0} {Nat} {Nat}))"
+    path = tmp_path / "trans.gttd"
+    path.write_text(f"(trans (concl (ctx) {{0}} {{0}} {{Nat}} {{Nat}}) "
+                    f"(aux {aux}) {leaf} {leaf})")
+    code = main(["prove", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "aux must be the stored middle judgment" in out
