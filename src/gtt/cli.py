@@ -2,15 +2,16 @@
 
 Exit status: 0 for a positive answer, 1 for a negative one (ill typed,
 underivable, rejected derivation, semantic counterexample), 2 for usage,
-parse or configuration errors.  Reports are line oriented: ``RESULT``,
-``COUNTEREXAMPLE`` and ``SKIPPED`` prefixes, deterministic for fixed
-inputs and flags.
+parse or configuration errors and for internal errors.  Reports are line
+oriented: ``RESULT``, ``COUNTEREXAMPLE`` and ``SKIPPED`` prefixes,
+deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .syntax import Context, GttError
 from .grammar import (
@@ -323,6 +324,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except Exception as e:
+        # a crash is never a negative answer
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 2
 
 

@@ -17,18 +17,27 @@ The dynamic type has no function summand, so function types never sit
 below ``?`` here; everything stays away from ``?`` or first-order.
 Checks over function spaces are bounded: they enumerate arguments up to a
 bound and say so, proving nothing beyond it.
+
+Terms and orders are compiled, not interpreted: ``compile_term`` turns a
+term into a closure over the environment once, each cast finding its
+coreflection map on first use, and ``order_at`` builds each type's order
+once per bound.  A judgment check compiles its two terms and its
+cross-type order once and then applies them to every related pair of
+environments.  ``eval_term`` and ``value_leq_at`` compile and apply in one
+step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterator, Optional
 
 from .syntax import (
-    App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair,
-    Prod, Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, contains_fn,
+    App, Base, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
+    Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var,
 )
-from .typecheck import DynCtx, Signature, infer_type, tydyn_holds
+from .typecheck import DynCtx, Signature, first_order, tydyn_holds
 from .dynamism import Derivation, DynJudgment
 
 
@@ -66,15 +75,14 @@ ERR_LEAF = ErrLeaf()
 def tree_leq(a: Tree, b: Tree) -> bool:
     """``a`` is below ``b`` when it arises by replacing subtrees of ``b``
     with the error leaf."""
-    match a, b:
-        case ErrLeaf(), _:
-            return True
-        case NatLeaf(n), NatLeaf(m):
-            return n == m
-        case Node(l1, r1), Node(l2, r2):
-            return tree_leq(l1, l2) and tree_leq(r1, r2)
-        case _:
-            return False
+    if isinstance(a, ErrLeaf):
+        return True
+    if isinstance(a, NatLeaf):
+        return isinstance(b, NatLeaf) and a.n == b.n
+    if isinstance(a, Node):
+        return (isinstance(b, Node) and tree_leq(a.left, b.left)
+                and tree_leq(a.right, b.right))
+    return False
 
 
 def tree_to_text(t: Tree) -> str:
@@ -160,10 +168,6 @@ def denotable(sig: Signature, ty: Type) -> bool:
             return True
 
 
-def first_order(ty: Type) -> bool:
-    return not contains_fn(ty)
-
-
 def _base_range(sig: Signature, name: str) -> tuple[int, float] | None:
     if name in sig.base_codes:
         return sig.base_codes[name]
@@ -186,22 +190,42 @@ def model_signature(sig: Signature) -> Signature:
 # Orders and enumeration
 # ---------------------------------------------------------------------------
 
-def value_leq_at(sig: Signature, ty: Type, v: SemValue, w: SemValue,
-                 bound: int = 2) -> bool:
-    """The pointed-preorder order within one type's denotation."""
+Order = Callable[[SemValue, SemValue], bool]
+
+
+def order_at(sig: Signature, ty: Type, bound: int = 2) -> Order:
+    """The pointed-preorder order within one type's denotation, compiled
+    once per type and bound.  Function orders are checked pointwise on the
+    arguments within the bound."""
+    key = ("leq", ty, bound)
+    cached = sig._model_cache.get(key)
+    if cached is None:
+        cached = _compile_order(sig, ty, bound)
+        sig._model_cache[key] = cached
+    return cached
+
+
+def _compile_order(sig: Signature, ty: Type, bound: int) -> Order:
     match ty:
         case Base(_):
-            return v.n is None or v == w
+            return lambda v, w: v.n is None or v == w
         case Unit():
-            return True
+            return lambda v, w: True
         case Prod(a, b):
-            return (value_leq_at(sig, a, v.fst, w.fst, bound)
-                    and value_leq_at(sig, b, v.snd, w.snd, bound))
+            leq_a, leq_b = order_at(sig, a, bound), order_at(sig, b, bound)
+            return lambda v, w: leq_a(v.fst, w.fst) and leq_b(v.snd, w.snd)
         case Fn(dom, cod):
-            return all(value_leq_at(sig, cod, v(arg), w(arg), bound)
-                       for arg in enumerate_values(sig, dom, bound))
+            leq_cod = order_at(sig, cod, bound)
+            return lambda v, w: all(leq_cod(v(arg), w(arg))
+                                    for arg in enumerate_values(sig, dom, bound))
         case _:
-            return tree_leq(v.tree, w.tree)
+            return lambda v, w: tree_leq(v.tree, w.tree)
+
+
+def value_leq_at(sig: Signature, ty: Type, v: SemValue, w: SemValue,
+                 bound: int = 2) -> bool:
+    """Whether ``v`` is below ``w`` in ``ty``'s denotation."""
+    return order_at(sig, ty, bound)(v, w)
 
 
 def enumerate_trees(bound: int, leaves: tuple[int, ...] | None = None) -> list[Tree]:
@@ -267,9 +291,10 @@ class Coreflection:
 
     def compose(self, outer: "Coreflection") -> "Coreflection":
         """self : A <| B composed with outer : B <| C gives A <| C."""
+        up1, dn1, up2, dn2 = self.up, self.dn, outer.up, outer.dn
         return Coreflection(self.src, outer.tgt,
-                            lambda v: outer.up(self.up(v)),
-                            lambda v: self.dn(outer.dn(v)))
+                            lambda v: up2(up1(v)),
+                            lambda v: dn1(dn2(v)))
 
 
 def _tag_coreflection(sig: Signature, ground: Type) -> Coreflection:
@@ -368,41 +393,78 @@ def _coref(sig: Signature, a: Type, b: Type) -> Coreflection:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def eval_term(sig: Signature, env: dict[str, SemValue], t: Term) -> SemValue:
-    """Compositional denotation.  Function symbols other than numerals
-    have no canonical meaning and are rejected."""
+Env = dict[str, SemValue]
+Compiled = Callable[[Env], SemValue]
+
+
+def compile_term(sig: Signature, t: Term) -> Compiled:
+    """Compositional denotation, compiled once into a closure over the
+    environment.  Function symbols other than numerals have no canonical
+    meaning.  Nothing fails at compile time: an unbound variable, an
+    unevaluable symbol or a missing coreflection raises ``ModelError`` when
+    its subterm is evaluated."""
     match t:
         case Var(x):
-            if x not in env:
-                raise ModelError(f"environment does not bind {x}")
-            return env[x]
+            def var(env: Env) -> SemValue:
+                try:
+                    return env[x]
+                except KeyError:
+                    raise ModelError(f"environment does not bind {x}") from None
+            return var
         case FnApp(f, args):
             if f.isdigit() and not args and sig.numerals_enabled():
-                return NatVal(int(f))
-            raise ModelError(f"function symbol {f} is not evaluable")
+                n = NatVal(int(f))
+                return lambda env: n
+            return _failing(f"function symbol {f} is not evaluable")
         case Lam(x, _, body):
-            def closure(v: SemValue, _x=x, _body=body, _env=dict(env)):
-                inner = dict(_env)
-                inner[_x] = v
-                return eval_term(sig, inner, _body)
-            return FnVal(closure)
+            body_c = compile_term(sig, body)
+            return lambda env: FnVal(lambda v: body_c({**env, x: v}))
         case App(f, a):
-            fv = eval_term(sig, env, f)
-            return fv(eval_term(sig, env, a))
+            f_c, a_c = compile_term(sig, f), compile_term(sig, a)
+            return lambda env: f_c(env)(a_c(env))
         case Pair(a, b):
-            return PairVal(eval_term(sig, env, a), eval_term(sig, env, b))
-        case Proj(i, b):
-            v = eval_term(sig, env, b)
-            return v.fst if i == 1 else v.snd
+            a_c, b_c = compile_term(sig, a), compile_term(sig, b)
+            return lambda env: PairVal(a_c(env), b_c(env))
+        case Proj(1, b):
+            b_c = compile_term(sig, b)
+            return lambda env: b_c(env).fst
+        case Proj(_, b):
+            b_c = compile_term(sig, b)
+            return lambda env: b_c(env).snd
         case UnitVal():
-            return UNIT_SEM
+            return lambda env: UNIT_SEM
         case Upcast(lo, hi, b):
-            return denote_coreflection(sig, lo, hi).up(eval_term(sig, env, b))
+            return _cast(sig, lo, hi, "up", compile_term(sig, b))
         case Downcast(lo, hi, b):
-            return denote_coreflection(sig, lo, hi).dn(eval_term(sig, env, b))
+            return _cast(sig, lo, hi, "dn", compile_term(sig, b))
         case Err(at):
-            return least_value(sig, at)
-    raise ModelError(f"cannot evaluate {t!r}")
+            least = least_value(sig, at)
+            return lambda env: least
+    return _failing(f"cannot evaluate {t!r}")
+
+
+def _failing(message: str) -> Compiled:
+    def fail(env: Env) -> SemValue:
+        raise ModelError(message)
+    return fail
+
+
+def _cast(sig: Signature, lo: Type, hi: Type, direction: str,
+          body: Compiled) -> Compiled:
+    """A cast whose coreflection map is looked up on first evaluation."""
+    apply = None
+
+    def cast(env: Env) -> SemValue:
+        nonlocal apply
+        if apply is None:
+            apply = getattr(denote_coreflection(sig, lo, hi), direction)
+        return apply(body(env))
+    return cast
+
+
+def eval_term(sig: Signature, env: Env, t: Term) -> SemValue:
+    """The denotation of ``t`` in ``env``."""
+    return compile_term(sig, t)(dict(env))
 
 
 def value_to_text(v: SemValue) -> str:
@@ -424,14 +486,26 @@ def value_to_text(v: SemValue) -> str:
 # Cross-type order and checks
 # ---------------------------------------------------------------------------
 
+def cross_order(sig: Signature, a: Type, b: Type, bound: int = 2) -> Order:
+    """``v : [[a]]`` is below ``w : [[b]]`` when its upcast is below ``w``.
+    The upcast is looked up on first use."""
+    leq = order_at(sig, b, bound)
+    if a == b:
+        return leq
+    up = None
+
+    def cross(v: SemValue, w: SemValue) -> bool:
+        nonlocal up
+        if up is None:
+            up = denote_coreflection(sig, a, b).up
+        return leq(up(v), w)
+    return cross
+
+
 def value_leq(sig: Signature, a: Type, b: Type, v: SemValue, w: SemValue,
               bound: int = 2) -> bool:
-    """``v : [[a]]`` is below ``w : [[b]]`` when its upcast is below ``w``.
-    Function orderings are checked pointwise within the bound."""
-    if a == b:
-        return value_leq_at(sig, a, v, w, bound)
-    up = denote_coreflection(sig, a, b).up
-    return value_leq_at(sig, b, up(v), w, bound)
+    """Whether ``v : [[a]]`` is below ``w : [[b]]``."""
+    return cross_order(sig, a, b, bound)(v, w)
 
 
 @dataclass
@@ -465,6 +539,7 @@ def check_equipment(sig: Signature, a: Type, b: Type, bound: int = 2) -> Report:
     c = denote_coreflection(sig, a, b)
     values_a = enumerate_values(sig, a, bound)
     values_b = enumerate_values(sig, b, bound)
+    leq_a, leq_b = order_at(sig, a, bound), order_at(sig, b, bound)
     checks = 0
 
     for v in values_a:
@@ -474,22 +549,22 @@ def check_equipment(sig: Signature, a: Type, b: Type, bound: int = 2) -> Report:
                           f"dn (up v) != v at v = {value_to_text(v)}", checks)
     for w in values_b:
         checks += 1
-        if not value_leq_at(sig, b, c.up(c.dn(w)), w, bound):
+        if not leq_b(c.up(c.dn(w)), w):
             return Report(subject, bound, False,
                           f"up (dn w) not below w at w = {value_to_text(w)}", checks)
     for v in values_a:
         for v2 in values_a:
-            if value_leq_at(sig, a, v, v2, bound):
+            if leq_a(v, v2):
                 checks += 1
-                if not value_leq_at(sig, b, c.up(v), c.up(v2), bound):
+                if not leq_b(c.up(v), c.up(v2)):
                     return Report(subject, bound, False,
                                   f"up not monotone at {value_to_text(v)} <= "
                                   f"{value_to_text(v2)}", checks)
     for w in values_b:
         for w2 in values_b:
-            if value_leq_at(sig, b, w, w2, bound):
+            if leq_b(w, w2):
                 checks += 1
-                if not value_leq_at(sig, a, c.dn(w), c.dn(w2), bound):
+                if not leq_a(c.dn(w), c.dn(w2)):
                     return Report(subject, bound, False,
                                   f"dn not monotone at {value_to_text(w)} <= "
                                   f"{value_to_text(w2)}", checks)
@@ -512,28 +587,27 @@ def related_value_pairs(sig: Signature, a: Type, b: Type, bound: int = 2
     key = ("relpairs", a, b, bound)
     cached = sig._model_cache.get(key)
     if cached is None:
+        leq = cross_order(sig, a, b, bound)
         cached = [(v, w)
                   for v in enumerate_values(sig, a, bound)
                   for w in enumerate_values(sig, b, bound)
-                  if value_leq(sig, a, b, v, w, bound)]
+                  if leq(v, w)]
         sig._model_cache[key] = cached
     return cached
 
 
 def related_env_pairs(sig: Signature, phi: DynCtx, bound: int = 2
                       ) -> Iterator[tuple[dict[str, SemValue], dict[str, SemValue]]]:
-    """All pairs of environments related pointwise along ``phi``."""
-    def go(entries, left_env, right_env):
-        if not entries:
-            yield dict(left_env), dict(right_env)
-            return
-        (xl, xr, tl, tr), *rest = entries
-        for v, w in related_value_pairs(sig, tl, tr, bound):
+    """All pairs of environments related pointwise along ``phi``, the
+    first entry varying slowest."""
+    names = [(xl, xr) for xl, xr, _, _ in phi]
+    choices = [related_value_pairs(sig, tl, tr, bound) for _, _, tl, tr in phi]
+    for combo in product(*choices):
+        left_env, right_env = {}, {}
+        for (xl, xr), (v, w) in zip(names, combo):
             left_env[xl] = v
             right_env[xr] = w
-            yield from go(rest, left_env, right_env)
-
-    yield from go(list(phi.entries), {}, {})
+        yield left_env, right_env
 
 
 def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> Report:
@@ -547,12 +621,14 @@ def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> 
             raise ModelError("judgment context is not denotable")
     if not (first_order(j.type_left) and first_order(j.type_right)):
         raise ModelError("judgment endpoint types mention function types")
+    left, right = compile_term(sig, j.left), compile_term(sig, j.right)
+    leq = cross_order(sig, j.type_left, j.type_right, bound)
     checks = 0
     for left_env, right_env in related_env_pairs(sig, j.phi, bound):
-        lv = eval_term(sig, left_env, j.left)
-        rv = eval_term(sig, right_env, j.right)
+        lv = left(left_env)
+        rv = right(right_env)
         checks += 1
-        if not value_leq(sig, j.type_left, j.type_right, lv, rv, bound):
+        if not leq(lv, rv):
             env_text = ", ".join(
                 f"{x}={value_to_text(v)}" for x, v in
                 list(left_env.items()) + [(f"{x}'", v) for x, v in right_env.items()])

@@ -388,16 +388,20 @@ def err_elim(sig: Signature, shape: str, a: Type, b: Type
 # Catalog and enumeration
 # ---------------------------------------------------------------------------
 
-# name -> (parameter kind, builder).  Parameter kinds drive enumeration:
-#   "ty"      one type
-#   "pair"    A <= A'
-#   "chain"   A <= A' <= A''
-#   "pair2"   (A <= A', B <= B')
-#   "square"  A <= A', B <= B', A <= B, A' <= B'
-#   "equi"    A <= B and B <= A
-#   "tri_r"   A1 <= A2, A1 <= B2
-#   "tri_l"   A1 <= A2, B1 <= A2
-#   "errsh"   an eliminator shape plus two types
+# Parameter kinds drive enumeration; each maps to its number of parameters.
+ARITY = {
+    "ty": 1,        # one type
+    "pair": 2,      # A <= A'
+    "chain": 3,     # A <= A' <= A''
+    "pair2": 4,     # (A <= A', B <= B')
+    "square": 4,    # A <= A', B <= B', A <= B, A' <= B'
+    "equi": 2,      # A <= B and B <= A
+    "tri_r": 3,     # A1 <= A2, A1 <= B2
+    "tri_l": 3,     # A1 <= A2, B1 <= A2
+    "errsh": 3,     # an eliminator shape plus two types
+}
+
+# name -> (parameter kind, builder)
 THEOREMS: dict[str, tuple[str, Callable]] = {
     "identity_up": ("ty", identity_up),
     "identity_dn": ("ty", identity_dn),
@@ -434,7 +438,11 @@ REDUCTION_THEOREMS = (
 def derive_theorem(sig: Signature, name: str, *params) -> tuple[Derivation, ...]:
     if name not in THEOREMS:
         raise DerivationError(f"unknown theorem {name!r}")
-    return THEOREMS[name][1](sig, *params)
+    kind, build = THEOREMS[name]
+    if len(params) != ARITY[kind]:
+        raise DerivationError(
+            f"{name} expects {ARITY[kind]} parameters, got {len(params)}")
+    return build(sig, *params)
 
 
 def conclusion_equation(d: Derivation) -> tuple[Context, Term, Term]:
@@ -450,7 +458,13 @@ def conclusion_equation(d: Derivation) -> tuple[Context, Term, Term]:
     return j.phi.left_ctx(), j.left, substitute(j.right, ren)
 
 
-def _params_for(sig: Signature, kind: str, types: list[Type]) -> Iterator[tuple]:
+def _params_for(sig: Signature, kind: str, types: list[Type], size: int
+                ) -> Iterator[tuple]:
+    """Parameter tuples of one kind, in catalog order.  The two kinds whose
+    theorems build a type from their parameters (``pair2`` and ``errsh``)
+    only yield tuples whose built types fit the size budget; this is a
+    necessary condition for the instance to survive ``theorem_instances``'s
+    size filter, so the surviving sequence is unchanged."""
     pairs = [(a, b) for a in types for b in types if tydyn_holds(sig, a, b)]
     if kind == "ty":
         for a in types:
@@ -463,8 +477,17 @@ def _params_for(sig: Signature, kind: str, types: list[Type]) -> Iterator[tuple]
                 if tydyn_holds(sig, a1, a2):
                     yield (a, a1, a2)
     elif kind == "pair2":
-        for a, a1 in pairs:
-            for b, b1 in pairs:
+        # (a, b, a1, b1) builds a*b and a1*b1 (or the arrows); the pairs
+        # (b, b1) that fit beside (a, a1) depend only on the two sizes
+        sized = [(type_size(a), type_size(b), (a, b)) for a, b in pairs]
+        fitting: dict[tuple[int, int], list[tuple[Type, Type]]] = {}
+        for sa, sa1, (a, a1) in sized:
+            inner = fitting.get((sa, sa1))
+            if inner is None:
+                inner = fitting[sa, sa1] = [
+                    pair for sb, sb1, pair in sized
+                    if sa + sb < size and sa1 + sb1 < size]
+            for b, b1 in inner:
                 yield (a, b, a1, b1)
     elif kind == "square":
         for a, a1 in pairs:
@@ -486,10 +509,13 @@ def _params_for(sig: Signature, kind: str, types: list[Type]) -> Iterator[tuple]
                 if tydyn_holds(sig, b1, a2):
                     yield (a1, a2, b1)
     elif kind == "errsh":
+        # the shape builds a -> b or a * b
+        sized = [(type_size(a), a) for a in types]
         for shape in ("app", "prj1", "prj2"):
-            for a in types:
-                for b in types:
-                    yield (shape, a, b)
+            for sa, a in sized:
+                for sb, b in sized:
+                    if sa + sb < size:
+                        yield (shape, a, b)
     else:  # pragma: no cover
         raise ValueError(kind)
 
@@ -516,6 +542,10 @@ def theorem_instances(sig: Signature, size: int = 3,
     parameter tuple whose instantiated conclusions mention only types of
     the given size or smaller.
 
+    The budget is enforced during enumeration: parameter tuples that build
+    an oversized type are never derived.  The size check on the built
+    conclusions stays as the authority for the rest.
+
     Yields ``(name, params, derivations)``; a flag-gated theorem whose
     flag is off yields the string ``"SKIPPED(flag)"`` instead.
     """
@@ -523,7 +553,7 @@ def theorem_instances(sig: Signature, size: int = 3,
         types = enumerate_types(sig, size)
     for name in (names or THEOREMS):
         kind, _ = THEOREMS[name]
-        for params in _params_for(sig, kind, types):
+        for params in _params_for(sig, kind, types, size):
             try:
                 ds = derive_theorem(sig, name, *params)
             except FlagRequired:

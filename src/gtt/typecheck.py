@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 from .syntax import (
     App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair,
     Prod, Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, base_names,
-    fresh_name, type_size,
+    contains_fn, fresh_name, type_size,
 )
 
 
@@ -75,6 +75,11 @@ class DynCtx:
         return iter(self.entries)
 
 
+def first_order(ty: Type) -> bool:
+    """Whether a type is function-free."""
+    return not contains_fn(ty)
+
+
 class Signature:
     """Immutable bundle of declarations; validation happens on creation."""
 
@@ -121,9 +126,7 @@ class Signature:
         Term-dynamism axioms are dropped: the variant only ever answers
         type-dynamism queries, and axioms whose typing leans on casts
         through ``?`` at function type would fail revalidation here."""
-        from .syntax import contains_fn
-        return self.replace(dyn_top=lambda ty: not contains_fn(ty),
-                            tmdyn_axioms=())
+        return self.replace(dyn_top=first_order, tmdyn_axioms=())
 
     # -- queries ---------------------------------------------------------------
 
@@ -380,7 +383,6 @@ def tydyn_search(sig: Signature, a: Type, b: Type, depth: int = 5,
         key = (x, y, d)
         if key in memo:
             return memo[key]
-        memo[key] = False  # cycle guard while computing
         out = _step(x, y, d)
         memo[key] = out
         return out

@@ -3,8 +3,9 @@
 These deliberately take different routes from the library code they
 check: alpha equivalence by brute-force canonical renaming, substitution
 through a nameless (de Bruijn) representation, the tree order by
-enumerating every subtree replacement, and s-expressions by recursive
-descent.
+enumerating every subtree replacement, s-expressions by recursive
+descent, theorem instances by deriving every parameter tuple before the
+size filter, and the model by walking the term for every environment.
 """
 
 from __future__ import annotations
@@ -15,7 +16,16 @@ from gtt.grammar import ParseError, SexpList
 from gtt.syntax import (
     App, Downcast, Err, FnApp, Lam, Pair, Proj, Term, Upcast, UnitVal, Var,
 )
-from gtt.model import ErrLeaf, ERR_LEAF, NatLeaf, Node, Tree
+from gtt.model import (
+    ErrLeaf, ERR_LEAF, FnVal, ModelError, NatLeaf, NatVal, Node, PairVal,
+    Report, Tree, UNIT_SEM, denote_coreflection, enumerate_values,
+    least_value, tree_leq, value_to_text,
+)
+from gtt.syntax import Base, Fn, Prod, Unit, contains_fn, type_size
+from gtt.theorems import (
+    FlagRequired, THEOREMS, derive_theorem, judgment_types,
+)
+from gtt.typecheck import enumerate_types, tydyn_holds
 
 
 # -- alpha equivalence: rename every binder to its nesting depth -------------
@@ -207,3 +217,177 @@ def _sexp_seq(text: str, pos: int, top: bool = False):
             m = _ATOM.match(text, pos)
             items.append(m.group())
             pos = m.end()
+
+
+# -- theorem instances by generate-then-filter --------------------------------
+#
+# Every hypothesis-satisfying parameter tuple is derived, and the size
+# filter on the built conclusions alone decides what is kept.
+
+def _params_reference(sig, kind: str, types: list):
+    pairs = [(a, b) for a in types for b in types if tydyn_holds(sig, a, b)]
+    if kind == "ty":
+        for a in types:
+            yield (a,)
+    elif kind == "pair":
+        yield from pairs
+    elif kind == "chain":
+        for a, a1 in pairs:
+            for a2 in types:
+                if tydyn_holds(sig, a1, a2):
+                    yield (a, a1, a2)
+    elif kind == "pair2":
+        for a, a1 in pairs:
+            for b, b1 in pairs:
+                yield (a, b, a1, b1)
+    elif kind == "square":
+        for a, a1 in pairs:
+            for b, b1 in pairs:
+                if tydyn_holds(sig, a, b) and tydyn_holds(sig, a1, b1):
+                    yield (a, a1, b, b1)
+    elif kind == "equi":
+        for a, b in pairs:
+            if tydyn_holds(sig, b, a):
+                yield (a, b)
+    elif kind == "tri_r":
+        for a1, a2 in pairs:
+            for b2 in types:
+                if tydyn_holds(sig, a1, b2):
+                    yield (a1, a2, b2)
+    elif kind == "tri_l":
+        for a1, a2 in pairs:
+            for b1 in types:
+                if tydyn_holds(sig, b1, a2):
+                    yield (a1, a2, b1)
+    elif kind == "errsh":
+        for shape in ("app", "prj1", "prj2"):
+            for a in types:
+                for b in types:
+                    yield (shape, a, b)
+    else:
+        raise ValueError(kind)
+
+
+def theorem_instances_reference(sig, size: int = 3, names=None, types=None):
+    if types is None:
+        types = enumerate_types(sig, size)
+    for name in (names or THEOREMS):
+        kind, _ = THEOREMS[name]
+        for params in _params_reference(sig, kind, types):
+            try:
+                ds = derive_theorem(sig, name, *params)
+            except FlagRequired:
+                yield name, params, "SKIPPED(flag)"
+                continue
+            if all(type_size(ty) <= size
+                   for d in ds for ty in judgment_types(d)):
+                yield name, params, ds
+
+
+# -- the model by walking the term for every environment ----------------------
+
+def eval_term_reference(sig, env: dict, t: Term):
+    match t:
+        case Var(x):
+            if x not in env:
+                raise ModelError(f"environment does not bind {x}")
+            return env[x]
+        case FnApp(f, args):
+            if f.isdigit() and not args and sig.numerals_enabled():
+                return NatVal(int(f))
+            raise ModelError(f"function symbol {f} is not evaluable")
+        case Lam(x, _, body):
+            def closure(v, _x=x, _body=body, _env=dict(env)):
+                inner = dict(_env)
+                inner[_x] = v
+                return eval_term_reference(sig, inner, _body)
+            return FnVal(closure)
+        case App(f, a):
+            fv = eval_term_reference(sig, env, f)
+            return fv(eval_term_reference(sig, env, a))
+        case Pair(a, b):
+            return PairVal(eval_term_reference(sig, env, a),
+                           eval_term_reference(sig, env, b))
+        case Proj(i, b):
+            v = eval_term_reference(sig, env, b)
+            return v.fst if i == 1 else v.snd
+        case UnitVal():
+            return UNIT_SEM
+        case Upcast(lo, hi, b):
+            return denote_coreflection(sig, lo, hi).up(eval_term_reference(sig, env, b))
+        case Downcast(lo, hi, b):
+            return denote_coreflection(sig, lo, hi).dn(eval_term_reference(sig, env, b))
+        case Err(at):
+            return least_value(sig, at)
+    raise ModelError(f"cannot evaluate {t!r}")
+
+
+def value_leq_at_reference(sig, ty, v, w, bound: int = 2) -> bool:
+    match ty:
+        case Base(_):
+            return v.n is None or v == w
+        case Unit():
+            return True
+        case Prod(a, b):
+            return (value_leq_at_reference(sig, a, v.fst, w.fst, bound)
+                    and value_leq_at_reference(sig, b, v.snd, w.snd, bound))
+        case Fn(dom, cod):
+            return all(value_leq_at_reference(sig, cod, v(arg), w(arg), bound)
+                       for arg in enumerate_values(sig, dom, bound))
+        case _:
+            return tree_leq(v.tree, w.tree)
+
+
+def value_leq_reference(sig, a, b, v, w, bound: int = 2) -> bool:
+    if a == b:
+        return value_leq_at_reference(sig, a, v, w, bound)
+    up = denote_coreflection(sig, a, b).up
+    return value_leq_at_reference(sig, b, up(v), w, bound)
+
+
+_RELATED: dict = {}
+
+
+def _related_reference(sig, a, b, bound: int) -> list:
+    key = (sig, a, b, bound)
+    if key not in _RELATED:
+        _RELATED[key] = [(v, w)
+                         for v in enumerate_values(sig, a, bound)
+                         for w in enumerate_values(sig, b, bound)
+                         if value_leq_reference(sig, a, b, v, w, bound)]
+    return _RELATED[key]
+
+
+def check_judgment_semantics_reference(sig, j, bound: int = 2) -> Report:
+    """The same report as ``gtt.model.check_judgment_semantics``, from
+    every environment pair re-evaluated by the walkers above."""
+    subject = f"judgment {j.describe()}"
+    for _, _, tl, tr in j.phi:
+        if contains_fn(tl) or contains_fn(tr):
+            raise ModelError("judgment context mentions function types")
+    if contains_fn(j.type_left) or contains_fn(j.type_right):
+        raise ModelError("judgment endpoint types mention function types")
+
+    def envs(entries, left_env, right_env):
+        if not entries:
+            yield dict(left_env), dict(right_env)
+            return
+        (xl, xr, tl, tr), *rest = entries
+        for v, w in _related_reference(sig, tl, tr, bound):
+            left_env[xl] = v
+            right_env[xr] = w
+            yield from envs(rest, left_env, right_env)
+
+    checks = 0
+    for left_env, right_env in envs(list(j.phi.entries), {}, {}):
+        lv = eval_term_reference(sig, left_env, j.left)
+        rv = eval_term_reference(sig, right_env, j.right)
+        checks += 1
+        if not value_leq_reference(sig, j.type_left, j.type_right, lv, rv, bound):
+            env_text = ", ".join(
+                f"{x}={value_to_text(v)}" for x, v in
+                list(left_env.items()) + [(f"{x}'", v) for x, v in right_env.items()])
+            return Report(subject, bound, False,
+                          f"[{env_text}] gives {value_to_text(lv)} not below "
+                          f"{value_to_text(rv)}", checks)
+    return Report(subject, bound, True, None, checks)

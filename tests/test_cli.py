@@ -1,9 +1,11 @@
+import hashlib
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import gtt.cli
 from gtt.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -196,3 +198,37 @@ def test_transitivity_with_a_foreign_aux_is_rejected(tmp_path, capsys, aux):
     out = capsys.readouterr().out
     assert code == 1
     assert "aux must be the stored middle judgment" in out
+
+
+def test_derive_with_the_wrong_number_of_parameters_is_exit_2(capsys):
+    code, err = run_cli_err("derive", "galois_unit", "Nat", capsys=capsys)
+    assert code == 2
+    assert err == ("cannot derive galois_unit: galois_unit expects 2 "
+                   "parameters, got 1\n")
+
+
+def test_unexpected_exception_is_exit_2_with_its_traceback(monkeypatch, capsys):
+    def crash(args, sig):
+        raise KeyError("boom")
+    monkeypatch.setattr(gtt.cli, "_cmd_check", crash)
+    code = main(["check", str(FIXTURES / "zero.gtt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: KeyError: 'boom'\n")
+    assert "Traceback" in captured.err
+
+
+# SHA-256 of whole reports, pinned when the catalog was still enumerated by
+# generate-then-filter and the model still walked each term per environment
+@pytest.mark.parametrize("argv, lines, digest", [
+    (("--retract", "off", "test-theorems", "--size", "3"), 759,
+     "8916761e43ee49d81eeff137dee56b0855b5ed504f93c5813f0074d8a3853fb8"),
+    (("test-model", "--bound", "2", "--size", "3"), 40,
+     "897d7a1b67e3a387fb425a0f0215fa47f7e242e1324fe3c2f7467728e4717f73"),
+], ids=["test-theorems", "test-model"])
+def test_battery_reports_are_pinned(capsys, argv, lines, digest):
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,21 +5,25 @@ import pytest
 
 from gtt.grammar import parse_term, parse_type
 from gtt.syntax import (
-    Context, DYN, Downcast, Err, Fn, NAT, Pair, Prod, Proj, UNIT, Upcast,
-    Var, num,
+    Context, DYN, Downcast, Err, Fn, Lam, NAT, Pair, Prod, Proj, UNIT,
+    Upcast, Var, num,
 )
 from gtt.typecheck import DynCtx, Signature, default_signature, enumerate_types
 from gtt.dynamism import DynJudgment
+from gtt.theorems import theorem_instances
 from gtt.elaborate import elaborate
 from gtt.model import (
-    ERR_LEAF, Coreflection, ModelError, NatLeaf, NatVal, Node, PairVal,
-    TreeVal, UNIT_SEM, check_equipment, check_judgment_semantics,
-    denote_coreflection, enumerate_trees, enumerate_values, eval_term,
-    first_order, least_value, model_signature, tree_leq, tydyn_holds,
-    value_leq, value_leq_at, value_to_text,
+    ERR_LEAF, Coreflection, FnVal, ModelError, NatLeaf, NatVal, Node,
+    PairVal, TreeVal, UNIT_SEM, check_equipment, check_judgment_semantics,
+    denote_coreflection, derivation_first_order, enumerate_trees,
+    enumerate_values, eval_term, first_order, least_value, model_signature,
+    tree_leq, tydyn_holds, value_leq, value_leq_at, value_to_text,
 )
 
-from oracles import tree_leq_oracle
+from oracles import (
+    check_judgment_semantics_reference, eval_term_reference, tree_leq_oracle,
+    value_leq_at_reference,
+)
 from termgen import gen_term
 
 SIG = default_signature()
@@ -243,3 +247,86 @@ def test_value_printing():
     assert value_to_text(TreeVal(Node(NatLeaf(0), ERR_LEAF))) == "(0 , err)"
     assert value_to_text(NatVal(None)) == "err"
     assert value_to_text(PairVal(NatVal(1), UNIT_SEM)) == "(1 , ())"
+
+
+# -- the compiled evaluator against the term walker ---------------------------
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except ModelError as e:
+        return ("ModelError", str(e))
+
+
+def test_eval_matches_the_term_walker_on_closed_first_order_terms():
+    rng = random.Random(31)
+    types = [NAT, DYN, UNIT, Prod(NAT, DYN), Prod(DYN, DYN), Prod(UNIT, NAT)]
+    values = 0
+    for _ in range(600):
+        ty = rng.choice(types)
+        t = gen_term(rng, SIG, Context(), ty, size=rng.randint(1, 14),
+                     first_order=True)
+        got = _outcome(lambda: eval_term(SIG, {}, t))
+        want = _outcome(lambda: eval_term_reference(SIG, {}, t))
+        assert got == want, t
+        if not isinstance(got, tuple):
+            values += 1
+            for v in enumerate_values(SIG, ty, 2):
+                assert (value_leq_at(SIG, ty, got, v)
+                        == value_leq_at_reference(SIG, ty, got, v)), (t, v)
+    assert values > 400
+
+
+def _same_report(j):
+    report = check_judgment_semantics(SIG, j, 2)
+    want = check_judgment_semantics_reference(SIG, j, 2)
+    assert ((report.passed, report.checks, report.counterexample)
+            == (want.passed, want.checks, want.counterexample)), j
+    return report
+
+
+def _non_theorems():
+    """The three of acceptance criterion 5, and one whose first
+    counterexample shows the order in which environments are tried."""
+    phi = DynCtx.of(("x", "x'", NAT, NAT))
+    mismatch_right = Upcast(Prod(DYN, DYN), DYN,
+                            Upcast(Prod(NAT, NAT), Prod(DYN, DYN),
+                                   Pair(Var("x'"), Var("x'"))))
+    phi2 = DynCtx.of(("x", "x'", NAT, NAT), ("y", "y'", NAT, NAT))
+    return [
+        DynJudgment(DynCtx(), num(0), Err(NAT), NAT, NAT),
+        DynJudgment(phi, Upcast(NAT, DYN, Var("x")), mismatch_right, DYN, DYN),
+        DynJudgment(phi2, Pair(Var("x"), Var("y")), Pair(Var("y'"), Var("x'")),
+                    Prod(NAT, NAT), Prod(NAT, NAT)),
+        DynJudgment(DynCtx.of(("x", "x'", NAT, NAT), ("y", "y'", DYN, DYN)),
+                    Var("y"), Err(DYN), DYN, DYN),
+    ]
+
+
+def test_reports_match_the_term_walker_on_the_corpus_and_non_theorems():
+    judgments = [d.conclusion for _, _, ds in theorem_instances(SIG, 3)
+                 for d in ds if derivation_first_order(d)]
+    assert len(judgments) == 1912
+    assert sum(_same_report(j).checks for j in judgments) == 357_244
+    for j in _non_theorems():
+        assert not _same_report(j).passed
+
+
+def test_evaluation_errors_stay_lazy():
+    sig = Signature(fn_symbols={"f": ((NAT,), NAT)})
+    lambdas = [
+        # a symbol with no meaning, under a binder
+        parse_term("\\x:Nat. f(0)", sig),
+        # an unbound variable, under a binder
+        Lam("x", NAT, Var("y")),
+        # a cast with no coreflection in the model, under a binder
+        Lam("x", NAT, Upcast(Fn(NAT, NAT), DYN, Lam("z", NAT, Var("z")))),
+    ]
+    for t in lambdas:
+        closure = eval_term(sig, {}, t)
+        assert isinstance(closure, FnVal)
+        with pytest.raises(ModelError) as got:
+            closure(NatVal(0))
+        with pytest.raises(ModelError) as want:
+            eval_term_reference(sig, {}, t)(NatVal(0))
+        assert str(got.value) == str(want.value)

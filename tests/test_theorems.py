@@ -2,14 +2,20 @@ import random
 
 import pytest
 
+import gtt.theorems
+
 from gtt.grammar import parse_type
 from gtt.syntax import Context, DYN, Downcast, Err, Fn, NAT, Prod, UNIT, Upcast, Var
 from gtt.typecheck import Signature, default_signature, enumerate_types, tydyn_holds
-from gtt.dynamism import check_derivation, derivation_errors, trans_node
+from gtt.dynamism import (
+    DerivationError, check_derivation, derivation_errors, trans_node,
+)
 from gtt.theorems import (
     FlagRequired, HypothesisError, REDUCTION_THEOREMS, THEOREMS,
     conclusion_equation, derive_theorem, theorem_instances,
 )
+
+from oracles import theorem_instances_reference
 
 SIG = default_signature()
 NO_RETRACT = default_signature(retract=False)
@@ -152,3 +158,41 @@ def test_catalog_covers_expected_names():
     }
     assert set(THEOREMS) == expected
     assert set(REDUCTION_THEOREMS) <= expected
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("sig", [SIG, NO_RETRACT], ids=["retract", "no-retract"])
+def test_instances_match_generate_then_filter(sig, size):
+    assert (list(theorem_instances(sig, size))
+            == list(theorem_instances_reference(sig, size)))
+
+
+def test_instances_match_generate_then_filter_on_given_types():
+    # an explicit list, larger types than the size and out of order included
+    types = [parse_type(t) for t in
+             ("? * ?", "Nat", "Nat -> ?", "?", "1", "(Nat * Nat) -> ?")]
+    for size in (2, 3, 4):
+        assert (list(theorem_instances(SIG, size, types=types))
+                == list(theorem_instances_reference(SIG, size, types=types)))
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_every_derivation_built_is_kept(monkeypatch, size):
+    # types come in odd sizes, so size 4 has the types of size 3 and is
+    # where a budget check that is off by one would derive too much
+    calls = []
+    derive = gtt.theorems.derive_theorem
+
+    def counted(*args):
+        calls.append(args[1])
+        return derive(*args)
+    monkeypatch.setattr(gtt.theorems, "derive_theorem", counted)
+    kept = list(theorem_instances(SIG, size))
+    assert len(calls) == len(kept) == 2496
+
+
+def test_wrong_number_of_parameters_is_a_derivation_error():
+    with pytest.raises(DerivationError, match="galois_unit expects 2 parameters, got 1"):
+        derive_theorem(SIG, "galois_unit", NAT)
+    with pytest.raises(DerivationError, match="err_elim expects 3 parameters, got 4"):
+        derive_theorem(SIG, "err_elim", "app", NAT, NAT, NAT)
