@@ -13,8 +13,8 @@ from .syntax import (
     alpha_eq, free_vars, num, substitute, subst1,
 )
 from .typecheck import (
-    DynCtx, Signature, check_ctx_dyn, check_type_dyn, check_type_wf,
-    default_signature, infer_type, tydyn_search,
+    DynCtx, Signature, check_ctx_dyn, check_type_wf, default_signature,
+    infer_type, tydyn_holds,
 )
 from .dynamism import (
     Derivation, DynJudgment, check_derivation, derivation_errors,

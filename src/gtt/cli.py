@@ -18,16 +18,18 @@ from .grammar import (
     context_to_text, parse_signature, parse_term_file, parse_type,
     term_to_text, type_to_text,
 )
-from .typecheck import Signature, default_signature, check_type_dyn, infer_type
+from .typecheck import (
+    DynCtx, Signature, default_signature, enumerate_types, infer_type,
+    tydyn_holds,
+)
 from .dynamism import DynJudgment, check_derivation, derivation_errors
 from .derivio import derivations_to_text, parse_derivations
 from .elaborate import elaborate, equal_terms, normalize
 from .model import (
     ModelError, check_equipment, check_judgment_semantics, enumerate_values,
-    eval_term, first_order, model_signature, tydyn_holds, value_to_text,
+    eval_term, first_order, model_signature, value_to_text,
 )
 from .theorems import derive_theorem, theorem_instances, REDUCTION_THEOREMS
-from .typecheck import DynCtx, enumerate_types
 
 
 class _Failure(Exception):
@@ -83,7 +85,7 @@ def _cmd_dyncheck(args, sig):
         if not sep:
             raise _Failure(2, f"dyncheck lines must be 'A <= B': {line!r}")
         a, b = parse_type(left.strip()), parse_type(right.strip())
-        ok = check_type_dyn(sig, a, b)
+        ok = tydyn_holds(sig, a, b)
         lines_out.append(f"RESULT {'PASS' if ok else 'FAIL'} "
                          f"{type_to_text(a)} <= {type_to_text(b)}")
         status = status or (0 if ok else 1)

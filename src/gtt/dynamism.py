@@ -576,7 +576,7 @@ def _chk_unit_eta(sig, d):
 
 
 def _chk_disjoint(sig, d):
-    from .elaborate import is_ground
+    from .elaborate import _unrelated_grounds, is_ground
     if not sig.disjointness:
         return ["disjointness axioms are disabled in this signature"]
     if d.premises:
@@ -595,7 +595,7 @@ def _chk_disjoint(sig, d):
                 out.append("left side must cast the context variable through ?")
             if not (is_ground(g) and is_ground(g2)):
                 out.append("both tags must be ground types")
-            elif g == g2 or tydyn_holds(sig, g, g2) or tydyn_holds(sig, g2, g):
+            elif not _unrelated_grounds(sig, g, g2):
                 out.append("tags must be distinct unrelated ground types")
             if j.right != Err(g) or j.type_left != g or j.type_right != g:
                 out.append("conclusion must be the error constant at the target tag")

@@ -29,11 +29,6 @@ class ElaborationError(GttError):
     pass
 
 
-def _tytext(ty: Type) -> str:
-    from .grammar import type_to_text
-    return type_to_text(ty)
-
-
 class NormalizeBudgetExceeded(GttError):
     pass
 
@@ -132,7 +127,7 @@ def _build_up(sig: Signature, lo: Type, hi: Type, body: Term) -> Term:
             # axiom-related bases have no structural route; go through ?
             return Downcast(hi, DYN, Upcast(lo, DYN, body))
         case _:
-            raise ElaborationError(f"no elaboration for upcast {_tytext(lo)} => {_tytext(hi)}")
+            raise ElaborationError(f"no elaboration for upcast {lo} => {hi}")
 
 
 def _build_dn(sig: Signature, lo: Type, hi: Type, body: Term) -> Term:
@@ -154,7 +149,7 @@ def _build_dn(sig: Signature, lo: Type, hi: Type, body: Term) -> Term:
         case Base(_), Base(_):
             return Downcast(lo, DYN, Upcast(hi, DYN, body))
         case _:
-            raise ElaborationError(f"no elaboration for downcast {_tytext(hi)} => {_tytext(lo)}")
+            raise ElaborationError(f"no elaboration for downcast {hi} => {lo}")
 
 
 def oblique_cast(a: Type, b: Type, t: Term) -> Term:
@@ -323,7 +318,7 @@ def equal_terms(sig: Signature, t: Term, u: Term, ctx: Context = Context(),
     ta = infer_type(sig, ctx, t)
     tb = infer_type(sig, ctx, u)
     if ta != tb:
-        raise TypeCheckError(f"equal_terms: type mismatch {_tytext(ta)} vs {_tytext(tb)}")
+        raise TypeCheckError(f"equal_terms: type mismatch {ta} vs {tb}")
     nt = normalize(sig, elaborate(sig, ctx, t), ctx, max_steps)
     nu = normalize(sig, elaborate(sig, ctx, u), ctx, max_steps)
     return alpha_eq(nt, nu)

@@ -36,6 +36,10 @@ class ContextError(GttError):
 class Type:
     __slots__ = ()
 
+    def __str__(self) -> str:
+        from .grammar import type_to_text
+        return type_to_text(self)
+
 
 @dataclass(frozen=True, slots=True)
 class Base(Type):

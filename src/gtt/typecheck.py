@@ -10,9 +10,8 @@ type (subject to an optional restriction), or both sides are base types
 related by the reflexive-transitive closure of the axioms, or the two
 sides share a head constructor with componentwise dynamism (function
 types are covariant in both positions).  Axioms between composite types
-make the relation a general rewriting problem, so the decision procedure
-refuses them; a bounded derivation search is available instead and doubles
-as an independent cross-check.
+would make the relation a general rewriting problem, so a signature
+rejects them.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import Callable, Iterable, Optional
 
 from .syntax import (
     App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair,
-    Prod, Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, base_names,
-    contains_fn, fresh_name, type_size,
+    Prod, Proj, Term, Type, UNIT, UnitVal, Upcast, Var, base_names,
+    contains_fn, fresh_name,
 )
 
 
@@ -35,11 +34,6 @@ class TypeCheckError(GttError):
     def __init__(self, msg: str, subterm: Term | None = None):
         super().__init__(msg)
         self.subterm = subterm
-
-
-def _ty(ty: Type) -> str:
-    from .grammar import type_to_text
-    return type_to_text(ty)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,9 +55,6 @@ class DynCtx:
 
     def right_ctx(self) -> Context:
         return Context(tuple((xr, tr) for _, xr, _, tr in self.entries))
-
-    def extend(self, xl: str, xr: str, tl: Type, tr: Type) -> "DynCtx":
-        return DynCtx(self.entries + ((xl, xr, tl, tr),))
 
     def is_diagonal(self) -> bool:
         return all(xl == xr and tl == tr for xl, xr, tl, tr in self.entries)
@@ -145,16 +136,11 @@ class Signature:
             return (), Base("Nat")
         raise TypeCheckError(f"unknown function symbol: {name}")
 
-    def axioms_all_base(self) -> bool:
-        return all(isinstance(a, Base) and isinstance(b, Base)
-                   for a, b in self.tydyn_axioms)
-
     def base_closure(self) -> dict[str, frozenset[str]]:
         """Reflexive-transitive closure of the base-type axioms."""
         reach: dict[str, set[str]] = {n: {n} for n in self.base_types}
         for a, b in self.tydyn_axioms:
-            if isinstance(a, Base) and isinstance(b, Base):
-                reach[a.name].add(b.name)
+            reach[a.name].add(b.name)
         changed = True
         while changed:
             changed = False
@@ -171,6 +157,9 @@ class Signature:
 
     def _validate(self):
         for a, b in self.tydyn_axioms:
+            if not (isinstance(a, Base) and isinstance(b, Base)):
+                raise SignatureError(
+                    f"type-dynamism axiom {a} <= {b} does not relate two base types")
             for ty in (a, b):
                 if not check_type_wf(self, ty):
                     raise SignatureError(
@@ -180,7 +169,7 @@ class Signature:
                 if not check_type_wf(self, ty):
                     raise SignatureError(
                         f"function symbol {name} mentions unknown base type: {ty}")
-        self._closure = self.base_closure() if self.axioms_all_base() else None
+        self._closure = self.base_closure()
         for lo, hi in self.base_codes.values():
             if lo >= hi:
                 raise SignatureError(f"empty base-code range: [{lo}, {hi})")
@@ -233,7 +222,7 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
                 got = infer_type(sig, ctx, arg)
                 if got != want:
                     raise TypeCheckError(
-                        f"argument {i} of {f} has type {_ty(got)}, expected {_ty(want)}", arg)
+                        f"argument {i} of {f} has type {got}, expected {want}", arg)
             return out
         case Lam(x, annot, body):
             if not check_type_wf(sig, annot):
@@ -247,18 +236,18 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
         case App(fn, arg):
             fty = infer_type(sig, ctx, fn)
             if not isinstance(fty, Fn):
-                raise TypeCheckError(f"applying a non-function of type {_ty(fty)}", fn)
+                raise TypeCheckError(f"applying a non-function of type {fty}", fn)
             aty = infer_type(sig, ctx, arg)
             if aty != fty.dom:
                 raise TypeCheckError(
-                    f"argument type {_ty(aty)} does not match domain {_ty(fty.dom)}", arg)
+                    f"argument type {aty} does not match domain {fty.dom}", arg)
             return fty.cod
         case Pair(a, b):
             return Prod(infer_type(sig, ctx, a), infer_type(sig, ctx, b))
         case Proj(i, tup):
             pty = infer_type(sig, ctx, tup)
             if not isinstance(pty, Prod):
-                raise TypeCheckError(f"projecting from a non-product of type {_ty(pty)}", tup)
+                raise TypeCheckError(f"projecting from a non-product of type {pty}", tup)
             return pty.fst if i == 1 else pty.snd
         case UnitVal():
             return UNIT
@@ -270,7 +259,7 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
             return lo
         case Err(at):
             if not check_type_wf(sig, at):
-                raise TypeCheckError(f"ill-formed error annotation {_ty(at)}", t)
+                raise TypeCheckError(f"ill-formed error annotation {at}", t)
             return at
     raise TypeCheckError(f"unrecognized term {t!r}", t)
 
@@ -278,134 +267,43 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
 def _check_cast(sig, ctx, cast, lo, hi, body, expect):
     for ty in (lo, hi):
         if not check_type_wf(sig, ty):
-            raise TypeCheckError(f"ill-formed cast endpoint {_ty(ty)}", cast)
+            raise TypeCheckError(f"ill-formed cast endpoint {ty}", cast)
     if not tydyn_holds(sig, lo, hi):
         raise TypeCheckError(
             f"cast endpoints not in the dynamism relation: "
-            f"{_ty(lo)} <= {_ty(hi)} fails", cast)
+            f"{lo} <= {hi} fails", cast)
     got = infer_type(sig, ctx, body)
     if got != expect:
         raise TypeCheckError(
-            f"cast body has type {_ty(got)}, expected {_ty(expect)}", body)
-
-
-def typable(sig: Signature, ctx: Context, t: Term) -> bool:
-    try:
-        infer_type(sig, ctx, t)
-        return True
-    except GttError:
-        return False
+            f"cast body has type {got}, expected {expect}", body)
 
 
 # ---------------------------------------------------------------------------
 # Type dynamism
 # ---------------------------------------------------------------------------
 
-def check_type_dyn(sig: Signature, a: Type, b: Type) -> bool:
-    """Decide ``a <= b``.  Requires all axioms to relate base types."""
-    if sig._closure is None:
-        raise SignatureError(
-            "type-dynamism axioms between composite types are not decidable "
-            "here; use derivation-based checking (bounded search) instead")
-    return _dyn(sig, a, b)
-
-
-def _dyn(sig: Signature, a: Type, b: Type) -> bool:
+def tydyn_holds(sig: Signature, a: Type, b: Type) -> bool:
+    """Decide ``a <= b``: equal types, ``?`` on top, the closure of the
+    base-type axioms, or componentwise for ``Fn`` and ``Prod``.  Answers
+    are memoized on the signature."""
     key = (a, b)
     cached = sig._dyn_cache.get(key)
     if cached is not None:
         return cached
-    out = _dyn_raw(sig, a, b)
+    if a == b:
+        out = True
+    elif b == DYN:
+        out = sig.dyn_top is None or sig.dyn_top(a)
+    else:
+        match a, b:
+            case Base(x), Base(y):
+                out = y in sig._closure.get(x, ())
+            case (Fn(a1, b1), Fn(a2, b2)) | (Prod(a1, b1), Prod(a2, b2)):
+                out = tydyn_holds(sig, a1, a2) and tydyn_holds(sig, b1, b2)
+            case _:
+                out = False
     sig._dyn_cache[key] = out
     return out
-
-
-def _dyn_raw(sig: Signature, a: Type, b: Type) -> bool:
-    if a == b:
-        return True
-    if b == DYN:
-        return sig.dyn_top is None or sig.dyn_top(a)
-    match a, b:
-        case Base(x), Base(y):
-            reach = sig._closure.get(x)
-            return reach is not None and y in reach
-        case Fn(a1, b1), Fn(a2, b2):
-            return _dyn(sig, a1, a2) and _dyn(sig, b1, b2)
-        case Prod(a1, b1), Prod(a2, b2):
-            return _dyn(sig, a1, a2) and _dyn(sig, b1, b2)
-        case _:
-            return False
-
-
-def tydyn_holds(sig: Signature, a: Type, b: Type) -> bool:
-    """Internal dynamism query: decision procedure when available, bounded
-    derivation search when composite axioms block it."""
-    if sig._closure is not None:
-        return _dyn(sig, a, b)
-    return tydyn_search(sig, a, b, depth=6)
-
-
-def _search_universe(sig: Signature, a: Type, b: Type) -> list[Type]:
-    seen: list[Type] = []
-
-    def add(ty: Type):
-        if ty not in seen:
-            seen.append(ty)
-            match ty:
-                case Fn(x, y) | Prod(x, y):
-                    add(x)
-                    add(y)
-                case _:
-                    pass
-
-    for ty in (a, b, DYN, UNIT):
-        add(ty)
-    for x, y in sig.tydyn_axioms:
-        add(x)
-        add(y)
-    return seen
-
-
-def tydyn_search(sig: Signature, a: Type, b: Type, depth: int = 5,
-                 universe: list[Type] | None = None) -> bool:
-    """Brute-force search for a dynamism derivation of bounded depth.
-
-    Rules tried: reflexivity, axioms, the top rule for ``?``, head-constructor
-    monotonicity, and transitivity through every type in ``universe``
-    (defaults to the subterm closure of the query and the axioms).
-    """
-    mids = universe if universe is not None else _search_universe(sig, a, b)
-    memo: dict[tuple[Type, Type, int], bool] = {}
-
-    def go(x: Type, y: Type, d: int) -> bool:
-        if d <= 0:
-            return False
-        key = (x, y, d)
-        if key in memo:
-            return memo[key]
-        out = _step(x, y, d)
-        memo[key] = out
-        return out
-
-    def _step(x: Type, y: Type, d: int) -> bool:
-        if x == y:
-            return True
-        if (x, y) in sig.tydyn_axioms:
-            return True
-        if y == DYN and (sig.dyn_top is None or sig.dyn_top(x)):
-            return True
-        match x, y:
-            case (Fn(x1, y1), Fn(x2, y2)) | (Prod(x1, y1), Prod(x2, y2)):
-                if go(x1, x2, d - 1) and go(y1, y2, d - 1):
-                    return True
-            case _:
-                pass
-        for mid in mids:
-            if mid != x and mid != y and go(x, mid, d - 1) and go(mid, y, d - 1):
-                return True
-        return False
-
-    return go(a, b, depth)
 
 
 def check_ctx_dyn(sig: Signature, left: Context, right: Context) -> DynCtx | None:
@@ -431,12 +329,10 @@ def check_dynctx_wf(sig: Signature, phi: DynCtx) -> bool:
     return all(tydyn_holds(sig, tl, tr) for _, _, tl, tr in phi)
 
 
-def enumerate_types(sig: Signature, max_size: int,
-                    atoms: tuple[Type, ...] | None = None) -> list[Type]:
+def enumerate_types(sig: Signature, max_size: int) -> list[Type]:
     """All well-formed types up to the given size, smallest first."""
-    if atoms is None:
-        atoms = tuple(Base(n) for n in sorted(sig.base_types)) + (DYN, UNIT)
-    by_size: dict[int, list[Type]] = {1: list(atoms)}
+    atoms = [Base(n) for n in sorted(sig.base_types)] + [DYN, UNIT]
+    by_size: dict[int, list[Type]] = {1: atoms}
     for size in range(2, max_size + 1):
         bucket: list[Type] = []
         for lsize in range(1, size - 1):

@@ -1,11 +1,13 @@
 """Independent reference implementations used only as test oracles.
 
 These deliberately take different routes from the library code they
-check: alpha equivalence by brute-force canonical renaming, substitution
-through a nameless (de Bruijn) representation, the tree order by
-enumerating every subtree replacement, s-expressions by recursive
-descent, theorem instances by deriving every parameter tuple before the
-size filter, and the model by walking the term for every environment.
+check: type dynamism by a bounded search for derivations that may use
+transitivity, alpha equivalence by brute-force canonical renaming,
+substitution through a nameless (de Bruijn) representation, the tree
+order by enumerating every subtree replacement, s-expressions by
+recursive descent, theorem instances by deriving every parameter tuple
+before the size filter, and the model by walking the term for every
+environment.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import re
 
 from gtt.grammar import ParseError, SexpList
 from gtt.syntax import (
-    App, Downcast, Err, FnApp, Lam, Pair, Proj, Term, Upcast, UnitVal, Var,
+    App, DYN, Downcast, Err, FnApp, Lam, Pair, Proj, Term, Type, UNIT,
+    Upcast, UnitVal, Var,
 )
 from gtt.model import (
     ErrLeaf, ERR_LEAF, FnVal, ModelError, NatLeaf, NatVal, Node, PairVal,
@@ -25,7 +28,72 @@ from gtt.syntax import Base, Fn, Prod, Unit, contains_fn, type_size
 from gtt.theorems import (
     FlagRequired, THEOREMS, derive_theorem, judgment_types,
 )
-from gtt.typecheck import enumerate_types, tydyn_holds
+from gtt.typecheck import Signature, enumerate_types, tydyn_holds
+
+
+# -- type dynamism by bounded derivation search -------------------------------
+
+def _search_universe(sig: Signature, a: Type, b: Type) -> list[Type]:
+    seen: list[Type] = []
+
+    def add(ty: Type):
+        if ty not in seen:
+            seen.append(ty)
+            match ty:
+                case Fn(x, y) | Prod(x, y):
+                    add(x)
+                    add(y)
+                case _:
+                    pass
+
+    for ty in (a, b, DYN, UNIT):
+        add(ty)
+    for x, y in sig.tydyn_axioms:
+        add(x)
+        add(y)
+    return seen
+
+
+def tydyn_search(sig: Signature, a: Type, b: Type, depth: int = 5,
+                 universe: list[Type] | None = None) -> bool:
+    """Brute-force search for a dynamism derivation of bounded depth.
+
+    Rules tried: reflexivity, axioms, the top rule for ``?``, head-constructor
+    monotonicity, and transitivity through every type in ``universe``
+    (defaults to the subterm closure of the query and the axioms).
+    """
+    mids = universe if universe is not None else _search_universe(sig, a, b)
+    memo: dict[tuple[Type, Type, int], bool] = {}
+
+    def go(x: Type, y: Type, d: int) -> bool:
+        if d <= 0:
+            return False
+        key = (x, y, d)
+        if key in memo:
+            return memo[key]
+        out = _step(x, y, d)
+        memo[key] = out
+        return out
+
+    def _step(x: Type, y: Type, d: int) -> bool:
+        if x == y:
+            return True
+        if (x, y) in sig.tydyn_axioms:
+            return True
+        if y == DYN and (sig.dyn_top is None or sig.dyn_top(x)):
+            return True
+        match x, y:
+            case (Fn(x1, y1), Fn(x2, y2)) | (Prod(x1, y1), Prod(x2, y2)):
+                if go(x1, x2, d - 1) and go(y1, y2, d - 1):
+                    return True
+            case _:
+                pass
+        for mid in mids:
+            if mid != x and mid != y and go(x, mid, d - 1) and go(mid, y, d - 1):
+                return True
+        return False
+
+    return go(a, b, depth)
 
 
 # -- alpha equivalence: rename every binder to its nesting depth -------------

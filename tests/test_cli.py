@@ -67,10 +67,24 @@ def test_missing_file_is_exit_2(capsys):
     assert code == 2
 
 
-def test_dyncheck(capsys):
-    code, out = run_cli("dyncheck", FIXTURES / "dyn_pairs.txt", capsys=capsys)
-    assert code == 0
-    assert out.count("RESULT PASS") == 3
+@pytest.mark.parametrize("sig, pairs, code, lines", [
+    ((), "dyn_pairs.txt", 0, [
+        "RESULT PASS Nat -> Nat <= ?",
+        "RESULT PASS Nat -> Nat <= ? -> ?",
+        "RESULT PASS Nat * (1 -> ?) <= ?",
+    ]),
+    (("--sig", FIXTURES / "two_bases.gttsig"), "dyn_pairs_bases.txt", 1, [
+        "RESULT PASS Even <= Nat",
+        "RESULT FAIL Nat <= Even",
+        "RESULT PASS Even -> Even <= Nat -> ?",
+        "RESULT FAIL ? -> Even <= Even -> Nat",
+        "RESULT PASS Even * 1 <= ?",
+    ]),
+], ids=["default", "two_bases"])
+def test_dyncheck(capsys, sig, pairs, code, lines):
+    got, out = run_cli(*sig, "dyncheck", FIXTURES / pairs, capsys=capsys)
+    assert got == code
+    assert out.splitlines() == lines
 
 
 def test_flag_override_changes_normalization(capsys):
@@ -170,6 +184,28 @@ def test_non_numeric_basecodes_is_exit_2(tmp_path, capsys):
                             capsys=capsys)
     assert code == 2
     assert "bad basecodes line" in err
+
+
+def test_composite_type_dynamism_axiom_is_exit_2(tmp_path, capsys):
+    sig = tmp_path / "composite.gttsig"
+    sig.write_text("basetypes: Nat\ntydyn:\n  1 * 1 <= 1\n")
+    term = tmp_path / "cast.gtt"
+    term.write_text("up[(1 * 1) * (1 * 1) => 1] (((), ()), ((), ()))")
+    code, err = run_cli_err("--sig", sig, "check", term, capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "1 * 1 <= 1" in err
+
+
+def test_prove_error_lines_print_types_as_text(tmp_path, capsys):
+    path = tmp_path / "refl.gttd"
+    path.write_text("(refl (concl (ctx) {0} {0} {?} {Nat}))")
+    code, out = run_cli("prove", path, capsys=capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "RESULT FAIL derivation 0 (refl)",
+        "  root: refl: left term has type Nat, judgment claims ?",
+        "  root: refl: type dynamism presupposition fails: ? <= Nat not derivable",
+    ]
 
 
 def test_deeply_nested_term_is_exit_2(tmp_path, capsys):

@@ -1,22 +1,26 @@
 import itertools
+import pathlib
 import random
 
 import pytest
 
-from gtt.grammar import parse_term, parse_type
+from gtt.grammar import parse_signature, parse_term, parse_type
 from gtt.syntax import (
     App, Base, Context, DYN, Err, Fn, Lam, NAT, Pair, Prod, Proj, UNIT,
     UNITVAL, Upcast, Var, num, subst1,
 )
 from gtt.typecheck import (
     DynCtx, Signature, SignatureError, TypeCheckError, check_ctx_dyn,
-    check_type_dyn, check_type_wf, default_signature, enumerate_types,
-    infer_type, tydyn_search,
+    check_type_wf, default_signature, enumerate_types, infer_type,
+    tydyn_holds,
 )
 
+from oracles import tydyn_search
 from termgen import gen_welltyped
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SIG = default_signature()
+TWO_BASES = parse_signature((FIXTURES / "two_bases.gttsig").read_text())
 
 
 # -- well-formedness ---------------------------------------------------------
@@ -75,16 +79,16 @@ def test_shadowing_binder_is_alpha_renamed():
 # -- type dynamism -----------------------------------------------------------
 
 def test_dyn_top():
-    assert check_type_dyn(SIG, parse_type("Nat -> Nat"), DYN)
+    assert tydyn_holds(SIG, parse_type("Nat -> Nat"), DYN)
 
 
 def test_fn_monotone_both_positions():
-    assert check_type_dyn(SIG, parse_type("Nat -> Nat"), parse_type("? -> ?"))
-    assert not check_type_dyn(SIG, parse_type("? -> Nat"), parse_type("Nat -> ?"))
+    assert tydyn_holds(SIG, parse_type("Nat -> Nat"), parse_type("? -> ?"))
+    assert not tydyn_holds(SIG, parse_type("? -> Nat"), parse_type("Nat -> ?"))
 
 
 def test_dyn_not_below_base():
-    assert not check_type_dyn(SIG, DYN, NAT)
+    assert not tydyn_holds(SIG, DYN, NAT)
     # cross-checked by exhaustive derivation search to depth 4
     assert not tydyn_search(SIG, DYN, NAT, depth=4,
                             universe=enumerate_types(SIG, 3))
@@ -93,57 +97,64 @@ def test_dyn_not_below_base():
 def test_base_axioms_closure():
     sig = Signature(base_types=("A", "B", "C"),
                     tydyn_axioms=((Base("A"), Base("B")), (Base("B"), Base("C"))))
-    assert check_type_dyn(sig, Base("A"), Base("C"))
-    assert not check_type_dyn(sig, Base("C"), Base("A"))
-    assert check_type_dyn(sig, Fn(Base("C"), Base("A")), Fn(Base("C"), Base("B")))
+    assert tydyn_holds(sig, Base("A"), Base("C"))
+    assert not tydyn_holds(sig, Base("C"), Base("A"))
+    assert tydyn_holds(sig, Fn(Base("C"), Base("A")), Fn(Base("C"), Base("B")))
 
 
-def test_composite_axioms_rejected_in_decision_mode():
-    sig = Signature(base_types=("Nat",),
-                    tydyn_axioms=((Prod(UNIT, UNIT), UNIT),))
+@pytest.mark.parametrize("axiom", [(Prod(UNIT, UNIT), UNIT), (DYN, NAT)],
+                         ids=["composite", "dyn"])
+def test_signature_rejects_axioms_between_non_base_types(axiom):
     with pytest.raises(SignatureError):
-        check_type_dyn(sig, UNIT, UNIT)
-    # the bounded search still answers
-    assert tydyn_search(sig, Prod(UNIT, UNIT), UNIT, depth=4)
-    assert tydyn_search(sig, Prod(Prod(UNIT, UNIT), UNIT), UNIT, depth=5)
+        Signature(tydyn_axioms=(axiom,))
 
 
 def test_dyn_top_restriction():
     fo = SIG.first_order_dyn()
-    assert not check_type_dyn(fo, parse_type("Nat -> Nat"), DYN)
-    assert check_type_dyn(fo, parse_type("Nat * 1"), DYN)
-    assert check_type_dyn(fo, DYN, DYN)
+    assert not tydyn_holds(fo, parse_type("Nat -> Nat"), DYN)
+    assert tydyn_holds(fo, parse_type("Nat * 1"), DYN)
+    assert tydyn_holds(fo, DYN, DYN)
 
 
 def test_reflexive_transitive_exhaustive_size6():
     types = enumerate_types(SIG, 6)
     assert len(types) > 200
     for ty in types:
-        assert check_type_dyn(SIG, ty, ty)
-    pairs = [(a, b) for a in types for b in types if check_type_dyn(SIG, a, b)]
+        assert tydyn_holds(SIG, ty, ty)
+    pairs = [(a, b) for a in types for b in types if tydyn_holds(SIG, a, b)]
     above = {}
     for a, b in pairs:
         above.setdefault(a, []).append(b)
     for a, b in pairs:
         for c in above.get(b, ()):
-            assert check_type_dyn(SIG, a, c), (a, b, c)
+            assert tydyn_holds(SIG, a, c), (a, b, c)
 
 
-def test_agrees_with_derivation_search_size4():
-    types = enumerate_types(SIG, 4)
+def _one_layer(atoms):
+    return atoms + [ctor(a, b) for a in atoms for b in atoms for ctor in (Fn, Prod)]
+
+
+@pytest.mark.parametrize("sig, types, related", [
+    (SIG, enumerate_types(SIG, 4), 73),
+    (TWO_BASES, _one_layer([Base("Even"), NAT, DYN]), 96),
+    (TWO_BASES.first_order_dyn(), _one_layer([Base("Even"), NAT, DYN]), 87),
+], ids=["default", "two_bases", "two_bases_first_order"])
+def test_agrees_with_derivation_search_size4(sig, types, related):
     assert len(types) == 21  # atoms and one constructor layer
+    holds = {(a, b) for a in types for b in types if tydyn_holds(sig, a, b)}
+    assert len(holds) == related
     for a in types:
         for b in types:
-            assert check_type_dyn(SIG, a, b) == tydyn_search(
-                SIG, a, b, depth=5, universe=types), (a, b)
+            assert ((a, b) in holds) == tydyn_search(
+                sig, a, b, depth=5, universe=types), (a, b)
 
 
 def test_monotone_closure_small():
     atoms = [NAT, UNIT, DYN]
     for a, a1, b, b1 in itertools.product(atoms, repeat=4):
-        if check_type_dyn(SIG, a, a1) and check_type_dyn(SIG, b, b1):
-            assert check_type_dyn(SIG, Fn(a, b), Fn(a1, b1))
-            assert check_type_dyn(SIG, Prod(a, b), Prod(a1, b1))
+        if tydyn_holds(SIG, a, a1) and tydyn_holds(SIG, b, b1):
+            assert tydyn_holds(SIG, Fn(a, b), Fn(a1, b1))
+            assert tydyn_holds(SIG, Prod(a, b), Prod(a1, b1))
 
 
 def test_typing_preserved_by_substitution():
