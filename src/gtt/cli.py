@@ -13,7 +13,7 @@ import argparse
 import sys
 import traceback
 
-from .syntax import Context, GttError
+from .syntax import Context, GttError, base_names
 from .grammar import (
     context_to_text, parse_signature, parse_term_file, parse_type,
     term_to_text, type_to_text,
@@ -85,6 +85,9 @@ def _cmd_dyncheck(args, sig):
         if not sep:
             raise _Failure(2, f"dyncheck lines must be 'A <= B': {line!r}")
         a, b = parse_type(left.strip()), parse_type(right.strip())
+        unknown = sorted((base_names(a) | base_names(b)) - sig.base_types)
+        if unknown:
+            raise _Failure(2, f"unknown base type {', '.join(unknown)} in {line!r}")
         ok = tydyn_holds(sig, a, b)
         lines_out.append(f"RESULT {'PASS' if ok else 'FAIL'} "
                          f"{type_to_text(a)} <= {type_to_text(b)}")

@@ -876,16 +876,6 @@ def cast_cong_dn(low: Type, high: Type, yl: str = "y", yr: str = "y'") -> Deriva
     return dr_s(dl_s(var_node(DynCtx.of((yl, yr, high, high)), 0), low), low)
 
 
-def cast_cong_up(low: Type, high: Type, yl: str = "y", yr: str = "y'") -> Derivation:
-    """``y <= y' : low <= low  |-  up y <= up y' : high <= high``."""
-    return ul_s(ur_s(var_node(DynCtx.of((yl, yr, low, low)), 0), high), high)
-
-
 def under_dn(low: Type, high: Type, premise: Derivation) -> Derivation:
     """Apply a downcast to both sides of ``t <= t' : high <= high``."""
     return _template_comp(cast_cong_dn(low, high), premise)
-
-
-def under_up(low: Type, high: Type, premise: Derivation) -> Derivation:
-    """Apply an upcast to both sides of ``t <= t' : low <= low``."""
-    return _template_comp(cast_cong_up(low, high), premise)

@@ -7,20 +7,23 @@ function casts become wrappers that cast the argument down and the result
 up, product casts cast componentwise, and a cast against ``?`` factors
 through the ground tag of its other endpoint.
 
-``normalize`` computes eta-long beta-normal forms of elaborated terms,
-additionally pushing the error constant through eliminators and ground
-casts, collapsing same-tag round trips when the retract flag is on and
-sending unrelated cross-tag round trips to the error when the
-disjointness flag is on.  ``equal_terms`` composes the two and compares
-up to alpha, which is the package's decision layer for order-equalities.
+``normalize`` computes eta-long beta-normal forms of elaborated terms by
+evaluation (Berger and Schwichtenberg, LICS 1991).  It evaluates the term
+to a value, pushing the error through eliminators and ground casts,
+collapsing same-tag round trips when the retract flag is on and sending
+unrelated cross-tag round trips to the error when the disjointness flag
+is on; other ground casts on neutrals stay neutral.  It then reads the
+value back eta-long at the type.  ``equal_terms`` composes the two and
+compares up to alpha, which is the package's decision layer for
+order-equalities.
 """
 
 from __future__ import annotations
 
 from .syntax import (
     App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair,
-    Prod, Proj, Term, Type, Unit, UNIT, UnitVal, UNITVAL, Upcast, Var,
-    alpha_eq, free_vars, fresh_name, subst1,
+    Prod, Proj, Term, Type, Unit, UNITVAL, Upcast, Var,
+    alpha_eq, free_vars, fresh_name,
 )
 from .typecheck import Signature, TypeCheckError, infer_type, tydyn_holds
 
@@ -181,134 +184,146 @@ def normalize(sig: Signature, t: Term, ctx: Context = Context(),
               max_steps: int | None = None) -> Term:
     """Eta-long beta-normal form of a well-typed elaborated term."""
     ty = infer_type(sig, ctx, t)
-    reduced = _reduce(sig, t, _Fuel(max_steps))
-    return _eta_long(sig, ctx, reduced, ty)
+    fuel = _Fuel(max_steps)
+    v = _eval(sig, fuel, t, {x: _Var(x, a) for x, a in ctx})
+    return _readback(sig, fuel, v, ty, ctx.names())
 
 
 def _unrelated_grounds(sig: Signature, g: Type, g2: Type) -> bool:
     return g != g2 and not tydyn_holds(sig, g, g2) and not tydyn_holds(sig, g2, g)
 
 
-def _is_error_value(t: Term, ty: Type) -> bool:
-    """Whether a reduced term is the canonical error at its type.  At
-    function and product types the error is a constant-error wrapper; at
-    the unit type every term already equals the error by the eta law."""
-    if t == Err(ty):
-        return True
-    match ty:
-        case Unit():
-            return True
-        case Fn(_, cod):
-            return isinstance(t, Lam) and _is_error_value(t.body, cod)
-        case Prod(a, b):
-            return (isinstance(t, Pair)
-                    and _is_error_value(t.fst, a) and _is_error_value(t.snd, b))
-        case _:
-            return False
+# Values: closures, ``Pair``s of values, the error ``_ERR``, ``()``, ``Upcast``s
+# of a value, and neutrals: ``_Var``s and ``App``, ``Proj``, ``Downcast`` and
+# ``FnApp`` nodes holding values.
+_ERR = object()  # the error, at whatever type it is read back
 
 
-def _reduce(sig: Signature, t: Term, fuel: _Fuel) -> Term:
+class _Var:
+    """A neutral variable; readback names it as it enters scope."""
+    __slots__ = ("name", "type")
+
+    def __init__(self, name: str | None, ty: Type):
+        self.name, self.type = name, ty
+
+
+class _Closure:
+    """A lambda and its environment; the hint for its binder's name is
+    ``lam.var``.  ``opened`` caches the body's value at a fresh variable."""
+    __slots__ = ("lam", "env", "opened")
+
+    def __init__(self, lam: Lam, env: dict):
+        self.lam, self.env, self.opened = lam, env, None
+
+
+def _eval(sig: Signature, fuel: _Fuel, t: Term, env: dict):
     match t:
-        case Lam(x, annot, b):
-            return Lam(x, annot, _reduce(sig, b, fuel))
-        case Pair(a, b):
-            return Pair(_reduce(sig, a, fuel), _reduce(sig, b, fuel))
-        case FnApp(f, args):
-            return FnApp(f, tuple(_reduce(sig, a, fuel) for a in args))
+        case Var(x):
+            return env[x]
+        case Lam():
+            return _Closure(t, env)
         case App(f, a):
-            rf = _reduce(sig, f, fuel)
-            ra = _reduce(sig, a, fuel)
-            match rf:
-                case Lam(x, _, body):
-                    fuel.spend()
-                    return _reduce(sig, subst1(body, x, ra), fuel)
-                case Err(Fn(_, cod)):
-                    return Err(cod)
-                case _:
-                    return App(rf, ra)
+            fv, av = _eval(sig, fuel, f, env), _eval(sig, fuel, a, env)
+            if isinstance(fv, _Closure):
+                fuel.spend()
+                return _eval(sig, fuel, fv.lam.body, {**fv.env, fv.lam.var: av})
+            return _ERR if fv is _ERR else App(fv, av)
+        case Pair(a, b):
+            return Pair(_eval(sig, fuel, a, env), _eval(sig, fuel, b, env))
         case Proj(i, b):
-            rb = _reduce(sig, b, fuel)
-            match rb:
-                case Pair(t1, t2):
-                    fuel.spend()
-                    return t1 if i == 1 else t2
-                case Err(Prod(t1, t2)):
-                    return Err(t1 if i == 1 else t2)
-                case _:
-                    return Proj(i, rb)
+            v = _eval(sig, fuel, b, env)
+            if isinstance(v, Pair):
+                fuel.spend()
+            return _proj(i, v)
+        case FnApp(f, args):
+            return FnApp(f, tuple(_eval(sig, fuel, a, env) for a in args))
         case Upcast(g, hi, b):
-            rb = _reduce(sig, b, fuel)
-            if _is_error_value(rb, g):
-                return Err(hi)
-            return Upcast(g, hi, rb)
+            v = _eval(sig, fuel, b, env)
+            return _ERR if _is_err(sig, fuel, v, g) else Upcast(g, hi, v)
         case Downcast(g, hi, b):
-            rb = _reduce(sig, b, fuel)
-            if rb == Err(hi):
-                return Err(g)
-            match rb:
-                case Upcast(g2, _, v):
-                    if g2 == g and sig.retract:
-                        fuel.spend()
-                        return v
-                    if sig.disjointness and _unrelated_grounds(sig, g, g2):
-                        fuel.spend()
-                        return Err(g)
-            return Downcast(g, hi, rb)
+            v = _eval(sig, fuel, b, env)
+            if isinstance(v, Upcast):
+                if v.low == g and sig.retract:
+                    fuel.spend()
+                    return v.body
+                if sig.disjointness and _unrelated_grounds(sig, g, v.low):
+                    fuel.spend()
+                    return _ERR
+            return _ERR if v is _ERR else Downcast(g, hi, v)
+        case Err(_):
+            return _ERR
         case _:
             return t
 
 
-def _eta_long(sig: Signature, ctx: Context, t: Term, ty: Type) -> Term:
+def _open(sig: Signature, fuel: _Fuel, c: _Closure):
+    """A fresh variable for the closure's binder and the body's value at it,
+    computed once: an upcast's error test and readback share them."""
+    if c.opened is None:
+        x = _Var(None, c.lam.annot)
+        c.opened = x, _eval(sig, fuel, c.lam.body, {**c.env, c.lam.var: x})
+    return c.opened
+
+
+def _proj(i: int, v):
+    if isinstance(v, Pair):
+        return v.fst if i == 1 else v.snd
+    return _ERR if v is _ERR else Proj(i, v)
+
+
+def _is_err(sig: Signature, fuel: _Fuel, v, ty: Type) -> bool:
+    """Whether ``v`` is the error at ``ty``.  At function and product types
+    the error is a constant-error closure or a pair of errors; at the unit
+    type every value is the error by the eta law."""
+    if v is _ERR or isinstance(ty, Unit):
+        return True
+    if isinstance(v, _Closure):
+        return _is_err(sig, fuel, _open(sig, fuel, v)[1], ty.cod)
+    return (isinstance(v, Pair) and _is_err(sig, fuel, v.fst, ty.fst)
+            and _is_err(sig, fuel, v.snd, ty.snd))
+
+
+def _readback(sig: Signature, fuel: _Fuel, v, ty: Type, scope: set[str]) -> Term:
+    """The eta-long normal form of ``v`` at ``ty`` under the names in
+    ``scope``.  Binder names are chosen here and nowhere else."""
     match ty:
         case Unit():
             return UNITVAL
         case Fn(dom, cod):
-            match t:
-                case Lam(x, _, b):
-                    if x in ctx.names():
-                        x2 = fresh_name(x, ctx.names() | free_vars(b))
-                        b = subst1(b, x, Var(x2))
-                        x = x2
-                    return Lam(x, dom, _eta_long(sig, ctx.extend(x, dom), b, cod))
-                case Err(_):
-                    x = fresh_name("x", ctx.names())
-                    return Lam(x, dom, _eta_long(sig, ctx.extend(x, dom), Err(cod), cod))
-                case _:
-                    x = fresh_name("x", free_vars(t) | ctx.names())
-                    inner = ctx.extend(x, dom)
-                    return Lam(x, dom, _eta_long(sig, inner, App(t, Var(x)), cod))
+            if isinstance(v, _Closure):
+                (x, body), hint = _open(sig, fuel, v), v.lam.var
+            else:
+                x, hint = _Var(None, dom), "x"
+                body = _ERR if v is _ERR else App(v, x)
+            x.name = fresh_name(hint, scope)
+            return Lam(x.name, dom, _readback(sig, fuel, body, cod, scope | {x.name}))
         case Prod(a, b):
-            match t:
-                case Pair(t1, t2):
-                    return Pair(_eta_long(sig, ctx, t1, a), _eta_long(sig, ctx, t2, b))
-                case Err(_):
-                    return Pair(_eta_long(sig, ctx, Err(a), a),
-                                _eta_long(sig, ctx, Err(b), b))
-                case _:
-                    return Pair(_eta_long(sig, ctx, Proj(1, t), a),
-                                _eta_long(sig, ctx, Proj(2, t), b))
+            return Pair(_readback(sig, fuel, _proj(1, v), a, scope),
+                        _readback(sig, fuel, _proj(2, v), b, scope))
         case _:
-            return _eta_spine(sig, ctx, t)
+            return Err(ty) if v is _ERR else _neutral(sig, fuel, v, scope)[0]
 
 
-def _eta_spine(sig: Signature, ctx: Context, t: Term) -> Term:
-    """Eta-expand inside a neutral spine without expanding its head."""
-    match t:
+def _neutral(sig: Signature, fuel: _Fuel, v, scope: set[str]) -> tuple[Term, Type]:
+    """Read back a neutral or an upcast, with its type, which comes from
+    the variable, the cast or the symbol at its head."""
+    match v:
+        case _Var():
+            return Var(v.name), v.type
         case App(f, a):
-            fty = infer_type(sig, ctx, f)
-            return App(_eta_spine(sig, ctx, f), _eta_long(sig, ctx, a, fty.dom))
-        case Proj(i, b):
-            return Proj(i, _eta_spine(sig, ctx, b))
+            tf, fty = _neutral(sig, fuel, f, scope)
+            return App(tf, _readback(sig, fuel, a, fty.dom, scope)), fty.cod
+        case Proj(i, p):
+            tp, pty = _neutral(sig, fuel, p, scope)
+            return Proj(i, tp), pty.fst if i == 1 else pty.snd
         case Upcast(g, hi, b):
-            return Upcast(g, hi, _eta_long(sig, ctx, b, g))
+            return Upcast(g, hi, _readback(sig, fuel, b, g, scope)), hi
         case Downcast(g, hi, b):
-            return Downcast(g, hi, _eta_long(sig, ctx, b, hi))
+            return Downcast(g, hi, _readback(sig, fuel, b, hi, scope)), g
         case FnApp(f, args):
-            ins, _ = sig.fn_signature(f)
-            return FnApp(f, tuple(
-                _eta_long(sig, ctx, a, want) for a, want in zip(args, ins)))
-        case _:
-            return t
+            ins, out = sig.fn_signature(f)
+            return FnApp(f, tuple(_readback(sig, fuel, a, want, scope)
+                                  for a, want in zip(args, ins))), out
 
 
 def equal_terms(sig: Signature, t: Term, u: Term, ctx: Context = Context(),

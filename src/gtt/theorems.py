@@ -90,10 +90,6 @@ def decompose_dn(sig: Signature, a: Type, a1: Type, a2: Type) -> tuple[Derivatio
     return le, ge
 
 
-def _fn_wrap_ctx(fname: str, fty: Type) -> DynCtx:
-    return DynCtx.of((fname, fname, fty, fty))
-
-
 def fn_cast_up(sig: Signature, a: Type, b: Type, a1: Type, b1: Type
                ) -> tuple[Derivation, Derivation]:
     """``up[A->B => A'->B'] f`` is the wrapper ``\\x':A'. up (f (dn x'))``."""

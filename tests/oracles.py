@@ -6,18 +6,20 @@ transitivity, alpha equivalence by brute-force canonical renaming,
 substitution through a nameless (de Bruijn) representation, the tree
 order by enumerating every subtree replacement, s-expressions by
 recursive descent, theorem instances by deriving every parameter tuple
-before the size filter, and the model by walking the term for every
-environment.
+before the size filter, the model by walking the term for every
+environment, and normal forms by substitution, re-reduction and eta
+expansion with a type inferred at every spine node.
 """
 
 from __future__ import annotations
 
 import re
 
+from gtt.elaborate import _Fuel, _unrelated_grounds
 from gtt.grammar import ParseError, SexpList
 from gtt.syntax import (
-    App, DYN, Downcast, Err, FnApp, Lam, Pair, Proj, Term, Type, UNIT,
-    Upcast, UnitVal, Var,
+    App, Context, DYN, Downcast, Err, FnApp, Lam, Pair, Proj, Term, Type, UNIT,
+    UNITVAL, Upcast, UnitVal, Var, free_vars, fresh_name, subst1,
 )
 from gtt.model import (
     ErrLeaf, ERR_LEAF, FnVal, ModelError, NatLeaf, NatVal, Node, PairVal,
@@ -28,7 +30,7 @@ from gtt.syntax import Base, Fn, Prod, Unit, contains_fn, type_size
 from gtt.theorems import (
     FlagRequired, THEOREMS, derive_theorem, judgment_types,
 )
-from gtt.typecheck import Signature, enumerate_types, tydyn_holds
+from gtt.typecheck import Signature, enumerate_types, infer_type, tydyn_holds
 
 
 # -- type dynamism by bounded derivation search -------------------------------
@@ -459,3 +461,139 @@ def check_judgment_semantics_reference(sig, j, bound: int = 2) -> Report:
                           f"[{env_text}] gives {value_to_text(lv)} not below "
                           f"{value_to_text(rv)}", checks)
     return Report(subject, bound, True, None, checks)
+
+
+# -- normal forms by substitution and re-reduction -----------------------------
+
+# ``normalize`` as it was before normalization by evaluation: reduce with
+# capture-avoiding substitution, re-reducing each substituted body, then
+# eta-expand, inferring the type of every neutral application's head.
+
+def normalize_reference(sig: Signature, t: Term, ctx: Context = Context(),
+                        max_steps: int | None = None) -> Term:
+    """Eta-long beta-normal form of a well-typed elaborated term."""
+    ty = infer_type(sig, ctx, t)
+    reduced = _reduce(sig, t, _Fuel(max_steps))
+    return _eta_long(sig, ctx, reduced, ty)
+
+
+def _is_error_value(t: Term, ty: Type) -> bool:
+    """Whether a reduced term is the canonical error at its type.  At
+    function and product types the error is a constant-error wrapper; at
+    the unit type every term already equals the error by the eta law."""
+    if t == Err(ty):
+        return True
+    match ty:
+        case Unit():
+            return True
+        case Fn(_, cod):
+            return isinstance(t, Lam) and _is_error_value(t.body, cod)
+        case Prod(a, b):
+            return (isinstance(t, Pair)
+                    and _is_error_value(t.fst, a) and _is_error_value(t.snd, b))
+        case _:
+            return False
+
+
+def _reduce(sig: Signature, t: Term, fuel: _Fuel) -> Term:
+    match t:
+        case Lam(x, annot, b):
+            return Lam(x, annot, _reduce(sig, b, fuel))
+        case Pair(a, b):
+            return Pair(_reduce(sig, a, fuel), _reduce(sig, b, fuel))
+        case FnApp(f, args):
+            return FnApp(f, tuple(_reduce(sig, a, fuel) for a in args))
+        case App(f, a):
+            rf = _reduce(sig, f, fuel)
+            ra = _reduce(sig, a, fuel)
+            match rf:
+                case Lam(x, _, body):
+                    fuel.spend()
+                    return _reduce(sig, subst1(body, x, ra), fuel)
+                case Err(Fn(_, cod)):
+                    return Err(cod)
+                case _:
+                    return App(rf, ra)
+        case Proj(i, b):
+            rb = _reduce(sig, b, fuel)
+            match rb:
+                case Pair(t1, t2):
+                    fuel.spend()
+                    return t1 if i == 1 else t2
+                case Err(Prod(t1, t2)):
+                    return Err(t1 if i == 1 else t2)
+                case _:
+                    return Proj(i, rb)
+        case Upcast(g, hi, b):
+            rb = _reduce(sig, b, fuel)
+            if _is_error_value(rb, g):
+                return Err(hi)
+            return Upcast(g, hi, rb)
+        case Downcast(g, hi, b):
+            rb = _reduce(sig, b, fuel)
+            if rb == Err(hi):
+                return Err(g)
+            match rb:
+                case Upcast(g2, _, v):
+                    if g2 == g and sig.retract:
+                        fuel.spend()
+                        return v
+                    if sig.disjointness and _unrelated_grounds(sig, g, g2):
+                        fuel.spend()
+                        return Err(g)
+            return Downcast(g, hi, rb)
+        case _:
+            return t
+
+
+def _eta_long(sig: Signature, ctx: Context, t: Term, ty: Type) -> Term:
+    match ty:
+        case Unit():
+            return UNITVAL
+        case Fn(dom, cod):
+            match t:
+                case Lam(x, _, b):
+                    if x in ctx.names():
+                        x2 = fresh_name(x, ctx.names() | free_vars(b))
+                        b = subst1(b, x, Var(x2))
+                        x = x2
+                    return Lam(x, dom, _eta_long(sig, ctx.extend(x, dom), b, cod))
+                case Err(_):
+                    x = fresh_name("x", ctx.names())
+                    return Lam(x, dom, _eta_long(sig, ctx.extend(x, dom), Err(cod), cod))
+                case _:
+                    x = fresh_name("x", free_vars(t) | ctx.names())
+                    inner = ctx.extend(x, dom)
+                    return Lam(x, dom, _eta_long(sig, inner, App(t, Var(x)), cod))
+        case Prod(a, b):
+            match t:
+                case Pair(t1, t2):
+                    return Pair(_eta_long(sig, ctx, t1, a), _eta_long(sig, ctx, t2, b))
+                case Err(_):
+                    return Pair(_eta_long(sig, ctx, Err(a), a),
+                                _eta_long(sig, ctx, Err(b), b))
+                case _:
+                    return Pair(_eta_long(sig, ctx, Proj(1, t), a),
+                                _eta_long(sig, ctx, Proj(2, t), b))
+        case _:
+            return _eta_spine(sig, ctx, t)
+
+
+def _eta_spine(sig: Signature, ctx: Context, t: Term) -> Term:
+    """Eta-expand inside a neutral spine without expanding its head."""
+    match t:
+        case App(f, a):
+            fty = infer_type(sig, ctx, f)
+            return App(_eta_spine(sig, ctx, f), _eta_long(sig, ctx, a, fty.dom))
+        case Proj(i, b):
+            return Proj(i, _eta_spine(sig, ctx, b))
+        case Upcast(g, hi, b):
+            return Upcast(g, hi, _eta_long(sig, ctx, b, g))
+        case Downcast(g, hi, b):
+            return Downcast(g, hi, _eta_long(sig, ctx, b, hi))
+        case FnApp(f, args):
+            ins, _ = sig.fn_signature(f)
+            return FnApp(f, tuple(
+                _eta_long(sig, ctx, a, want) for a, want in zip(args, ins)))
+        case _:
+            return t

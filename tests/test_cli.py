@@ -87,6 +87,13 @@ def test_dyncheck(capsys, sig, pairs, code, lines):
     assert out.splitlines() == lines
 
 
+def test_dyncheck_rejects_an_undeclared_base_type(capsys):
+    code, err = run_cli_err("dyncheck", FIXTURES / "dyn_pairs_bases.txt",
+                            capsys=capsys)
+    assert code == 2
+    assert err == "unknown base type Even in 'Even <= Nat'\n"
+
+
 def test_flag_override_changes_normalization(capsys):
     code, out = run_cli("normalize", FIXTURES / "cross_tag.gtt", capsys=capsys)
     assert code == 0 and out.strip() == "(err[?], err[?])"
@@ -212,6 +219,23 @@ def test_deeply_nested_term_is_exit_2(tmp_path, capsys):
     path = tmp_path / "deep.gtt"
     path.write_text("fst " * 3000 + "(0, 0)")
     code, err = run_cli_err("check", path, capsys=capsys)
+    assert code == 2
+    assert err == "error: input nested too deeply\n"
+
+
+# Omega through ``? -> ?``: the dynamic type embeds the untyped lambda
+# calculus, so normalization is not total
+OMEGA = ("(\\x:?. (dn[? => ? -> ?] x) x) "
+         "(up[? -> ? => ?] (\\x:?. (dn[? => ? -> ?] x) x))")
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "{}"), ("compare", "--syntactic", "{}", "{}"),
+], ids=["normalize", "compare"])
+def test_a_diverging_term_is_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "omega.gtt"
+    path.write_text(OMEGA)
+    code, err = run_cli_err(*(a.format(path) for a in argv), capsys=capsys)
     assert code == 2
     assert err == "error: input nested too deeply\n"
 

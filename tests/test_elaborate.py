@@ -1,8 +1,10 @@
+import pathlib
 import random
+import sys
 
 import pytest
 
-from gtt.grammar import parse_term, parse_type, term_to_text
+from gtt.grammar import parse_term, parse_term_file, parse_type, term_to_text
 from gtt.syntax import (
     App, Context, DYN, Downcast, Err, Fn, Lam, NAT, Pair, Prod, Proj, UNIT,
     UNITVAL, Upcast, Var, alpha_eq, num, term_size,
@@ -16,12 +18,16 @@ from gtt.theorems import (
     REDUCTION_THEOREMS, conclusion_equation, theorem_instances,
 )
 
+from oracles import normalize_reference
 from termgen import gen_welltyped
 
 SIG = default_signature()
 NO_RETRACT = default_signature(retract=False)
 NO_DISJ = default_signature(disjointness=False)
 FN_CTX = Context.of(("f", Fn(NAT, NAT)), ("x", NAT))
+SETTINGS = pytest.mark.parametrize(
+    "sig", [SIG, NO_RETRACT, NO_DISJ], ids=["default", "retract-off", "disjointness-off"])
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _norm(sig, text, ctx=Context()):
@@ -210,3 +216,74 @@ def test_direction_sensitivity_without_retract():
     from gtt.dynamism import check_derivation
     (d,) = derive_theorem(NO_RETRACT, "galois_unit", NAT, DYN)
     assert check_derivation(NO_RETRACT, d)
+
+
+# -- normalization by evaluation against the substitution-based reference ------
+
+@pytest.fixture(scope="module")
+def termgen_battery():
+    rng = random.Random(7)
+    battery = []
+    for i in range(3000):
+        ctx, t, _ = gen_welltyped(rng, SIG, size=1 + i % 30)
+        battery.append((ctx, elaborate(SIG, ctx, t)))
+    return battery
+
+
+@SETTINGS
+def test_normal_forms_print_as_the_reference_on_termgen(termgen_battery, sig):
+    for ctx, t in termgen_battery:
+        want = term_to_text(normalize_reference(sig, t, ctx))
+        assert term_to_text(normalize(sig, t, ctx)) == want, term_to_text(t)
+
+
+@SETTINGS
+@pytest.mark.parametrize("path", sorted(
+    p for p in FIXTURES.glob("*.gtt") if p.name != "bad_syntax.gtt"),
+    ids=lambda p: p.name)
+def test_normal_forms_print_as_the_reference_on_fixtures(sig, path):
+    ctx, t = parse_term_file(path.read_text(), sig)
+    t = elaborate(sig, ctx, t)
+    assert term_to_text(normalize(sig, t, ctx)) == term_to_text(
+        normalize_reference(sig, t, ctx))
+
+
+def test_binder_names_come_from_the_source_not_from_renaming_history():
+    # the reference renames x to x'' while substituting x for x', then
+    # keeps that name; readback starts again from the binder's own name
+    ctx = Context.of(("x", NAT))
+    t = parse_term("(\\x':Nat. \\x:Nat. x') x", SIG)
+    nf, ref = normalize(SIG, t, ctx), normalize_reference(SIG, t, ctx)
+    assert term_to_text(nf) == "\\x':Nat. x"
+    assert term_to_text(ref) == "\\x'':Nat. x"
+    assert alpha_eq(nf, ref)
+
+
+def test_one_closure_read_back_under_two_scopes():
+    # g's value is shared; each readback names its binder in its own scope
+    ctx = Context.of(("z", NAT))
+    t = parse_term("(\\g:Nat -> Nat. (g, \\z':Nat. g)) (\\z:Nat. z)", SIG)
+    nf = normalize(SIG, t, ctx)
+    assert term_to_text(nf) == "(\\z':Nat. z', \\z':Nat. \\z'':Nat. z'')"
+    assert nf == normalize_reference(SIG, t, ctx)
+
+
+def test_each_lambda_body_is_evaluated_once(monkeypatch):
+    # up[? -> ? => ?] (\x. up[? -> ? => ?] (\x'. ...)): the error test of
+    # each upcast and the readback share one evaluation of the body below
+    evaluator = sys.modules["gtt.elaborate"]
+    calls = []
+    real = evaluator._eval
+    monkeypatch.setattr(evaluator, "_eval",
+                        lambda *args: calls.append(None) or real(*args))
+
+    def evaluations(depth):
+        t = Var("b")
+        for i in range(depth):
+            t = Upcast(Fn(DYN, DYN), DYN, Lam(f"x{i}", DYN, t))
+        calls.clear()
+        normalize(SIG, t, Context.of(("b", DYN)))
+        return len(calls)
+
+    # one for each cast and each lambda body, one for b; not quadratic
+    assert [evaluations(d) for d in (20, 40)] == [41, 81]
