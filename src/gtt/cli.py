@@ -40,8 +40,7 @@ class _Failure(Exception):
 
 def _load_signature(args) -> Signature:
     if getattr(args, "sig", None):
-        with open(args.sig) as fh:
-            sig = parse_signature(fh.read())
+        sig = parse_signature(_read(args.sig))
     else:
         sig = default_signature()
     if getattr(args, "retract", None):
@@ -52,8 +51,11 @@ def _load_signature(args) -> Signature:
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise _Failure(2, f"error: {path} is not UTF-8 text: {e}")
 
 
 def _emit(args, lines: list[str]):
@@ -321,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Failure as f:
         print(f.args[0], file=sys.stderr if f.code == 2 else sys.stdout)
         return f.code
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing, unreadable or unwritable file
         print(f"error: {e}", file=sys.stderr)
         return 2
     except GttError as e:

@@ -112,13 +112,9 @@ def _check_node(sig: Signature, d: Derivation, path: str, errors: list[str]):
 
 
 def _presupposition_errors(sig: Signature, j: DynJudgment) -> list[str]:
+    if not check_dynctx_wf(sig, j.phi):
+        return ["context dynamism presupposition fails"]
     out = []
-    try:
-        if not check_dynctx_wf(sig, j.phi):
-            out.append("context dynamism presupposition fails")
-            return out
-    except GttError as e:
-        return [f"bad dynamism context: {e}"]
     try:
         tl = infer_type(sig, j.phi.left_ctx(), j.left)
         if tl != j.type_left:

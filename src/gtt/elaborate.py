@@ -15,7 +15,8 @@ unrelated cross-tag round trips to the error when the disjointness flag
 is on; other ground casts on neutrals stay neutral.  It then reads the
 value back eta-long at the type.  ``equal_terms`` composes the two and
 compares up to alpha, which is the package's decision layer for
-order-equalities.
+order-equalities.  It types each side once, with ``infer_type``'s
+environment walk, and normalizes the elaborated side at that type.
 """
 
 from __future__ import annotations
@@ -183,7 +184,12 @@ class _Fuel:
 def normalize(sig: Signature, t: Term, ctx: Context = Context(),
               max_steps: int | None = None) -> Term:
     """Eta-long beta-normal form of a well-typed elaborated term."""
-    ty = infer_type(sig, ctx, t)
+    return _normal_form(sig, t, infer_type(sig, ctx, t), ctx, max_steps)
+
+
+def _normal_form(sig: Signature, t: Term, ty: Type, ctx: Context,
+                 max_steps: int | None) -> Term:
+    """Evaluate ``t`` and read its value back at ``ty``, its type."""
     fuel = _Fuel(max_steps)
     v = _eval(sig, fuel, t, {x: _Var(x, a) for x, a in ctx})
     return _readback(sig, fuel, v, ty, ctx.names())
@@ -329,11 +335,12 @@ def _neutral(sig: Signature, fuel: _Fuel, v, scope: set[str]) -> tuple[Term, Typ
 def equal_terms(sig: Signature, t: Term, u: Term, ctx: Context = Context(),
                 max_steps: int | None = None) -> bool:
     """Alpha equality of eta-long normal forms after elaboration; both
-    terms must share the context and the type."""
+    terms must share the context and the type.  Each side is typed once:
+    elaboration preserves the type."""
     ta = infer_type(sig, ctx, t)
     tb = infer_type(sig, ctx, u)
     if ta != tb:
         raise TypeCheckError(f"equal_terms: type mismatch {ta} vs {tb}")
-    nt = normalize(sig, elaborate(sig, ctx, t), ctx, max_steps)
-    nu = normalize(sig, elaborate(sig, ctx, u), ctx, max_steps)
+    nt = _normal_form(sig, _elab(sig, t), ta, ctx, max_steps)
+    nu = _normal_form(sig, _elab(sig, u), tb, ctx, max_steps)
     return alpha_eq(nt, nu)

@@ -255,12 +255,6 @@ class Context:
     def extend(self, name: str, ty: Type) -> "Context":
         return Context(self.entries + ((name, ty),))
 
-    def lookup(self, name: str) -> Type | None:
-        for n, ty in self.entries:
-            if n == name:
-                return ty
-        return None
-
     def names(self) -> set[str]:
         return {n for n, _ in self.entries}
 
@@ -270,8 +264,6 @@ class Context:
     def __iter__(self):
         return iter(self.entries)
 
-
-EMPTY = Context()
 
 # A substitution maps variable names to replacement terms.  ``substitute``
 # requires the map to cover every free variable of its argument.
@@ -354,11 +346,6 @@ def _subst(t: Term, sigma: dict[str, Term]) -> Term:
             return Downcast(lo, hi, _subst(b, sigma))
         case _:
             return t
-
-
-def compose_subst(sigma: Substitution, delta: Substitution) -> dict[str, Term]:
-    """The substitution sending x to sigma(x)[delta]."""
-    return {x: substitute(img, delta) for x, img in sigma.items()}
 
 
 def alpha_eq(t: Term, u: Term) -> bool:

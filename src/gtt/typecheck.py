@@ -12,6 +12,9 @@ sides share a head constructor with componentwise dynamism (function
 types are covariant in both positions).  Axioms between composite types
 would make the relation a general rewriting problem, so a signature
 rejects them.
+
+Typing checks the context once, then walks an environment in which an
+inner binder shadows an outer one of the same name; no term is renamed.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from typing import Callable, Iterable, Optional
 
 from .syntax import (
     App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair,
-    Prod, Proj, Term, Type, UNIT, UnitVal, Upcast, Var, base_names,
-    contains_fn, fresh_name,
+    Prod, Proj, Term, Type, UNIT, UnitVal, Upcast, Var, contains_fn,
 )
 
 
@@ -197,19 +199,28 @@ def default_signature(retract: bool = True, disjointness: bool = True) -> Signat
 # ---------------------------------------------------------------------------
 
 def check_type_wf(sig: Signature, ty: Type) -> bool:
-    return base_names(ty) <= sig.base_types
-
-
-def check_ctx_wf(sig: Signature, ctx: Context) -> bool:
-    return all(check_type_wf(sig, ty) for _, ty in ctx)
+    match ty:
+        case Base(n):
+            return n in sig.base_types
+        case Fn(a, b) | Prod(a, b):
+            return check_type_wf(sig, a) and check_type_wf(sig, b)
+    return True
 
 
 def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
     """The unique type of ``t`` under ``ctx``, or a TypeCheckError naming
-    the offending subterm."""
+    the offending subterm.  Every context entry must be well formed."""
+    for x, ty in ctx:
+        if not check_type_wf(sig, ty):
+            raise TypeCheckError(f"ill-formed context entry {x} : {ty}")
+    return _infer(sig, dict(ctx.entries), t)
+
+
+def _infer(sig: Signature, env: dict[str, Type], t: Term) -> Type:
+    """Typing under ``env``; an inner binder shadows an outer one."""
     match t:
         case Var(x):
-            ty = ctx.lookup(x)
+            ty = env.get(x)
             if ty is None:
                 raise TypeCheckError(f"unbound variable {x}", t)
             return ty
@@ -219,7 +230,7 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
                 raise TypeCheckError(
                     f"symbol {f} expects {len(ins)} arguments, got {len(args)}", t)
             for i, (want, arg) in enumerate(zip(ins, args)):
-                got = infer_type(sig, ctx, arg)
+                got = _infer(sig, env, arg)
                 if got != want:
                     raise TypeCheckError(
                         f"argument {i} of {f} has type {got}, expected {want}", arg)
@@ -227,35 +238,30 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
         case Lam(x, annot, body):
             if not check_type_wf(sig, annot):
                 raise TypeCheckError(f"ill-formed annotation on {x}", t)
-            if x in ctx.names():
-                from .syntax import subst1
-                x2 = fresh_name(x, ctx.names() | {x})
-                return Fn(annot, infer_type(sig, ctx.extend(x2, annot),
-                                            subst1(body, x, Var(x2))))
-            return Fn(annot, infer_type(sig, ctx.extend(x, annot), body))
+            return Fn(annot, _infer(sig, {**env, x: annot}, body))
         case App(fn, arg):
-            fty = infer_type(sig, ctx, fn)
+            fty = _infer(sig, env, fn)
             if not isinstance(fty, Fn):
                 raise TypeCheckError(f"applying a non-function of type {fty}", fn)
-            aty = infer_type(sig, ctx, arg)
+            aty = _infer(sig, env, arg)
             if aty != fty.dom:
                 raise TypeCheckError(
                     f"argument type {aty} does not match domain {fty.dom}", arg)
             return fty.cod
         case Pair(a, b):
-            return Prod(infer_type(sig, ctx, a), infer_type(sig, ctx, b))
+            return Prod(_infer(sig, env, a), _infer(sig, env, b))
         case Proj(i, tup):
-            pty = infer_type(sig, ctx, tup)
+            pty = _infer(sig, env, tup)
             if not isinstance(pty, Prod):
                 raise TypeCheckError(f"projecting from a non-product of type {pty}", tup)
             return pty.fst if i == 1 else pty.snd
         case UnitVal():
             return UNIT
         case Upcast(lo, hi, body):
-            _check_cast(sig, ctx, t, lo, hi, body, expect=lo)
+            _check_cast(sig, env, t, lo, hi, body, expect=lo)
             return hi
         case Downcast(lo, hi, body):
-            _check_cast(sig, ctx, t, lo, hi, body, expect=hi)
+            _check_cast(sig, env, t, lo, hi, body, expect=hi)
             return lo
         case Err(at):
             if not check_type_wf(sig, at):
@@ -264,7 +270,7 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
     raise TypeCheckError(f"unrecognized term {t!r}", t)
 
 
-def _check_cast(sig, ctx, cast, lo, hi, body, expect):
+def _check_cast(sig, env, cast, lo, hi, body, expect):
     for ty in (lo, hi):
         if not check_type_wf(sig, ty):
             raise TypeCheckError(f"ill-formed cast endpoint {ty}", cast)
@@ -272,7 +278,7 @@ def _check_cast(sig, ctx, cast, lo, hi, body, expect):
         raise TypeCheckError(
             f"cast endpoints not in the dynamism relation: "
             f"{lo} <= {hi} fails", cast)
-    got = infer_type(sig, ctx, body)
+    got = _infer(sig, env, body)
     if got != expect:
         raise TypeCheckError(
             f"cast body has type {got}, expected {expect}", body)
@@ -321,12 +327,11 @@ def check_ctx_dyn(sig: Signature, left: Context, right: Context) -> DynCtx | Non
 
 def check_dynctx_wf(sig: Signature, phi: DynCtx) -> bool:
     try:
-        left, right = phi.left_ctx(), phi.right_ctx()
+        phi.left_ctx(), phi.right_ctx()  # names distinct on each side
     except GttError:
         return False
-    if not (check_ctx_wf(sig, left) and check_ctx_wf(sig, right)):
-        return False
-    return all(tydyn_holds(sig, tl, tr) for _, _, tl, tr in phi)
+    return all(check_type_wf(sig, tl) and check_type_wf(sig, tr)
+               and tydyn_holds(sig, tl, tr) for _, _, tl, tr in phi)
 
 
 def enumerate_types(sig: Signature, max_size: int) -> list[Type]:

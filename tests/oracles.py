@@ -7,8 +7,9 @@ substitution through a nameless (de Bruijn) representation, the tree
 order by enumerating every subtree replacement, s-expressions by
 recursive descent, theorem instances by deriving every parameter tuple
 before the size filter, the model by walking the term for every
-environment, and normal forms by substitution, re-reduction and eta
-expansion with a type inferred at every spine node.
+environment, normal forms by substitution, re-reduction and eta
+expansion with a type inferred at every spine node, and types by renaming
+each shadowing binder through substitution.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ from gtt.syntax import Base, Fn, Prod, Unit, contains_fn, type_size
 from gtt.theorems import (
     FlagRequired, THEOREMS, derive_theorem, judgment_types,
 )
-from gtt.typecheck import Signature, enumerate_types, infer_type, tydyn_holds
+from gtt.typecheck import (
+    Signature, TypeCheckError, check_type_wf, enumerate_types, infer_type,
+    tydyn_holds,
+)
 
 
 # -- type dynamism by bounded derivation search -------------------------------
@@ -597,3 +601,83 @@ def _eta_spine(sig: Signature, ctx: Context, t: Term) -> Term:
                 _eta_long(sig, ctx, a, want) for a, want in zip(args, ins)))
         case _:
             return t
+
+
+# -- typing by renaming shadowed binders ---------------------------------------
+
+# ``infer_type`` as it was before the environment walk: a binder whose name
+# is already in the context is renamed apart through the body with
+# ``subst1``.  Like it, this never checks the context's own types.
+
+def infer_type_reference(sig: Signature, ctx: Context, t: Term) -> Type:
+    """The unique type of ``t`` under ``ctx``, or a TypeCheckError naming
+    the offending subterm."""
+    match t:
+        case Var(x):
+            ty = dict(ctx.entries).get(x)
+            if ty is None:
+                raise TypeCheckError(f"unbound variable {x}", t)
+            return ty
+        case FnApp(f, args):
+            ins, out = sig.fn_signature(f)
+            if len(ins) != len(args):
+                raise TypeCheckError(
+                    f"symbol {f} expects {len(ins)} arguments, got {len(args)}", t)
+            for i, (want, arg) in enumerate(zip(ins, args)):
+                got = infer_type_reference(sig, ctx, arg)
+                if got != want:
+                    raise TypeCheckError(
+                        f"argument {i} of {f} has type {got}, expected {want}", arg)
+            return out
+        case Lam(x, annot, body):
+            if not check_type_wf(sig, annot):
+                raise TypeCheckError(f"ill-formed annotation on {x}", t)
+            if x in ctx.names():
+                x2 = fresh_name(x, ctx.names() | {x})
+                return Fn(annot, infer_type_reference(
+                    sig, ctx.extend(x2, annot), subst1(body, x, Var(x2))))
+            return Fn(annot, infer_type_reference(sig, ctx.extend(x, annot), body))
+        case App(fn, arg):
+            fty = infer_type_reference(sig, ctx, fn)
+            if not isinstance(fty, Fn):
+                raise TypeCheckError(f"applying a non-function of type {fty}", fn)
+            aty = infer_type_reference(sig, ctx, arg)
+            if aty != fty.dom:
+                raise TypeCheckError(
+                    f"argument type {aty} does not match domain {fty.dom}", arg)
+            return fty.cod
+        case Pair(a, b):
+            return Prod(infer_type_reference(sig, ctx, a),
+                        infer_type_reference(sig, ctx, b))
+        case Proj(i, tup):
+            pty = infer_type_reference(sig, ctx, tup)
+            if not isinstance(pty, Prod):
+                raise TypeCheckError(f"projecting from a non-product of type {pty}", tup)
+            return pty.fst if i == 1 else pty.snd
+        case UnitVal():
+            return UNIT
+        case Upcast(lo, hi, body):
+            _check_cast_reference(sig, ctx, t, lo, hi, body, expect=lo)
+            return hi
+        case Downcast(lo, hi, body):
+            _check_cast_reference(sig, ctx, t, lo, hi, body, expect=hi)
+            return lo
+        case Err(at):
+            if not check_type_wf(sig, at):
+                raise TypeCheckError(f"ill-formed error annotation {at}", t)
+            return at
+    raise TypeCheckError(f"unrecognized term {t!r}", t)
+
+
+def _check_cast_reference(sig, ctx, cast, lo, hi, body, expect):
+    for ty in (lo, hi):
+        if not check_type_wf(sig, ty):
+            raise TypeCheckError(f"ill-formed cast endpoint {ty}", cast)
+    if not tydyn_holds(sig, lo, hi):
+        raise TypeCheckError(
+            f"cast endpoints not in the dynamism relation: "
+            f"{lo} <= {hi} fails", cast)
+    got = infer_type_reference(sig, ctx, body)
+    if got != expect:
+        raise TypeCheckError(
+            f"cast body has type {got}, expected {expect}", body)

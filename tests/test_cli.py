@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gtt.cli
 from gtt.cli import main
@@ -292,3 +296,124 @@ def test_battery_reports_are_pinned(capsys, argv, lines, digest):
     assert code == 0
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- contexts must be well formed --------------------------------------------
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("check", "{t}"), 1,
+     "RESULT FAIL ill-typed: ill-formed context entry x : Even\n", ""),
+    (("elaborate", "{t}"), 2, "", "error: ill-formed context entry x : Even\n"),
+    (("normalize", "{t}"), 2, "", "error: ill-formed context entry x : Even\n"),
+    (("compare", "--syntactic", "{t}", "{t}"), 2, "",
+     "error: ill-formed context entry x : Even\n"),
+    (("compare", "--semantic", "{t}", "{t}"), 2, "",
+     "error: ill-formed context entry x : Even\n"),
+], ids=["check", "elaborate", "normalize", "compare-syntactic", "compare-semantic"])
+def test_an_undeclared_base_type_in_the_context(tmp_path, capsys, argv, code, out, err):
+    path = tmp_path / "even.gtt"
+    path.write_text("[x : Even] x\n")
+    assert main([a.format(t=path) for a in argv]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_tmdyn_context_with_an_undeclared_base_type_is_exit_2(tmp_path, capsys):
+    sig = tmp_path / "bad.gttsig"
+    sig.write_text("basetypes: Nat\ntmdyn:\n  [x : Even] x <= [y : Even] y\n")
+    code, err = run_cli_err("--sig", sig, "check", FIXTURES / "zero.gtt",
+                            capsys=capsys)
+    assert code == 2
+    assert err == ("error: term-dynamism axiom 0 does not type check: "
+                   "ill-formed context entry x : Even\n")
+
+
+# -- fuzzing the readers through the command line ------------------------------
+
+def test_a_file_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.gtt"
+    path.write_bytes(b"\\x:Nat. x \xff")
+    code, err = run_cli_err("check", path, capsys=capsys)
+    assert code == 2
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+def test_a_directory_as_input_is_exit_2(tmp_path, capsys):
+    for argv in (("check", tmp_path), ("--sig", tmp_path, "check", FIXTURES / "zero.gtt")):
+        code, err = run_cli_err(*argv, capsys=capsys)
+        assert code == 2
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def _soup(tokens, max_size=12):
+    """Text glued from grammar tokens, spaces and arbitrary characters."""
+    return st.lists(st.one_of(st.sampled_from(tokens), st.sampled_from(" \n\t"),
+                              st.text(max_size=2)),
+                    max_size=max_size).map("".join)
+
+
+_TYPE_TOKENS = ["Nat", "Even", "?", "1", "->", "*", "(", ")", "X"]
+_TERM_TOKENS = _TYPE_TOKENS + [
+    "\\", "x", "y", "f", ":", ".", ",", "fst", "snd", "()", "up", "dn",
+    "[", "]", "=>", "err", "0", "12", "double", "#"]
+_SIG_TOKENS = _TYPE_TOKENS + [
+    "basetypes:", "tydyn:", "fnsyms:", "tmdyn:", "flags:", "basecodes:",
+    "flags", "retract", "disjointness", "=", "on", "off", "<=", ":", "[",
+    "]", "x", "0", "1000", "-5", "double", "#", "\n  "]
+
+
+def _run_fuzzed(argv, files):
+    """Run the CLI on ``files`` (name -> text or bytes), each named in
+    ``argv`` by its name, and check that it answered without crashing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in files.items():
+            paths[name] = pathlib.Path(tmp) / name
+            paths[name].write_bytes(
+                text if isinstance(text, bytes) else text.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([str(paths.get(a, a)) for a in argv])
+            except SystemExit as e:  # argparse rejects the command line
+                code = e.code
+    printed = out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2), printed
+    assert "Traceback" not in printed and "internal error" not in printed, printed
+
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+@FUZZ
+@given(_soup(_TYPE_TOKENS))
+def test_fuzzed_types(text):
+    _run_fuzzed(["derive", "identity_up", "--", text], {})
+
+
+@FUZZ
+@given(st.one_of(_soup(_TERM_TOKENS, max_size=20), st.binary(max_size=12)))
+def test_fuzzed_terms(text):
+    _run_fuzzed(["check", "TERM"], {"TERM": text})
+
+
+@FUZZ
+@given(st.lists(st.tuples(_soup(["x", "y", "f", "a'"], 2), _soup(_TYPE_TOKENS, 6)),
+                max_size=3),
+       _soup(_TERM_TOKENS, max_size=12), st.sampled_from(["[{}]", "[{}", "{}]"]))
+def test_fuzzed_term_files(entries, body, brackets):
+    ctx = brackets.format(", ".join(f"{x} : {ty}" for x, ty in entries))
+    _run_fuzzed(["elaborate", "TERM"], {"TERM": ctx + " " + body})
+
+
+@FUZZ
+@given(_soup(_SIG_TOKENS, max_size=25))
+def test_fuzzed_signatures(text):
+    _run_fuzzed(["--sig", "SIG", "check", "TERM"], {"SIG": text, "TERM": "0"})
+
+
+@FUZZ
+@given(st.lists(st.one_of(
+    st.tuples(_soup(_TYPE_TOKENS, 6), _soup(_TYPE_TOKENS, 6)).map(" <= ".join),
+    _soup(_TYPE_TOKENS + ["<=", "#"])), max_size=4).map("\n".join))
+def test_fuzzed_dyncheck_lines(text):
+    _run_fuzzed(["dyncheck", "PAIRS"], {"PAIRS": text})

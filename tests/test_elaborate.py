@@ -287,3 +287,21 @@ def test_each_lambda_body_is_evaluated_once(monkeypatch):
 
     # one for each cast and each lambda body, one for b; not quadratic
     assert [evaluations(d) for d in (20, 40)] == [41, 81]
+
+
+def test_each_entry_point_types_each_term_once(monkeypatch):
+    evaluator = sys.modules["gtt.elaborate"]
+    calls = []
+    monkeypatch.setattr(evaluator, "infer_type",
+                        lambda *args: calls.append(None) or infer_type(*args))
+
+    def count(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    t = parse_term("dn[? => Nat -> Nat] up[Nat -> Nat => ?] f", SIG)
+    u = elaborate(SIG, FN_CTX, t)
+    assert count(equal_terms, SIG, t, Var("f"), FN_CTX) == 2
+    assert count(elaborate, SIG, FN_CTX, t) == 1
+    assert count(normalize, SIG, u, FN_CTX) == 1

@@ -1,26 +1,30 @@
 import itertools
 import pathlib
 import random
+import sys
 
 import pytest
 
-from gtt.grammar import parse_signature, parse_term, parse_type
+from gtt.elaborate import elaborate
+from gtt.grammar import parse_signature, parse_term, parse_term_file, parse_type
 from gtt.syntax import (
-    App, Base, Context, DYN, Err, Fn, Lam, NAT, Pair, Prod, Proj, UNIT,
-    UNITVAL, Upcast, Var, num, subst1,
+    App, Base, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair, Prod,
+    Proj, UNIT, UNITVAL, Upcast, Var, num, subst1, subterms, term_size,
 )
+from gtt.theorems import theorem_instances
 from gtt.typecheck import (
     DynCtx, Signature, SignatureError, TypeCheckError, check_ctx_dyn,
     check_type_wf, default_signature, enumerate_types, infer_type,
     tydyn_holds,
 )
 
-from oracles import tydyn_search
+from oracles import infer_type_reference, tydyn_search
 from termgen import gen_welltyped
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SIG = default_signature()
 TWO_BASES = parse_signature((FIXTURES / "two_bases.gttsig").read_text())
+EVEN = Base("Even")
 
 
 # -- well-formedness ---------------------------------------------------------
@@ -74,6 +78,13 @@ def test_shadowing_binder_is_alpha_renamed():
     ctx = Context.of(("x", DYN))
     t = Lam("x", NAT, Var("x"))
     assert infer_type(SIG, ctx, t) == Fn(NAT, NAT)
+
+
+def test_ill_formed_context_entry_is_rejected():
+    ctx = Context.of(("y", NAT), ("x", EVEN))
+    with pytest.raises(TypeCheckError, match="^ill-formed context entry x : Even$"):
+        infer_type(SIG, ctx, Var("y"))
+    assert infer_type(TWO_BASES, ctx, Var("x")) == EVEN
 
 
 # -- type dynamism -----------------------------------------------------------
@@ -199,3 +210,174 @@ def test_tmdyn_axioms_validated():
     illtyped = (Context(), Var("x"), Context(), Var("x"))
     with pytest.raises(SignatureError):
         Signature(tmdyn_axioms=(illtyped,))
+    undeclared = (Context.of(("x", EVEN)), Var("x"), Context.of(("x", EVEN)), Var("x"))
+    with pytest.raises(SignatureError, match="ill-formed context entry x : Even"):
+        Signature(tmdyn_axioms=(undeclared,))
+
+
+# -- the environment walk against the renaming reference ---------------------
+
+def _outcome(infer, sig, ctx, t):
+    try:
+        return "type", infer(sig, ctx, t)
+    except TypeCheckError as e:
+        return "error", str(e)
+
+
+def _agree(sig, ctx, t):
+    got = _outcome(infer_type, sig, ctx, t)
+    assert got == _outcome(infer_type_reference, sig, ctx, t), t
+    return got[0]
+
+
+def _rebind(t, rng, pool, env=None):
+    """``t`` with every binder renamed from ``pool``; a renamed binder may
+    shadow an outer one or capture a variable of its body."""
+    env = env or {}
+    match t:
+        case Var(x):
+            return Var(env.get(x, x))
+        case Lam(x, annot, body):
+            y = rng.choice(pool)
+            return Lam(y, annot, _rebind(body, rng, pool, {**env, x: y}))
+        case App(f, a):
+            return App(_rebind(f, rng, pool, env), _rebind(a, rng, pool, env))
+        case Pair(a, b):
+            return Pair(_rebind(a, rng, pool, env), _rebind(b, rng, pool, env))
+        case Proj(i, b):
+            return Proj(i, _rebind(b, rng, pool, env))
+        case Upcast(lo, hi, b):
+            return Upcast(lo, hi, _rebind(b, rng, pool, env))
+        case Downcast(lo, hi, b):
+            return Downcast(lo, hi, _rebind(b, rng, pool, env))
+        case FnApp(f, args):
+            return FnApp(f, tuple(_rebind(a, rng, pool, env) for a in args))
+    return t
+
+
+def _mutations(t):
+    """Ill-typed variants: swapped cast endpoints, an unbound variable, an
+    undeclared base type in an annotation or an error, the unit value in
+    place of a subterm, and a dropped function argument."""
+    match t:
+        case Upcast(lo, hi, b):
+            yield Upcast(hi, lo, b)
+        case Downcast(lo, hi, b):
+            yield Downcast(hi, lo, b)
+        case Var(_):
+            yield Var("unbound")
+        case Lam(x, _, b):
+            yield Lam(x, EVEN, b)
+        case Err(_):
+            yield Err(Fn(NAT, EVEN))
+        case App(f, _):
+            yield f
+    yield num(0) if t == UNITVAL else UNITVAL
+
+
+def _mutants(t, rng, count):
+    """``count`` terms, each ``t`` with one subterm mutated."""
+    def at(t, k):
+        # the preorder-k-th subterm of t replaced by a mutation of it
+        if k == 0:
+            return rng.choice(list(_mutations(t)))
+        k -= 1
+        match t:
+            case Lam(x, annot, b):
+                return Lam(x, annot, at(b, k))
+            case App(a, b) | Pair(a, b):
+                n = term_size(a)
+                if k < n:
+                    return type(t)(at(a, k), b)
+                return type(t)(a, at(b, k - n))
+            case Proj(i, b):
+                return Proj(i, at(b, k))
+            case Upcast(lo, hi, b) | Downcast(lo, hi, b):
+                return type(t)(lo, hi, at(b, k))
+            case FnApp(f, args):
+                out = list(args)
+                for i, a in enumerate(args):
+                    n = term_size(a)
+                    if k < n:
+                        out[i] = at(a, k)
+                        return FnApp(f, tuple(out))
+                    k -= n
+        raise AssertionError(k)
+    return [at(t, rng.randrange(term_size(t))) for _ in range(count)]
+
+
+def test_infer_type_agrees_with_the_reference_on_shadowing_terms():
+    # binder names come from a pool that includes context names, so binders
+    # shadow the context and each other, and some capture a variable
+    rng = random.Random(31)
+    pool = ("x", "y", "a", "g")
+    outcomes, shadowing = {"type": 0, "error": 0}, 0
+    for i in range(1500):
+        ctx, t, _ = gen_welltyped(rng, SIG, size=1 + i % 25)
+        u = _rebind(t, rng, pool)
+        shadowing += any(isinstance(s, Lam) and s.var in ("a", "g")
+                         for s in subterms(u))
+        for v in (u, *_mutants(u, rng, 2)):
+            outcomes[_agree(SIG, ctx, v)] += 1
+    assert shadowing > 100
+    assert min(outcomes.values()) > 500, outcomes
+
+
+@pytest.mark.parametrize("sig", [SIG, TWO_BASES], ids=["default", "two_bases"])
+@pytest.mark.parametrize("path", sorted(
+    p for p in FIXTURES.glob("*.gtt") if p.name != "bad_syntax.gtt"),
+    ids=lambda p: p.name)
+def test_infer_type_agrees_with_the_reference_on_fixtures(sig, path):
+    rng = random.Random(path.name)
+    ctx, t = parse_term_file(path.read_text(), sig)
+    for u in (t, elaborate(sig, ctx, t)):
+        assert _agree(sig, ctx, u) == "type"
+        for v in _mutants(u, rng, 10):
+            _agree(sig, ctx, v)
+
+
+def test_infer_type_agrees_with_the_reference_on_the_corpus():
+    rng = random.Random(5)
+    roots = [d.conclusion for _, _, ds in theorem_instances(SIG, 3)
+             if not isinstance(ds, str) for d in ds]
+    assert len(roots) == 3847
+    for j in roots:
+        sides = ((j.phi.left_ctx(), j.left, j.type_left),
+                 (j.phi.right_ctx(), j.right, j.type_right))
+        for ctx, t, ty in sides:
+            assert infer_type(SIG, ctx, t) == ty
+            assert infer_type_reference(SIG, ctx, t) == ty
+            for v in _mutants(t, rng, 1):
+                _agree(SIG, ctx, v)
+
+
+def test_error_lines_name_the_source_binder_not_the_renamed_one():
+    # the reference renames the outer x to x' and so the inner x' to x'';
+    # the walk renames nothing and names the binder as written
+    ctx = Context.of(("x", NAT))
+    t = Lam("x", NAT, Lam("x'", EVEN, Var("x")))
+    with pytest.raises(TypeCheckError, match="^ill-formed annotation on x'$"):
+        infer_type(SIG, ctx, t)
+    with pytest.raises(TypeCheckError, match="^ill-formed annotation on x''$"):
+        infer_type_reference(SIG, ctx, t)
+
+
+def _fn_tower_round_trip(height):
+    ty = NAT
+    for _ in range(height):
+        ty = Fn(ty, ty)
+    ctx = Context.of(("f", ty))
+    return ctx, elaborate(SIG, ctx, Downcast(ty, DYN, Upcast(ty, DYN, Var("f"))))
+
+
+def test_typing_neither_substitutes_nor_computes_free_variables(monkeypatch):
+    trips = [_fn_tower_round_trip(h) for h in (5, 6, 7, 8)]
+    assert [term_size(t) for _, t in trips] == [313, 633, 1273, 2553]
+    want = [infer_type_reference(SIG, ctx, t) for ctx, t in trips]
+    syntax = sys.modules["gtt.syntax"]
+
+    def forbidden(*args):
+        raise AssertionError("typing called the substitution machinery")
+    monkeypatch.setattr(syntax, "_subst", forbidden)
+    monkeypatch.setattr(syntax, "free_vars", forbidden)
+    assert [infer_type(SIG, ctx, t) for ctx, t in trips] == want
