@@ -41,7 +41,7 @@ from .syntax import (
     free_vars, fresh_name, subst1, substitute,
 )
 from .typecheck import (
-    DynCtx, Signature, TypeCheckError, check_dynctx_wf, infer_type,
+    DynCtx, Signature, TypeCheckError, _infer, check_dynctx_wf, infer_type,
     tydyn_holds,
 )
 
@@ -112,17 +112,19 @@ def _check_node(sig: Signature, d: Derivation, path: str, errors: list[str]):
 
 
 def _presupposition_errors(sig: Signature, j: DynJudgment) -> list[str]:
+    """Check the context once, then type each side by the environment walk."""
     if not check_dynctx_wf(sig, j.phi):
         return ["context dynamism presupposition fails"]
+    entries = j.phi.entries
     out = []
     try:
-        tl = infer_type(sig, j.phi.left_ctx(), j.left)
+        tl = _infer(sig, {xl: ty for xl, _, ty, _ in entries}, j.left)
         if tl != j.type_left:
             out.append(f"left term has type {tl}, judgment claims {j.type_left}")
     except GttError as e:
         out.append(f"left term does not type check: {e}")
     try:
-        tr = infer_type(sig, j.phi.right_ctx(), j.right)
+        tr = _infer(sig, {xr: ty for _, xr, _, ty in entries}, j.right)
         if tr != j.type_right:
             out.append(f"right term has type {tr}, judgment claims {j.type_right}")
     except GttError as e:

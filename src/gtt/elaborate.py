@@ -94,9 +94,11 @@ def elaborate(sig: Signature, ctx: Context, t: Term) -> Term:
 def _elab(sig: Signature, t: Term) -> Term:
     match t:
         case Upcast(lo, hi, b):
-            return _build_up(sig, lo, hi, _elab(sig, b))
+            body = _elab(sig, b)
+            return _build_up(sig, lo, hi, body, free_vars(body))
         case Downcast(lo, hi, b):
-            return _build_dn(sig, lo, hi, _elab(sig, b))
+            body = _elab(sig, b)
+            return _build_dn(sig, lo, hi, body, free_vars(body))
         case Lam(x, annot, b):
             return Lam(x, annot, _elab(sig, b))
         case App(f, a):
@@ -111,22 +113,26 @@ def _elab(sig: Signature, t: Term) -> Term:
             return t
 
 
-def _build_up(sig: Signature, lo: Type, hi: Type, body: Term) -> Term:
+# ``_build_up`` and ``_build_dn`` take the free variables of ``body``.  Every
+# wrapper they build has exactly those free variables, so a function wrapper
+# passes them on with its own binder added instead of scanning its body.
+
+def _build_up(sig: Signature, lo: Type, hi: Type, body: Term, fvs: set[str]) -> Term:
     if lo == hi:
         return body
     if hi == DYN:
         tag = floor_type(lo)
         if lo == tag:
             return Upcast(tag, DYN, body)
-        return Upcast(tag, DYN, _build_up(sig, lo, tag, body))
+        return Upcast(tag, DYN, _build_up(sig, lo, tag, body, fvs))
     match lo, hi:
         case Fn(a, b), Fn(a1, b1):
-            x = fresh_name("x", free_vars(body))
-            inner = App(body, _build_dn(sig, a, a1, Var(x)))
-            return Lam(x, a1, _build_up(sig, b, b1, inner))
+            x = fresh_name("x", fvs)
+            inner = App(body, _build_dn(sig, a, a1, Var(x), {x}))
+            return Lam(x, a1, _build_up(sig, b, b1, inner, fvs | {x}))
         case Prod(a, b), Prod(a1, b1):
-            return Pair(_build_up(sig, a, a1, Proj(1, body)),
-                        _build_up(sig, b, b1, Proj(2, body)))
+            return Pair(_build_up(sig, a, a1, Proj(1, body), fvs),
+                        _build_up(sig, b, b1, Proj(2, body), fvs))
         case Base(_), Base(_):
             # axiom-related bases have no structural route; go through ?
             return Downcast(hi, DYN, Upcast(lo, DYN, body))
@@ -134,22 +140,22 @@ def _build_up(sig: Signature, lo: Type, hi: Type, body: Term) -> Term:
             raise ElaborationError(f"no elaboration for upcast {lo} => {hi}")
 
 
-def _build_dn(sig: Signature, lo: Type, hi: Type, body: Term) -> Term:
+def _build_dn(sig: Signature, lo: Type, hi: Type, body: Term, fvs: set[str]) -> Term:
     if lo == hi:
         return body
     if hi == DYN:
         tag = floor_type(lo)
         if lo == tag:
             return Downcast(tag, DYN, body)
-        return _build_dn(sig, lo, tag, Downcast(tag, DYN, body))
+        return _build_dn(sig, lo, tag, Downcast(tag, DYN, body), fvs)
     match lo, hi:
         case Fn(a, b), Fn(a1, b1):
-            x = fresh_name("x", free_vars(body))
-            inner = App(body, _build_up(sig, a, a1, Var(x)))
-            return Lam(x, a, _build_dn(sig, b, b1, inner))
+            x = fresh_name("x", fvs)
+            inner = App(body, _build_up(sig, a, a1, Var(x), {x}))
+            return Lam(x, a, _build_dn(sig, b, b1, inner, fvs | {x}))
         case Prod(a, b), Prod(a1, b1):
-            return Pair(_build_dn(sig, a, a1, Proj(1, body)),
-                        _build_dn(sig, b, b1, Proj(2, body)))
+            return Pair(_build_dn(sig, a, a1, Proj(1, body), fvs),
+                        _build_dn(sig, b, b1, Proj(2, body), fvs))
         case Base(_), Base(_):
             return Downcast(lo, DYN, Upcast(hi, DYN, body))
         case _:

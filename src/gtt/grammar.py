@@ -423,7 +423,11 @@ _SECTIONS = ("basetypes", "tydyn", "fnsyms", "tmdyn", "flags", "basecodes")
 
 def _sig_line(section: str, line: str, found: dict):
     if section == "basetypes":
-        found[section].extend(line.split())
+        for name in line.split():
+            token = _TOKEN.fullmatch(name)
+            if token is None or token.lastgroup != "ident" or name in RESERVED:
+                raise ParseError(f"base type name {name!r} is not an identifier")
+            found[section].append(name)
     elif section == "flags":
         key, _, val = line.partition("=")
         key = key.strip().lower()

@@ -4,14 +4,18 @@ Types are base names, the dynamic type ``?``, functions, binary products
 and the unit type.  Terms are a simply typed lambda calculus extended with
 explicit upcasts and downcasts (each carrying both endpoint types), the
 error constant at every type, and applications of signature-declared
-function symbols.  Terms are identified up to renaming of bound variables;
-``alpha_eq`` is the official equality and ``substitute`` is capture
-avoiding.
+function symbols.
+
+Types are hash-consed: there is one live instance per type, so ``==`` on
+types is identity and hashing one is O(1).  Terms stay structural frozen
+dataclasses, identified up to renaming of bound variables; ``alpha_eq`` is
+the official equality on them and ``substitute`` is capture avoiding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Mapping
 
 
@@ -34,38 +38,89 @@ class ContextError(GttError):
 # ---------------------------------------------------------------------------
 
 class Type:
-    __slots__ = ()
+    """A hash-consed type: a constructor returns the one live instance for
+    its fields, so ``==`` is identity and ``hash`` is O(1).  Each class
+    keeps a table of weak references, and an entry dies with its type
+    (Filliâtre and Conchon, *Type-Safe Modular Hash-Consing*, 2006)."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        table: dict[tuple, weakref.KeyedRef] = {}
+
+        def forget(entry: weakref.KeyedRef):
+            if table.get(entry.key) is entry:
+                del table[entry.key]
+
+        cls._table, cls._forget = table, forget
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __str__(self) -> str:
         from .grammar import type_to_text
         return type_to_text(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _intern(cls, fields: tuple):
+    """The live instance of ``cls`` with these fields, made if there is none."""
+    entry = cls._table.get(fields)
+    if entry is not None:
+        ty = entry()
+        if ty is not None:
+            return ty
+    ty = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        object.__setattr__(ty, name, value)
+    cls._table[fields] = weakref.KeyedRef(ty, cls._forget, fields)
+    return ty
+
+
 class Base(Type):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> "Base":
+        return _intern(cls, (name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Dyn(Type):
     """The dynamic type ``?``, the most dynamic type."""
+    __slots__ = ()
+
+    def __new__(cls) -> "Dyn":
+        return _intern(cls, ())
 
 
-@dataclass(frozen=True, slots=True)
 class Fn(Type):
-    dom: Type
-    cod: Type
+    __slots__ = __match_args__ = ("dom", "cod")
+
+    def __new__(cls, dom: Type, cod: Type) -> "Fn":
+        return _intern(cls, (dom, cod))
 
 
-@dataclass(frozen=True, slots=True)
 class Prod(Type):
-    fst: Type
-    snd: Type
+    __slots__ = __match_args__ = ("fst", "snd")
+
+    def __new__(cls, fst: Type, snd: Type) -> "Prod":
+        return _intern(cls, (fst, snd))
 
 
-@dataclass(frozen=True, slots=True)
 class Unit(Type):
-    pass
+    __slots__ = ()
+
+    def __new__(cls) -> "Unit":
+        return _intern(cls, ())
 
 
 DYN = Dyn()
@@ -350,7 +405,7 @@ def _subst(t: Term, sigma: dict[str, Term]) -> Term:
 
 def alpha_eq(t: Term, u: Term) -> bool:
     """Equality up to consistent renaming of bound variables."""
-    return _aeq(t, u, {}, {}, 0)
+    return t is u or _aeq(t, u, {}, {}, 0)
 
 
 def _aeq(t: Term, u: Term, lenv: dict[str, int], renv: dict[str, int], depth: int) -> bool:

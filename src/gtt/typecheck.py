@@ -94,6 +94,7 @@ class Signature:
         self.dyn_top = dyn_top
         self.base_codes = dict(base_codes or {})
         self._dyn_cache: dict[tuple[Type, Type], bool] = {}
+        self._wf_cache: dict[Type, bool] = {}
         self._model_cache: dict = {}
         self._validate()
 
@@ -199,12 +200,20 @@ def default_signature(retract: bool = True, disjointness: bool = True) -> Signat
 # ---------------------------------------------------------------------------
 
 def check_type_wf(sig: Signature, ty: Type) -> bool:
+    """Whether every base type in ``ty`` is declared; memoized on the
+    signature."""
+    cached = sig._wf_cache.get(ty)
+    if cached is not None:
+        return cached
     match ty:
         case Base(n):
-            return n in sig.base_types
+            out = n in sig.base_types
         case Fn(a, b) | Prod(a, b):
-            return check_type_wf(sig, a) and check_type_wf(sig, b)
-    return True
+            out = check_type_wf(sig, a) and check_type_wf(sig, b)
+        case _:
+            out = True
+    sig._wf_cache[ty] = out
+    return out
 
 
 def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
@@ -326,12 +335,15 @@ def check_ctx_dyn(sig: Signature, left: Context, right: Context) -> DynCtx | Non
 
 
 def check_dynctx_wf(sig: Signature, phi: DynCtx) -> bool:
-    try:
-        phi.left_ctx(), phi.right_ctx()  # names distinct on each side
-    except GttError:
+    """Names distinct on each side, and every pair of types well formed
+    and related."""
+    entries = phi.entries
+    n = len(entries)
+    if (len({xl for xl, _, _, _ in entries}) != n
+            or len({xr for _, xr, _, _ in entries}) != n):
         return False
     return all(check_type_wf(sig, tl) and check_type_wf(sig, tr)
-               and tydyn_holds(sig, tl, tr) for _, _, tl, tr in phi)
+               and tydyn_holds(sig, tl, tr) for _, _, tl, tr in entries)
 
 
 def enumerate_types(sig: Signature, max_size: int) -> list[Type]:

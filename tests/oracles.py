@@ -8,19 +8,21 @@ order by enumerating every subtree replacement, s-expressions by
 recursive descent, theorem instances by deriving every parameter tuple
 before the size filter, the model by walking the term for every
 environment, normal forms by substitution, re-reduction and eta
-expansion with a type inferred at every spine node, and types by renaming
-each shadowing binder through substitution.
+expansion with a type inferred at every spine node, types by renaming
+each shadowing binder through substitution, and derivation checking with
+every context rebuilt and checked again for each side of each judgment.
 """
 
 from __future__ import annotations
 
 import re
 
+from gtt.dynamism import RULES, _SCHEMA, Derivation, DynJudgment
 from gtt.elaborate import _Fuel, _unrelated_grounds
 from gtt.grammar import ParseError, SexpList
 from gtt.syntax import (
-    App, Context, DYN, Downcast, Err, FnApp, Lam, Pair, Proj, Term, Type, UNIT,
-    UNITVAL, Upcast, UnitVal, Var, free_vars, fresh_name, subst1,
+    App, Context, DYN, Downcast, Err, FnApp, GttError, Lam, Pair, Proj, Term,
+    Type, UNIT, UNITVAL, Upcast, UnitVal, Var, free_vars, fresh_name, subst1,
 )
 from gtt.model import (
     ErrLeaf, ERR_LEAF, FnVal, ModelError, NatLeaf, NatVal, Node, PairVal,
@@ -32,8 +34,8 @@ from gtt.theorems import (
     FlagRequired, THEOREMS, derive_theorem, judgment_types,
 )
 from gtt.typecheck import (
-    Signature, TypeCheckError, check_type_wf, enumerate_types, infer_type,
-    tydyn_holds,
+    DynCtx, Signature, TypeCheckError, check_type_wf, enumerate_types,
+    infer_type, tydyn_holds,
 )
 
 
@@ -681,3 +683,71 @@ def _check_cast_reference(sig, ctx, cast, lo, hi, body, expect):
     if got != expect:
         raise TypeCheckError(
             f"cast body has type {got}, expected {expect}", body)
+
+
+# -- derivation checking with a fresh context per call ------------------------
+
+# ``dynamism.derivation_errors`` as it was before its presupposition check
+# was made one pass: ``Context`` objects are rebuilt for every judgment to
+# test that names are distinct, each side is typed by ``infer_type``, which
+# checks the context's types again, and type well-formedness is recomputed
+# structurally.  The rule schemas are the library's.
+
+def derivation_errors_reference(sig: Signature, d: Derivation) -> list[str]:
+    errors: list[str] = []
+    _check_node_reference(sig, d, "root", errors)
+    return errors
+
+
+def _check_node_reference(sig: Signature, d: Derivation, path: str, errors: list[str]):
+    for i, prem in enumerate(d.premises):
+        _check_node_reference(sig, prem, f"{path}.{i}", errors)
+    pres = _presupposition_errors_reference(sig, d.conclusion)
+    if pres:
+        errors.extend(f"{path}: {d.rule}: {msg}" for msg in pres)
+        return
+    if d.rule not in RULES:
+        errors.append(f"{path}: unknown rule {d.rule!r}")
+        return
+    for msg in _SCHEMA[d.rule](sig, d):
+        errors.append(f"{path}: {d.rule}: {msg}")
+
+
+def _presupposition_errors_reference(sig: Signature, j: DynJudgment) -> list[str]:
+    if not _check_dynctx_wf_reference(sig, j.phi):
+        return ["context dynamism presupposition fails"]
+    out = []
+    try:
+        tl = infer_type(sig, j.phi.left_ctx(), j.left)
+        if tl != j.type_left:
+            out.append(f"left term has type {tl}, judgment claims {j.type_left}")
+    except GttError as e:
+        out.append(f"left term does not type check: {e}")
+    try:
+        tr = infer_type(sig, j.phi.right_ctx(), j.right)
+        if tr != j.type_right:
+            out.append(f"right term has type {tr}, judgment claims {j.type_right}")
+    except GttError as e:
+        out.append(f"right term does not type check: {e}")
+    if not tydyn_holds(sig, j.type_left, j.type_right):
+        out.append(f"type dynamism presupposition fails: "
+                   f"{j.type_left} <= {j.type_right} not derivable")
+    return out
+
+
+def _check_dynctx_wf_reference(sig: Signature, phi: DynCtx) -> bool:
+    try:
+        phi.left_ctx(), phi.right_ctx()  # names distinct on each side
+    except GttError:
+        return False
+    return all(_type_wf_reference(sig, tl) and _type_wf_reference(sig, tr)
+               and tydyn_holds(sig, tl, tr) for _, _, tl, tr in phi)
+
+
+def _type_wf_reference(sig: Signature, ty: Type) -> bool:
+    match ty:
+        case Base(n):
+            return n in sig.base_types
+        case Fn(a, b) | Prod(a, b):
+            return _type_wf_reference(sig, a) and _type_wf_reference(sig, b)
+    return True

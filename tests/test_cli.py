@@ -197,6 +197,17 @@ def test_non_numeric_basecodes_is_exit_2(tmp_path, capsys):
     assert "bad basecodes line" in err
 
 
+@pytest.mark.parametrize("name", ["?", "1", "->", "x:y"])
+def test_a_base_type_name_that_is_not_an_identifier_is_exit_2(tmp_path, capsys, name):
+    # the grammar could never write such a base type back
+    sig = tmp_path / "bad.gttsig"
+    sig.write_text(f"basetypes: Nat {name}\n")
+    code, err = run_cli_err("--sig", sig, "check", FIXTURES / "zero.gtt",
+                            capsys=capsys)
+    assert code == 2
+    assert err == f"error: base type name {name!r} is not an identifier\n"
+
+
 def test_composite_type_dynamism_axiom_is_exit_2(tmp_path, capsys):
     sig = tmp_path / "composite.gttsig"
     sig.write_text("basetypes: Nat\ntydyn:\n  1 * 1 <= 1\n")

@@ -1,11 +1,13 @@
+import pathlib
 import random
 
 import pytest
 
+from gtt.derivio import parse_derivations
 from gtt.grammar import parse_term, parse_type
 from gtt.syntax import (
-    App, Context, DYN, Downcast, Err, Fn, Lam, NAT, Pair, Prod, Proj, UNIT,
-    UNITVAL, Upcast, Var, num,
+    App, Context, DYN, Downcast, Err, Fn, GttError, Lam, NAT, Pair, Prod,
+    Proj, UNIT, UNITVAL, Upcast, Var, num,
 )
 from gtt.typecheck import DynCtx, Signature, default_signature
 from gtt.dynamism import (
@@ -15,7 +17,11 @@ from gtt.dynamism import (
     retract_node, trans_node, ul_node, unit_eta_node, ur_node, var_node,
     disjoint_node,
 )
+from perfbench import bench_gen
 
+from oracles import derivation_errors_reference
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SIG = default_signature()
 NO_RETRACT = default_signature(retract=False)
 NO_DISJ = default_signature(disjointness=False)
@@ -280,3 +286,57 @@ def test_ax_rule_membership():
     assert check_derivation(sig, d)
     # the same conclusion is rejected when the signature lacks the axiom
     assert not check_derivation(SIG, Derivation("ax", d.conclusion, (), 0))
+
+
+# -- the checker against the plain one -------------------------------------------
+
+def _outcome(check, sig, d):
+    try:
+        return check(sig, d)
+    except GttError as e:
+        return type(e).__name__, str(e)
+
+
+def _agree(sig, derivations):
+    for d in derivations:
+        assert _outcome(derivation_errors, sig, d) == \
+            _outcome(derivation_errors_reference, sig, d), d
+
+
+def test_checker_agrees_with_the_reference_on_the_corpus_and_its_mutations():
+    pool = bench_gen.catalog_pool()
+    assert len(pool) == 3847
+    _agree(SIG, pool)
+    rng = random.Random(11)
+    mutants = [bench_gen.mutate(d, rng)[0] for d in pool]
+    assert all(derivation_errors(SIG, d) for d in mutants)
+    _agree(SIG, mutants)
+
+
+@pytest.mark.parametrize("name", ["errbot.gttd", "galois_unit.gttd"])
+def test_checker_agrees_with_the_reference_on_the_fixtures(name):
+    ds = parse_derivations((FIXTURES / name).read_text(), SIG)
+    assert ds
+    _agree(SIG, ds)
+
+
+def test_checker_agrees_with_the_reference_on_ill_formed_contexts():
+    # names repeated on one side, undeclared base types, a premise whose
+    # context repeats a name under a rule that compares contexts, and a
+    # binder that shadows a context entry
+    even = parse_type("Even")
+    dup_left = DynCtx.of(("x", "x", NAT, NAT), ("x", "y", NAT, DYN))
+    dup_right = DynCtx.of(("x", "y", NAT, NAT), ("z", "y", NAT, DYN))
+    undeclared = DynCtx.of(("x", "x", even, even))
+    below_dyn = DynCtx.of(("x", "x", even, DYN))
+    cases = [var_node(phi, 0)
+             for phi in (dup_left, dup_right, undeclared, below_dyn)]
+    diag = DynCtx.of(("x", "x", NAT, NAT))
+    for phi in (dup_left, dup_right):
+        cases.append(Derivation(
+            "trans", DynJudgment(diag, Var("x"), Var("x"), NAT, NAT),
+            (var_node(phi, 0), var_node(phi, 0))))
+    cases.append(Derivation("refl", DynJudgment(
+        diag, Lam("x", DYN, Var("x")), Lam("x", DYN, Var("x")),
+        Fn(DYN, DYN), Fn(DYN, DYN))))
+    _agree(SIG, cases)

@@ -305,3 +305,37 @@ def test_each_entry_point_types_each_term_once(monkeypatch):
     assert count(equal_terms, SIG, t, Var("f"), FN_CTX) == 2
     assert count(elaborate, SIG, FN_CTX, t) == 1
     assert count(normalize, SIG, u, FN_CTX) == 1
+
+
+def test_elaboration_scans_free_variables_linearly(monkeypatch):
+    # the fn-tower round trips nest one function wrapper per tower level;
+    # each wrapper adds its binder to the free variables it was given
+    # instead of scanning its body again, and names binders as before
+    from perfbench.bench_gen import tower
+    syntax, evaluator = sys.modules["gtt.syntax"], sys.modules["gtt.elaborate"]
+    calls = []
+    real = syntax.free_vars
+
+    def counting(t):
+        calls.append(None)
+        return real(t)
+    monkeypatch.setattr(syntax, "free_vars", counting)
+    monkeypatch.setattr(evaluator, "free_vars", counting)
+
+    def elaborated(height):
+        ty = tower("b", height)
+        ctx = Context.of(("f", ty))
+        calls.clear()
+        out = elaborate(SIG, ctx, Downcast(ty, DYN, Upcast(ty, DYN, Var("f"))))
+        return term_size(out), len(calls), out
+
+    runs = [elaborated(h) for h in (5, 6, 7, 8)]
+    assert [size for size, _, _ in runs] == [313, 633, 1273, 2553]
+    # each call visits one node of the elaborated term at most once
+    assert all(count <= size for size, count, _ in runs)
+    assert term_to_text(elaborated(2)[2]) == (
+        "\\x:Nat -> Nat. \\x':Nat. dn[? => Nat] (dn[? => ? -> ?] "
+        "(dn[? => ? -> ?] up[? -> ? => ?] (\\x:?. up[? -> ? => ?] "
+        "(\\x':?. up[Nat => ?] (f (\\x':Nat. dn[? => Nat] (dn[? => ? -> ?] "
+        "x up[Nat => ?] x')) dn[? => Nat] x'))) up[? -> ? => ?] "
+        "(\\x':?. up[Nat => ?] (x dn[? => Nat] x'))) up[Nat => ?] x')")

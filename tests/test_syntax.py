@@ -1,11 +1,16 @@
+import copy
+import gc
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from gtt.grammar import parse_type
 from gtt.syntax import (
-    App, Context, ContextError, Err, FnApp, Lam, NAT, Pair, Prod, Proj,
-    UnboundVariable, Upcast, DYN, Var, alpha_eq, free_vars,
-    num, subst1, substitute,
+    App, Base, Context, ContextError, Dyn, Err, Fn, FnApp, Lam, NAT, Pair,
+    Prod, Proj, UNIT, UnboundVariable, Unit, Upcast, DYN, Var, alpha_eq,
+    free_vars, num, subst1, substitute,
 )
 from gtt.typecheck import default_signature
 
@@ -130,3 +135,49 @@ def test_alpha_eq_matches_canonical_renaming_oracle():
 def test_subst1_keeps_other_frees():
     t = App(Var("x"), Var("y"))
     assert subst1(t, "x", num(0)) == App(num(0), Var("y"))
+
+
+# -- hash-consed types -----------------------------------------------------------
+
+def test_equal_types_are_one_object():
+    built = Fn(Prod(Base("Nat"), Dyn()), Fn(Unit(), Base("Nat")))
+    assert built is Fn(Prod(NAT, DYN), Fn(UNIT, NAT))
+    assert parse_type("Nat * ? -> 1 -> Nat") is built
+    assert parse_type("(Nat * ?) -> (1 -> Nat)") is built
+    assert Base("Nat") is NAT and Dyn() is DYN and Unit() is UNIT
+    assert Fn(NAT, DYN) is not Prod(NAT, DYN)
+    assert Fn(NAT, DYN) != Prod(NAT, DYN) and Fn(NAT, DYN) != Fn(DYN, NAT)
+    assert copy.deepcopy(built) is built
+    assert pickle.loads(pickle.dumps(built)) is built
+
+
+def test_types_print_and_match_as_before():
+    ty = Fn(Prod(NAT, DYN), UNIT)
+    assert repr(ty) == ("Fn(dom=Prod(fst=Base(name='Nat'), snd=Dyn()), "
+                        "cod=Unit())")
+    assert str(ty) == "Nat * ? -> 1"
+    match ty:
+        case Fn(Prod(Base(name), Dyn()), Unit()):
+            assert name == "Nat"
+        case _:
+            pytest.fail("the pattern did not match")
+    match Prod(UNIT, NAT):
+        case Fn(_, _):
+            pytest.fail("a product matched a function pattern")
+        case Prod(a, b=b):
+            assert (a, b) == (UNIT, NAT)
+    with pytest.raises(FrozenInstanceError):
+        ty.dom = NAT
+
+
+def test_the_intern_table_does_not_keep_types_alive():
+    key = (Base("Ephemeral"), UNIT)
+    ty = Prod(*key)
+    assert Prod._table[key]() is ty
+    del ty, key
+    gc.collect()
+    assert ("Ephemeral",) not in Base._table
+    assert not any(isinstance(fst, Base) and fst.name == "Ephemeral"
+                   for fst, _ in Prod._table)
+    # a type made again after its first instance died is interned afresh
+    assert Prod(Base("Ephemeral"), UNIT) is Prod(Base("Ephemeral"), UNIT)
