@@ -20,13 +20,18 @@ walk of the result, so its cost is linear in the file size.  Within one
 ``parse_derivations`` call each distinct chunk text is parsed once as a
 type and once as a term, and every repeat shares that parse.  A malformed
 file raises ``ParseError``.
+
+Writing is one pass that appends strings to one list and joins it once.
+Within one ``derivations_to_text`` call each distinct type (interned, so
+keyed by itself) and each distinct term object (keyed by ``id``) is rendered
+once, and every repeat reuses that text; the tables die with the call.
 """
 
 from __future__ import annotations
 
 from .grammar import (
-    ParseError, SexpList, parse_sexps, parse_term, parse_type, sexp_to_text,
-    term_to_text, type_to_text,
+    ParseError, SexpList, parse_sexps, parse_term, parse_type, term_to_text,
+    type_to_text,
 )
 from .syntax import Context, Term, Type
 from .typecheck import DynCtx, Signature
@@ -139,43 +144,59 @@ def parse_derivations(text: str, sig: Signature) -> list[Derivation]:
     return [_read_derivation(sx, rd) for sx in parse_sexps(text)]
 
 
-def _ty(ty: Type) -> tuple[str, str]:
-    return ("chunk", type_to_text(ty))
-
-
-def _tm(t: Term) -> tuple[str, str]:
-    return ("chunk", term_to_text(t))
-
-
-def _aux_sexp(aux) -> SexpList:
-    if isinstance(aux, str):
-        return SexpList(["aux", aux])
-    if isinstance(aux, int):
-        return SexpList(["aux", str(aux)])
-    if isinstance(aux, tuple) and len(aux) == 2 and all(
-            isinstance(side, tuple) for side in aux):
-        return SexpList(["aux", *(
-            SexpList(["sub", *(SexpList([name, _tm(img)]) for name, img in side)])
-            for side in aux)])
-    if isinstance(aux, tuple) and len(aux) == 3:
-        ctx, term, ty = aux
-        ctx_sx = SexpList(["ctx", *(SexpList([name, _ty(t)]) for name, t in ctx)])
-        return SexpList(["aux", SexpList(["mid", ctx_sx, _tm(term), _ty(ty)])])
-    raise ValueError(f"cannot serialize aux {aux!r}")
-
-
-def derivation_to_sexp(d: Derivation) -> SexpList:
-    j = d.conclusion
-    ctx = SexpList(["ctx", *(SexpList([xl, xr, _ty(tl), _ty(tr)])
-                             for xl, xr, tl, tr in j.phi)])
-    out = SexpList([d.rule, SexpList([
-        "concl", ctx, _tm(j.left), _tm(j.right), _ty(j.type_left),
-        _ty(j.type_right)])])
-    if d.aux is not None:
-        out.append(_aux_sexp(d.aux))
-    out.extend(derivation_to_sexp(p) for p in d.premises)
-    return out
-
-
 def derivations_to_text(ds) -> str:
-    return "\n\n".join(sexp_to_text(derivation_to_sexp(d)) for d in ds) + "\n"
+    out: list[str] = []
+    put = out.append
+    types: dict[Type, str] = {}
+    terms: dict[int, tuple[Term, str]] = {}  # holding the term keeps its id its own
+
+    def ty(t: Type) -> str:
+        if t not in types:
+            types[t] = "{" + type_to_text(t) + "}"
+        return types[t]
+
+    def tm(t: Term) -> str:
+        if id(t) not in terms:
+            terms[id(t)] = t, "{" + term_to_text(t) + "}"
+        return terms[id(t)][1]
+
+    def block(pad: str, head: str, rows: list[str]) -> str:
+        """``(head`` and then each row on a line of its own, or ``(head)``."""
+        if not rows:
+            return f"{pad}({head})"
+        sep = f"\n{pad}  "
+        return f"{pad}({head}{sep}{sep.join(rows)})"
+
+    def aux(a, pad: str) -> str:
+        if isinstance(a, (str, int)):
+            return f"{pad}(aux {a})"
+        if isinstance(a, tuple) and len(a) == 2 and all(
+                isinstance(side, tuple) for side in a):
+            return f"{pad}(aux\n" + "\n".join(block(pad + "  ", "sub", [
+                f"({x} {tm(t)})" for x, t in side]) for side in a) + ")"
+        if isinstance(a, tuple) and len(a) == 3:
+            ctx, term, mid_ty = a
+            inner = pad + "    "
+            rows = [f"({x} {ty(t)})" for x, t in ctx]
+            return (f"{pad}(aux\n{pad}  (mid\n{block(inner, 'ctx', rows)}"
+                    f"\n{inner}{tm(term)}\n{inner}{ty(mid_ty)}))")
+        raise ValueError(f"cannot serialize aux {a!r}")
+
+    def node(d: Derivation, pad: str):
+        j = d.conclusion
+        inner = pad + "    "
+        rows = [f"({xl} {xr} {ty(tl)} {ty(tr)})" for xl, xr, tl, tr in j.phi]
+        put(f"{pad}({d.rule}\n{pad}  (concl\n{block(inner, 'ctx', rows)}"
+            f"\n{inner}{tm(j.left)}\n{inner}{tm(j.right)}"
+            f"\n{inner}{ty(j.type_left)}\n{inner}{ty(j.type_right)})")
+        if d.aux is not None:
+            put("\n" + aux(d.aux, pad + "  "))
+        for p in d.premises:
+            put("\n")
+            node(p, pad + "  ")
+        put(")")
+
+    for d in ds:
+        node(d, "")
+        put("\n\n")
+    return "".join(out[:-1]) + "\n"  # one newline in place of the last "\n\n"

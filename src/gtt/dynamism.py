@@ -167,13 +167,19 @@ def _chk_refl(sig, d):
     return out
 
 
-def _rename_along(t: Term, src: Context, dst: Context) -> Term:
+def _rename_along(t: Term, src, dst) -> Term:
     """Rename free variables pointwise from one context's names to
-    another's; contexts pair positionally."""
-    sigma = {x: Var(y) for (x, _), (y, _) in zip(src.entries, dst.entries)}
+    another's; the ``(name, type)`` entries pair positionally."""
+    sigma = {x: Var(y) for (x, _), (y, _) in zip(src, dst)}
     for v in free_vars(t):
         sigma.setdefault(v, Var(v))
     return substitute(t, sigma)
+
+
+def _sides(phi: DynCtx):
+    """Each side's ``(name, type)`` entries, in which a name may repeat."""
+    return (tuple((xl, tl) for xl, _, tl, _ in phi.entries),
+            tuple((xr, tr) for _, xr, _, tr in phi.entries))
 
 
 def _chk_trans(sig, d):
@@ -181,12 +187,13 @@ def _chk_trans(sig, d):
         return ["expects exactly two premises"]
     j = d.conclusion
     j1, j2 = d.premises[0].conclusion, d.premises[1].conclusion
+    (left, right), (left1, mid1), (mid2, right2) = map(
+        _sides, (j.phi, j1.phi, j2.phi))
     out = []
-    if j1.phi.left_ctx() != j.phi.left_ctx():
+    if left1 != left:
         out.append("left context does not match first premise")
-    if j2.phi.right_ctx() != j.phi.right_ctx():
+    if right2 != right:
         out.append("right context does not match second premise")
-    mid1, mid2 = j1.phi.right_ctx(), j2.phi.left_ctx()
     if [ty for _, ty in mid1] != [ty for _, ty in mid2]:
         out.append("premises do not share the middle context")
     elif not alpha_eq(j1.right, _rename_along(j2.left, mid2, mid1)):
@@ -217,7 +224,7 @@ def _chk_ax(sig, d):
         if not 0 <= i < len(sig.tmdyn_axioms):
             return [f"no term-dynamism axiom with index {i}"]
         lctx, lt, rctx, rt = sig.tmdyn_axioms[i]
-        if (j.phi.left_ctx() == lctx and j.phi.right_ctx() == rctx
+        if ((lctx.entries, rctx.entries) == _sides(j.phi)
                 and alpha_eq(j.left, lt) and alpha_eq(j.right, rt)):
             return []
     return ["conclusion is not a term-dynamism axiom of the signature"]

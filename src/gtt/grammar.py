@@ -46,20 +46,20 @@ _TOKEN = re.compile(r"""
   | (?P<num>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<sym>[()\[\],:.\\*?=|{}])
+  | (?P<bad>[\s\S])
 """, re.VERBOSE)
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """One scan; a character that starts no other token is ``bad``."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind != "ws":
-            out.append((kind, m.group(), pos))
-        pos = m.end()
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        out.append((kind, m.group(), m.start()))
     out.append(("eof", "", len(text)))
     return out
 
@@ -537,21 +537,3 @@ def parse_sexps(text: str) -> list:
         raise ParseError("unexpected end of input in s-expression", len(text))
     return items
 
-
-def sexp_to_text(x, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(x, SexpList):
-        if any(isinstance(e, SexpList) for e in x):
-            head = x[0] if x and not isinstance(x[0], SexpList) else None
-            parts = []
-            for i, e in enumerate(x):
-                if i == 0 and head is not None:
-                    continue
-                parts.append(sexp_to_text(e, indent + 1))
-            first = sexp_to_text(head, 0) if head is not None else ""
-            inner = "\n".join(parts)
-            return f"{pad}({first}\n{inner})"
-        return pad + "(" + " ".join(sexp_to_text(e, 0) for e in x) + ")"
-    if isinstance(x, tuple) and x and x[0] == "chunk":
-        return pad + "{" + x[1] + "}"
-    return pad + str(x)

@@ -5,7 +5,9 @@ check: type dynamism by a bounded search for derivations that may use
 transitivity, alpha equivalence by brute-force canonical renaming,
 substitution through a nameless (de Bruijn) representation, the tree
 order by enumerating every subtree replacement, s-expressions by
-recursive descent, theorem instances by deriving every parameter tuple
+recursive descent, tokens by matching at each position, derivation files
+through an s-expression tree that renders every type and term at each
+occurrence, theorem instances by deriving every parameter tuple
 before the size filter, the model by walking the term for every
 environment, normal forms by substitution, re-reduction and eta
 expansion with a type inferred at every spine node, types by renaming
@@ -19,10 +21,11 @@ import re
 
 from gtt.dynamism import RULES, _SCHEMA, Derivation, DynJudgment
 from gtt.elaborate import _Fuel, _unrelated_grounds
-from gtt.grammar import ParseError, SexpList
+from gtt.grammar import ParseError, SexpList, term_to_text, type_to_text
 from gtt.syntax import (
     App, Context, DYN, Downcast, Err, FnApp, GttError, Lam, Pair, Proj, Term,
-    Type, UNIT, UNITVAL, Upcast, UnitVal, Var, free_vars, fresh_name, subst1,
+    Type, UNIT, UNITVAL, Upcast, UnitVal, Var, alpha_eq, free_vars, fresh_name,
+    subst1, substitute,
 )
 from gtt.model import (
     ErrLeaf, ERR_LEAF, FnVal, ModelError, NatLeaf, NatVal, Node, PairVal,
@@ -293,6 +296,109 @@ def _sexp_seq(text: str, pos: int, top: bool = False):
             m = _ATOM.match(text, pos)
             items.append(m.group())
             pos = m.end()
+
+
+# -- tokens by matching at each position --------------------------------------
+#
+# ``gtt.grammar.tokenize`` as it was before it became one ``finditer`` scan:
+# the token pattern without its catch-all group, matched at each position in
+# a loop that stops at the first character no token starts with.
+
+_TOKEN_REFERENCE = re.compile(r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<arrow2>=>)
+  | (?P<arrow>->)
+  | (?P<leq><=)
+  | (?P<num>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<sym>[()\[\],:.\\*?=|{}])
+""", re.VERBOSE)
+
+
+def tokenize_reference(text: str) -> list[tuple[str, str, int]]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_REFERENCE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            out.append((kind, m.group(), pos))
+        pos = m.end()
+    out.append(("eof", "", len(text)))
+    return out
+
+
+# -- derivation files by way of an s-expression tree ---------------------------
+#
+# ``gtt.derivio.derivations_to_text`` as it was before it wrote text
+# directly: each derivation becomes a ``SexpList`` tree with every type and
+# term rendered again at each occurrence, and ``sexp_to_text`` lays the tree
+# out, one line per element of any list that holds a list.
+
+def sexp_to_text(x, indent: int = 0) -> str:
+    pad = "  " * indent
+    if isinstance(x, SexpList):
+        if any(isinstance(e, SexpList) for e in x):
+            head = x[0] if x and not isinstance(x[0], SexpList) else None
+            parts = []
+            for i, e in enumerate(x):
+                if i == 0 and head is not None:
+                    continue
+                parts.append(sexp_to_text(e, indent + 1))
+            first = sexp_to_text(head, 0) if head is not None else ""
+            inner = "\n".join(parts)
+            return f"{pad}({first}\n{inner})"
+        return pad + "(" + " ".join(sexp_to_text(e, 0) for e in x) + ")"
+    if isinstance(x, tuple) and x and x[0] == "chunk":
+        return pad + "{" + x[1] + "}"
+    return pad + str(x)
+
+
+def _ty_sexp(ty: Type) -> tuple[str, str]:
+    return ("chunk", type_to_text(ty))
+
+
+def _tm_sexp(t: Term) -> tuple[str, str]:
+    return ("chunk", term_to_text(t))
+
+
+def _aux_sexp(aux) -> SexpList:
+    if isinstance(aux, str):
+        return SexpList(["aux", aux])
+    if isinstance(aux, int):
+        return SexpList(["aux", str(aux)])
+    if isinstance(aux, tuple) and len(aux) == 2 and all(
+            isinstance(side, tuple) for side in aux):
+        return SexpList(["aux", *(
+            SexpList(["sub", *(SexpList([name, _tm_sexp(img)])
+                               for name, img in side)])
+            for side in aux)])
+    if isinstance(aux, tuple) and len(aux) == 3:
+        ctx, term, ty = aux
+        ctx_sx = SexpList(["ctx", *(SexpList([name, _ty_sexp(t)])
+                                    for name, t in ctx)])
+        return SexpList(["aux", SexpList(["mid", ctx_sx, _tm_sexp(term),
+                                          _ty_sexp(ty)])])
+    raise ValueError(f"cannot serialize aux {aux!r}")
+
+
+def derivation_to_sexp(d: Derivation) -> SexpList:
+    j = d.conclusion
+    ctx = SexpList(["ctx", *(SexpList([xl, xr, _ty_sexp(tl), _ty_sexp(tr)])
+                             for xl, xr, tl, tr in j.phi)])
+    out = SexpList([d.rule, SexpList([
+        "concl", ctx, _tm_sexp(j.left), _tm_sexp(j.right),
+        _ty_sexp(j.type_left), _ty_sexp(j.type_right)])])
+    if d.aux is not None:
+        out.append(_aux_sexp(d.aux))
+    out.extend(derivation_to_sexp(p) for p in d.premises)
+    return out
+
+
+def derivations_to_text_reference(ds) -> str:
+    return "\n\n".join(sexp_to_text(derivation_to_sexp(d)) for d in ds) + "\n"
 
 
 # -- theorem instances by generate-then-filter --------------------------------
@@ -691,7 +797,9 @@ def _check_cast_reference(sig, ctx, cast, lo, hi, body, expect):
 # was made one pass: ``Context`` objects are rebuilt for every judgment to
 # test that names are distinct, each side is typed by ``infer_type``, which
 # checks the context's types again, and type well-formedness is recomputed
-# structurally.  The rule schemas are the library's.
+# structurally.  The rule schemas are the library's, except ``trans`` and
+# ``ax``, which still compare and rename along ``Context`` objects, so a
+# premise context that repeats a name raises ``ContextError``.
 
 def derivation_errors_reference(sig: Signature, d: Derivation) -> list[str]:
     errors: list[str] = []
@@ -709,8 +817,66 @@ def _check_node_reference(sig: Signature, d: Derivation, path: str, errors: list
     if d.rule not in RULES:
         errors.append(f"{path}: unknown rule {d.rule!r}")
         return
-    for msg in _SCHEMA[d.rule](sig, d):
+    for msg in _SCHEMA_REFERENCE[d.rule](sig, d):
         errors.append(f"{path}: {d.rule}: {msg}")
+
+
+def _rename_along_reference(t: Term, src: Context, dst: Context) -> Term:
+    sigma = {x: Var(y) for (x, _), (y, _) in zip(src.entries, dst.entries)}
+    for v in free_vars(t):
+        sigma.setdefault(v, Var(v))
+    return substitute(t, sigma)
+
+
+def _chk_trans_reference(sig, d):
+    if len(d.premises) != 2:
+        return ["expects exactly two premises"]
+    j = d.conclusion
+    j1, j2 = d.premises[0].conclusion, d.premises[1].conclusion
+    out = []
+    if j1.phi.left_ctx() != j.phi.left_ctx():
+        out.append("left context does not match first premise")
+    if j2.phi.right_ctx() != j.phi.right_ctx():
+        out.append("right context does not match second premise")
+    mid1, mid2 = j1.phi.right_ctx(), j2.phi.left_ctx()
+    if [ty for _, ty in mid1] != [ty for _, ty in mid2]:
+        out.append("premises do not share the middle context")
+    elif not alpha_eq(j1.right, _rename_along_reference(j2.left, mid2, mid1)):
+        out.append("premises do not share the middle term")
+    if j1.type_right != j2.type_left:
+        out.append("premises do not share the middle type")
+    if not alpha_eq(j1.left, j.left) or j1.type_left != j.type_left:
+        out.append("left side does not match first premise")
+    if not alpha_eq(j2.right, j.right) or j2.type_right != j.type_right:
+        out.append("right side does not match second premise")
+    if d.aux is not None:
+        if not (isinstance(d.aux, tuple) and len(d.aux) == 3):
+            return out + ["aux must be the stored middle judgment"]
+        mid_ctx, mid_term, mid_type = d.aux
+        if ([ty for _, ty in mid_ctx] != [ty for _, ty in mid1]
+                or not alpha_eq(_rename_along_reference(mid_term, mid_ctx, mid1), j1.right)
+                or mid_type != j1.type_right):
+            out.append("stored middle judgment disagrees with the premises")
+    return out
+
+
+def _chk_ax_reference(sig, d):
+    if d.premises:
+        return ["takes no premises"]
+    j = d.conclusion
+    indices = [d.aux] if isinstance(d.aux, int) else range(len(sig.tmdyn_axioms))
+    for i in indices:
+        if not 0 <= i < len(sig.tmdyn_axioms):
+            return [f"no term-dynamism axiom with index {i}"]
+        lctx, lt, rctx, rt = sig.tmdyn_axioms[i]
+        if (j.phi.left_ctx() == lctx and j.phi.right_ctx() == rctx
+                and alpha_eq(j.left, lt) and alpha_eq(j.right, rt)):
+            return []
+    return ["conclusion is not a term-dynamism axiom of the signature"]
+
+
+_SCHEMA_REFERENCE = {**_SCHEMA, "trans": _chk_trans_reference,
+                     "ax": _chk_ax_reference}
 
 
 def _presupposition_errors_reference(sig: Signature, j: DynJudgment) -> list[str]:

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
 import random
 import time
 
@@ -228,3 +229,12 @@ def test_corpus_round_trips_through_derivation_files(corpus):
     mismatched = [(name, params) for name, params, ds in corpus
                   if parse_derivations(derivations_to_text(ds), SIG) != list(ds)]
     assert not mismatched, f"{len(mismatched)} instances differ, first {mismatched[0]}"
+
+
+def test_corpus_text_is_pinned(corpus):
+    """The ``.gttd`` text of the whole corpus in one file, pinned when the
+    writer still built an s-expression tree and laid it out."""
+    text = derivations_to_text([d for _, _, ds in corpus for d in ds])
+    assert text.count("\n") == 809_931
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8e8d69ee120fc5319a51836ab009fdcd7b27cc9f5d3ac377024b7e322a3f1bd8")

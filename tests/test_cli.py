@@ -275,6 +275,26 @@ def test_transitivity_with_a_foreign_aux_is_rejected(tmp_path, capsys, aux):
     assert "aux must be the stored middle judgment" in out
 
 
+def test_transitivity_over_premises_that_repeat_a_name_is_rejected(
+        tmp_path, capsys):
+    # a premise context that repeats a name fails its presupposition, and
+    # the schema compares contexts without requiring distinct names
+    leaf = "(var (concl (ctx (x x {Nat} {Nat}) (x y {Nat} {?})) {x} {x} {Nat} {Nat}))"
+    path = tmp_path / "trans.gttd"
+    path.write_text(f"(trans (concl (ctx (x x {{Nat}} {{Nat}})) {{x}} {{x}} "
+                    f"{{Nat}} {{Nat}}) {leaf} {leaf})")
+    code, out = run_cli("prove", path, capsys=capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "RESULT FAIL derivation 0 (trans)",
+        "  root.0: var: context dynamism presupposition fails",
+        "  root.1: var: context dynamism presupposition fails",
+        "  root: trans: left context does not match first premise",
+        "  root: trans: right context does not match second premise",
+        "  root: trans: premises do not share the middle context",
+    ]
+
+
 def test_derive_with_the_wrong_number_of_parameters_is_exit_2(capsys):
     code, err = run_cli_err("derive", "galois_unit", "Nat", capsys=capsys)
     assert code == 2

@@ -159,6 +159,16 @@ def test_trans_composes_accepted_derivations():
     assert t.conclusion.left == Var("x") and t.conclusion.right == Var("x'")
 
 
+def test_trans_renames_the_middle_context():
+    # the premises name the middle variable differently (y and z); the
+    # second premise's left side is renamed along the middle context
+    d1 = var_node(DynCtx.of(("x", "y", NAT, NAT)), 0)     # x <= y
+    d2 = var_node(DynCtx.of(("z", "w", NAT, NAT)), 0)     # z <= w
+    t = trans_node(d1, d2)
+    assert t.conclusion.phi == DynCtx.of(("x", "w", NAT, NAT))
+    assert derivation_errors(SIG, t) == derivation_errors_reference(SIG, t) == []
+
+
 def test_trans_mismatched_middle_rejected():
     d1 = ur_node(NAT, DYN, "x", "x")     # ... <= up x : Nat <= ?
     d2 = dl_node(NAT, DYN, "x", "x'")    # dn x <= x' : Nat <= ?
@@ -321,9 +331,8 @@ def test_checker_agrees_with_the_reference_on_the_fixtures(name):
 
 
 def test_checker_agrees_with_the_reference_on_ill_formed_contexts():
-    # names repeated on one side, undeclared base types, a premise whose
-    # context repeats a name under a rule that compares contexts, and a
-    # binder that shadows a context entry
+    # names repeated on one side, undeclared base types, and a binder that
+    # shadows a context entry
     even = parse_type("Even")
     dup_left = DynCtx.of(("x", "x", NAT, NAT), ("x", "y", NAT, DYN))
     dup_right = DynCtx.of(("x", "y", NAT, NAT), ("z", "y", NAT, DYN))
@@ -332,11 +341,30 @@ def test_checker_agrees_with_the_reference_on_ill_formed_contexts():
     cases = [var_node(phi, 0)
              for phi in (dup_left, dup_right, undeclared, below_dyn)]
     diag = DynCtx.of(("x", "x", NAT, NAT))
-    for phi in (dup_left, dup_right):
-        cases.append(Derivation(
-            "trans", DynJudgment(diag, Var("x"), Var("x"), NAT, NAT),
-            (var_node(phi, 0), var_node(phi, 0))))
     cases.append(Derivation("refl", DynJudgment(
         diag, Lam("x", DYN, Var("x")), Lam("x", DYN, Var("x")),
         Fn(DYN, DYN), Fn(DYN, DYN))))
     _agree(SIG, cases)
+
+
+@pytest.mark.parametrize("phi, repeated, last", [
+    (DynCtx.of(("x", "x", NAT, NAT), ("x", "y", NAT, DYN)), ["x", "x"], []),
+    (DynCtx.of(("x", "y", NAT, NAT), ("z", "y", NAT, DYN)), ["y", "y"],
+     ["root: trans: right side does not match second premise"]),
+], ids=["left", "right"])
+def test_trans_over_premises_that_repeat_a_name_is_rejected(phi, repeated, last):
+    # the one input on which the checker parts from the reference: the
+    # reference compares ``Context`` objects, whose constructor raises on
+    # the repeated name, where the checker compares the entries themselves
+    diag = DynCtx.of(("x", "x", NAT, NAT))
+    d = Derivation("trans", DynJudgment(diag, Var("x"), Var("x"), NAT, NAT),
+                   (var_node(phi, 0), var_node(phi, 0)))
+    assert derivation_errors(SIG, d) == [
+        "root.0: var: context dynamism presupposition fails",
+        "root.1: var: context dynamism presupposition fails",
+        "root: trans: left context does not match first premise",
+        "root: trans: right context does not match second premise",
+        "root: trans: premises do not share the middle context",
+    ] + last
+    assert _outcome(derivation_errors_reference, SIG, d) == (
+        "ContextError", f"duplicate variable in context: {repeated}")

@@ -1,3 +1,5 @@
+import itertools
+import pathlib
 import random
 
 import pytest
@@ -5,18 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from gtt.grammar import (
     ParseError, context_to_text, parse_sexps, parse_signature, parse_term,
-    parse_term_file, parse_type, sexp_to_text, term_to_text, type_to_text,
+    parse_term_file, parse_type, term_to_text, tokenize, type_to_text,
 )
 from gtt.syntax import (
     App, Base, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair, Prod,
     Proj, UNIT, UNITVAL, Upcast, Var, alpha_eq,
 )
-from gtt.typecheck import default_signature
+from gtt.typecheck import DynCtx, default_signature
 from gtt.derivio import derivations_to_text, parse_derivations
 from gtt.theorems import derive_theorem
-from gtt.dynamism import check_derivation
+from gtt.dynamism import Derivation, DynJudgment, check_derivation
+from perfbench import bench_gen
 
-from oracles import parse_sexps_reference
+from oracles import (
+    derivations_to_text_reference, parse_sexps_reference, sexp_to_text,
+    tokenize_reference,
+)
 from termgen import gen_welltyped
 
 SIG = default_signature()
@@ -132,6 +138,115 @@ def test_derivation_file_roundtrip():
     for d in back:
         assert check_derivation(SIG, d)
     assert derivations_to_text(back) == text
+
+
+# -- the derivation writer against the s-expression tree ----------------------
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _same_text(ds):
+    text, want = derivations_to_text(ds), derivations_to_text_reference(ds)
+    if text != want:
+        # name the first line that differs: pytest's own diff of megabytes
+        # of text takes minutes
+        pairs = itertools.zip_longest(text.split("\n"), want.split("\n"))
+        n, (got, ref) = next((n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+        pytest.fail(f"line {n}: {got!r} where the reference has {ref!r}")
+    return text
+
+
+def test_writer_matches_reference_on_the_corpus():
+    pool = bench_gen.catalog_pool()
+    assert len(pool) == 3847
+    _same_text(pool)
+
+
+@pytest.mark.parametrize("name", ["errbot.gttd", "galois_unit.gttd"])
+def test_writer_matches_reference_on_the_fixtures(name):
+    text = (FIXTURES / name).read_text()
+    assert _same_text(parse_derivations(text, SIG)) == text
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_writer_matches_reference_on_the_prove_benchmark_files(seed):
+    # mutated derivations included; the reader shares one object per
+    # distinct chunk text, so these hit the writer's tables most
+    files = bench_gen.prove_inputs(seed).files
+    assert len(files) == 200
+    for text in files.values():
+        assert _same_text(parse_derivations(text, SIG)) == text
+
+
+def test_writer_keeps_each_term_alive_while_its_id_is_a_key():
+    # derivations read one at a time and dropped once written: a term freed
+    # mid-call could hand its id to a different term
+    texts = ["(r (concl (ctx) {x} {y} {Nat} {Nat}))",
+             "(r (concl (ctx) {(x, x)} {fst y} {Nat} {Nat}))"] * 50
+    lazily = derivations_to_text(
+        parse_derivations(t, SIG)[0] for t in texts)
+    eagerly = [parse_derivations(t, SIG)[0] for t in texts]
+    assert lazily == derivations_to_text_reference(eagerly)
+
+
+_EDGE = DynJudgment(DynCtx(), UNITVAL, UNITVAL, UNIT, UNIT)
+_ONE = DynJudgment(DynCtx.of(("x", "x'", NAT, DYN)), Var("x"),
+                   Upcast(NAT, DYN, Var("x'")), NAT, DYN)
+_EDGE_AUX = [
+    None, 0, 2, "fwd", "bwd",
+    ((), ()),
+    ((("x", Var("x")),), ()),
+    ((), (("y", UNITVAL), ("z", Pair(UNITVAL, UNITVAL)))),
+    (Context(), UNITVAL, UNIT),
+    (Context.of(("z", NAT), ("w", DYN)), Var("z"), NAT),
+]
+
+
+@pytest.mark.parametrize("aux", _EDGE_AUX)
+def test_writer_matches_reference_on_edge_cases(aux):
+    leaf = Derivation("leaf", _EDGE, (), aux)
+    for d in (leaf, Derivation("r", _ONE, (leaf, leaf), aux)):
+        _same_text([d])
+    _same_text([leaf, Derivation("r", _ONE, (), aux), leaf])
+
+
+def test_writer_matches_reference_on_no_derivations():
+    assert _same_text([]) == "\n"
+
+
+@pytest.mark.parametrize("aux", [1.5, ["fwd"], ((), (), (), ())])
+def test_writer_rejects_an_unknown_aux_like_the_reference(aux):
+    d = Derivation("r", _ONE, (Derivation("leaf", _EDGE, (), aux),))
+    with pytest.raises(ValueError) as new:
+        derivations_to_text([d])
+    with pytest.raises(ValueError) as old:
+        derivations_to_text_reference([d])
+    assert str(new.value) == str(old.value) == f"cannot serialize aux {aux!r}"
+
+
+# -- the tokenizer against the loop that matched at each position ------------
+
+_TOKEN_PIECES = st.sampled_from([
+    "=>", "->", "<=", "=", "<", "-", ">", "(", ")", "[", "]", "{", "}", ",",
+    ":", ".", "\\", "*", "?", "|", "up", "x'", "Nat", "_a1", "0", "42",
+    " ", "\t", "\n", "\r\n", "#", "# a comment\n", "# \u00e9\r\n", "\u00e9",
+    "\u0661", "\u2003", "\U0001f600",
+])
+_TOKEN_TEXT = st.lists(st.one_of(_TOKEN_PIECES, st.characters(codec="utf-8")),
+                       max_size=16).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TOKEN_TEXT)
+def test_tokenizer_matches_reference(text):
+    assert _outcome(tokenize, text) == _outcome(tokenize_reference, text)
+
+
+def test_tokenizer_names_the_offset_of_an_unexpected_character():
+    with pytest.raises(ParseError) as info:
+        tokenize("x ->\r\n  \u00e9 y")
+    assert str(info.value) == "unexpected character '\u00e9' (at offset 8)"
+    assert info.value.pos == 8
 
 
 # -- the s-expression scanner against the recursive reference -----------------
