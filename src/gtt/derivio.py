@@ -33,7 +33,7 @@ from .grammar import (
     ParseError, SexpList, parse_sexps, parse_term, parse_type, term_to_text,
     type_to_text,
 )
-from .syntax import Context, Term, Type
+from .syntax import Term, Type
 from .typecheck import DynCtx, Signature
 from .dynamism import Derivation, DynJudgment
 
@@ -119,7 +119,7 @@ def _read_aux(sx, rd: _Reader):
         if not _headed(ctx_sx, "ctx"):
             raise ParseError("expected (mid (ctx (x {A}) ...) {t} {A})")
         entries = tuple(_binding(e, rd.type) for e in ctx_sx[1:])
-        return Context(entries), rd.term(term), rd.type(ty)
+        return entries, rd.term(term), rd.type(ty)
     raise ParseError(f"unrecognized aux form: {sx!r}")
 
 

@@ -208,7 +208,9 @@ def _chk_trans(sig, d):
         if not (isinstance(d.aux, tuple) and len(d.aux) == 3):
             return out + ["aux must be the stored middle judgment"]
         mid_ctx, mid_term, mid_type = d.aux
-        if ([ty for _, ty in mid_ctx] != [ty for _, ty in mid1]
+        names = [x for x, _ in mid_ctx]  # renaming pairs them by position
+        if (len(set(names)) != len(names)
+                or [ty for _, ty in mid_ctx] != [ty for _, ty in mid1]
                 or not alpha_eq(_rename_along(mid_term, mid_ctx, mid1), j1.right)
                 or mid_type != j1.type_right):
             out.append("stored middle judgment disagrees with the premises")
@@ -652,7 +654,7 @@ def trans_node(d1: Derivation, d2: Derivation) -> Derivation:
     phi = DynCtx(tuple(
         (e1[0], e2[1], e1[2], e2[3])
         for e1, e2 in zip(j1.phi.entries, j2.phi.entries)))
-    mid = (j1.phi.right_ctx(), j1.right, j1.type_right)
+    mid = (_sides(j1.phi)[1], j1.right, j1.type_right)
     return Derivation(
         "trans",
         DynJudgment(phi, j1.left, j2.right, j1.type_left, j2.type_right),

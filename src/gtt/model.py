@@ -22,16 +22,20 @@ Terms and orders are compiled, not interpreted: ``compile_term`` turns a
 term into a closure over the environment once, each cast finding its
 coreflection map on first use, and ``order_at`` builds each type's order
 once per bound.  A judgment check compiles its two terms and its
-cross-type order once and then applies them to every related pair of
-environments.  ``eval_term`` and ``value_leq_at`` compile and apply in one
-step.
+cross-type order once and walks every related pair of environments, but
+it evaluates each term once per distinct environment of its side: the
+values are memoized per call, keyed by their positions in
+``enumerate_values``, and computed at the first pair that needs them, so
+an evaluation error is raised at the same pair as without the memo.  An
+equipment check applies the upcast and the downcast once per value.
+``eval_term`` and ``value_leq_at`` compile and apply in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .syntax import (
     App, Base, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
@@ -540,79 +544,68 @@ def check_equipment(sig: Signature, a: Type, b: Type, bound: int = 2) -> Report:
     values_a = enumerate_values(sig, a, bound)
     values_b = enumerate_values(sig, b, bound)
     leq_a, leq_b = order_at(sig, a, bound), order_at(sig, b, bound)
+    ups, dns = [], []  # the maps at each value, by position
     checks = 0
 
     for v in values_a:
         checks += 1
-        if c.dn(c.up(v)) != v:
+        ups.append(c.up(v))
+        if c.dn(ups[-1]) != v:
             return Report(subject, bound, False,
                           f"dn (up v) != v at v = {value_to_text(v)}", checks)
     for w in values_b:
         checks += 1
-        if not leq_b(c.up(c.dn(w)), w):
+        dns.append(c.dn(w))
+        if not leq_b(c.up(dns[-1]), w):
             return Report(subject, bound, False,
                           f"up (dn w) not below w at w = {value_to_text(w)}", checks)
-    for v in values_a:
-        for v2 in values_a:
-            if leq_a(v, v2):
-                checks += 1
-                if not leq_b(c.up(v), c.up(v2)):
-                    return Report(subject, bound, False,
-                                  f"up not monotone at {value_to_text(v)} <= "
-                                  f"{value_to_text(v2)}", checks)
-    for w in values_b:
-        for w2 in values_b:
-            if leq_b(w, w2):
-                checks += 1
-                if not leq_a(c.dn(w), c.dn(w2)):
-                    return Report(subject, bound, False,
-                                  f"dn not monotone at {value_to_text(w)} <= "
-                                  f"{value_to_text(w2)}", checks)
+    for i, k in related_indices(sig, a, a, bound):
+        checks += 1
+        if not leq_b(ups[i], ups[k]):
+            return Report(subject, bound, False,
+                          f"up not monotone at {value_to_text(values_a[i])} <= "
+                          f"{value_to_text(values_a[k])}", checks)
+    for i, k in related_indices(sig, b, b, bound):
+        checks += 1
+        if not leq_a(dns[i], dns[k]):
+            return Report(subject, bound, False,
+                          f"dn not monotone at {value_to_text(values_b[i])} <= "
+                          f"{value_to_text(values_b[k])}", checks)
     msig = model_signature(sig)
     if tydyn_holds(msig, a, DYN) and tydyn_holds(msig, b, DYN):
         into_dyn_a = denote_coreflection(sig, a, DYN)
         into_dyn_b = denote_coreflection(sig, b, DYN)
-        for v in values_a:
+        for v, up_v in zip(values_a, ups):
             checks += 1
-            if into_dyn_a.up(v) != into_dyn_b.up(c.up(v)):
+            if into_dyn_a.up(v) != into_dyn_b.up(up_v):
                 return Report(subject, bound, False,
                               f"embedding into ? does not factor at "
                               f"{value_to_text(v)}", checks)
     return Report(subject, bound, True, None, checks)
 
 
-def related_value_pairs(sig: Signature, a: Type, b: Type, bound: int = 2
-                        ) -> list[tuple[SemValue, SemValue]]:
-    """All ``(v, w)`` with ``v : [[a]]`` below ``w : [[b]]`` within bound."""
-    key = ("relpairs", a, b, bound)
+def related_indices(sig: Signature, a: Type, b: Type, bound: int = 2
+                    ) -> list[tuple[int, int]]:
+    """All ``(i, k)`` such that value ``i`` of ``enumerate_values(sig, a,
+    bound)`` is below value ``k`` of ``enumerate_values(sig, b, bound)``,
+    the first position varying slowest."""
+    key = ("relidx", a, b, bound)
     cached = sig._model_cache.get(key)
     if cached is None:
         leq = cross_order(sig, a, b, bound)
-        cached = [(v, w)
-                  for v in enumerate_values(sig, a, bound)
-                  for w in enumerate_values(sig, b, bound)
+        values_b = enumerate_values(sig, b, bound)
+        cached = [(i, k)
+                  for i, v in enumerate(enumerate_values(sig, a, bound))
+                  for k, w in enumerate(values_b)
                   if leq(v, w)]
         sig._model_cache[key] = cached
     return cached
 
 
-def related_env_pairs(sig: Signature, phi: DynCtx, bound: int = 2
-                      ) -> Iterator[tuple[dict[str, SemValue], dict[str, SemValue]]]:
-    """All pairs of environments related pointwise along ``phi``, the
-    first entry varying slowest."""
-    names = [(xl, xr) for xl, xr, _, _ in phi]
-    choices = [related_value_pairs(sig, tl, tr, bound) for _, _, tl, tr in phi]
-    for combo in product(*choices):
-        left_env, right_env = {}, {}
-        for (xl, xr), (v, w) in zip(names, combo):
-            left_env[xl] = v
-            right_env[xr] = w
-        yield left_env, right_env
-
-
 def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> Report:
     """Check a dynamism judgment against the model: over every pair of
-    related environments, the left denotation sits below the right."""
+    environments related pointwise along the context (the first entry
+    varying slowest), the left denotation sits below the right."""
     subject = f"judgment {j.describe()}"
     for _, _, tl, tr in j.phi:
         if not (first_order(tl) and first_order(tr)):
@@ -623,15 +616,32 @@ def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> 
         raise ModelError("judgment endpoint types mention function types")
     left, right = compile_term(sig, j.left), compile_term(sig, j.right)
     leq = cross_order(sig, j.type_left, j.type_right, bound)
+
+    def env_at(names: list[str], types: list[Type]) -> Callable[[tuple], Env]:
+        """A side's environment from the positions of its values."""
+        values = [enumerate_values(sig, ty, bound) for ty in types]
+        return lambda key: {x: vs[i] for x, vs, i in zip(names, values, key)}
+
+    left_env = env_at([e[0] for e in j.phi], [e[2] for e in j.phi])
+    right_env = env_at([e[1] for e in j.phi], [e[3] for e in j.phi])
+    lmemo: dict = {}  # a side's values by environment key, for this call
+    rmemo: dict = {}
     checks = 0
-    for left_env, right_env in related_env_pairs(sig, j.phi, bound):
-        lv = left(left_env)
-        rv = right(right_env)
+    for combo in product(*[related_indices(sig, tl, tr, bound)
+                           for _, _, tl, tr in j.phi]):
+        lkey, rkey = tuple(zip(*combo)) or ((), ())
+        lv = lmemo.get(lkey)
+        if lv is None:
+            lv = lmemo[lkey] = left(left_env(lkey))
+        rv = rmemo.get(rkey)
+        if rv is None:
+            rv = rmemo[rkey] = right(right_env(rkey))
         checks += 1
         if not leq(lv, rv):
             env_text = ", ".join(
                 f"{x}={value_to_text(v)}" for x, v in
-                list(left_env.items()) + [(f"{x}'", v) for x, v in right_env.items()])
+                list(left_env(lkey).items())
+                + [(f"{x}'", v) for x, v in right_env(rkey).items()])
             return Report(subject, bound, False,
                           f"[{env_text}] gives {value_to_text(lv)} not below "
                           f"{value_to_text(rv)}", checks)

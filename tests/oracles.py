@@ -799,7 +799,8 @@ def _check_cast_reference(sig, ctx, cast, lo, hi, body, expect):
 # checks the context's types again, and type well-formedness is recomputed
 # structurally.  The rule schemas are the library's, except ``trans`` and
 # ``ax``, which still compare and rename along ``Context`` objects, so a
-# premise context that repeats a name raises ``ContextError``.
+# premise context or a stored middle context that repeats a name raises
+# ``ContextError``.
 
 def derivation_errors_reference(sig: Signature, d: Derivation) -> list[str]:
     errors: list[str] = []
@@ -853,6 +854,7 @@ def _chk_trans_reference(sig, d):
         if not (isinstance(d.aux, tuple) and len(d.aux) == 3):
             return out + ["aux must be the stored middle judgment"]
         mid_ctx, mid_term, mid_type = d.aux
+        mid_ctx = Context(tuple(mid_ctx))  # raises on a repeated name
         if ([ty for _, ty in mid_ctx] != [ty for _, ty in mid1]
                 or not alpha_eq(_rename_along_reference(mid_term, mid_ctx, mid1), j1.right)
                 or mid_type != j1.type_right):

@@ -295,6 +295,23 @@ def test_transitivity_over_premises_that_repeat_a_name_is_rejected(
     ]
 
 
+def test_stored_middle_context_that_repeats_a_name_is_rejected(
+        tmp_path, capsys):
+    # the reader keeps the stored middle context as (name, type) entries, so
+    # the repeated name reaches the checker instead of failing to parse
+    text = (FIXTURES / "galois_unit.gttd").read_text()
+    mid = "        (ctx\n          (z {Nat}))"
+    assert text.count(mid) == 1
+    path = tmp_path / "dup_mid.gttd"
+    path.write_text(text.replace(mid, mid[:-1] + "\n          (z {Nat}))"))
+    code, out = run_cli("prove", path, capsys=capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "RESULT FAIL derivation 0 (comp)",
+        "  root.0: trans: stored middle judgment disagrees with the premises",
+    ]
+
+
 def test_derive_with_the_wrong_number_of_parameters_is_exit_2(capsys):
     code, err = run_cli_err("derive", "galois_unit", "Nat", capsys=capsys)
     assert code == 2

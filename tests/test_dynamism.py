@@ -187,6 +187,23 @@ def test_trans_stored_middle_is_validated():
     assert any("middle judgment" in e for e in errs)
 
 
+def test_trans_stored_middle_that_repeats_a_name_is_rejected():
+    # renaming pairs the stored middle context with the first premise's right
+    # side by position: z, z against z, w maps z to w, and the stored z then
+    # matches the premise's w, so only the explicit name check rejects it
+    phi1 = DynCtx.of(("x", "z", NAT, NAT), ("y", "w", NAT, NAT))
+    phi2 = DynCtx.of(("z", "z'", NAT, NAT), ("w", "w'", NAT, NAT))
+    good = trans_node(var_node(phi1, 1), var_node(phi2, 1))
+    assert good.aux == ((("z", NAT), ("w", NAT)), Var("w"), NAT)
+    assert derivation_errors(SIG, good) == []
+    tampered = Derivation("trans", good.conclusion, good.premises,
+                          aux=((("z", NAT), ("z", NAT)), Var("z"), NAT))
+    assert derivation_errors(SIG, tampered) == [
+        "root: trans: stored middle judgment disagrees with the premises"]
+    assert _outcome(derivation_errors_reference, SIG, tampered) == (
+        "ContextError", "duplicate variable in context: ['z', 'z']")
+
+
 # -- sequent-style rules ---------------------------------------------------------
 
 def test_ul_s_example():

@@ -12,6 +12,7 @@ from gtt.typecheck import DynCtx, Signature, default_signature, enumerate_types
 from gtt.dynamism import DynJudgment
 from gtt.theorems import theorem_instances
 from gtt.elaborate import elaborate
+from gtt import model
 from gtt.model import (
     ERR_LEAF, Coreflection, FnVal, ModelError, NatLeaf, NatVal, Node,
     PairVal, TreeVal, UNIT_SEM, check_equipment, check_judgment_semantics,
@@ -193,6 +194,30 @@ def test_equipment_catches_broken_coreflection():
         SIG._model_cache.pop(("coref", NAT, DYN))
 
 
+def _equipment_with(a, b, up, dn):
+    sig = default_signature()
+    sig._model_cache[("coref", a, b)] = Coreflection(a, b, up, dn)
+    return check_equipment(sig, a, b, bound=2)
+
+
+def test_equipment_reports_a_map_that_is_not_monotone():
+    # both maps pass the retraction and the deflation laws, and then one of
+    # them breaks monotonicity first at the reported pair
+    ups = {None: TreeVal(NatLeaf(0)), 0: TreeVal(ERR_LEAF), 1: TreeVal(NatLeaf(1))}
+    report = _equipment_with(
+        NAT, DYN, lambda v: ups[v.n],
+        lambda w: {NatLeaf(0): NatVal(None), NatLeaf(1): NatVal(1)}.get(
+            w.tree, NatVal(0)))
+    assert (report.passed, report.checks, report.counterexample) == (
+        False, 17, "up not monotone at err <= 0")
+    pair = Prod(NAT, NAT)
+    report = _equipment_with(
+        NAT, pair, lambda v: PairVal(v, NatVal(None)),
+        lambda w: w.fst if w.snd == NatVal(None) else NatVal(None))
+    assert (report.passed, report.checks, report.counterexample) == (
+        False, 34, "dn not monotone at (0 , err) <= (0 , 0)")
+
+
 # -- judgment semantics ---------------------------------------------------------------
 
 def test_judgment_err_below_zero():
@@ -277,39 +302,130 @@ def test_eval_matches_the_term_walker_on_closed_first_order_terms():
     assert values > 400
 
 
-def _same_report(j):
-    report = check_judgment_semantics(SIG, j, 2)
-    want = check_judgment_semantics_reference(SIG, j, 2)
-    assert ((report.passed, report.checks, report.counterexample)
-            == (want.passed, want.checks, want.counterexample)), j
-    return report
+def _same_report(j, sig=SIG):
+    """The report, or the ``ModelError`` and its message, which must be the
+    reference's."""
+    got = _outcome(lambda: check_judgment_semantics(sig, j, 2))
+    want = _outcome(lambda: check_judgment_semantics_reference(sig, j, 2))
+    assert got == want, j
+    return got
+
+
+# Nat and Color with disjoint code ranges: at bound 2, Nat has the values
+# err and 0 and Color has err, 0 and 1.  The model does not type its terms,
+# so ``up[Nat => ?]`` of a Color variable raises exactly where the variable
+# is 1: an evaluation error that depends on the environment.
+CODED = Signature(base_types=("Nat", "Color"),
+                  base_codes={"Nat": (0, 1), "Color": (1, 3)})
+COLOR = parse_type("Color")
+
+
+def _raising_at_1(x):
+    return Upcast(NAT, DYN, Var(x))
+
+
+def _memo_cases():
+    """Two-entry judgments whose left or right term raises in some
+    environments only, each with its outcome: the first counterexample, or
+    the error when an environment that raises comes first."""
+    xy = DynCtx.of(("x", "x'", COLOR, COLOR), ("y", "y'", NAT, NAT))
+    yx = DynCtx.of(("y", "y'", NAT, NAT), ("x", "x'", COLOR, COLOR))
+    nd = Prod(NAT, DYN)
+    error = ("ModelError", "value 1 exceeds the code range of Nat")
+    return [
+        # the right term raises at x' = 1, after the counterexample at y = 0
+        (DynJudgment(xy, Pair(Var("y"), Err(DYN)),
+                     Pair(Err(NAT), _raising_at_1("x'")), nd, nd),
+         "[x=err, y=0, x''=err, y''=0] gives (0 , err) not below (err , err)"),
+        # the right term raises at x' = 1, before the counterexample at x = 0
+        (DynJudgment(xy, Pair(Err(NAT), Upcast(COLOR, DYN, Var("x"))),
+                     Pair(Var("y'"), _raising_at_1("x'")), nd, nd),
+         error),
+        # the left term raises at x = 1, after the counterexample at x = 0
+        (DynJudgment(yx, Pair(Var("y"), _raising_at_1("x")),
+                     Pair(Var("y'"), Err(DYN)), nd, nd),
+         "[y=err, x=0, y''=err, x''=0] gives (err , 0) not below (err , err)"),
+        # the left term raises at x = 1, before the counterexample at y = 0
+        (DynJudgment(yx, Pair(Var("y"), _raising_at_1("x")),
+                     Pair(Err(NAT), Upcast(NAT, DYN, num(0))), nd, nd),
+         error),
+    ]
 
 
 def _non_theorems():
-    """The three of acceptance criterion 5, and one whose first
-    counterexample shows the order in which environments are tried."""
+    """The three of acceptance criterion 5, one whose first
+    counterexample shows the order in which environments are tried, and the
+    memo cases above."""
     phi = DynCtx.of(("x", "x'", NAT, NAT))
     mismatch_right = Upcast(Prod(DYN, DYN), DYN,
                             Upcast(Prod(NAT, NAT), Prod(DYN, DYN),
                                    Pair(Var("x'"), Var("x'"))))
     phi2 = DynCtx.of(("x", "x'", NAT, NAT), ("y", "y'", NAT, NAT))
-    return [
+    return [(SIG, j) for j in [
         DynJudgment(DynCtx(), num(0), Err(NAT), NAT, NAT),
         DynJudgment(phi, Upcast(NAT, DYN, Var("x")), mismatch_right, DYN, DYN),
         DynJudgment(phi2, Pair(Var("x"), Var("y")), Pair(Var("y'"), Var("x'")),
                     Prod(NAT, NAT), Prod(NAT, NAT)),
         DynJudgment(DynCtx.of(("x", "x'", NAT, NAT), ("y", "y'", DYN, DYN)),
                     Var("y"), Err(DYN), DYN, DYN),
-    ]
+    ]] + [(CODED, j) for j, _ in _memo_cases()]
 
 
-def test_reports_match_the_term_walker_on_the_corpus_and_non_theorems():
-    judgments = [d.conclusion for _, _, ds in theorem_instances(SIG, 3)
-                 for d in ds if derivation_first_order(d)]
-    assert len(judgments) == 1912
-    assert sum(_same_report(j).checks for j in judgments) == 357_244
-    for j in _non_theorems():
-        assert not _same_report(j).passed
+@pytest.fixture(scope="module")
+def corpus_judgments():
+    return [d.conclusion for _, _, ds in theorem_instances(SIG, 3)
+            for d in ds if derivation_first_order(d)]
+
+
+def test_reports_match_the_term_walker_on_the_corpus_and_non_theorems(
+        corpus_judgments):
+    assert len(corpus_judgments) == 1912
+    assert sum(_same_report(j).checks for j in corpus_judgments) == 357_244
+    for sig, j in _non_theorems():
+        outcome = _same_report(j, sig)
+        assert isinstance(outcome, tuple) or not outcome.passed, j
+
+
+def test_evaluation_errors_keep_their_pair_under_the_memo():
+    for j, want in _memo_cases():
+        got = _outcome(lambda: check_judgment_semantics(CODED, j, 2))
+        if isinstance(want, tuple):
+            assert got == want, j
+        else:
+            assert not got.passed and got.counterexample == want, j
+
+
+def test_each_distinct_environment_is_evaluated_once(
+        corpus_judgments, monkeypatch):
+    # wrap only the two closures that the judgment check compiles itself,
+    # not those that compile_term builds for subterms
+    compile_term = model.compile_term
+    runs = []
+    depth = 0
+
+    def counting_compile(sig, t):
+        nonlocal depth
+        depth += 1
+        try:
+            closure = compile_term(sig, t)
+        finally:
+            depth -= 1
+        if depth:
+            return closure
+        slot = len(runs)
+        runs.append(0)
+
+        def run(env):
+            runs[slot] += 1
+            return closure(env)
+        return run
+
+    monkeypatch.setattr(model, "compile_term", counting_compile)
+    checks = sum(check_judgment_semantics(SIG, j, 2).checks
+                 for j in corpus_judgments)
+    assert len(runs) == 2 * len(corpus_judgments)
+    assert checks == 357_244
+    assert (sum(runs[0::2]), sum(runs[1::2])) == (37_594, 71_152)
 
 
 def test_evaluation_errors_stay_lazy():
