@@ -3,8 +3,9 @@
 Five layers: ``syntax`` (terms, types, substitution), ``typecheck``
 (signatures, typing, type dynamism), ``dynamism`` plus ``theorems``
 (derivation checking and the derived cast theorems), ``elaborate``
-(contract translation and normalization) and ``model`` (the finite-tree
-denotational semantics).  ``cli`` ties them together over text files.
+(contract translation and normalization) and ``model`` (the denotational
+semantics, in which ``?`` is a sum of the other types' values).  ``cli``
+ties them together over text files.
 """
 
 from .syntax import (
@@ -23,9 +24,8 @@ from .dynamism import (
 from .theorems import derive_theorem, theorem_instances
 from .elaborate import elaborate, equal_terms, normalize, oblique_cast
 from .model import (
-    Coreflection, ErrLeaf, NatLeaf, Node, Tree, check_equipment,
-    check_judgment_semantics, denote_coreflection, eval_term, tree_leq,
-    value_leq,
+    Coreflection, check_equipment, check_judgment_semantics,
+    denote_coreflection, eval_term, value_leq,
 )
 
 __version__ = "0.1.0"

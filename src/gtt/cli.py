@@ -13,10 +13,9 @@ import argparse
 import sys
 import traceback
 
-from .syntax import Context, GttError, base_names
+from .syntax import GttError, base_names
 from .grammar import (
-    context_to_text, parse_signature, parse_term_file, parse_type,
-    term_to_text, type_to_text,
+    parse_signature, parse_term_file, parse_type, term_to_text, type_to_text,
 )
 from .typecheck import (
     DynCtx, Signature, default_signature, enumerate_types, infer_type,
@@ -26,8 +25,8 @@ from .dynamism import DynJudgment, check_derivation, derivation_errors
 from .derivio import derivations_to_text, parse_derivations
 from .elaborate import elaborate, equal_terms, normalize
 from .model import (
-    ModelError, check_equipment, check_judgment_semantics, enumerate_values,
-    eval_term, first_order, model_signature, value_to_text,
+    ModelError, check_equipment, check_judgment_semantics, eval_term,
+    first_order, model_signature, value_to_text,
 )
 from .theorems import derive_theorem, theorem_instances, REDUCTION_THEOREMS
 

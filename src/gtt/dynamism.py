@@ -33,15 +33,15 @@ The derived sequent-style rules (``ur_s`` etc.) and everything in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from .syntax import (
-    App, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
-    Proj, Term, Type, Unit, UNIT, UnitVal, UNITVAL, Upcast, Var, alpha_eq,
+    App, Context, Downcast, DYN, Err, Fn, GttError, Lam, Pair, Prod,
+    Proj, Term, Type, UNIT, UNITVAL, Upcast, Var, alpha_eq,
     free_vars, fresh_name, subst1, substitute,
 )
 from .typecheck import (
-    DynCtx, Signature, TypeCheckError, _infer, check_dynctx_wf, infer_type,
+    DynCtx, Signature, _infer, check_dynctx_wf, infer_type,
     tydyn_holds,
 )
 
@@ -72,15 +72,6 @@ class Derivation:
     aux: Any = None
 
 
-RULES = frozenset({
-    "var", "comp", "refl", "trans", "ax",
-    "ur", "ul", "dl", "dr", "retract", "err-bot",
-    "lam-mon", "app-mon", "pair-mon", "prj-mon",
-    "fn-beta", "fn-eta", "prod-beta", "prod-eta", "unit-eta",
-    "disjoint",
-})
-
-
 # ---------------------------------------------------------------------------
 # Checking
 # ---------------------------------------------------------------------------
@@ -104,7 +95,7 @@ def _check_node(sig: Signature, d: Derivation, path: str, errors: list[str]):
     if pres:
         errors.extend(f"{path}: {d.rule}: {msg}" for msg in pres)
         return
-    if d.rule not in RULES:
+    if d.rule not in _SCHEMA:
         errors.append(f"{path}: unknown rule {d.rule!r}")
         return
     for msg in _SCHEMA[d.rule](sig, d):

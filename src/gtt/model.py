@@ -1,16 +1,19 @@
-"""A pointed-preorder model over finite binary trees.
+"""A pointed-preorder model in which ``?`` is a sum of the other types.
 
-The dynamic type denotes finite binary trees whose leaves are naturals or
-the error leaf; the order lets any subtree collapse to the error leaf.
 Types denote pointed preorders: naturals-with-error for base types,
-componentwise pairs, a one-point unit, monotone maps for functions, and
-the trees for ``?``.  Every derivable dynamism pair carries a coreflection
-(an upcast whose downcast retracts it), with first-order types embedding
-into the trees via tag injections:
+componentwise pairs, a one-point unit and monotone maps for functions.
+The dynamic type solves ``D = N + D * D`` with one value domain: its
+error is the base types' error ``NatVal(None)``, a leaf is a ``NatVal``
+and a node is a ``PairVal`` of two values of ``?``, so its values are
+finite binary trees whose order lets any subtree collapse to the error.
+Every derivable dynamism pair carries a coreflection (an upcast whose
+downcast retracts it), with first-order types embedding into ``?`` by the
+ground tags of its summands:
 
 * a base value ``n`` becomes the leaf ``n`` (shifted by its code range),
-* a pair becomes a node of the embedded components,
-* the unit value embeds as the error leaf itself,
+* a value of ``? * ?`` is itself a node, except that the pair of errors
+  glues to the error,
+* the unit value embeds as the error itself,
 * downcasts strip the matching tag and error out on anything else.
 
 The dynamic type has no function summand, so function types never sit
@@ -21,9 +24,9 @@ bound and say so, proving nothing beyond it.
 Terms and orders are compiled, not interpreted: ``compile_term`` turns a
 term into a closure over the environment once, each cast finding its
 coreflection map on first use, and ``order_at`` builds each type's order
-once per bound.  A judgment check compiles its two terms and its
-cross-type order once and walks every related pair of environments, but
-it evaluates each term once per distinct environment of its side: the
+once per bound.  A judgment check compiles its two terms once and walks
+every related pair of environments, but it evaluates each term, and
+upcasts each left value, once per distinct environment of its side: the
 values are memoized per call, keyed by their positions in
 ``enumerate_values``, and computed at the first pair that needs them, so
 an evaluation error is raised at the same pair as without the memo.  An
@@ -41,62 +44,12 @@ from .syntax import (
     App, Base, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
     Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var,
 )
-from .typecheck import DynCtx, Signature, first_order, tydyn_holds
+from .typecheck import Signature, first_order, tydyn_holds
 from .dynamism import Derivation, DynJudgment
 
 
 class ModelError(GttError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Trees: the dynamic type
-# ---------------------------------------------------------------------------
-
-class Tree:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class ErrLeaf(Tree):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class NatLeaf(Tree):
-    n: int
-
-
-@dataclass(frozen=True, slots=True)
-class Node(Tree):
-    left: Tree
-    right: Tree
-
-
-ERR_LEAF = ErrLeaf()
-
-
-def tree_leq(a: Tree, b: Tree) -> bool:
-    """``a`` is below ``b`` when it arises by replacing subtrees of ``b``
-    with the error leaf."""
-    if isinstance(a, ErrLeaf):
-        return True
-    if isinstance(a, NatLeaf):
-        return isinstance(b, NatLeaf) and a.n == b.n
-    if isinstance(a, Node):
-        return (isinstance(b, Node) and tree_leq(a.left, b.left)
-                and tree_leq(a.right, b.right))
-    return False
-
-
-def tree_to_text(t: Tree) -> str:
-    match t:
-        case ErrLeaf():
-            return "err"
-        case NatLeaf(n):
-            return str(n)
-        case Node(l, r):
-            return f"({tree_to_text(l)} , {tree_to_text(r)})"
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +61,9 @@ class SemValue:
 
 
 @dataclass(frozen=True, slots=True)
-class TreeVal(SemValue):
-    tree: Tree
-
-
-@dataclass(frozen=True, slots=True)
 class NatVal(SemValue):
-    """A base-type value: a natural, or None for the error."""
+    """A base-type value or a leaf of ``?``: a natural, or None for the
+    error."""
     n: Optional[int]
 
 
@@ -130,6 +79,7 @@ class UnitValSem(SemValue):
 
 
 UNIT_SEM = UnitValSem()
+ERR_SEM = NatVal(None)  # the error of a base type and of ``?``
 
 
 class FnVal(SemValue):
@@ -146,8 +96,6 @@ class FnVal(SemValue):
 
 def least_value(sig: Signature, ty: Type) -> SemValue:
     match ty:
-        case Base(_):
-            return NatVal(None)
         case Unit():
             return UNIT_SEM
         case Prod(a, b):
@@ -156,7 +104,7 @@ def least_value(sig: Signature, ty: Type) -> SemValue:
             bottom = least_value(sig, cod)
             return FnVal(lambda _v: bottom)
         case _:
-            return TreeVal(ERR_LEAF)
+            return ERR_SEM
 
 
 def denotable(sig: Signature, ty: Type) -> bool:
@@ -223,7 +171,16 @@ def _compile_order(sig: Signature, ty: Type, bound: int) -> Order:
             return lambda v, w: all(leq_cod(v(arg), w(arg))
                                     for arg in enumerate_values(sig, dom, bound))
         case _:
-            return lambda v, w: tree_leq(v.tree, w.tree)
+            return _dyn_leq
+
+
+def _dyn_leq(v: SemValue, w: SemValue) -> bool:
+    """The order at ``?``: ``v`` is below ``w`` when it arises by replacing
+    subtrees of ``w`` with the error."""
+    if type(v) is PairVal:
+        return (type(w) is PairVal and _dyn_leq(v.fst, w.fst)
+                and _dyn_leq(v.snd, w.snd))
+    return v.n is None or (type(w) is NatVal and w.n == v.n)
 
 
 def value_leq_at(sig: Signature, ty: Type, v: SemValue, w: SemValue,
@@ -232,23 +189,9 @@ def value_leq_at(sig: Signature, ty: Type, v: SemValue, w: SemValue,
     return order_at(sig, ty, bound)(v, w)
 
 
-def enumerate_trees(bound: int, leaves: tuple[int, ...] | None = None) -> list[Tree]:
-    """All trees of depth at most ``bound`` with the error leaf and the
-    given natural leaves (default ``0 .. bound-1``)."""
-    if leaves is None:
-        leaves = tuple(range(bound))
-    level: list[Tree] = [ERR_LEAF] + [NatLeaf(n) for n in leaves]
-    out = list(level)
-    for _ in range(bound - 1):
-        level = [Node(a, b) for a in out for b in out]
-        fresh = [t for t in level if t not in out]
-        out.extend(fresh)
-    return out
-
-
 def enumerate_values(sig: Signature, ty: Type, bound: int = 2) -> list[SemValue]:
-    """All values of a function-free type within the bound (leaf values
-    below ``bound``, tree depth at most ``bound``)."""
+    """All values of a function-free type within the bound: naturals below
+    ``bound``, and at ``?`` pairs nested at most ``bound - 1`` deep."""
     key = ("values", ty, bound)
     cached = sig._model_cache.get(key)
     if cached is None:
@@ -275,7 +218,20 @@ def _enumerate_values(sig: Signature, ty: Type, bound: int) -> list[SemValue]:
         case Fn(_, _):
             raise ModelError("cannot enumerate a function space")
         case _:
-            return [TreeVal(t) for t in enumerate_trees(bound)]
+            return _enumerate_dyn(bound)
+
+
+def _enumerate_dyn(bound: int) -> list[SemValue]:
+    """The error and the leaves ``0 .. bound-1``, then each round the new
+    pairs of everything so far, the first component varying slowest."""
+    out: list[SemValue] = [ERR_SEM] + [NatVal(n) for n in range(bound)]
+    seen = set(out)
+    for _ in range(bound - 1):
+        fresh = [p for a in out for b in out
+                 if (p := PairVal(a, b)) not in seen]
+        seen.update(fresh)
+        out.extend(fresh)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +258,7 @@ class Coreflection:
 
 
 def _tag_coreflection(sig: Signature, ground: Type) -> Coreflection:
-    """The chosen embedding of a ground tag into the trees."""
+    """The chosen embedding of a ground tag into ``?``."""
     match ground:
         case Base(name):
             rng = _base_range(sig, name)
@@ -313,37 +269,29 @@ def _tag_coreflection(sig: Signature, ground: Type) -> Coreflection:
 
             def up(v: SemValue) -> SemValue:
                 if v.n is None:
-                    return TreeVal(ERR_LEAF)
+                    return ERR_SEM
                 if lo + v.n >= hi:
                     raise ModelError(f"value {v.n} exceeds the code range of {name}")
-                return TreeVal(NatLeaf(lo + v.n))
+                return NatVal(lo + v.n)
 
             def dn(v: SemValue) -> SemValue:
-                match v.tree:
-                    case NatLeaf(m) if lo <= m < hi:
+                match v:
+                    case NatVal(int(m)) if lo <= m < hi:
                         return NatVal(m - lo)
                     case _:
-                        return NatVal(None)
+                        return ERR_SEM
 
             return Coreflection(ground, DYN, up, dn)
         case Prod(a, b) if a == DYN and b == DYN:
-            def up_pair(v: SemValue) -> SemValue:
-                l, r = v.fst.tree, v.snd.tree
-                if l == ERR_LEAF and r == ERR_LEAF:
-                    return TreeVal(ERR_LEAF)  # the wedge glues the two bottoms
-                return TreeVal(Node(l, r))
-
-            def dn_pair(v: SemValue) -> SemValue:
-                match v.tree:
-                    case Node(l, r):
-                        return PairVal(TreeVal(l), TreeVal(r))
-                    case _:
-                        return PairVal(TreeVal(ERR_LEAF), TreeVal(ERR_LEAF))
-
-            return Coreflection(ground, DYN, up_pair, dn_pair)
+            bottom = PairVal(ERR_SEM, ERR_SEM)
+            return Coreflection(
+                ground, DYN,
+                # the wedge glues the two bottoms
+                lambda v: ERR_SEM if v == bottom else v,
+                lambda v: v if type(v) is PairVal else bottom)
         case Unit():
             return Coreflection(UNIT, DYN,
-                                lambda _v: TreeVal(ERR_LEAF),
+                                lambda _v: ERR_SEM,
                                 lambda _v: UNIT_SEM)
         case _:
             raise ModelError(f"type {ground} has no tag in the dynamic type")
@@ -473,8 +421,6 @@ def eval_term(sig: Signature, env: Env, t: Term) -> SemValue:
 
 def value_to_text(v: SemValue) -> str:
     match v:
-        case TreeVal(t):
-            return tree_to_text(t)
         case NatVal(None):
             return "err"
         case NatVal(n):
@@ -615,7 +561,7 @@ def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> 
     if not (first_order(j.type_left) and first_order(j.type_right)):
         raise ModelError("judgment endpoint types mention function types")
     left, right = compile_term(sig, j.left), compile_term(sig, j.right)
-    leq = cross_order(sig, j.type_left, j.type_right, bound)
+    leq = order_at(sig, j.type_right, bound)
 
     def env_at(names: list[str], types: list[Type]) -> Callable[[tuple], Env]:
         """A side's environment from the positions of its values."""
@@ -626,6 +572,11 @@ def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> 
     right_env = env_at([e[1] for e in j.phi], [e[3] for e in j.phi])
     lmemo: dict = {}  # a side's values by environment key, for this call
     rmemo: dict = {}
+    # the left values cast up to the right type, by the same keys (with
+    # one type the cast is the identity, so they are the left values); the
+    # coreflection is looked up at the first pair that compares
+    umemo = lmemo if j.type_left == j.type_right else {}
+    up = None
     checks = 0
     for combo in product(*[related_indices(sig, tl, tr, bound)
                            for _, _, tl, tr in j.phi]):
@@ -636,8 +587,13 @@ def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> 
         rv = rmemo.get(rkey)
         if rv is None:
             rv = rmemo[rkey] = right(right_env(rkey))
+        uv = umemo.get(lkey)
+        if uv is None:
+            if up is None:
+                up = denote_coreflection(sig, j.type_left, j.type_right).up
+            uv = umemo[lkey] = up(lv)
         checks += 1
-        if not leq(lv, rv):
+        if not leq(uv, rv):
             env_text = ", ".join(
                 f"{x}={value_to_text(v)}" for x, v in
                 list(left_env(lkey).items())

@@ -3,8 +3,9 @@
 These deliberately take different routes from the library code they
 check: type dynamism by a bounded search for derivations that may use
 transitivity, alpha equivalence by brute-force canonical renaming,
-substitution through a nameless (de Bruijn) representation, the tree
-order by enumerating every subtree replacement, s-expressions by
+substitution through a nameless (de Bruijn) representation, the order
+at ``?`` by enumerating every subtree replacement and its values by
+rounds deduplicated through list membership, s-expressions by
 recursive descent, tokens by matching at each position, derivation files
 through an s-expression tree that renders every type and term at each
 occurrence, theorem instances by deriving every parameter tuple
@@ -17,9 +18,10 @@ every context rebuilt and checked again for each side of each judgment.
 
 from __future__ import annotations
 
+import functools
 import re
 
-from gtt.dynamism import RULES, _SCHEMA, Derivation, DynJudgment
+from gtt.dynamism import _SCHEMA, Derivation, DynJudgment
 from gtt.elaborate import _Fuel, _unrelated_grounds
 from gtt.grammar import ParseError, SexpList, term_to_text, type_to_text
 from gtt.syntax import (
@@ -28,9 +30,8 @@ from gtt.syntax import (
     subst1, substitute,
 )
 from gtt.model import (
-    ErrLeaf, ERR_LEAF, FnVal, ModelError, NatLeaf, NatVal, Node, PairVal,
-    Report, Tree, UNIT_SEM, denote_coreflection, enumerate_values,
-    least_value, tree_leq, value_to_text,
+    FnVal, ModelError, NatVal, PairVal, Report, SemValue, UNIT_SEM,
+    denote_coreflection, enumerate_values, least_value, value_to_text,
 )
 from gtt.syntax import Base, Fn, Prod, Unit, contains_fn, type_size
 from gtt.theorems import (
@@ -220,25 +221,39 @@ def subst_nameless(t: object, images: dict[str, object]) -> object:
     return go(t, 0)
 
 
-# -- tree order by enumerating subtree replacements --------------------------
+# -- the values of ? and their order by subtree replacement --------------------
 
-def replacements(t: Tree) -> set[Tree]:
-    """Every tree obtained by replacing some subtrees of ``t`` with the
-    error leaf."""
-    match t:
-        case ErrLeaf():
-            return {ERR_LEAF}
-        case NatLeaf(_):
-            return {t, ERR_LEAF}
-        case Node(l, r):
-            out = {Node(a, b) for a in replacements(l) for b in replacements(r)}
-            out.add(ERR_LEAF)
-            return out
-    raise AssertionError(t)
+@functools.cache
+def replacements(v: SemValue) -> frozenset[SemValue]:
+    """Every value of ``?`` obtained by replacing some subtrees of ``v``
+    (a leaf ``NatVal`` or a node ``PairVal``) with the error."""
+    match v:
+        case NatVal(None):
+            return frozenset({v})
+        case NatVal(_):
+            return frozenset({v, NatVal(None)})
+        case PairVal(l, r):
+            return frozenset({PairVal(a, b) for a in replacements(l)
+                              for b in replacements(r)} | {NatVal(None)})
+    raise AssertionError(v)
 
 
-def tree_leq_oracle(a: Tree, b: Tree) -> bool:
-    return a in replacements(b)
+def dyn_leq_oracle(v: SemValue, w: SemValue) -> bool:
+    return v in replacements(w)
+
+
+def enumerate_dyn_reference(bound: int, leaves: tuple[int, ...] | None = None
+                            ) -> list[SemValue]:
+    """The values of ``?`` of depth at most ``bound`` over the error and
+    the given leaves (default ``0 .. bound-1``): each round appends the
+    pairs of everything so far that are not yet in the list."""
+    if leaves is None:
+        leaves = tuple(range(bound))
+    out = [NatVal(None)] + [NatVal(n) for n in leaves]
+    for _ in range(bound - 1):
+        level = [PairVal(a, b) for a in out for b in out]
+        out.extend([v for v in level if v not in out])
+    return out
 
 
 # -- s-expressions by recursive descent ---------------------------------------
@@ -517,7 +532,7 @@ def value_leq_at_reference(sig, ty, v, w, bound: int = 2) -> bool:
             return all(value_leq_at_reference(sig, cod, v(arg), w(arg), bound)
                        for arg in enumerate_values(sig, dom, bound))
         case _:
-            return tree_leq(v.tree, w.tree)
+            return dyn_leq_oracle(v, w)
 
 
 def value_leq_reference(sig, a, b, v, w, bound: int = 2) -> bool:
@@ -815,7 +830,7 @@ def _check_node_reference(sig: Signature, d: Derivation, path: str, errors: list
     if pres:
         errors.extend(f"{path}: {d.rule}: {msg}" for msg in pres)
         return
-    if d.rule not in RULES:
+    if d.rule not in _SCHEMA:
         errors.append(f"{path}: unknown rule {d.rule!r}")
         return
     for msg in _SCHEMA_REFERENCE[d.rule](sig, d):

@@ -20,14 +20,14 @@ from gtt.dynamism import DynJudgment, check_derivation, derivation_errors
 from gtt.elaborate import elaborate, equal_terms, is_elaborated, normalize
 from gtt.model import (
     check_equipment, check_judgment_semantics, derivation_first_order,
-    enumerate_trees, eval_term, first_order, least_value, model_signature,
-    tydyn_holds,
+    eval_term, first_order, least_value, model_signature, tydyn_holds,
+    value_leq_at,
 )
 from gtt.theorems import (
     REDUCTION_THEOREMS, conclusion_equation, derive_theorem, theorem_instances,
 )
 
-from oracles import tree_leq_oracle
+from oracles import dyn_leq_oracle, enumerate_dyn_reference
 from termgen import gen_welltyped
 
 SIG = default_signature()
@@ -81,13 +81,13 @@ def test_criterion_2_reduction_coherence(corpus):
 
 def test_criterion_3_tree_order_oracle():
     start = time.perf_counter()
-    from gtt.model import tree_leq
-    trees = enumerate_trees(3, leaves=(0, 1))
+    # the 147 values of ? of depth at most 3 over the leaves 0 and 1
+    values = enumerate_dyn_reference(3, leaves=(0, 1))
     pairs = agreements = 0
-    for a in trees:
-        for b in trees:
+    for a in values:
+        for b in values:
             pairs += 1
-            if tree_leq(a, b) == tree_leq_oracle(a, b):
+            if value_leq_at(SIG, DYN, a, b, 3) == dyn_leq_oracle(a, b):
                 agreements += 1
     elapsed = time.perf_counter() - start
     ok = pairs > 1000 and agreements == pairs and elapsed < 10.0

@@ -14,80 +14,106 @@ from gtt.theorems import theorem_instances
 from gtt.elaborate import elaborate
 from gtt import model
 from gtt.model import (
-    ERR_LEAF, Coreflection, FnVal, ModelError, NatLeaf, NatVal, Node,
-    PairVal, TreeVal, UNIT_SEM, check_equipment, check_judgment_semantics,
-    denote_coreflection, derivation_first_order, enumerate_trees,
-    enumerate_values, eval_term, first_order, least_value, model_signature,
-    tree_leq, tydyn_holds, value_leq, value_leq_at, value_to_text,
+    ERR_SEM, Coreflection, FnVal, ModelError, NatVal, PairVal, UNIT_SEM,
+    check_equipment, check_judgment_semantics, denote_coreflection,
+    derivation_first_order, enumerate_values, eval_term, first_order,
+    least_value, model_signature, tydyn_holds, value_leq,
+    value_leq_at, value_to_text,
 )
 
 from oracles import (
-    check_judgment_semantics_reference, eval_term_reference, tree_leq_oracle,
-    value_leq_at_reference,
+    check_judgment_semantics_reference, dyn_leq_oracle,
+    enumerate_dyn_reference, eval_term_reference, value_leq_at_reference,
 )
 from termgen import gen_term
 
 SIG = default_signature()
 
+# the values of ?: the error, leaves and nodes
+ERR, L0, L1 = NatVal(None), NatVal(0), NatVal(1)
 
-# -- tree order ------------------------------------------------------------------
+
+def _dyn_leq(v, w):
+    return value_leq_at(SIG, DYN, v, w, 3)
+
+
+# -- the order at ? ----------------------------------------------------------------
 
 def test_tree_leq_examples():
-    assert tree_leq(ERR_LEAF, Node(NatLeaf(0), ERR_LEAF))
-    assert tree_leq(Node(NatLeaf(0), ERR_LEAF), Node(NatLeaf(0), NatLeaf(1)))
-    assert not tree_leq(Node(ERR_LEAF, ERR_LEAF), NatLeaf(0))
+    assert _dyn_leq(ERR, PairVal(L0, ERR))
+    assert _dyn_leq(PairVal(L0, ERR), PairVal(L0, L1))
+    assert not _dyn_leq(PairVal(ERR, ERR), L0)
     # the replacement oracle agrees on the last one: replacements of a
     # leaf are just the leaf and the error
-    assert not tree_leq_oracle(Node(ERR_LEAF, ERR_LEAF), NatLeaf(0))
+    assert not dyn_leq_oracle(PairVal(ERR, ERR), L0)
+
+
+def _depth3_values():
+    """The 147 values of ? of depth at most 3 over the leaves 0 and 1."""
+    values = enumerate_dyn_reference(3, leaves=(0, 1))
+    assert len(values) == 147
+    return values
 
 
 def test_tree_leq_matches_replacement_oracle_depth3():
-    trees = enumerate_trees(3, leaves=(0, 1))
-    assert len(trees) > 100
-    for a in trees:
-        for b in trees:
-            assert tree_leq(a, b) == tree_leq_oracle(a, b), (a, b)
+    values = _depth3_values()
+    for a in values:
+        for b in values:
+            assert _dyn_leq(a, b) == dyn_leq_oracle(a, b), (a, b)
 
 
 def test_tree_leq_partial_order_depth3():
-    trees = enumerate_trees(3, leaves=(0, 1))
-    for a in trees:
-        assert tree_leq(a, a)
-    downs = {b: [a for a in trees if tree_leq(a, b)] for b in trees}
-    for b in trees:
+    values = _depth3_values()
+    for a in values:
+        assert _dyn_leq(a, a)
+    downs = {b: [a for a in values if _dyn_leq(a, b)] for b in values}
+    for b in values:
         for a in downs[b]:
-            if tree_leq(b, a):
+            if _dyn_leq(b, a):
                 assert a == b  # antisymmetry
             for c in downs[a]:
-                assert tree_leq(c, b)  # transitivity
+                assert _dyn_leq(c, b)  # transitivity
+
+
+def test_dyn_values_are_enumerated_in_the_reference_order():
+    for bound, count in [(2, 12), (3, 404)]:
+        values = enumerate_values(SIG, DYN, bound)
+        assert len(values) == count
+        assert values == enumerate_dyn_reference(bound)
+    assert enumerate_values(SIG, DYN, 2)[:6] == [
+        ERR, L0, L1, PairVal(ERR, ERR), PairVal(ERR, L0), PairVal(ERR, L1)]
+    assert least_value(SIG, DYN) is ERR_SEM
 
 
 # -- coreflections ------------------------------------------------------------------
 
 def test_nat_tag():
     c = denote_coreflection(SIG, NAT, DYN)
-    assert c.up(NatVal(3)) == TreeVal(NatLeaf(3))
-    assert c.dn(TreeVal(Node(ERR_LEAF, ERR_LEAF))) == NatVal(None)
-    assert c.dn(TreeVal(NatLeaf(7))) == NatVal(7)
+    assert c.up(NatVal(3)) == NatVal(3)
+    assert c.dn(PairVal(ERR, ERR)) == NatVal(None)
+    assert c.dn(NatVal(7)) == NatVal(7)
 
 
 def test_pair_embedding_composes():
     c = denote_coreflection(SIG, Prod(NAT, NAT), DYN)
-    assert c.up(PairVal(NatVal(0), NatVal(1))) == TreeVal(Node(NatLeaf(0), NatLeaf(1)))
-    assert c.dn(TreeVal(NatLeaf(5))) == PairVal(NatVal(None), NatVal(None))
+    assert c.up(PairVal(NatVal(0), NatVal(1))) == PairVal(L0, L1)
+    assert c.dn(NatVal(5)) == PairVal(NatVal(None), NatVal(None))
 
 
 def test_unit_embeds_as_error_leaf():
     c = denote_coreflection(SIG, UNIT, DYN)
-    assert c.up(UNIT_SEM) == TreeVal(ERR_LEAF)
-    assert c.dn(TreeVal(NatLeaf(0))) == UNIT_SEM
+    assert c.up(UNIT_SEM) == ERR
+    assert c.dn(L0) == UNIT_SEM
 
 
 def test_pair_of_errors_glues_to_error_leaf():
     c = denote_coreflection(SIG, Prod(DYN, DYN), DYN)
-    bottom = PairVal(TreeVal(ERR_LEAF), TreeVal(ERR_LEAF))
-    assert c.up(bottom) == TreeVal(ERR_LEAF)
-    assert c.dn(TreeVal(ERR_LEAF)) == bottom
+    bottom = PairVal(ERR, ERR)
+    assert c.up(bottom) == ERR
+    assert c.dn(ERR) == bottom
+    # every other pair is its own node, and dn takes a node back to it
+    for v in enumerate_values(SIG, Prod(DYN, DYN), 2)[1:]:
+        assert c.up(v) is v and c.dn(v) is v
 
 
 def _semantic_identity():
@@ -98,7 +124,7 @@ def _semantic_identity():
 def test_function_pairs_denote_structurally():
     c = denote_coreflection(SIG, Fn(NAT, NAT), Fn(NAT, DYN))
     lifted = c.up(_semantic_identity())
-    assert lifted(NatVal(2)) == TreeVal(NatLeaf(2))
+    assert lifted(NatVal(2)) == NatVal(2)
 
 
 def test_fn_below_dyn_rejected():
@@ -113,10 +139,10 @@ def test_extra_base_needs_codes():
     coded = Signature(base_types=("Nat", "Color"),
                       base_codes={"Nat": (0, 100), "Color": (100, 200)})
     c = denote_coreflection(coded, parse_type("Color"), DYN)
-    assert c.up(NatVal(3)) == TreeVal(NatLeaf(103))
-    assert c.dn(TreeVal(NatLeaf(3))) == NatVal(None)  # Nat's range, not Color's
+    assert c.up(NatVal(3)) == NatVal(103)
+    assert c.dn(NatVal(3)) == NatVal(None)  # Nat's range, not Color's
     cn = denote_coreflection(coded, NAT, DYN)
-    assert cn.up(NatVal(3)) == TreeVal(NatLeaf(3))
+    assert cn.up(NatVal(3)) == NatVal(3)
 
 
 # -- evaluation ----------------------------------------------------------------------
@@ -128,7 +154,7 @@ def test_eval_retract():
 
 def test_eval_wrong_tag_errors():
     v = eval_term(SIG, {}, parse_term("dn[? => ? * ?] up[Nat => ?] 0", SIG))
-    assert v == PairVal(TreeVal(ERR_LEAF), TreeVal(ERR_LEAF))
+    assert v == PairVal(ERR, ERR)
     assert v == least_value(SIG, Prod(DYN, DYN))
 
 
@@ -152,8 +178,8 @@ def test_eval_beta_and_pairs():
 
 def test_value_leq_examples():
     assert value_leq(SIG, NAT, NAT, NatVal(None), NatVal(0))
-    assert value_leq(SIG, NAT, DYN, NatVal(0), TreeVal(NatLeaf(0)))
-    assert not value_leq(SIG, NAT, DYN, NatVal(0), TreeVal(NatLeaf(1)))
+    assert value_leq(SIG, NAT, DYN, NatVal(0), L0)
+    assert not value_leq(SIG, NAT, DYN, NatVal(0), L1)
 
 
 def test_value_leq_functions_pointwise():
@@ -183,7 +209,7 @@ def test_equipment_identity_trivial():
 def test_equipment_catches_broken_coreflection():
     # a deliberately broken pair: dn loses information
     broken = Coreflection(NAT, DYN,
-                          up=lambda v: TreeVal(ERR_LEAF),
+                          up=lambda v: ERR,
                           dn=lambda v: NatVal(None))
     SIG._model_cache[("coref", NAT, DYN)] = broken
     try:
@@ -203,11 +229,10 @@ def _equipment_with(a, b, up, dn):
 def test_equipment_reports_a_map_that_is_not_monotone():
     # both maps pass the retraction and the deflation laws, and then one of
     # them breaks monotonicity first at the reported pair
-    ups = {None: TreeVal(NatLeaf(0)), 0: TreeVal(ERR_LEAF), 1: TreeVal(NatLeaf(1))}
+    ups = {None: L0, 0: ERR, 1: L1}
     report = _equipment_with(
         NAT, DYN, lambda v: ups[v.n],
-        lambda w: {NatLeaf(0): NatVal(None), NatLeaf(1): NatVal(1)}.get(
-            w.tree, NatVal(0)))
+        lambda w: {L0: NatVal(None), L1: NatVal(1)}.get(w, NatVal(0)))
     assert (report.passed, report.checks, report.counterexample) == (
         False, 17, "up not monotone at err <= 0")
     pair = Prod(NAT, NAT)
@@ -269,7 +294,8 @@ def test_eval_commutes_with_elaboration():
 
 
 def test_value_printing():
-    assert value_to_text(TreeVal(Node(NatLeaf(0), ERR_LEAF))) == "(0 , err)"
+    assert value_to_text(PairVal(L0, ERR)) == "(0 , err)"
+    assert value_to_text(PairVal(PairVal(ERR, L1), L0)) == "((err , 1) , 0)"
     assert value_to_text(NatVal(None)) == "err"
     assert value_to_text(PairVal(NatVal(1), UNIT_SEM)) == "(1 , ())"
 
@@ -426,6 +452,26 @@ def test_each_distinct_environment_is_evaluated_once(
     assert len(runs) == 2 * len(corpus_judgments)
     assert checks == 357_244
     assert (sum(runs[0::2]), sum(runs[1::2])) == (37_594, 71_152)
+
+
+def test_each_left_value_is_cast_up_once():
+    # x, y : Nat <= ? at bound 2 relate err to all 12 values of ? and each
+    # of 0 and 1 to its own leaf: 14 * 14 pairs over 3 * 3 left environments
+    a, b = Prod(NAT, NAT), Prod(DYN, DYN)
+    j = DynJudgment(DynCtx.of(("x", "x'", NAT, DYN), ("y", "y'", NAT, DYN)),
+                    Pair(Var("x"), Var("y")), Pair(Var("x'"), Var("y'")), a, b)
+    sig = default_signature()
+    real = denote_coreflection(sig, a, b)
+    cast = []
+
+    def counting_up(v):
+        cast.append(v)
+        return real.up(v)
+
+    sig._model_cache[("coref", a, b)] = Coreflection(a, b, counting_up, real.dn)
+    report = check_judgment_semantics(sig, j, 2)
+    assert (report.passed, report.checks) == (True, 196)
+    assert len(cast) == len(set(cast)) == 9
 
 
 def test_evaluation_errors_stay_lazy():
