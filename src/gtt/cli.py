@@ -227,6 +227,18 @@ def _cmd_test_theorems(args, sig):
     return 0 if counts["fail"] == 0 else 1
 
 
+def _count(text: str) -> int:
+    """A ``--bound`` or ``--size`` value: a non-negative integer.  Other
+    text gets the message argparse gives for ``type=int``."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _common_options() -> argparse.ArgumentParser:
     # shared options, accepted both before and after the subcommand; the
     # SUPPRESS default keeps a subcommand from clobbering a value that was
@@ -293,21 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--syntactic", action="store_true")
     group.add_argument("--semantic", action="store_true")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_count, default=2)
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(run=_cmd_compare)
 
     p = sub.add_parser("test-model", parents=[common],
                        help="equipment laws over derivable pairs")
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--size", type=int, default=3)
+    p.add_argument("--bound", type=_count, default=2)
+    p.add_argument("--size", type=_count, default=3)
     p.set_defaults(run=_cmd_test_model)
 
     p = sub.add_parser("test-theorems", parents=[common],
                        help="derive and cross-check the catalog")
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--size", type=int, default=3)
+    p.add_argument("--bound", type=_count, default=2)
+    p.add_argument("--size", type=_count, default=3)
     p.set_defaults(run=_cmd_test_theorems)
 
     return parser

@@ -22,23 +22,32 @@ Checks over function spaces are bounded: they enumerate arguments up to a
 bound and say so, proving nothing beyond it.
 
 Terms and orders are compiled, not interpreted: ``compile_term`` turns a
-term into a closure over the environment once, each cast finding its
-coreflection map on first use, and ``order_at`` builds each type's order
-once per bound.  A judgment check compiles its two terms once and walks
-every related pair of environments, but it evaluates each term, and
-upcasts each left value, once per distinct environment of its side: the
-values are memoized per call, keyed by their positions in
-``enumerate_values``, and computed at the first pair that needs them, so
-an evaluation error is raised at the same pair as without the memo.  An
-equipment check applies the upcast and the downcast once per value.
-``eval_term`` and ``value_leq_at`` compile and apply in one step.
+term into a closure over the environment once, each cast with its
+coreflection map, and ``order_at`` builds each type's order once per
+bound.  Checks go through the adjunction ``up v <= w`` iff ``v <= dn w``
+that every coreflection is.  Denotations are monotone, so a judgment holds
+at every related pair of environments iff it holds at ``(dn g, g)`` for
+each right environment ``g``: the check evaluates the right side once per
+right environment and casts the left side up once per distinct downcast
+environment, keyed by positions in ``enumerate_values``.  An equipment
+check applies the upcast and the downcast once per value and tests
+monotonicity along the covering pairs of each order, which generate it.
+Both count the related pairs they cover, from the sizes of down-sets,
+so a pass reports the pairs of the all-pairs walk.  The shortcut is sound
+only for monotone maps whose downcasts stay inside the enumeration, so a
+judgment check whose test fails, raises ``ModelError`` or leaves the
+enumeration walks every related pair instead, and a failing cover walks
+every related pair of its order: a failure reports the walk's first
+counterexample, error and count.  ``eval_term`` and ``value_leq_at``
+compile and apply in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional
+from math import prod
+from typing import Callable, Iterator, Optional, Sequence
 
 from .syntax import (
     App, Base, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
@@ -60,17 +69,32 @@ class SemValue:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+# Checks build values by the million, so the two value classes set their
+# slots through the slot descriptors, which costs about 40% less than the
+# initializer a frozen dataclass generates; assignment still raises.
+
+@dataclass(frozen=True, slots=True, init=False)
 class NatVal(SemValue):
     """A base-type value or a leaf of ``?``: a natural, or None for the
     error."""
     n: Optional[int]
 
+    def __init__(self, n: Optional[int]):
+        _set_n(self, n)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class PairVal(SemValue):
     fst: SemValue
     snd: SemValue
+
+    def __init__(self, fst: SemValue, snd: SemValue):
+        _set_fst(self, fst)
+        _set_snd(self, snd)
+
+
+_set_n = NatVal.n.__set__
+_set_fst, _set_snd = PairVal.fst.__set__, PairVal.snd.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +189,7 @@ def _compile_order(sig: Signature, ty: Type, bound: int) -> Order:
             return lambda v, w: True
         case Prod(a, b):
             leq_a, leq_b = order_at(sig, a, bound), order_at(sig, b, bound)
-            return lambda v, w: leq_a(v.fst, w.fst) and leq_b(v.snd, w.snd)
+            return lambda v, w: v is w or (leq_a(v.fst, w.fst) and leq_b(v.snd, w.snd))
         case Fn(dom, cod):
             leq_cod = order_at(sig, cod, bound)
             return lambda v, w: all(leq_cod(v(arg), w(arg))
@@ -177,6 +201,8 @@ def _compile_order(sig: Signature, ty: Type, bound: int) -> Order:
 def _dyn_leq(v: SemValue, w: SemValue) -> bool:
     """The order at ``?``: ``v`` is below ``w`` when it arises by replacing
     subtrees of ``w`` with the error."""
+    if v is w:
+        return True
     if type(v) is PairVal:
         return (type(w) is PairVal and _dyn_leq(v.fst, w.fst)
                 and _dyn_leq(v.snd, w.snd))
@@ -267,19 +293,19 @@ def _tag_coreflection(sig: Signature, ground: Type) -> Coreflection:
                     f"base type {name} needs a code range to embed into ?")
             lo, hi = rng
 
+            # a range from 0 leaves values as they are, so they are reused
             def up(v: SemValue) -> SemValue:
                 if v.n is None:
                     return ERR_SEM
                 if lo + v.n >= hi:
                     raise ModelError(f"value {v.n} exceeds the code range of {name}")
-                return NatVal(lo + v.n)
+                return NatVal(lo + v.n) if lo else v
 
             def dn(v: SemValue) -> SemValue:
-                match v:
-                    case NatVal(int(m)) if lo <= m < hi:
-                        return NatVal(m - lo)
-                    case _:
-                        return ERR_SEM
+                m = v.n if type(v) is NatVal else None
+                if m is None or not lo <= m < hi:
+                    return ERR_SEM
+                return NatVal(m - lo) if lo else v
 
             return Coreflection(ground, DYN, up, dn)
         case Prod(a, b) if a == DYN and b == DYN:
@@ -326,11 +352,12 @@ def _coref(sig: Signature, a: Type, b: Type) -> Coreflection:
         return _coref(sig, a, tag).compose(tagc)
     match a, b:
         case Prod(a1, a2), Prod(b1, b2):
-            c1, c2 = _coref(sig, a1, b1), _coref(sig, a2, b2)
+            (up1, dn1), (up2, dn2) = [(c.up, c.dn) for c in (_coref(sig, a1, b1),
+                                                             _coref(sig, a2, b2))]
             return Coreflection(
                 a, b,
-                lambda v: PairVal(c1.up(v.fst), c2.up(v.snd)),
-                lambda v: PairVal(c1.dn(v.fst), c2.dn(v.snd)))
+                lambda v: PairVal(up1(v.fst), up2(v.snd)),
+                lambda v: PairVal(dn1(v.fst), dn2(v.snd)))
         case Fn(a1, a2), Fn(b1, b2):
             carg, cres = _coref(sig, a1, b1), _coref(sig, a2, b2)
             return Coreflection(
@@ -403,15 +430,16 @@ def _failing(message: str) -> Compiled:
 
 def _cast(sig: Signature, lo: Type, hi: Type, direction: str,
           body: Compiled) -> Compiled:
-    """A cast whose coreflection map is looked up on first evaluation."""
-    apply = None
-
-    def cast(env: Env) -> SemValue:
-        nonlocal apply
-        if apply is None:
-            apply = getattr(denote_coreflection(sig, lo, hi), direction)
-        return apply(body(env))
-    return cast
+    """A cast through its coreflection map, which is looked up here; when
+    there is none, its ``ModelError`` is raised on evaluation instead.  A
+    cast between equal types is its body."""
+    try:
+        apply = getattr(denote_coreflection(sig, lo, hi), direction)
+    except ModelError as e:
+        return _failing(str(e))
+    if lo == hi:
+        return body
+    return lambda env: apply(body(env))
 
 
 def eval_term(sig: Signature, env: Env, t: Term) -> SemValue:
@@ -481,7 +509,10 @@ class Report:
 def check_equipment(sig: Signature, a: Type, b: Type, bound: int = 2) -> Report:
     """Exhaustively check, within the bound: the downcast retracts the
     upcast, the round trip deflates, both maps are monotone, and embedding
-    into ``?`` factors through the pair's upcast."""
+    into ``?`` factors through the pair's upcast.  Monotonicity is tested
+    along the covering pairs of each order and counted as every related
+    pair; a failing cover reruns the walk over the related pairs, so the
+    report names the first related pair at which a map fails."""
     from .grammar import type_to_text
     subject = f"equipment {type_to_text(a)} <= {type_to_text(b)}"
     if not (first_order(a) and first_order(b)):
@@ -505,18 +536,17 @@ def check_equipment(sig: Signature, a: Type, b: Type, bound: int = 2) -> Report:
         if not leq_b(c.up(dns[-1]), w):
             return Report(subject, bound, False,
                           f"up (dn w) not below w at w = {value_to_text(w)}", checks)
-    for i, k in related_indices(sig, a, a, bound):
-        checks += 1
-        if not leq_b(ups[i], ups[k]):
-            return Report(subject, bound, False,
-                          f"up not monotone at {value_to_text(values_a[i])} <= "
-                          f"{value_to_text(values_a[k])}", checks)
-    for i, k in related_indices(sig, b, b, bound):
-        checks += 1
-        if not leq_a(dns[i], dns[k]):
-            return Report(subject, bound, False,
-                          f"dn not monotone at {value_to_text(values_b[i])} <= "
-                          f"{value_to_text(values_b[k])}", checks)
+    for name, ty, values, images, leq in (("up", a, values_a, ups, leq_b),
+                                          ("dn", b, values_b, dns, leq_a)):
+        if all(leq(images[i], images[k]) for i, k in covers(sig, ty, bound)):
+            checks += sum(down_sizes(sig, ty, bound))
+            continue
+        for i, k in related_indices(sig, ty, ty, bound):
+            checks += 1
+            if not leq(images[i], images[k]):
+                return Report(subject, bound, False,
+                              f"{name} not monotone at {value_to_text(values[i])} "
+                              f"<= {value_to_text(values[k])}", checks)
     msig = model_signature(sig)
     if tydyn_holds(msig, a, DYN) and tydyn_holds(msig, b, DYN):
         into_dyn_a = denote_coreflection(sig, a, DYN)
@@ -548,10 +578,140 @@ def related_indices(sig: Signature, a: Type, b: Type, bound: int = 2
     return cached
 
 
+def down_sizes(sig: Signature, ty: Type, bound: int = 2) -> list[int]:
+    """The number of values below each value of a function-free type, by
+    position in ``enumerate_values``: one below the error, two below a
+    natural, the product of the components' counts below a pair, and one
+    more below a node of ``?``, whose pair of errors collapses to the
+    error."""
+    key = ("downs", ty, bound)
+    cached = sig._model_cache.get(key)
+    if cached is None:
+        values = enumerate_values(sig, ty, bound)
+        match ty:
+            case Base(_):
+                cached = [1] + [2] * (len(values) - 1)
+            case Unit():
+                cached = [1]
+            case Prod(a, b):
+                cached = [x * y for x in down_sizes(sig, a, bound)
+                          for y in down_sizes(sig, b, bound)]
+            case _:
+                size: dict[SemValue, int] = {}
+                for v in values:
+                    size[v] = (1 + size[v.fst] * size[v.snd]
+                               if type(v) is PairVal else 1 if v.n is None else 2)
+                cached = [size[v] for v in values]
+        sig._model_cache[key] = cached
+    return cached
+
+
+def covers(sig: Signature, ty: Type, bound: int = 2) -> Iterator[tuple[int, int]]:
+    """The covering pairs ``(i, k)`` of a function-free type's order within
+    the bound, by position in ``enumerate_values``: value ``k`` is above
+    value ``i`` with nothing in between.  Each natural covers the error,
+    pairs are covered componentwise, and at ``?`` the error is covered by
+    each leaf and by the pair of errors.  The enumeration is closed
+    downwards, so the order within it is the reflexive-transitive closure of
+    these pairs."""
+    match ty:
+        case Base(_):
+            yield from ((0, k) for k in range(1, len(enumerate_values(sig, ty, bound))))
+        case Unit():
+            pass
+        case Prod(a, b):
+            na = len(enumerate_values(sig, a, bound))
+            nb = len(enumerate_values(sig, b, bound))
+            for i, k in covers(sig, a, bound):
+                yield from ((i * nb + j, k * nb + j) for j in range(nb))
+            cb = list(covers(sig, b, bound))
+            for i in range(na):
+                yield from ((i * nb + j, i * nb + k) for j, k in cb)
+        case _:
+            yield from _dyn_covers(sig, bound)
+
+
+def _dyn_covers(sig: Signature, bound: int) -> list[tuple[int, int]]:
+    key = ("covers", DYN, bound)
+    cached = sig._model_cache.get(key)
+    if cached is None:
+        values = enumerate_values(sig, DYN, bound)
+        position = {v: p for p, v in enumerate(values)}
+        node = {(position[v.fst], position[v.snd]): p
+                for p, v in enumerate(values) if type(v) is PairVal}
+        below: list[list[int]] = []  # the positions each value covers
+        for v in values:
+            if type(v) is not PairVal:
+                below.append([] if v.n is None else [0])
+                continue
+            i, k = position[v.fst], position[v.snd]
+            below.append([0] if i == k == 0 else
+                         [node[x, k] for x in below[i]] + [node[i, x] for x in below[k]])
+        cached = [(i, k) for k, under in enumerate(below) for i in under]
+        sig._model_cache[key] = cached
+    return cached
+
+
+def _dn_column(sig: Signature, tl: Type, tr: Type, bound: int
+               ) -> tuple[Sequence[int], int] | None:
+    """For a context entry ``tl <= tr``: the position of ``dn w`` in
+    ``enumerate_values(sig, tl, bound)`` for each value ``w`` of ``tr``, and
+    the number of related pairs of values, ``sum |down(dn w)|``, which the
+    adjunction ``up v <= w`` iff ``v <= dn w`` gives.  None when some ``dn
+    w`` lies outside the enumeration, where that count does not hold."""
+    key = ("column", tl, tr, bound)
+    if key in sig._model_cache:
+        return sig._model_cache[key]
+    sizes = down_sizes(sig, tl, bound)
+    if tl == tr:
+        column: Sequence[int] | None = range(len(sizes))
+    else:
+        dn, position = denote_coreflection(sig, tl, tr).dn, _position(sig, tl, bound)
+        column = []
+        for w in enumerate_values(sig, tr, bound):
+            p = position(dn(w))
+            if p is None:
+                column = None
+                break
+            column.append(p)
+    out = None if column is None else (column, sum(sizes[p] for p in column))
+    sig._model_cache[key] = out
+    return out
+
+
+def _position(sig: Signature, ty: Type, bound: int
+              ) -> Callable[[SemValue], int | None]:
+    """The position of a value in ``enumerate_values(sig, ty, bound)``, or
+    None when it is not there.  A pair's position is computed from its
+    components', so no large enumeration is hashed."""
+    key = ("position", ty, bound)
+    cached = sig._model_cache.get(key)
+    if cached is None:
+        if isinstance(ty, Prod):
+            first, second = _position(sig, ty.fst, bound), _position(sig, ty.snd, bound)
+            width = len(enumerate_values(sig, ty.snd, bound))
+
+            def cached(v: SemValue) -> int | None:
+                if type(v) is not PairVal:
+                    return None
+                i, k = first(v.fst), second(v.snd)
+                return None if i is None or k is None else i * width + k
+        else:
+            cached = {v: p for p, v in enumerate(enumerate_values(sig, ty, bound))}.get
+        sig._model_cache[key] = cached
+    return cached
+
+
 def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> Report:
     """Check a dynamism judgment against the model: over every pair of
-    environments related pointwise along the context (the first entry
-    varying slowest), the left denotation sits below the right."""
+    environments related pointwise along the context, the left denotation
+    sits below the right.  Denotations are monotone and each cast pair is
+    an adjunction, so it is enough to test, for each right environment,
+    the left one that is its downcast; the report counts every related
+    pair.  When that test fails, raises ``ModelError`` or meets a downcast
+    outside the enumeration, the check walks every related pair (the first
+    entry varying slowest) and reports the first counterexample or error
+    there."""
     subject = f"judgment {j.describe()}"
     for _, _, tl, tr in j.phi:
         if not (first_order(tl) and first_order(tr)):
@@ -561,43 +721,72 @@ def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> 
     if not (first_order(j.type_left) and first_order(j.type_right)):
         raise ModelError("judgment endpoint types mention function types")
     left, right = compile_term(sig, j.left), compile_term(sig, j.right)
+    try:
+        checks = _adjoint_checks(sig, j, bound, left, right)
+    except ModelError:
+        checks = None
+    if checks is not None:
+        return Report(subject, bound, True, None, checks)
+    return _walk_related_pairs(sig, j, bound, left, right, subject)
+
+
+def _adjoint_checks(sig: Signature, j: DynJudgment, bound: int,
+                    left: Compiled, right: Compiled) -> int | None:
+    """The number of related environment pairs if the judgment holds at
+    ``(dn g, g)`` for every right environment ``g``, else None.  The left
+    side is evaluated and cast up once per distinct downcast environment,
+    keyed by its positions."""
+    columns = [_dn_column(sig, tl, tr, bound) for _, _, tl, tr in j.phi]
+    if None in columns:
+        return None
+    up = (denote_coreflection(sig, j.type_left, j.type_right).up
+          if j.type_left != j.type_right else lambda v: v)
     leq = order_at(sig, j.type_right, bound)
+    entries = [(xl, xr, enumerate_values(sig, tl, bound),
+                enumerate_values(sig, tr, bound), column)
+               for (xl, xr, tl, tr), (column, _) in zip(j.phi, columns)]
+    # the last entry varies in the inner loop; an empty context has one
+    # environment, taken as a last entry that binds nothing
+    *outer, (xl, xr, last_left, last_right, last_column) = (
+        entries or [(None, None, [None], [None], [0])])
+    downcasts = set(last_column)
+    memo: dict[tuple, list] = {}  # up (L env) by the outer and last positions
+    for prefix in product(*[zip(right_values, column)
+                            for _, _, _, right_values, column in outer]):
+        left_key = tuple(p for _, p in prefix)
+        ups = memo.get(left_key)
+        if ups is None:
+            left_outer = {x: values[p] for (x, _, values, _, _), p in zip(outer, left_key)}
+            ups = memo[left_key] = [None] * len(last_left)
+            for p in downcasts:
+                ups[p] = up(left({**left_outer, xl: last_left[p]}))
+        right_outer = {x: w for (_, x, _, _, _), (w, _) in zip(outer, prefix)}
+        if not all(map(leq, map(ups.__getitem__, last_column),
+                       map(right, ({**right_outer, xr: w} for w in last_right)))):
+            return None
+    return prod(count for _, count in columns)
 
-    def env_at(names: list[str], types: list[Type]) -> Callable[[tuple], Env]:
-        """A side's environment from the positions of its values."""
-        values = [enumerate_values(sig, ty, bound) for ty in types]
-        return lambda key: {x: vs[i] for x, vs, i in zip(names, values, key)}
 
-    left_env = env_at([e[0] for e in j.phi], [e[2] for e in j.phi])
-    right_env = env_at([e[1] for e in j.phi], [e[3] for e in j.phi])
-    lmemo: dict = {}  # a side's values by environment key, for this call
-    rmemo: dict = {}
-    # the left values cast up to the right type, by the same keys (with
-    # one type the cast is the identity, so they are the left values); the
-    # coreflection is looked up at the first pair that compares
-    umemo = lmemo if j.type_left == j.type_right else {}
-    up = None
+def _walk_related_pairs(sig: Signature, j: DynJudgment, bound: int,
+                        left: Compiled, right: Compiled, subject: str) -> Report:
+    """Evaluate both sides at every related pair of environments, the
+    first context entry varying slowest, up to the first counterexample;
+    an evaluation error is raised at the first pair that meets it."""
+    cross = cross_order(sig, j.type_left, j.type_right, bound)
+    names = [(xl, xr) for xl, xr, _, _ in j.phi]
+    values = [(enumerate_values(sig, tl, bound), enumerate_values(sig, tr, bound))
+              for _, _, tl, tr in j.phi]
     checks = 0
     for combo in product(*[related_indices(sig, tl, tr, bound)
                            for _, _, tl, tr in j.phi]):
-        lkey, rkey = tuple(zip(*combo)) or ((), ())
-        lv = lmemo.get(lkey)
-        if lv is None:
-            lv = lmemo[lkey] = left(left_env(lkey))
-        rv = rmemo.get(rkey)
-        if rv is None:
-            rv = rmemo[rkey] = right(right_env(rkey))
-        uv = umemo.get(lkey)
-        if uv is None:
-            if up is None:
-                up = denote_coreflection(sig, j.type_left, j.type_right).up
-            uv = umemo[lkey] = up(lv)
+        left_env = {xl: vl[i] for (xl, _), (vl, _), (i, _) in zip(names, values, combo)}
+        right_env = {xr: vr[k] for (_, xr), (_, vr), (_, k) in zip(names, values, combo)}
+        lv, rv = left(left_env), right(right_env)
         checks += 1
-        if not leq(uv, rv):
+        if not cross(lv, rv):
             env_text = ", ".join(
                 f"{x}={value_to_text(v)}" for x, v in
-                list(left_env(lkey).items())
-                + [(f"{x}'", v) for x, v in right_env(rkey).items()])
+                list(left_env.items()) + [(f"{x}'", v) for x, v in right_env.items()])
             return Report(subject, bound, False,
                           f"[{env_text}] gives {value_to_text(lv)} not below "
                           f"{value_to_text(rv)}", checks)

@@ -10,7 +10,7 @@ recursive descent, tokens by matching at each position, derivation files
 through an s-expression tree that renders every type and term at each
 occurrence, theorem instances by deriving every parameter tuple
 before the size filter, the model by walking the term for every
-environment, normal forms by substitution, re-reduction and eta
+environment and testing each map at every related pair of values, normal forms by substitution, re-reduction and eta
 expansion with a type inferred at every spine node, types by renaming
 each shadowing binder through substitution, and derivation checking with
 every context rebuilt and checked again for each side of each judgment.
@@ -587,6 +587,48 @@ def check_judgment_semantics_reference(sig, j, bound: int = 2) -> Report:
             return Report(subject, bound, False,
                           f"[{env_text}] gives {value_to_text(lv)} not below "
                           f"{value_to_text(rv)}", checks)
+    return Report(subject, bound, True, None, checks)
+
+
+def check_equipment_reference(sig, a, b, bound: int = 2) -> Report:
+    """The same report as ``gtt.model.check_equipment``, testing
+    monotonicity at every related pair of values with the orders above."""
+    subject = f"equipment {type_to_text(a)} <= {type_to_text(b)}"
+    c = denote_coreflection(sig, a, b)
+    values_a = enumerate_values(sig, a, bound)
+    values_b = enumerate_values(sig, b, bound)
+    checks = 0
+    for v in values_a:
+        checks += 1
+        if c.dn(c.up(v)) != v:
+            return Report(subject, bound, False,
+                          f"dn (up v) != v at v = {value_to_text(v)}", checks)
+    for w in values_b:
+        checks += 1
+        if not value_leq_at_reference(sig, b, c.up(c.dn(w)), w, bound):
+            return Report(subject, bound, False,
+                          f"up (dn w) not below w at w = {value_to_text(w)}", checks)
+    for name, ty, other, f in (("up", a, b, c.up), ("dn", b, a, c.dn)):
+        values = enumerate_values(sig, ty, bound)
+        for v in values:
+            for w in values:
+                if not value_leq_at_reference(sig, ty, v, w, bound):
+                    continue
+                checks += 1
+                if not value_leq_at_reference(sig, other, f(v), f(w), bound):
+                    return Report(subject, bound, False,
+                                  f"{name} not monotone at {value_to_text(v)} <= "
+                                  f"{value_to_text(w)}", checks)
+    msig = sig.first_order_dyn()
+    if tydyn_holds(msig, a, DYN) and tydyn_holds(msig, b, DYN):
+        into_dyn_a = denote_coreflection(sig, a, DYN)
+        into_dyn_b = denote_coreflection(sig, b, DYN)
+        for v in values_a:
+            checks += 1
+            if into_dyn_a.up(v) != into_dyn_b.up(c.up(v)):
+                return Report(subject, bound, False,
+                              f"embedding into ? does not factor at "
+                              f"{value_to_text(v)}", checks)
     return Report(subject, bound, True, None, checks)
 
 

@@ -155,6 +155,20 @@ def test_model_battery(capsys):
     assert out.strip().endswith("pairs")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("compare", "--semantic", "--bound", "-1", FIXTURES / "zero.gtt",
+      FIXTURES / "zero.gtt"), "--bound"),
+    (("test-model", "--bound", "-1", "--size", "2"), "--bound"),
+    (("test-theorems", "--size", "-1"), "--size"),
+], ids=["compare", "test-model", "test-theorems"])
+def test_a_negative_bound_or_size_is_a_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(*argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: must not be negative: -1\n")
+
+
 def test_entry_point_runs_as_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "gtt.cli", "check", str(FIXTURES / "id_fn.gtt")],

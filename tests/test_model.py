@@ -1,4 +1,6 @@
 import itertools
+import math
+import pathlib
 import random
 
 import pytest
@@ -15,15 +17,18 @@ from gtt.elaborate import elaborate
 from gtt import model
 from gtt.model import (
     ERR_SEM, Coreflection, FnVal, ModelError, NatVal, PairVal, UNIT_SEM,
-    check_equipment, check_judgment_semantics, denote_coreflection,
-    derivation_first_order, enumerate_values, eval_term, first_order,
-    least_value, model_signature, tydyn_holds, value_leq,
-    value_leq_at, value_to_text,
+    check_equipment, check_judgment_semantics, covers, denote_coreflection,
+    derivation_first_order, down_sizes, enumerate_values, eval_term,
+    first_order, least_value, model_signature, order_at, related_indices,
+    tydyn_holds, value_leq, value_leq_at, value_to_text,
 )
+from gtt.cli import main
+import gtt.cli
 
 from oracles import (
-    check_judgment_semantics_reference, dyn_leq_oracle,
-    enumerate_dyn_reference, eval_term_reference, value_leq_at_reference,
+    check_equipment_reference, check_judgment_semantics_reference,
+    dyn_leq_oracle, enumerate_dyn_reference, eval_term_reference,
+    value_leq_at_reference,
 )
 from termgen import gen_term
 
@@ -226,13 +231,20 @@ def _equipment_with(a, b, up, dn):
     return check_equipment(sig, a, b, bound=2)
 
 
+def _not_monotone_up():
+    """A coreflection of ``Nat <= ?`` whose maps pass the retraction and
+    the deflation laws and whose upcast is not monotone."""
+    ups = {None: L0, 0: ERR, 1: L1}
+    return Coreflection(
+        NAT, DYN, lambda v: ups[v.n],
+        lambda w: {L0: NatVal(None), L1: NatVal(1)}.get(w, NatVal(0)))
+
+
 def test_equipment_reports_a_map_that_is_not_monotone():
     # both maps pass the retraction and the deflation laws, and then one of
     # them breaks monotonicity first at the reported pair
-    ups = {None: L0, 0: ERR, 1: L1}
-    report = _equipment_with(
-        NAT, DYN, lambda v: ups[v.n],
-        lambda w: {L0: NatVal(None), L1: NatVal(1)}.get(w, NatVal(0)))
+    c = _not_monotone_up()
+    report = _equipment_with(NAT, DYN, c.up, c.dn)
     assert (report.passed, report.checks, report.counterexample) == (
         False, 17, "up not monotone at err <= 0")
     pair = Prod(NAT, NAT)
@@ -241,6 +253,105 @@ def test_equipment_reports_a_map_that_is_not_monotone():
         lambda w: w.fst if w.snd == NatVal(None) else NatVal(None))
     assert (report.passed, report.checks, report.counterexample) == (
         False, 34, "dn not monotone at (0 , err) <= (0 , 0)")
+
+
+def test_a_map_that_is_not_monotone_fails_the_model_battery(monkeypatch, capsys):
+    def signature():
+        sig = default_signature()
+        sig._model_cache[("coref", NAT, DYN)] = _not_monotone_up()
+        return sig
+
+    monkeypatch.setattr(gtt.cli, "default_signature", signature)
+    assert main(["test-model", "--bound", "2", "--size", "3"]) == 1
+    out = capsys.readouterr().out
+    assert ("RESULT FAIL equipment Nat <= ? (bound 2)\n"
+            "COUNTEREXAMPLE up not monotone at err <= 0\n") in out
+    assert out.endswith("RESULT FAIL equipment laws over 39 pairs\n")
+
+
+def _derivable_pairs(size=3):
+    """The pairs of ``test-model``: every derivable ``A <= B`` between
+    function-free types of at most the size."""
+    msig = model_signature(SIG)
+    types = [ty for ty in enumerate_types(SIG, size) if first_order(ty)]
+    return [(a, b) for a in types for b in types if tydyn_holds(msig, a, b)]
+
+
+@pytest.mark.parametrize("bound, size, pairs", [(2, 3, 39), (3, 2, 5)])
+def test_equipment_reports_match_the_all_pairs_walk(bound, size, pairs):
+    assert len(_derivable_pairs(size)) == pairs
+    for a, b in _derivable_pairs(size):
+        assert (check_equipment(SIG, a, b, bound)
+                == check_equipment_reference(SIG, a, b, bound)), (a, b)
+
+
+# -- the adjunction and the covers ------------------------------------------------
+
+@pytest.mark.parametrize("bound, compared", [(2, 39), (3, 30)])
+def test_related_counts_follow_the_downcasts(bound, compared):
+    # sum |down(dn w)| over the values w of B is the number of related
+    # pairs, for every ordered pair of function-free types of size at most
+    # 3 (at bound 3 where they have at most 10**6 pairs of values); a pair
+    # that is not derivable has no coreflection either way
+    sig = default_signature()
+    types = [ty for ty in enumerate_types(SIG, 3) if first_order(ty)]
+    seen = 0
+    for a, b in itertools.product(types, repeat=2):
+        size = (len(enumerate_values(sig, a, bound))
+                * len(enumerate_values(sig, b, bound)))
+        if size > 10**6:
+            continue
+        got = _outcome(lambda: model._dn_column(sig, a, b, bound)[1])
+        assert got == _outcome(lambda: len(related_indices(sig, a, b, bound))), (a, b)
+        seen += not isinstance(got, tuple)
+    assert seen == compared
+
+
+def test_down_sizes_count_the_values_below():
+    for ty in [NAT, DYN, UNIT, Prod(NAT, DYN), Prod(DYN, DYN)]:
+        leq = order_at(SIG, ty, 2)
+        values = enumerate_values(SIG, ty, 2)
+        assert down_sizes(SIG, ty, 2) == [sum(leq(v, w) for v in values)
+                                          for w in values], ty
+
+
+def _closure(n, edges):
+    """The reflexive-transitive closure of a relation on ``range(n)``."""
+    above = [[] for _ in range(n)]
+    for i, k in edges:
+        above[i].append(k)
+    out = set()
+    for start in range(n):
+        todo, seen = [start], {start}
+        while todo:
+            for k in above[todo.pop()]:
+                if k not in seen:
+                    seen.add(k)
+                    todo.append(k)
+        out.update((start, k) for k in seen)
+    return out
+
+
+@pytest.mark.parametrize("ty", [DYN, NAT, Prod(DYN, DYN), Prod(NAT, DYN)],
+                         ids=str)
+def test_covers_generate_the_order(ty):
+    values = enumerate_values(SIG, ty, 2)
+    edges = list(covers(SIG, ty, 2))
+    order = set(related_indices(SIG, ty, ty, 2))
+    assert len(edges) == len(set(edges))
+    assert _closure(len(values), edges) == order
+    # and each is a cover: distinct, with nothing strictly in between
+    for i, k in edges:
+        assert i != k and not any((i, m) in order and (m, k) in order
+                                  for m in range(len(values)) if m not in (i, k))
+
+
+def test_dyn_has_1124_covers_at_bound_3():
+    edges = list(covers(SIG, DYN, 3))
+    assert len(edges) == len(set(edges)) == 1124
+    leq = order_at(SIG, DYN, 3)
+    values = enumerate_values(SIG, DYN, 3)
+    assert all(leq(values[i], values[k]) for i, k in edges)
 
 
 # -- judgment semantics ---------------------------------------------------------------
@@ -412,6 +523,87 @@ def test_reports_match_the_term_walker_on_the_corpus_and_non_theorems(
         assert isinstance(outcome, tuple) or not outcome.passed, j
 
 
+def test_reports_match_the_term_walker_on_the_compare_fixtures():
+    # every ordered pair of fixture terms that ``compare --semantic``
+    # checks (one context, related types), with the judgment it builds
+    from gtt.grammar import parse_term_file
+    from gtt.typecheck import infer_type
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    files = [parse_term_file((fixtures / name).read_text(), SIG) for name in
+             ["cross_tag.gtt", "err_nat.gtt", "id_fn.gtt", "wrap.gtt", "zero.gtt"]]
+    msig = model_signature(SIG)
+    outcomes = []
+    for (ctx1, t1), (ctx2, t2) in itertools.product(files, repeat=2):
+        ty1, ty2 = infer_type(SIG, ctx1, t1), infer_type(SIG, ctx2, t2)
+        if ctx1.entries == ctx2.entries and tydyn_holds(msig, ty1, ty2):
+            j = DynJudgment(DynCtx.diag(ctx1), t1, t2, ty1, ty2)
+            outcome = _same_report(j)
+            outcomes.append(outcome[0] if isinstance(outcome, tuple)
+                            else outcome.passed)
+    assert outcomes == [True, True, True, "ModelError", "ModelError", False, True]
+
+
+def _uses(j, a, b):
+    """Whether checking the judgment applies the coreflection of ``a <= b``."""
+    from gtt.grammar import type_to_text
+    ta, tb = type_to_text(a), type_to_text(b)
+    text = j.describe()
+    return ((a, b) in [(tl, tr) for _, _, tl, tr in j.phi]
+            or (j.type_left, j.type_right) == (a, b)
+            or f"up[{ta} => {tb}]" in text or f"dn[{tb} => {ta}]" in text)
+
+
+def _perturbed(rng, a, b):
+    """The coreflection of ``a <= b`` with one or two of its values at
+    bound 2 moved to another value, and unchanged elsewhere."""
+    true = denote_coreflection(default_signature(), a, b)
+    values_a, values_b = enumerate_values(SIG, a, 2), enumerate_values(SIG, b, 2)
+    ups = {v: true.up(v) for v in values_a}
+    dns = {w: true.dn(w) for w in values_b}
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.5:
+            ups[rng.choice(values_a)] = rng.choice(values_b)
+        else:
+            dns[rng.choice(values_b)] = rng.choice(values_a)
+    return Coreflection(a, b, lambda v: ups.get(v, true.up(v)),
+                        lambda w: dns.get(w, true.dn(w)))
+
+
+def _swap(v):
+    """The automorphism of ``?`` that swaps the leaves 0 and 1 and the two
+    sides of every node."""
+    if type(v) is PairVal:
+        return PairVal(_swap(v.snd), _swap(v.fst))
+    return NatVal({0: 1, 1: 0}.get(v.n, v.n))
+
+
+@pytest.mark.parametrize("a, b", [(NAT, DYN), (Prod(DYN, DYN), DYN)], ids=str)
+def test_the_shortcut_matches_the_walk_under_every_coreflection_that_passes(
+        corpus_judgments, a, b):
+    # the judgment check tests one left environment per right one, which is
+    # sound for a coreflection: a perturbed one that makes the check and the
+    # walk disagree must fail the equipment check, while another coreflection
+    # (the true one followed by an automorphism of ?) passes it and changes
+    # no report
+    rng = random.Random(7)
+    judgments = [j for j in corpus_judgments if _uses(j, a, b)][:12]
+    true = denote_coreflection(default_signature(), a, b)
+    swapped = Coreflection(a, b, lambda v: _swap(true.up(v)),
+                           lambda w: true.dn(_swap(w)))
+    disagreed = 0
+    for i in range(16):
+        sig = default_signature()
+        sig._model_cache[("coref", a, b)] = swapped if i == 0 else _perturbed(rng, a, b)
+        passed = check_equipment(sig, a, b, 2).passed
+        assert passed or i
+        for j in judgments:
+            got = _outcome(lambda: check_judgment_semantics(sig, j, 2))
+            if got != _outcome(lambda: check_judgment_semantics_reference(sig, j, 2)):
+                disagreed += 1
+                assert not passed, j
+    assert len(judgments) == 12 and disagreed
+
+
 def test_evaluation_errors_keep_their_pair_under_the_memo():
     for j, want in _memo_cases():
         got = _outcome(lambda: check_judgment_semantics(CODED, j, 2))
@@ -451,12 +643,25 @@ def test_each_distinct_environment_is_evaluated_once(
                  for j in corpus_judgments)
     assert len(runs) == 2 * len(corpus_judgments)
     assert checks == 357_244
-    assert (sum(runs[0::2]), sum(runs[1::2])) == (37_594, 71_152)
+    # the right side runs once per right environment and the left side once
+    # per distinct downcast of one; every related left environment is the
+    # downcast of its upcast, so these are the walk's counts too
+    downcast_envs = sum(
+        math.prod(len({denote_coreflection(SIG, tl, tr).dn(w)
+                       for w in enumerate_values(SIG, tr, 2)})
+                  for _, _, tl, tr in j.phi)
+        for j in corpus_judgments)
+    right_envs = sum(math.prod(len(enumerate_values(SIG, tr, 2))
+                               for _, _, _, tr in j.phi)
+                     for j in corpus_judgments)
+    assert (downcast_envs, right_envs) == (37_594, 71_152)
+    assert (sum(runs[0::2]), sum(runs[1::2])) == (downcast_envs, right_envs)
 
 
 def test_each_left_value_is_cast_up_once():
     # x, y : Nat <= ? at bound 2 relate err to all 12 values of ? and each
-    # of 0 and 1 to its own leaf: 14 * 14 pairs over 3 * 3 left environments
+    # of 0 and 1 to its own leaf: 14 * 14 pairs; the 12 * 12 right
+    # environments downcast to the 3 * 3 left ones
     a, b = Prod(NAT, NAT), Prod(DYN, DYN)
     j = DynJudgment(DynCtx.of(("x", "x'", NAT, DYN), ("y", "y'", NAT, DYN)),
                     Pair(Var("x"), Var("y")), Pair(Var("x'"), Var("y'")), a, b)
