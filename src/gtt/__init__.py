@@ -19,9 +19,8 @@ from .typecheck import (
 )
 from .dynamism import (
     Derivation, DynJudgment, check_derivation, derivation_errors,
-    derive_sequent,
 )
-from .theorems import derive_theorem, theorem_instances
+from .theorems import derive_sequent, derive_theorem, theorem_instances
 from .elaborate import elaborate, equal_terms, normalize, oblique_cast
 from .model import (
     Coreflection, check_equipment, check_judgment_semantics,

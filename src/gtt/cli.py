@@ -75,6 +75,14 @@ def _cmd_check(args, sig):
     return 0
 
 
+def _check_declared(sig, text: str, *types):
+    """A usage error unless the signature declares every base type in
+    ``types``, which were read from ``text``."""
+    unknown = sorted(set().union(*map(base_names, types)) - sig.base_types)
+    if unknown:
+        raise _Failure(2, f"unknown base type {', '.join(unknown)} in {text!r}")
+
+
 def _cmd_dyncheck(args, sig):
     lines_out = []
     status = 0
@@ -86,9 +94,7 @@ def _cmd_dyncheck(args, sig):
         if not sep:
             raise _Failure(2, f"dyncheck lines must be 'A <= B': {line!r}")
         a, b = parse_type(left.strip()), parse_type(right.strip())
-        unknown = sorted((base_names(a) | base_names(b)) - sig.base_types)
-        if unknown:
-            raise _Failure(2, f"unknown base type {', '.join(unknown)} in {line!r}")
+        _check_declared(sig, line, a, b)
         ok = tydyn_holds(sig, a, b)
         lines_out.append(f"RESULT {'PASS' if ok else 'FAIL'} "
                          f"{type_to_text(a)} <= {type_to_text(b)}")
@@ -115,11 +121,16 @@ def _cmd_prove(args, sig):
 
 
 def _cmd_derive(args, sig):
-    params = [parse_type(p) if p not in ("app", "prj1", "prj2") else p
-              for p in args.params]
     if args.name in ("ur-s", "ul-s", "dr-s", "dl-s"):
         raise _Failure(2, "sequent rules need a premise derivation; "
                           "use the library API for those")
+    # err_elim's first parameter is an eliminator shape; every other is a type
+    shape = args.params[:1] if args.name == "err_elim" else []
+    words = args.params[len(shape):]
+    types = [parse_type(w) for w in words]
+    for word, ty in zip(words, types):
+        _check_declared(sig, word, ty)
+    params = shape + types
     try:
         ds = derive_theorem(sig, args.name, *params)
     except GttError as e:

@@ -26,8 +26,11 @@ unit-eta
 disjoint              cross-tag ground casts error (flag-gated)
 ====================  =======================================================
 
-The derived sequent-style rules (``ur_s`` etc.) and everything in
-``theorems`` expand into these primitives.
+This module is the trusted core: what must be believed is its judgments,
+its presupposition check and the rule schema ``_SCHEMA``, with what they
+call in ``syntax`` and ``typecheck``.  Nothing here builds a derivation;
+the node builders, the derived sequent rules and the cast theorems live
+in ``theorems``, and everything they build is checked here.
 """
 
 from __future__ import annotations
@@ -36,13 +39,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from .syntax import (
-    App, Context, Downcast, DYN, Err, Fn, GttError, Lam, Pair, Prod,
-    Proj, Term, Type, UNIT, UNITVAL, Upcast, Var, alpha_eq,
-    free_vars, fresh_name, subst1, substitute,
+    App, Downcast, DYN, Err, Fn, GttError, Lam, Pair, Prod, Proj, Term, Type,
+    UNIT, UNITVAL, Upcast, Var, alpha_eq, free_vars, subst1, substitute,
 )
 from .typecheck import (
-    DynCtx, Signature, _infer, check_dynctx_wf, infer_type,
-    tydyn_holds,
+    DynCtx, Signature, _infer, _unrelated_grounds, check_dynctx_wf,
+    is_ground, tydyn_holds,
 )
 
 
@@ -574,7 +576,6 @@ def _chk_unit_eta(sig, d):
 
 
 def _chk_disjoint(sig, d):
-    from .elaborate import _unrelated_grounds, is_ground
     if not sig.disjointness:
         return ["disjointness axioms are disabled in this signature"]
     if d.premises:
@@ -626,254 +627,3 @@ _SCHEMA = {
     "disjoint": _chk_disjoint,
 }
 
-
-# ---------------------------------------------------------------------------
-# Node builders: compute conclusions so construction sites stay readable.
-# ---------------------------------------------------------------------------
-
-def var_node(phi: DynCtx, index: int) -> Derivation:
-    xl, xr, tl, tr = phi.entries[index]
-    return Derivation("var", DynJudgment(phi, Var(xl), Var(xr), tl, tr))
-
-
-def refl_node(ctx: Context, t: Term, ty: Type) -> Derivation:
-    return Derivation("refl", DynJudgment(DynCtx.diag(ctx), t, t, ty, ty))
-
-
-def trans_node(d1: Derivation, d2: Derivation) -> Derivation:
-    j1, j2 = d1.conclusion, d2.conclusion
-    phi = DynCtx(tuple(
-        (e1[0], e2[1], e1[2], e2[3])
-        for e1, e2 in zip(j1.phi.entries, j2.phi.entries)))
-    mid = (_sides(j1.phi)[1], j1.right, j1.type_right)
-    return Derivation(
-        "trans",
-        DynJudgment(phi, j1.left, j2.right, j1.type_left, j2.type_right),
-        (d1, d2), aux=mid)
-
-
-def comp_node(main: Derivation, gamma: dict[str, Term], gamma2: dict[str, Term],
-              subst_premises: tuple[Derivation, ...]) -> Derivation:
-    mj = main.conclusion
-    phi = subst_premises[0].conclusion.phi if subst_premises else DynCtx()
-    left = substitute(mj.left, gamma)
-    right = substitute(mj.right, gamma2)
-    aux = (tuple(sorted(gamma.items())), tuple(sorted(gamma2.items())))
-    return Derivation(
-        "comp",
-        DynJudgment(phi, left, right, mj.type_left, mj.type_right),
-        (main, *subst_premises), aux=aux)
-
-
-def ax_node(sig: Signature, index: int) -> Derivation:
-    lctx, lt, rctx, rt = sig.tmdyn_axioms[index]
-    phi = DynCtx(tuple(
-        (xl, xr, tl, tr)
-        for (xl, tl), (xr, tr) in zip(lctx.entries, rctx.entries)))
-    return Derivation(
-        "ax",
-        DynJudgment(phi, lt, rt,
-                    infer_type(sig, lctx, lt), infer_type(sig, rctx, rt)),
-        aux=index)
-
-
-def ur_node(low: Type, high: Type, xl: str = "x", xr: str = "x") -> Derivation:
-    phi = DynCtx.of((xl, xr, low, low))
-    return Derivation("ur", DynJudgment(
-        phi, Var(xl), Upcast(low, high, Var(xr)), low, high))
-
-
-def ul_node(low: Type, high: Type, xl: str = "x", xr: str = "x'") -> Derivation:
-    phi = DynCtx.of((xl, xr, low, high))
-    return Derivation("ul", DynJudgment(
-        phi, Upcast(low, high, Var(xl)), Var(xr), high, high))
-
-
-def dl_node(low: Type, high: Type, xl: str = "x", xr: str = "x") -> Derivation:
-    phi = DynCtx.of((xl, xr, high, high))
-    return Derivation("dl", DynJudgment(
-        phi, Downcast(low, high, Var(xl)), Var(xr), low, high))
-
-
-def dr_node(low: Type, high: Type, xl: str = "x", xr: str = "x'") -> Derivation:
-    phi = DynCtx.of((xl, xr, low, high))
-    return Derivation("dr", DynJudgment(
-        phi, Var(xl), Downcast(low, high, Var(xr)), low, low))
-
-
-def retract_node(low: Type, high: Type, xl: str = "x", xr: str = "x") -> Derivation:
-    phi = DynCtx.of((xl, xr, low, low))
-    return Derivation("retract", DynJudgment(
-        phi, Downcast(low, high, Upcast(low, high, Var(xl))), Var(xr), low, low))
-
-
-def errbot_node(ctx: Context, ty: Type, t: Term) -> Derivation:
-    return Derivation("err-bot", DynJudgment(DynCtx.diag(ctx), Err(ty), t, ty, ty))
-
-
-def lam_mon(premise: Derivation) -> Derivation:
-    p = premise.conclusion
-    xl, xr, tl, tr = p.phi.entries[-1]
-    phi = DynCtx(p.phi.entries[:-1])
-    return Derivation("lam-mon", DynJudgment(
-        phi, Lam(xl, tl, p.left), Lam(xr, tr, p.right),
-        Fn(tl, p.type_left), Fn(tr, p.type_right)), (premise,))
-
-
-def app_mon(fn_prem: Derivation, arg_prem: Derivation) -> Derivation:
-    pf, pa = fn_prem.conclusion, arg_prem.conclusion
-    return Derivation("app-mon", DynJudgment(
-        pf.phi, App(pf.left, pa.left), App(pf.right, pa.right),
-        pf.type_left.cod, pf.type_right.cod), (fn_prem, arg_prem))
-
-
-def pair_mon(p1: Derivation, p2: Derivation) -> Derivation:
-    j1, j2 = p1.conclusion, p2.conclusion
-    return Derivation("pair-mon", DynJudgment(
-        j1.phi, Pair(j1.left, j2.left), Pair(j1.right, j2.right),
-        Prod(j1.type_left, j2.type_left), Prod(j1.type_right, j2.type_right)),
-        (p1, p2))
-
-
-def prj_mon(premise: Derivation, index: int) -> Derivation:
-    p = premise.conclusion
-    tl = p.type_left.fst if index == 1 else p.type_left.snd
-    tr = p.type_right.fst if index == 1 else p.type_right.snd
-    return Derivation("prj-mon", DynJudgment(
-        p.phi, Proj(index, p.left), Proj(index, p.right), tl, tr),
-        (premise,), aux=index)
-
-
-def fn_beta_node(ctx: Context, redex: Term, ty: Type, direction: str = "fwd") -> Derivation:
-    contractum = subst1(redex.fn.body, redex.fn.var, redex.arg)
-    left, right = (redex, contractum) if direction == "fwd" else (contractum, redex)
-    return Derivation("fn-beta", DynJudgment(
-        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
-
-
-def fn_eta_node(ctx: Context, subject: Term, ty: Fn, direction: str = "fwd",
-                binder: str | None = None) -> Derivation:
-    y = binder or fresh_name("x", free_vars(subject) | ctx.names())
-    expansion = Lam(y, ty.dom, App(subject, Var(y)))
-    left, right = (subject, expansion) if direction == "fwd" else (expansion, subject)
-    return Derivation("fn-eta", DynJudgment(
-        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
-
-
-def prod_beta_node(ctx: Context, redex: Term, ty: Type, direction: str = "fwd") -> Derivation:
-    pair = redex.tup
-    contractum = pair.fst if redex.index == 1 else pair.snd
-    left, right = (redex, contractum) if direction == "fwd" else (contractum, redex)
-    return Derivation("prod-beta", DynJudgment(
-        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
-
-
-def prod_eta_node(ctx: Context, subject: Term, ty: Prod, direction: str = "fwd") -> Derivation:
-    expansion = Pair(Proj(1, subject), Proj(2, subject))
-    left, right = (subject, expansion) if direction == "fwd" else (expansion, subject)
-    return Derivation("prod-eta", DynJudgment(
-        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
-
-
-def unit_eta_node(ctx: Context, subject: Term, direction: str = "fwd") -> Derivation:
-    left, right = (subject, UNITVAL) if direction == "fwd" else (UNITVAL, subject)
-    return Derivation("unit-eta", DynJudgment(
-        DynCtx.diag(ctx), left, right, UNIT, UNIT), aux=direction)
-
-
-def disjoint_node(target: Type, source: Type, xl: str = "x", xr: str = "x") -> Derivation:
-    phi = DynCtx.of((xl, xr, source, source))
-    left = Downcast(target, DYN, Upcast(source, DYN, Var(xl)))
-    return Derivation("disjoint", DynJudgment(
-        phi, left, Err(target), target, target))
-
-
-# ---------------------------------------------------------------------------
-# Derived sequent-style rules
-# ---------------------------------------------------------------------------
-#
-# Each expands to comp(trans(var-or-primitive, var-or-primitive), premise):
-# a two-step template judgment over fresh variables, instantiated at the
-# premise's terms by the substitution rule.
-
-def _template_comp(template: Derivation, premise: Derivation) -> Derivation:
-    p = premise.conclusion
-    (yl, yr, _, _), = template.conclusion.phi.entries
-    return comp_node(template, {yl: p.left}, {yr: p.right}, (premise,))
-
-
-def ur_s(premise: Derivation, higher: Type) -> Derivation:
-    """From ``t <= t' : A <= A'`` and ``A' <= A''``: ``t <= up t' : A <= A''``."""
-    p = premise.conclusion
-    a, a1 = p.type_left, p.type_right
-    j1 = var_node(DynCtx.of(("y", "z", a, a1)), 0)
-    j2 = ur_node(a1, higher, "z", "z")
-    return _template_comp(trans_node(j1, j2), premise)
-
-
-def ul_s(premise: Derivation, mid: Type) -> Derivation:
-    """From ``t <= t'' : A <= A''`` with ``A <= mid <= A''``:
-    ``up[A => mid] t <= t'' : mid <= A''``."""
-    p = premise.conclusion
-    a, a2 = p.type_left, p.type_right
-    j1 = ul_node(a, mid, "y", "z")
-    j2 = var_node(DynCtx.of(("z", "w", mid, a2)), 0)
-    return _template_comp(trans_node(j1, j2), premise)
-
-
-def dr_s(premise: Derivation, mid: Type) -> Derivation:
-    """From ``t <= t'' : A <= A''`` with ``A <= mid <= A''``:
-    ``t <= dn[A'' => mid] t'' : A <= mid``."""
-    p = premise.conclusion
-    a, a2 = p.type_left, p.type_right
-    j1 = var_node(DynCtx.of(("y", "z", a, mid)), 0)
-    j2 = dr_node(mid, a2, "z", "w")
-    return _template_comp(trans_node(j1, j2), premise)
-
-
-def dl_s(premise: Derivation, low: Type) -> Derivation:
-    """From ``t' <= t'' : A' <= A''`` and ``low <= A'``:
-    ``dn[A' => low] t' <= t'' : low <= A''``."""
-    p = premise.conclusion
-    a1, a2 = p.type_left, p.type_right
-    j1 = dl_node(low, a1, "y", "z")
-    j2 = var_node(DynCtx.of(("z", "w", a1, a2)), 0)
-    return _template_comp(trans_node(j1, j2), premise)
-
-
-_SEQUENT_RULES = {"UR_S": ur_s, "UL_S": ul_s, "DR_S": dr_s, "DL_S": dl_s}
-
-
-def derive_sequent(rule: str, premise: Derivation, endpoint: Type,
-                   sig: Signature | None = None) -> Derivation:
-    """Build one of the four sequent-style cast rules from primitives.
-
-    With a signature, side conditions are checked eagerly instead of being
-    left for ``check_derivation`` to reject."""
-    key = rule.upper().replace("-", "_")
-    if key not in _SEQUENT_RULES:
-        raise DerivationError(f"unknown sequent rule {rule!r}; "
-                              f"expected one of {sorted(_SEQUENT_RULES)}")
-    if sig is not None:
-        p = premise.conclusion
-        conditions = {
-            "UR_S": ((p.type_right, endpoint),),
-            "UL_S": ((p.type_left, endpoint), (endpoint, p.type_right)),
-            "DR_S": ((p.type_left, endpoint), (endpoint, p.type_right)),
-            "DL_S": ((endpoint, p.type_left),),
-        }[key]
-        for lo, hi in conditions:
-            if not tydyn_holds(sig, lo, hi):
-                raise DerivationError(
-                    f"{key} side condition fails: {lo} <= {hi} is not derivable")
-    return _SEQUENT_RULES[key](premise, endpoint)
-
-
-def cast_cong_dn(low: Type, high: Type, yl: str = "y", yr: str = "y'") -> Derivation:
-    """``y <= y' : high <= high  |-  dn y <= dn y' : low <= low``."""
-    return dr_s(dl_s(var_node(DynCtx.of((yl, yr, high, high)), 0), low), low)
-
-
-def under_dn(low: Type, high: Type, premise: Derivation) -> Derivation:
-    """Apply a downcast to both sides of ``t <= t' : high <= high``."""
-    return _template_comp(cast_cong_dn(low, high), premise)

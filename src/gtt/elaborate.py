@@ -26,7 +26,10 @@ from .syntax import (
     Prod, Proj, Term, Type, Unit, UNITVAL, Upcast, Var,
     alpha_eq, free_vars, fresh_name,
 )
-from .typecheck import Signature, TypeCheckError, infer_type, tydyn_holds
+from .typecheck import (
+    Signature, TypeCheckError, _unrelated_grounds, floor_type, infer_type,
+    is_ground,
+)
 
 
 class ElaborationError(GttError):
@@ -35,36 +38,6 @@ class ElaborationError(GttError):
 
 class NormalizeBudgetExceeded(GttError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Ground types
-# ---------------------------------------------------------------------------
-
-def is_ground(ty: Type) -> bool:
-    """A ground type is one tag layer: a base type, ``? -> ?``, ``? * ?``
-    or ``1``.  Every ground type sits directly below ``?``."""
-    match ty:
-        case Base(_) | Unit():
-            return True
-        case Fn(a, b) | Prod(a, b):
-            return a == DYN and b == DYN
-        case _:
-            return False
-
-
-def floor_type(ty: Type) -> Type:
-    """The ground tag of a non-dynamic type: its head constructor with
-    dynamic arguments."""
-    match ty:
-        case Base(_) | Unit():
-            return ty
-        case Fn(_, _):
-            return Fn(DYN, DYN)
-        case Prod(_, _):
-            return Prod(DYN, DYN)
-        case _:
-            raise ElaborationError("the dynamic type has no ground tag")
 
 
 def is_elaborated(t: Term) -> bool:
@@ -199,10 +172,6 @@ def _normal_form(sig: Signature, t: Term, ty: Type, ctx: Context,
     fuel = _Fuel(max_steps)
     v = _eval(sig, fuel, t, {x: _Var(x, a) for x, a in ctx})
     return _readback(sig, fuel, v, ty, ctx.names())
-
-
-def _unrelated_grounds(sig: Signature, g: Type, g2: Type) -> bool:
-    return g != g2 and not tydyn_holds(sig, g, g2) and not tydyn_holds(sig, g2, g)
 
 
 # Values: closures, ``Pair``s of values, the error ``_ERR``, ``()``, ``Upcast``s

@@ -25,8 +25,8 @@ from __future__ import annotations
 import re
 
 from .syntax import (
-    App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair,
-    Prod, Proj, Term, Type, Unit, UNIT, UnitVal, UNITVAL, Upcast, Var,
+    App, Base, Context, Downcast, Dyn, DYN, Err, Fn, FnApp, GttError, Lam,
+    Pair, Prod, Proj, Term, Type, Unit, UNIT, UnitVal, UNITVAL, Upcast, Var,
 )
 
 RESERVED = {"fst", "snd", "up", "dn", "err"}
@@ -144,8 +144,9 @@ def type_to_text(ty: Type) -> str:
             return f"{_type_text_atomish(a)} * {_type_text_atomish(b)}"
         case Unit():
             return "1"
-        case _:
+        case Dyn():
             return "?"
+    raise TypeError(f"not a type: {ty!r}")
 
 
 def _type_text_arrow_left(ty: Type) -> str:

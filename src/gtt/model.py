@@ -53,7 +53,7 @@ from .syntax import (
     App, Base, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
     Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var,
 )
-from .typecheck import Signature, first_order, tydyn_holds
+from .typecheck import Signature, first_order, floor_type, tydyn_holds
 from .dynamism import Derivation, DynJudgment
 
 
@@ -344,7 +344,6 @@ def _coref(sig: Signature, a: Type, b: Type) -> Coreflection:
     if a == b:
         return Coreflection.identity(a)
     if b == DYN:
-        from .elaborate import floor_type
         tag = floor_type(a)
         tagc = _tag_coreflection(sig, tag)
         if a == tag:

@@ -1,8 +1,20 @@
-"""Derived theorems about casts, emitted as explicit derivation trees.
+"""Derivation builders and the derived theorems about casts.
 
-Every constructor returns a tuple of derivations (two for equi-dynamism
-results, one per direction) built purely from the primitive rules, so
-``check_derivation`` is the single source of truth for their correctness.
+This is the one module that builds derivations; ``dynamism`` only checks
+them.  It has three layers:
+
+- node builders (``var_node`` ... ``prod_eta_node``), one per primitive
+  rule the catalog uses, each computing its node's conclusion from its
+  arguments and premises;
+- the derived sequent-style cast rules ``ur_s``, ``ul_s``, ``dr_s`` and
+  ``dl_s`` (by name through ``derive_sequent``), each a two-step template
+  judgment instantiated at its premise by the substitution rule;
+- the catalog below.
+
+None of it is trusted.  Every constructor returns a tuple of derivations
+(two for equi-dynamism results, one per direction) built purely from the
+primitive rules, so ``check_derivation`` is the single source of truth for
+their correctness.
 
 Catalog:
 
@@ -28,15 +40,10 @@ from typing import Callable, Iterable, Iterator
 
 from .syntax import (
     App, Context, Downcast, DYN, Err, Fn, Lam, Pair, Prod, Proj, Term, Type,
-    Upcast, Var, type_size,
+    Upcast, Var, free_vars, subst1, substitute, type_size,
 )
 from .typecheck import DynCtx, Signature, enumerate_types, tydyn_holds
-from .dynamism import (
-    Derivation, DerivationError, app_mon, cast_cong_dn, comp_node, dl_s,
-    dr_s, errbot_node, fn_beta_node, fn_eta_node, lam_mon, pair_mon,
-    prj_mon, prod_beta_node, prod_eta_node, refl_node, retract_node,
-    trans_node, ul_s, under_dn, ur_s, var_node,
-)
+from .dynamism import Derivation, DerivationError, DynJudgment
 
 
 class FlagRequired(DerivationError):
@@ -57,16 +64,225 @@ def _need(sig: Signature, a: Type, b: Type, what: str):
 
 
 # ---------------------------------------------------------------------------
+# Node builders: compute conclusions so construction sites stay readable.
+# ---------------------------------------------------------------------------
+
+def var_node(phi: DynCtx, index: int) -> Derivation:
+    xl, xr, tl, tr = phi.entries[index]
+    return Derivation("var", DynJudgment(phi, Var(xl), Var(xr), tl, tr))
+
+
+def refl_node(ctx: Context, t: Term, ty: Type) -> Derivation:
+    return Derivation("refl", DynJudgment(DynCtx.diag(ctx), t, t, ty, ty))
+
+
+def trans_node(d1: Derivation, d2: Derivation) -> Derivation:
+    j1, j2 = d1.conclusion, d2.conclusion
+    phi = DynCtx(tuple(
+        (e1[0], e2[1], e1[2], e2[3])
+        for e1, e2 in zip(j1.phi.entries, j2.phi.entries)))
+    middle = tuple((xr, tr) for _, xr, _, tr in j1.phi.entries)
+    return Derivation(
+        "trans",
+        DynJudgment(phi, j1.left, j2.right, j1.type_left, j2.type_right),
+        (d1, d2), aux=(middle, j1.right, j1.type_right))
+
+
+def comp_node(main: Derivation, gamma: dict[str, Term], gamma2: dict[str, Term],
+              subst_premises: tuple[Derivation, ...]) -> Derivation:
+    mj = main.conclusion
+    phi = subst_premises[0].conclusion.phi if subst_premises else DynCtx()
+    left = substitute(mj.left, gamma)
+    right = substitute(mj.right, gamma2)
+    aux = (tuple(sorted(gamma.items())), tuple(sorted(gamma2.items())))
+    return Derivation(
+        "comp",
+        DynJudgment(phi, left, right, mj.type_left, mj.type_right),
+        (main, *subst_premises), aux=aux)
+
+
+def ur_node(low: Type, high: Type, xl: str = "x", xr: str = "x") -> Derivation:
+    phi = DynCtx.of((xl, xr, low, low))
+    return Derivation("ur", DynJudgment(
+        phi, Var(xl), Upcast(low, high, Var(xr)), low, high))
+
+
+def ul_node(low: Type, high: Type, xl: str = "x", xr: str = "x'") -> Derivation:
+    phi = DynCtx.of((xl, xr, low, high))
+    return Derivation("ul", DynJudgment(
+        phi, Upcast(low, high, Var(xl)), Var(xr), high, high))
+
+
+def dl_node(low: Type, high: Type, xl: str = "x", xr: str = "x") -> Derivation:
+    phi = DynCtx.of((xl, xr, high, high))
+    return Derivation("dl", DynJudgment(
+        phi, Downcast(low, high, Var(xl)), Var(xr), low, high))
+
+
+def dr_node(low: Type, high: Type, xl: str = "x", xr: str = "x'") -> Derivation:
+    phi = DynCtx.of((xl, xr, low, high))
+    return Derivation("dr", DynJudgment(
+        phi, Var(xl), Downcast(low, high, Var(xr)), low, low))
+
+
+def retract_node(low: Type, high: Type, xl: str = "x", xr: str = "x") -> Derivation:
+    phi = DynCtx.of((xl, xr, low, low))
+    return Derivation("retract", DynJudgment(
+        phi, Downcast(low, high, Upcast(low, high, Var(xl))), Var(xr), low, low))
+
+
+def errbot_node(ctx: Context, ty: Type, t: Term) -> Derivation:
+    return Derivation("err-bot", DynJudgment(DynCtx.diag(ctx), Err(ty), t, ty, ty))
+
+
+def lam_mon(premise: Derivation) -> Derivation:
+    p = premise.conclusion
+    xl, xr, tl, tr = p.phi.entries[-1]
+    phi = DynCtx(p.phi.entries[:-1])
+    return Derivation("lam-mon", DynJudgment(
+        phi, Lam(xl, tl, p.left), Lam(xr, tr, p.right),
+        Fn(tl, p.type_left), Fn(tr, p.type_right)), (premise,))
+
+
+def app_mon(fn_prem: Derivation, arg_prem: Derivation) -> Derivation:
+    pf, pa = fn_prem.conclusion, arg_prem.conclusion
+    return Derivation("app-mon", DynJudgment(
+        pf.phi, App(pf.left, pa.left), App(pf.right, pa.right),
+        pf.type_left.cod, pf.type_right.cod), (fn_prem, arg_prem))
+
+
+def pair_mon(p1: Derivation, p2: Derivation) -> Derivation:
+    j1, j2 = p1.conclusion, p2.conclusion
+    return Derivation("pair-mon", DynJudgment(
+        j1.phi, Pair(j1.left, j2.left), Pair(j1.right, j2.right),
+        Prod(j1.type_left, j2.type_left), Prod(j1.type_right, j2.type_right)),
+        (p1, p2))
+
+
+def prj_mon(premise: Derivation, index: int) -> Derivation:
+    p = premise.conclusion
+    tl = p.type_left.fst if index == 1 else p.type_left.snd
+    tr = p.type_right.fst if index == 1 else p.type_right.snd
+    return Derivation("prj-mon", DynJudgment(
+        p.phi, Proj(index, p.left), Proj(index, p.right), tl, tr),
+        (premise,), aux=index)
+
+
+def fn_beta_node(ctx: Context, redex: Term, ty: Type, direction: str = "fwd") -> Derivation:
+    contractum = subst1(redex.fn.body, redex.fn.var, redex.arg)
+    left, right = (redex, contractum) if direction == "fwd" else (contractum, redex)
+    return Derivation("fn-beta", DynJudgment(
+        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
+
+
+def fn_eta_node(ctx: Context, subject: Term, ty: Fn, direction: str,
+                binder: str) -> Derivation:
+    expansion = Lam(binder, ty.dom, App(subject, Var(binder)))
+    left, right = (subject, expansion) if direction == "fwd" else (expansion, subject)
+    return Derivation("fn-eta", DynJudgment(
+        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
+
+
+def prod_beta_node(ctx: Context, redex: Term, ty: Type, direction: str = "fwd") -> Derivation:
+    pair = redex.tup
+    contractum = pair.fst if redex.index == 1 else pair.snd
+    left, right = (redex, contractum) if direction == "fwd" else (contractum, redex)
+    return Derivation("prod-beta", DynJudgment(
+        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
+
+
+def prod_eta_node(ctx: Context, subject: Term, ty: Prod, direction: str = "fwd") -> Derivation:
+    expansion = Pair(Proj(1, subject), Proj(2, subject))
+    left, right = (subject, expansion) if direction == "fwd" else (expansion, subject)
+    return Derivation("prod-eta", DynJudgment(
+        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
+
+
+# ---------------------------------------------------------------------------
+# Derived sequent-style rules
+# ---------------------------------------------------------------------------
+#
+# Each expands to comp(trans(var-or-primitive, var-or-primitive), premise):
+# a two-step template judgment over fresh variables, instantiated at the
+# premise's terms by the substitution rule.
+
+def _template_comp(template: Derivation, premise: Derivation) -> Derivation:
+    p = premise.conclusion
+    (yl, yr, _, _), = template.conclusion.phi.entries
+    return comp_node(template, {yl: p.left}, {yr: p.right}, (premise,))
+
+
+def ur_s(premise: Derivation, higher: Type) -> Derivation:
+    """From ``t <= t' : A <= A'`` and ``A' <= A''``: ``t <= up t' : A <= A''``."""
+    p = premise.conclusion
+    a, a1 = p.type_left, p.type_right
+    j1 = var_node(DynCtx.of(("y", "z", a, a1)), 0)
+    j2 = ur_node(a1, higher, "z", "z")
+    return _template_comp(trans_node(j1, j2), premise)
+
+
+def ul_s(premise: Derivation, mid: Type) -> Derivation:
+    """From ``t <= t'' : A <= A''`` with ``A <= mid <= A''``:
+    ``up[A => mid] t <= t'' : mid <= A''``."""
+    p = premise.conclusion
+    a, a2 = p.type_left, p.type_right
+    j1 = ul_node(a, mid, "y", "z")
+    j2 = var_node(DynCtx.of(("z", "w", mid, a2)), 0)
+    return _template_comp(trans_node(j1, j2), premise)
+
+
+def dr_s(premise: Derivation, mid: Type) -> Derivation:
+    """From ``t <= t'' : A <= A''`` with ``A <= mid <= A''``:
+    ``t <= dn[A'' => mid] t'' : A <= mid``."""
+    p = premise.conclusion
+    a, a2 = p.type_left, p.type_right
+    j1 = var_node(DynCtx.of(("y", "z", a, mid)), 0)
+    j2 = dr_node(mid, a2, "z", "w")
+    return _template_comp(trans_node(j1, j2), premise)
+
+
+def dl_s(premise: Derivation, low: Type) -> Derivation:
+    """From ``t' <= t'' : A' <= A''`` and ``low <= A'``:
+    ``dn[A' => low] t' <= t'' : low <= A''``."""
+    p = premise.conclusion
+    a1, a2 = p.type_left, p.type_right
+    j1 = dl_node(low, a1, "y", "z")
+    j2 = var_node(DynCtx.of(("z", "w", a1, a2)), 0)
+    return _template_comp(trans_node(j1, j2), premise)
+
+
+_SEQUENT_RULES = {"UR_S": ur_s, "UL_S": ul_s, "DR_S": dr_s, "DL_S": dl_s}
+
+
+def derive_sequent(rule: str, premise: Derivation, endpoint: Type) -> Derivation:
+    """Build one of the four sequent-style cast rules from primitives.  Its
+    side conditions are left for ``check_derivation`` to reject."""
+    key = rule.upper().replace("-", "_")
+    if key not in _SEQUENT_RULES:
+        raise DerivationError(f"unknown sequent rule {rule!r}; "
+                              f"expected one of {sorted(_SEQUENT_RULES)}")
+    return _SEQUENT_RULES[key](premise, endpoint)
+
+
+def cast_cong_dn(low: Type, high: Type, yl: str = "y", yr: str = "y'") -> Derivation:
+    """``y <= y' : high <= high  |-  dn y <= dn y' : low <= low``."""
+    return dr_s(dl_s(var_node(DynCtx.of((yl, yr, high, high)), 0), low), low)
+
+
+def under_dn(low: Type, high: Type, premise: Derivation) -> Derivation:
+    """Apply a downcast to both sides of ``t <= t' : high <= high``."""
+    return _template_comp(cast_cong_dn(low, high), premise)
+
+
+# ---------------------------------------------------------------------------
 # Individual constructors
 # ---------------------------------------------------------------------------
 
 def identity_up(sig: Signature, a: Type) -> tuple[Derivation, Derivation]:
-    from .dynamism import ul_node, ur_node
     return (ul_node(a, a, "x", "x'"), ur_node(a, a, "x", "x'"))
 
 
 def identity_dn(sig: Signature, a: Type) -> tuple[Derivation, Derivation]:
-    from .dynamism import dl_node, dr_node
     return (dl_node(a, a, "x", "x'"), dr_node(a, a, "x", "x'"))
 
 
@@ -446,7 +662,6 @@ def conclusion_equation(d: Derivation) -> tuple[Context, Term, Term]:
     with right-side variables renamed to their left partners.  Only
     meaningful when the context pairs variables at equal types, as the
     reduction theorems do."""
-    from .syntax import free_vars, substitute
     j = d.conclusion
     ren = {xr: Var(xl) for xl, xr, _, _ in j.phi}
     for x in free_vars(j.right):

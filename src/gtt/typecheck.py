@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional
 
 from .syntax import (
     App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair,
-    Prod, Proj, Term, Type, UNIT, UnitVal, Upcast, Var, contains_fn,
+    Prod, Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, contains_fn,
 )
 
 
@@ -173,9 +173,19 @@ class Signature:
                     raise SignatureError(
                         f"function symbol {name} mentions unknown base type: {ty}")
         self._closure = self.base_closure()
-        for lo, hi in self.base_codes.values():
+        codes = list(self.base_codes.items())
+        for i, (name, (lo, hi)) in enumerate(codes):
+            if name not in self.base_types:
+                raise SignatureError(f"base codes for unknown base type: {name}")
             if lo >= hi:
                 raise SignatureError(f"empty base-code range: [{lo}, {hi})")
+            # unrelated tags must stay apart in ``?``
+            for other, (lo2, hi2) in codes[:i]:
+                if (lo < hi2 and lo2 < hi and other not in self._closure[name]
+                        and name not in self._closure[other]):
+                    raise SignatureError(
+                        f"base-code ranges of unrelated base types overlap: "
+                        f"{other} [{lo2}, {hi2}) and {name} [{lo}, {hi})")
         for i, (lctx, lt, rctx, rt) in enumerate(self.tmdyn_axioms):
             try:
                 ta = infer_type(self, lctx, lt)
@@ -319,6 +329,40 @@ def tydyn_holds(sig: Signature, a: Type, b: Type) -> bool:
                 out = False
     sig._dyn_cache[key] = out
     return out
+
+
+# ---------------------------------------------------------------------------
+# Ground types
+# ---------------------------------------------------------------------------
+
+def is_ground(ty: Type) -> bool:
+    """A ground type is one tag layer: a base type, ``? -> ?``, ``? * ?``
+    or ``1``.  Every ground type sits directly below ``?``."""
+    match ty:
+        case Base(_) | Unit():
+            return True
+        case Fn(a, b) | Prod(a, b):
+            return a == DYN and b == DYN
+        case _:
+            return False
+
+
+def floor_type(ty: Type) -> Type:
+    """The ground tag of a non-dynamic type: its head constructor with
+    dynamic arguments."""
+    match ty:
+        case Base(_) | Unit():
+            return ty
+        case Fn(_, _):
+            return Fn(DYN, DYN)
+        case Prod(_, _):
+            return Prod(DYN, DYN)
+        case _:
+            raise TypeCheckError("the dynamic type has no ground tag")
+
+
+def _unrelated_grounds(sig: Signature, g: Type, g2: Type) -> bool:
+    return g != g2 and not tydyn_holds(sig, g, g2) and not tydyn_holds(sig, g2, g)
 
 
 def check_ctx_dyn(sig: Signature, left: Context, right: Context) -> DynCtx | None:

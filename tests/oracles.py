@@ -22,7 +22,7 @@ import functools
 import re
 
 from gtt.dynamism import _SCHEMA, Derivation, DynJudgment
-from gtt.elaborate import _Fuel, _unrelated_grounds
+from gtt.elaborate import _Fuel
 from gtt.grammar import ParseError, SexpList, term_to_text, type_to_text
 from gtt.syntax import (
     App, Context, DYN, Downcast, Err, FnApp, GttError, Lam, Pair, Proj, Term,
@@ -38,8 +38,8 @@ from gtt.theorems import (
     FlagRequired, THEOREMS, derive_theorem, judgment_types,
 )
 from gtt.typecheck import (
-    DynCtx, Signature, TypeCheckError, check_type_wf, enumerate_types,
-    infer_type, tydyn_holds,
+    DynCtx, Signature, TypeCheckError, _unrelated_grounds, check_type_wf,
+    enumerate_types, infer_type, tydyn_holds,
 )
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gtt.cli
+import gtt.grammar
 from gtt.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -331,6 +332,56 @@ def test_derive_with_the_wrong_number_of_parameters_is_exit_2(capsys):
     assert code == 2
     assert err == ("cannot derive galois_unit: galois_unit expects 2 "
                    "parameters, got 1\n")
+
+
+@pytest.mark.parametrize("params, err", [
+    # a shape word is a parameter of err_elim only
+    (["identity_up", "app"], "unknown base type app in 'app'\n"),
+    (["galois_unit", "Foo", "Foo"], "unknown base type Foo in 'Foo'\n"),
+    (["err_elim", "Nat", "Nat", "Nat"],
+     "cannot derive err_elim: unknown err_elim shape 'Nat'\n"),
+], ids=["shape-word", "undeclared-base", "err_elim-type-as-shape"])
+def test_derive_with_an_unusable_parameter_is_exit_2(capsys, params, err):
+    code, got = run_cli_err("derive", *params, capsys=capsys)
+    assert code == 2
+    assert got == err
+
+
+def test_a_value_that_is_not_a_type_has_no_text():
+    with pytest.raises(TypeError, match="not a type: 'app'"):
+        gtt.grammar.type_to_text("app")
+
+
+@pytest.mark.parametrize("codes, err", [
+    # Nat and Foo are unrelated, so their tags in ? must not share a code
+    ("  Nat 0 10\n  Foo 5 15\n",
+     "error: base-code ranges of unrelated base types overlap: "
+     "Nat [0, 10) and Foo [5, 15)\n"),
+    ("  Nat 0 10\n  Foo 10 15\n  Bar 15 20\n",
+     "error: base codes for unknown base type: Bar\n"),
+], ids=["overlap", "undeclared"])
+def test_a_bad_basecodes_section_is_exit_2(tmp_path, capsys, codes, err):
+    sig = tmp_path / "codes.gttsig"
+    sig.write_text("basetypes: Nat Foo\nbasecodes:\n" + codes)
+    # a cross-tag cast between the two tags, which the model refutes when
+    # the ranges overlap
+    proof = tmp_path / "disjoint.gttd"
+    proof.write_text(
+        "(disjoint (concl (ctx (x x {Nat} {Nat})) {dn[? => Foo] up[Nat => ?] x}"
+        " {err[Foo]} {Foo} {Foo}))\n")
+    code, got = run_cli_err("--sig", sig, "prove", proof, capsys=capsys)
+    assert code == 2
+    assert got == err
+
+
+def test_derive_err_elim_takes_a_shape_word(tmp_path, capsys):
+    out_file = tmp_path / "err_elim.gttd"
+    code, _ = run_cli("--out", out_file, "derive", "err_elim", "prj2", "Nat",
+                      "?", capsys=capsys)
+    assert code == 0
+    code, out = run_cli("prove", out_file, capsys=capsys)
+    assert code == 0
+    assert out.count("RESULT PASS") == 2
 
 
 def test_unexpected_exception_is_exit_2_with_its_traceback(monkeypatch, capsys):

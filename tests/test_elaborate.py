@@ -9,10 +9,12 @@ from gtt.syntax import (
     App, Context, DYN, Downcast, Err, Fn, Lam, NAT, Pair, Prod, Proj, UNIT,
     UNITVAL, Upcast, Var, alpha_eq, num, term_size,
 )
-from gtt.typecheck import TypeCheckError, default_signature, infer_type
+from gtt.typecheck import (
+    TypeCheckError, default_signature, floor_type, infer_type, is_ground,
+)
 from gtt.elaborate import (
-    NormalizeBudgetExceeded, elaborate, equal_terms, floor_type, is_elaborated,
-    is_ground, normalize, oblique_cast,
+    NormalizeBudgetExceeded, elaborate, equal_terms, is_elaborated, normalize,
+    oblique_cast,
 )
 from gtt.theorems import (
     REDUCTION_THEOREMS, conclusion_equation, theorem_instances,

@@ -7,12 +7,10 @@ import gtt.theorems
 from gtt.grammar import parse_type
 from gtt.syntax import Context, DYN, Downcast, Err, Fn, NAT, Prod, UNIT, Upcast, Var
 from gtt.typecheck import Signature, default_signature, enumerate_types, tydyn_holds
-from gtt.dynamism import (
-    DerivationError, check_derivation, derivation_errors, trans_node,
-)
+from gtt.dynamism import DerivationError, check_derivation, derivation_errors
 from gtt.theorems import (
     FlagRequired, HypothesisError, REDUCTION_THEOREMS, THEOREMS,
-    conclusion_equation, derive_theorem, theorem_instances,
+    conclusion_equation, derive_theorem, theorem_instances, trans_node,
 )
 
 from oracles import theorem_instances_reference

@@ -120,6 +120,21 @@ def test_signature_rejects_axioms_between_non_base_types(axiom):
         Signature(tydyn_axioms=(axiom,))
 
 
+def test_base_codes_may_overlap_only_between_related_base_types():
+    even, nat = Base("Even"), NAT
+    # Even <= Nat: the tags are related, so their ranges may share codes
+    Signature(base_types=("Nat", "Even"), tydyn_axioms=((even, nat),),
+              base_codes={"Nat": (0, 10), "Even": (5, 15)})
+    # disjoint ranges load whether or not the tags are related
+    Signature(base_types=("Nat", "Even"),
+              base_codes={"Nat": (0, 10), "Even": (10, 15)})
+    with pytest.raises(SignatureError, match="unrelated base types overlap"):
+        Signature(base_types=("Nat", "Even"),
+                  base_codes={"Nat": (0, 10), "Even": (9, 15)})
+    with pytest.raises(SignatureError, match="unknown base type: Odd"):
+        Signature(base_types=("Nat",), base_codes={"Odd": (0, 10)})
+
+
 def test_dyn_top_restriction():
     fo = SIG.first_order_dyn()
     assert not tydyn_holds(fo, parse_type("Nat -> Nat"), DYN)
