@@ -6,25 +6,32 @@ pairing ``phi``.  Derivations are explicit trees: one node per primitive
 rule, every node carrying its full conclusion, so checking is local and
 needs no search.
 
-Primitive rules (file-format names in parentheses):
+Primitive rules (file-format names), each with its premise count and the
+aux it reads (``-``: none; brackets: it may be absent):
 
-====================  =======================================================
-var                   variable lookup in the dynamism context
-comp                  substitution into a judgment, one premise per entry
-refl                  ``t <= t`` over a diagonal context
-trans                 composition through an explicit middle judgment
-ax                    membership in the signature's term-dynamism axioms
-ur, ul, dl, dr        the four cast rules: an upcast is the least term
-                      above its subject, a downcast the greatest below
-retract               ``dn (up x) <= x`` (flag-gated)
-err-bot               the error constant is least at its type
-lam-mon, app-mon,     congruence for lambda, application, pairing and
-pair-mon, prj-mon     projection
-fn-beta, fn-eta,      beta and eta laws, tagged with a direction since each
-prod-beta, prod-eta,  holds as an equi-dynamism
-unit-eta
-disjoint              cross-tag ground casts error (flag-gated)
-====================  =======================================================
+==================  =====  ==========  ====================================
+rule                prem.  aux         meaning
+==================  =====  ==========  ====================================
+var                 0      -           lookup in the dynamism context
+comp                1 + n  sub, sub    substitution, a premise per entry
+refl                0      -           ``t <= t`` over a diagonal context
+trans               2      [mid]       composition through a middle judgment
+ax                  0      [index]     a term-dynamism axiom of the signature
+ur, ul, dl, dr      0      -           the casts: an upcast is least above
+                                       its subject, a downcast greatest below
+retract             0      -           ``dn (up x) <= x`` (flag-gated)
+err-bot             0      -           the error constant is least at its type
+lam-mon, prj-mon    1      prj-mon:    congruence for lambda, projection,
+app-mon, pair-mon   2      [1 or 2]    application and pairing
+fn-beta, fn-eta,    0      fwd or bwd  beta and eta laws, each an
+prod-beta,                             equi-dynamism, so tagged with a
+prod-eta, unit-eta                     direction
+disjoint            0      -           cross-tag casts error (flag-gated)
+==================  =====  ==========  ====================================
+
+Each row of ``_SCHEMA`` is its rule's shape: premise count, gating flag,
+context shape (one entry, or diagonal) and aux.  ``_check_node`` checks it
+once, before the rule's own check; a rule that reads no aux rejects one.
 
 This module is the trusted core: what must be believed is its judgments,
 its presupposition check and the rule schema ``_SCHEMA``, with what they
@@ -36,7 +43,7 @@ in ``theorems``, and everything they build is checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .syntax import (
     App, Downcast, DYN, Err, Fn, GttError, Lam, Pair, Prod, Proj, Term, Type,
@@ -100,8 +107,8 @@ def _check_node(sig: Signature, d: Derivation, path: str, errors: list[str]):
     if d.rule not in _SCHEMA:
         errors.append(f"{path}: unknown rule {d.rule!r}")
         return
-    for msg in _SCHEMA[d.rule](sig, d):
-        errors.append(f"{path}: {d.rule}: {msg}")
+    errors.extend(f"{path}: {d.rule}: {msg}"
+                  for msg in _rule_errors(sig, d, _SCHEMA[d.rule]))
 
 
 def _presupposition_errors(sig: Signature, j: DynJudgment) -> list[str]:
@@ -128,15 +135,44 @@ def _presupposition_errors(sig: Signature, j: DynJudgment) -> list[str]:
     return out
 
 
-def _single_entry(j: DynJudgment):
-    if len(j.phi) != 1:
-        return None
-    return j.phi.entries[0]
+class _Rule(NamedTuple):
+    """A primitive rule: its shape, then the check of everything else."""
+    check: Callable[[Signature, Derivation], list[str]]
+    premises: int | None = 0  # None: ``check`` counts them itself
+    flag: str | None = None   # the ``Signature`` flag that gates the rule
+    ctx: str | None = None    # "single" entry or "diagonal"
+    aux: str | None = None    # the aux ``check`` reads; None: no aux
+
+
+_PREMISES = {0: "takes no premises", 1: "expects one premise",
+             2: "expects two premises"}
+_DISABLED = {"retract": "retract axiom is disabled in this signature",
+             "disjointness": "disjointness axioms are disabled in this signature"}
+# what a present aux must be, where the shape checks it; ``check`` checks
+# the other forms
+_AUX = {None: (lambda a: False, "takes no aux"),
+        "index": (lambda a: isinstance(a, int), "aux must be an axiom index"),
+        "1 or 2": (lambda a: a in (1, 2), "aux must be 1 or 2")}
+
+
+def _rule_errors(sig: Signature, d: Derivation, rule: _Rule) -> list[str]:
+    """The rule's shape, in a fixed order, then its own check; every shape
+    error but a non-diagonal context ends the check."""
+    check, premises, flag, ctx, aux = rule
+    if flag and not getattr(sig, flag):
+        return [_DISABLED[flag]]
+    if premises is not None and len(d.premises) != premises:
+        return [_PREMISES[premises]]
+    if d.aux is not None and aux in _AUX and not _AUX[aux][0](d.aux):
+        return [_AUX[aux][1]]
+    if ctx == "single" and len(d.conclusion.phi) != 1:
+        return ["context must be a single entry"]
+    if ctx == "diagonal" and not d.conclusion.phi.is_diagonal():
+        return ["context must be diagonal"] + check(sig, d)
+    return check(sig, d)
 
 
 def _chk_var(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
     for xl, xr, tl, tr in j.phi:
         if j.left == Var(xl) and j.right == Var(xr):
@@ -147,8 +183,6 @@ def _chk_var(sig, d):
 
 
 def _chk_refl(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
     out = []
     if not j.phi.is_diagonal():
@@ -211,10 +245,8 @@ def _chk_trans(sig, d):
 
 
 def _chk_ax(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
-    indices = [d.aux] if isinstance(d.aux, int) else range(len(sig.tmdyn_axioms))
+    indices = range(len(sig.tmdyn_axioms)) if d.aux is None else [d.aux]
     for i in indices:
         if not 0 <= i < len(sig.tmdyn_axioms):
             return [f"no term-dynamism axiom with index {i}"]
@@ -235,6 +267,8 @@ def _chk_comp(sig, d):
     if not (isinstance(d.aux, tuple) and len(d.aux) == 2):
         return ["aux must carry the two substitutions"]
     gamma, gamma2 = (dict(d.aux[0]), dict(d.aux[1]))
+    if len(gamma) != len(d.aux[0]) or len(gamma2) != len(d.aux[1]):
+        return ["substitution binds a name twice"]
     out = []
     if set(gamma) != {xl for xl, _, _, _ in main.phi}:
         out.append("left substitution does not cover the main premise context")
@@ -263,13 +297,8 @@ def _chk_comp(sig, d):
 
 
 def _chk_ur(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
-    entry = _single_entry(j)
-    if entry is None:
-        return ["context must be a single entry"]
-    xl, xr, tl, tr = entry
+    xl, xr, tl, tr = j.phi.entries[0]
     if tl != tr:
         return ["context entry must be diagonal in its type"]
     if j.left != Var(xl):
@@ -282,13 +311,8 @@ def _chk_ur(sig, d):
 
 
 def _chk_ul(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
-    entry = _single_entry(j)
-    if entry is None:
-        return ["context must be a single entry"]
-    xl, xr, tl, tr = entry
+    xl, xr, tl, tr = j.phi.entries[0]
     if j.left != Upcast(tl, tr, Var(xl)):
         return ["left side must be the upcast of the context variable"]
     if j.right != Var(xr):
@@ -299,13 +323,8 @@ def _chk_ul(sig, d):
 
 
 def _chk_dl(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
-    entry = _single_entry(j)
-    if entry is None:
-        return ["context must be a single entry"]
-    xl, xr, tl, tr = entry
+    xl, xr, tl, tr = j.phi.entries[0]
     if tl != tr:
         return ["context entry must be diagonal in its type"]
     if j.left != Downcast(j.type_left, tl, Var(xl)):
@@ -318,13 +337,8 @@ def _chk_dl(sig, d):
 
 
 def _chk_dr(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
-    entry = _single_entry(j)
-    if entry is None:
-        return ["context must be a single entry"]
-    xl, xr, tl, tr = entry
+    xl, xr, tl, tr = j.phi.entries[0]
     if j.left != Var(xl):
         return ["left side must be the context variable"]
     if j.right != Downcast(tl, tr, Var(xr)):
@@ -335,15 +349,8 @@ def _chk_dr(sig, d):
 
 
 def _chk_retract(sig, d):
-    if not sig.retract:
-        return ["retract axiom is disabled in this signature"]
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
-    entry = _single_entry(j)
-    if entry is None:
-        return ["context must be a single entry"]
-    xl, xr, tl, tr = entry
+    xl, xr, tl, tr = j.phi.entries[0]
     if tl != tr:
         return ["context entry must be diagonal in its type"]
     match j.left:
@@ -360,12 +367,8 @@ def _chk_retract(sig, d):
 
 
 def _chk_errbot(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
     out = []
-    if not j.phi.is_diagonal():
-        out.append("context must be diagonal")
     if j.left != Err(j.type_left):
         out.append("left side must be the error constant at the judgment type")
     if j.type_left != j.type_right:
@@ -374,8 +377,6 @@ def _chk_errbot(sig, d):
 
 
 def _chk_lam_mon(sig, d):
-    if len(d.premises) != 1:
-        return ["expects one premise"]
     j = d.conclusion
     p = d.premises[0].conclusion
     if len(p.phi) != len(j.phi) + 1 or p.phi.entries[:-1] != j.phi.entries:
@@ -392,8 +393,6 @@ def _chk_lam_mon(sig, d):
 
 
 def _chk_app_mon(sig, d):
-    if len(d.premises) != 2:
-        return ["expects two premises"]
     j = d.conclusion
     pf, pa = d.premises[0].conclusion, d.premises[1].conclusion
     out = []
@@ -413,8 +412,6 @@ def _chk_app_mon(sig, d):
 
 
 def _chk_pair_mon(sig, d):
-    if len(d.premises) != 2:
-        return ["expects two premises"]
     j = d.conclusion
     p1, p2 = d.premises[0].conclusion, d.premises[1].conclusion
     out = []
@@ -431,12 +428,9 @@ def _chk_pair_mon(sig, d):
 
 
 def _chk_prj_mon(sig, d):
-    if len(d.premises) != 1:
-        return ["expects one premise"]
     j = d.conclusion
     p = d.premises[0].conclusion
-    i = d.aux if d.aux in (1, 2) else (
-        j.left.index if isinstance(j.left, Proj) else None)
+    i = d.aux or (j.left.index if isinstance(j.left, Proj) else None)
     if i not in (1, 2):
         return ["cannot determine the projection index"]
     out = []
@@ -456,20 +450,14 @@ def _chk_prj_mon(sig, d):
 
 
 def _oriented(j: DynJudgment, aux) -> tuple[Term, Term] | None:
-    if aux == "fwd":
-        return j.left, j.right
-    if aux == "bwd":
-        return j.right, j.left
-    return None
+    if aux not in ("fwd", "bwd"):
+        return None
+    return (j.left, j.right) if aux == "fwd" else (j.right, j.left)
 
 
 def _chk_fn_beta(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
     out = []
-    if not j.phi.is_diagonal():
-        out.append("context must be diagonal")
     if j.type_left != j.type_right:
         out.append("endpoint types must coincide")
     oriented = _oriented(j, d.aux)
@@ -486,19 +474,14 @@ def _chk_fn_beta(sig, d):
 
 
 def _chk_fn_eta(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
-    out = []
-    if not j.phi.is_diagonal():
-        out.append("context must be diagonal")
     if j.type_left != j.type_right or not isinstance(j.type_left, Fn):
-        out.append("endpoint types must be one function type")
-        return out
+        return ["endpoint types must be one function type"]
     oriented = _oriented(j, d.aux)
     if oriented is None:
-        return out + ["aux must be fwd or bwd"]
+        return ["aux must be fwd or bwd"]
     subject, expansion = oriented
+    out = []
     match expansion:
         case Lam(y, annot, App(g, Var(y2))) if y == y2:
             if annot != j.type_left.dom:
@@ -513,12 +496,8 @@ def _chk_fn_eta(sig, d):
 
 
 def _chk_prod_beta(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
     out = []
-    if not j.phi.is_diagonal():
-        out.append("context must be diagonal")
     if j.type_left != j.type_right:
         out.append("endpoint types must coincide")
     oriented = _oriented(j, d.aux)
@@ -535,35 +514,25 @@ def _chk_prod_beta(sig, d):
 
 
 def _chk_prod_eta(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
-    out = []
-    if not j.phi.is_diagonal():
-        out.append("context must be diagonal")
     if j.type_left != j.type_right or not isinstance(j.type_left, Prod):
-        out.append("endpoint types must be one product type")
-        return out
+        return ["endpoint types must be one product type"]
     oriented = _oriented(j, d.aux)
     if oriented is None:
-        return out + ["aux must be fwd or bwd"]
+        return ["aux must be fwd or bwd"]
     subject, expansion = oriented
     match expansion:
         case Pair(Proj(1, g1), Proj(2, g2)):
             if not (alpha_eq(g1, subject) and alpha_eq(g2, subject)):
-                out.append("expansion does not project the subject")
+                return ["expansion does not project the subject"]
+            return []
         case _:
-            out.append("expansion side is not a product eta expansion")
-    return out
+            return ["expansion side is not a product eta expansion"]
 
 
 def _chk_unit_eta(sig, d):
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
     out = []
-    if not j.phi.is_diagonal():
-        out.append("context must be diagonal")
     if j.type_left != UNIT or j.type_right != UNIT:
         out.append("endpoint types must be the unit type")
     oriented = _oriented(j, d.aux)
@@ -576,15 +545,8 @@ def _chk_unit_eta(sig, d):
 
 
 def _chk_disjoint(sig, d):
-    if not sig.disjointness:
-        return ["disjointness axioms are disabled in this signature"]
-    if d.premises:
-        return ["takes no premises"]
     j = d.conclusion
-    entry = _single_entry(j)
-    if entry is None:
-        return ["context must be a single entry"]
-    xl, xr, tl, tr = entry
+    xl, xr, tl, tr = j.phi.entries[0]
     out = []
     if tl != tr:
         out.append("context entry must be diagonal in its type")
@@ -604,26 +566,25 @@ def _chk_disjoint(sig, d):
 
 
 _SCHEMA = {
-    "var": _chk_var,
-    "comp": _chk_comp,
-    "refl": _chk_refl,
-    "trans": _chk_trans,
-    "ax": _chk_ax,
-    "ur": _chk_ur,
-    "ul": _chk_ul,
-    "dl": _chk_dl,
-    "dr": _chk_dr,
-    "retract": _chk_retract,
-    "err-bot": _chk_errbot,
-    "lam-mon": _chk_lam_mon,
-    "app-mon": _chk_app_mon,
-    "pair-mon": _chk_pair_mon,
-    "prj-mon": _chk_prj_mon,
-    "fn-beta": _chk_fn_beta,
-    "fn-eta": _chk_fn_eta,
-    "prod-beta": _chk_prod_beta,
-    "prod-eta": _chk_prod_eta,
-    "unit-eta": _chk_unit_eta,
-    "disjoint": _chk_disjoint,
+    "var": _Rule(_chk_var),
+    "comp": _Rule(_chk_comp, premises=None, aux="substitutions"),
+    "refl": _Rule(_chk_refl),
+    "trans": _Rule(_chk_trans, premises=None, aux="middle judgment"),
+    "ax": _Rule(_chk_ax, aux="index"),
+    "ur": _Rule(_chk_ur, ctx="single"),
+    "ul": _Rule(_chk_ul, ctx="single"),
+    "dl": _Rule(_chk_dl, ctx="single"),
+    "dr": _Rule(_chk_dr, ctx="single"),
+    "retract": _Rule(_chk_retract, flag="retract", ctx="single"),
+    "err-bot": _Rule(_chk_errbot, ctx="diagonal"),
+    "lam-mon": _Rule(_chk_lam_mon, premises=1),
+    "app-mon": _Rule(_chk_app_mon, premises=2),
+    "pair-mon": _Rule(_chk_pair_mon, premises=2),
+    "prj-mon": _Rule(_chk_prj_mon, premises=1, aux="1 or 2"),
+    "fn-beta": _Rule(_chk_fn_beta, ctx="diagonal", aux="fwd or bwd"),
+    "fn-eta": _Rule(_chk_fn_eta, ctx="diagonal", aux="fwd or bwd"),
+    "prod-beta": _Rule(_chk_prod_beta, ctx="diagonal", aux="fwd or bwd"),
+    "prod-eta": _Rule(_chk_prod_eta, ctx="diagonal", aux="fwd or bwd"),
+    "unit-eta": _Rule(_chk_unit_eta, ctx="diagonal", aux="fwd or bwd"),
+    "disjoint": _Rule(_chk_disjoint, flag="disjointness", ctx="single"),
 }
-

@@ -167,7 +167,7 @@ def normalize(sig: Signature, t: Term, ctx: Context = Context(),
 
 
 def _normal_form(sig: Signature, t: Term, ty: Type, ctx: Context,
-                 max_steps: int | None) -> Term:
+                 max_steps: int | None = None) -> Term:
     """Evaluate ``t`` and read its value back at ``ty``, its type."""
     fuel = _Fuel(max_steps)
     v = _eval(sig, fuel, t, {x: _Var(x, a) for x, a in ctx})
@@ -307,8 +307,8 @@ def _neutral(sig: Signature, fuel: _Fuel, v, scope: set[str]) -> tuple[Term, Typ
                                   for a, want in zip(args, ins))), out
 
 
-def equal_terms(sig: Signature, t: Term, u: Term, ctx: Context = Context(),
-                max_steps: int | None = None) -> bool:
+def equal_terms(sig: Signature, t: Term, u: Term,
+                ctx: Context = Context()) -> bool:
     """Alpha equality of eta-long normal forms after elaboration; both
     terms must share the context and the type.  Each side is typed once:
     elaboration preserves the type."""
@@ -316,6 +316,6 @@ def equal_terms(sig: Signature, t: Term, u: Term, ctx: Context = Context(),
     tb = infer_type(sig, ctx, u)
     if ta != tb:
         raise TypeCheckError(f"equal_terms: type mismatch {ta} vs {tb}")
-    nt = _normal_form(sig, _elab(sig, t), ta, ctx, max_steps)
-    nu = _normal_form(sig, _elab(sig, u), tb, ctx, max_steps)
+    nt = _normal_form(sig, _elab(sig, t), ta, ctx)
+    nu = _normal_form(sig, _elab(sig, u), tb, ctx)
     return alpha_eq(nt, nu)

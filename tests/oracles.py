@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import re
 
-from gtt.dynamism import _SCHEMA, Derivation, DynJudgment
+from gtt.dynamism import _SCHEMA, Derivation, DynJudgment, _rule_errors
 from gtt.elaborate import _Fuel
 from gtt.grammar import ParseError, SexpList, term_to_text, type_to_text
 from gtt.syntax import (
@@ -854,10 +854,10 @@ def _check_cast_reference(sig, ctx, cast, lo, hi, body, expect):
 # was made one pass: ``Context`` objects are rebuilt for every judgment to
 # test that names are distinct, each side is typed by ``infer_type``, which
 # checks the context's types again, and type well-formedness is recomputed
-# structurally.  The rule schemas are the library's, except ``trans`` and
-# ``ax``, which still compare and rename along ``Context`` objects, so a
-# premise context or a stored middle context that repeats a name raises
-# ``ContextError``.
+# structurally.  The rule schema is the library's, shape rows and checks,
+# except the checks of ``trans`` and ``ax``, which still compare and rename
+# along ``Context`` objects, so a premise context or a stored middle
+# context that repeats a name raises ``ContextError``.
 
 def derivation_errors_reference(sig: Signature, d: Derivation) -> list[str]:
     errors: list[str] = []
@@ -875,7 +875,7 @@ def _check_node_reference(sig: Signature, d: Derivation, path: str, errors: list
     if d.rule not in _SCHEMA:
         errors.append(f"{path}: unknown rule {d.rule!r}")
         return
-    for msg in _SCHEMA_REFERENCE[d.rule](sig, d):
+    for msg in _rule_errors(sig, d, _SCHEMA_REFERENCE[d.rule]):
         errors.append(f"{path}: {d.rule}: {msg}")
 
 
@@ -934,8 +934,9 @@ def _chk_ax_reference(sig, d):
     return ["conclusion is not a term-dynamism axiom of the signature"]
 
 
-_SCHEMA_REFERENCE = {**_SCHEMA, "trans": _chk_trans_reference,
-                     "ax": _chk_ax_reference}
+_SCHEMA_REFERENCE = {
+    **_SCHEMA, "trans": _SCHEMA["trans"]._replace(check=_chk_trans_reference),
+    "ax": _SCHEMA["ax"]._replace(check=_chk_ax_reference)}
 
 
 def _presupposition_errors_reference(sig: Signature, j: DynJudgment) -> list[str]:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 
 from gtt.syntax import (
-    App, Base, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair, Prod,
-    Proj, Term, Type, UNIT, UNITVAL, Upcast, Var, term_size,
+    App, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair, Prod, Proj,
+    Term, Type, UNIT, UNITVAL, Upcast, Var,
 )
 from gtt.typecheck import Signature, tydyn_holds
 

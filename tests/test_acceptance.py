@@ -9,14 +9,14 @@ import time
 
 import pytest
 
-from gtt.grammar import parse_term, parse_type
+from gtt.grammar import parse_term
 from gtt.syntax import (
-    Context, DYN, Downcast, Err, Fn, NAT, Pair, Prod, Proj, UNIT, Upcast,
-    Var, alpha_eq, num,
+    Context, DYN, Downcast, Err, NAT, Pair, Prod, Proj, Upcast, Var, alpha_eq,
+    num,
 )
 from gtt.typecheck import DynCtx, default_signature, enumerate_types, infer_type
 from gtt.derivio import derivations_to_text, parse_derivations
-from gtt.dynamism import DynJudgment, check_derivation, derivation_errors
+from gtt.dynamism import DynJudgment, check_derivation
 from gtt.elaborate import elaborate, equal_terms, is_elaborated, normalize
 from gtt.model import (
     check_equipment, check_judgment_semantics, derivation_first_order,

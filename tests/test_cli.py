@@ -327,6 +327,38 @@ def test_stored_middle_context_that_repeats_a_name_is_rejected(
     ]
 
 
+_WRONG_AUX = {
+    "ur": ((FIXTURES / "stray_aux.gttd").read_text(), "takes no aux"),
+    "err-bot": ("(err-bot (concl (ctx) {err[Nat]} {0} {Nat} {Nat}) (aux 7))",
+                "takes no aux"),
+    "prj-mon": ("(prj-mon (concl (ctx) {fst (0, 0)} {fst (0, 0)} {Nat} {Nat})"
+                " (aux 3) (refl (concl (ctx) {(0, 0)} {(0, 0)} {Nat * Nat}"
+                " {Nat * Nat})))", "aux must be 1 or 2"),
+    "ax": ("(ax (concl (ctx (x y {Nat} {Nat})) {x} {y} {Nat} {Nat}) (aux fwd))",
+           "aux must be an axiom index"),
+    # dict() of the left substitution would keep only its last binding
+    "comp": ("(comp (concl (ctx) {0} {0} {Nat} {Nat})"
+             " (aux (sub (x {1}) (x {0})) (sub (x {0})))"
+             " (var (concl (ctx (x x {Nat} {Nat})) {x} {x} {Nat} {Nat}))"
+             " (refl (concl (ctx) {0} {0} {Nat} {Nat})))",
+             "substitution binds a name twice"),
+}
+
+
+@pytest.mark.parametrize("rule", _WRONG_AUX)
+def test_an_aux_of_the_wrong_form_is_rejected(tmp_path, capsys, rule):
+    text, msg = _WRONG_AUX[rule]
+    path = tmp_path / f"{rule}.gttd"
+    path.write_text(text)
+    sig = tmp_path / "ax.gttsig"
+    sig.write_text("basetypes: Nat\ntmdyn:\n  [x : Nat] x <= [y : Nat] y\n")
+    code = main(["prove", "--sig", str(sig), str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert captured.out.splitlines() == [
+        f"RESULT FAIL derivation 0 ({rule})", f"  root: {rule}: {msg}"]
+
+
 def test_derive_with_the_wrong_number_of_parameters_is_exit_2(capsys):
     code, err = run_cli_err("derive", "galois_unit", "Nat", capsys=capsys)
     assert code == 2

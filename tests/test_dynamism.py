@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import itertools
 import pathlib
 import random
 import sys
@@ -6,7 +8,7 @@ import sys
 import pytest
 
 from gtt.derivio import parse_derivations
-from gtt.grammar import parse_term, parse_type
+from gtt.grammar import parse_type
 from gtt.syntax import (
     App, Context, DYN, Downcast, Err, Fn, GttError, Lam, NAT, Pair, Prod,
     Proj, UNIT, UNITVAL, Upcast, Var, num,
@@ -430,3 +432,69 @@ def test_trans_over_premises_that_repeat_a_name_is_rejected(phi, repeated, last)
     ] + last
     assert _outcome(derivation_errors_reference, SIG, d) == (
         "ContextError", f"duplicate variable in context: {repeated}")
+
+
+# -- each rule's shape, under shape faults --------------------------------------
+
+def _shape_battery():
+    """One node per primitive rule: the first of each rule in the size-3
+    catalog, and by hand ``ax``, ``unit-eta`` and ``disjoint``."""
+    first = {}
+    for root in bench_gen.catalog_pool():
+        for _, node in bench_gen._nodes_with_path(root):
+            first.setdefault(node.rule, node)
+    first["ax"] = _read_node(
+        "(ax (concl (ctx (x y {Nat} {?})) {x} {y} {Nat} {?}) (aux 0))")
+    first["unit-eta"] = _read_node(
+        "(unit-eta (concl (ctx (u u {1} {1})) {u} {()} {1} {1}) (aux fwd))")
+    first["disjoint"] = _disjoint("? * ?", "Nat")
+    return [first[rule] for rule in sorted(first)]
+
+
+def _with_entry(d: Derivation, entry) -> Derivation:
+    j = d.conclusion
+    phi = DynCtx(j.phi.entries + (entry,))
+    return Derivation(d.rule, DynJudgment(phi, j.left, j.right, j.type_left,
+                                          j.type_right), d.premises, d.aux)
+
+
+_EXTRA = refl_node(Context(), num(0), NAT)
+
+# each fault maps (signature flags, node) to a faulty pair
+_SHAPE_FAULTS = {
+    "extra premise": lambda flags, d: (
+        flags, Derivation(d.rule, d.conclusion, d.premises + (_EXTRA,), d.aux)),
+    "no premises": lambda flags, d: (
+        flags, Derivation(d.rule, d.conclusion, (), d.aux)),
+    "diagonal entry": lambda flags, d: (
+        flags, _with_entry(d, ("y9", "y9", NAT, NAT))),
+    "unused entry": lambda flags, d: (
+        flags, _with_entry(d, ("y9'", "y9''", NAT, DYN))),
+    "retract off": lambda flags, d: ({**flags, "retract": False}, d),
+    "disjointness off": lambda flags, d: ({**flags, "disjointness": False}, d),
+}
+
+
+def test_shape_faults_report_the_pinned_messages():
+    # the reference checker shares ``_SCHEMA``'s shape rows, so this pin is
+    # what holds the shape checks to the messages each rule gave when it
+    # checked its own shape
+    axiom = (Context.of(("x", NAT)), Var("x"), Context.of(("y", DYN)), Var("y"))
+    combos = [c for k in (0, 1, 2) for c in itertools.combinations(_SHAPE_FAULTS, k)]
+    battery = _shape_battery()
+    assert len(battery) == 21
+    lines = []
+    for d in battery:
+        sig = Signature(tmdyn_axioms=(axiom,))
+        assert derivation_errors(sig, d) == [], d.rule
+        for combo in combos:
+            flags, bad = {}, d
+            for name in combo:
+                flags, bad = _SHAPE_FAULTS[name](flags, bad)
+            sig = Signature(tmdyn_axioms=(axiom,), **flags)
+            lines.append(f"{d.rule} / {' + '.join(combo)}")
+            lines.extend(derivation_errors(sig, bad))
+    text = "\n".join(lines)
+    assert len(lines) == 756
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "52da4b576c14ffc43f8f272d5c1c1d588f81a3c41745f6b5be16db0f7e3d56d8")

@@ -10,8 +10,8 @@ from gtt.grammar import (
     parse_term_file, parse_type, term_to_text, tokenize, type_to_text,
 )
 from gtt.syntax import (
-    App, Base, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair, Prod,
-    Proj, UNIT, UNITVAL, Upcast, Var, alpha_eq,
+    App, Base, Context, DYN, Fn, FnApp, NAT, Pair, UNIT, UNITVAL, Upcast, Var,
+    alpha_eq,
 )
 from gtt.typecheck import DynCtx, default_signature
 from gtt.derivio import derivations_to_text, parse_derivations

@@ -7,8 +7,8 @@ import pytest
 
 from gtt.grammar import parse_term, parse_type
 from gtt.syntax import (
-    Context, DYN, Downcast, Err, Fn, Lam, NAT, Pair, Prod, Proj, UNIT,
-    Upcast, Var, num,
+    Context, DYN, Downcast, Err, Fn, Lam, NAT, Pair, Prod, UNIT, Upcast, Var,
+    num,
 )
 from gtt.typecheck import DynCtx, Signature, default_signature, enumerate_types
 from gtt.dynamism import DynJudgment

@@ -8,9 +8,9 @@ import pytest
 
 from gtt.grammar import parse_type
 from gtt.syntax import (
-    App, Base, Context, ContextError, Dyn, Err, Fn, FnApp, Lam, NAT, Pair,
-    Prod, Proj, UNIT, UnboundVariable, Unit, Upcast, DYN, Var, alpha_eq,
-    free_vars, num, subst1, substitute,
+    App, Base, Context, ContextError, Dyn, Err, Fn, Lam, NAT, Pair, Prod,
+    UNIT, UnboundVariable, Unit, Upcast, DYN, Var, alpha_eq, free_vars, num,
+    subst1, substitute,
 )
 from gtt.typecheck import default_signature
 

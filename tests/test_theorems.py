@@ -5,7 +5,7 @@ import pytest
 import gtt.theorems
 
 from gtt.grammar import parse_type
-from gtt.syntax import Context, DYN, Downcast, Err, Fn, NAT, Prod, UNIT, Upcast, Var
+from gtt.syntax import Context, DYN, Downcast, Err, Fn, NAT, Prod, Upcast, Var
 from gtt.typecheck import Signature, default_signature, enumerate_types, tydyn_holds
 from gtt.dynamism import DerivationError, check_derivation, derivation_errors
 from gtt.theorems import (
