@@ -385,7 +385,6 @@ def parse_signature(text: str):
     from .typecheck import Signature
 
     found: dict = {name: [] for name in _SECTIONS}
-    found["flags"], found["basecodes"] = {}, {}
     section = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -403,15 +402,15 @@ def parse_signature(text: str):
             raise ParseError(f"signature line outside any section: {line!r}")
         _sig_line(section, line, found)
 
+    flags = _once(found["flags"], "flag")
     sig = Signature(
         base_types=frozenset(found["basetypes"]),
         tydyn_axioms=tuple(_parse_type_pair(line) for line in found["tydyn"]),
-        fn_symbols={name: (ins, out) for name, ins, out in
-                    map(_parse_fnsym, found["fnsyms"])},
+        fn_symbols=_once(map(_parse_fnsym, found["fnsyms"]), "function symbol"),
         tmdyn_axioms=(),
-        retract=found["flags"].get("retract", True),
-        disjointness=found["flags"].get("disjointness", True),
-        base_codes=found["basecodes"],
+        retract=flags.get("retract", True),
+        disjointness=flags.get("disjointness", True),
+        base_codes=_once(found["basecodes"], "basecodes line for"),
     )
     if found["tmdyn"]:
         axioms = tuple(_parse_tmdyn(line, sig) for line in found["tmdyn"])
@@ -420,6 +419,16 @@ def parse_signature(text: str):
 
 
 _SECTIONS = ("basetypes", "tydyn", "fnsyms", "tmdyn", "flags", "basecodes")
+
+
+def _once(pairs, what: str) -> dict:
+    """The ``(key, value)`` pairs as a dict; a repeated key is an error."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"repeated {what} {key!r}")
+        out[key] = value
+    return out
 
 
 def _sig_line(section: str, line: str, found: dict):
@@ -435,14 +444,14 @@ def _sig_line(section: str, line: str, found: dict):
         val = val.strip().lower()
         if key not in ("retract", "disjointness") or val not in ("on", "off", "true", "false"):
             raise ParseError(f"bad flag line: {line!r}")
-        found[section][key] = val in ("on", "true")
+        found[section].append((key, val in ("on", "true")))
     elif section == "basecodes":
         name, *codes = line.split()
         try:
             low, high = map(int, codes)
         except ValueError:
             raise ParseError(f"bad basecodes line: {line!r}") from None
-        found[section][name] = (low, high)
+        found[section].append((name, (low, high)))
     else:
         found[section].append(line)
 
@@ -459,6 +468,8 @@ def _parse_fnsym(line: str):
     if not sep:
         raise ParseError(f"expected 'f : (A, ...) -> B': {line!r}")
     name = name.strip()
+    if name in RESERVED:
+        raise ParseError(f"function symbol name {name!r} is a reserved word")
     s = _Stream(tokenize(rest))
     s.expect("(")
     ins: list[Type] = []
@@ -472,7 +483,7 @@ def _parse_fnsym(line: str):
     out = _type(s)
     if not s.done():
         raise ParseError(f"trailing input in fnsyms line: {line!r}")
-    return name, tuple(ins), out
+    return name, (tuple(ins), out)
 
 
 def _parse_tmdyn(line: str, sig):

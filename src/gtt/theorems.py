@@ -16,6 +16,12 @@ None of it is trusted.  Every constructor returns a tuple of derivations
 primitive rules, so ``check_derivation`` is the single source of truth for
 their correctness.
 
+The catalog's builders take only their parameters.  ``KINDS`` declares
+each parameter kind's arity and dynamism hypotheses, ``THEOREMS`` gives
+each theorem its kind and the signature flag it needs, and
+``derive_theorem`` is the one place that checks them.  A builder called
+directly checks nothing; ``check_derivation`` still decides.
+
 Catalog:
 
 ``identity_up/dn(A)``            casts from a type to itself are identity
@@ -36,7 +42,7 @@ Catalog:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .syntax import (
     App, Context, Downcast, DYN, Err, Fn, Lam, Pair, Prod, Proj, Term, Type,
@@ -54,13 +60,6 @@ class FlagRequired(DerivationError):
 
 class HypothesisError(DerivationError):
     pass
-
-
-def _need(sig: Signature, a: Type, b: Type, what: str):
-    if not tydyn_holds(sig, a, b):
-        from .grammar import type_to_text
-        raise HypothesisError(
-            f"{what}: {type_to_text(a)} <= {type_to_text(b)} is not derivable")
 
 
 # ---------------------------------------------------------------------------
@@ -278,39 +277,32 @@ def under_dn(low: Type, high: Type, premise: Derivation) -> Derivation:
 # Individual constructors
 # ---------------------------------------------------------------------------
 
-def identity_up(sig: Signature, a: Type) -> tuple[Derivation, Derivation]:
+def identity_up(a: Type) -> tuple[Derivation, Derivation]:
     return (ul_node(a, a, "x", "x'"), ur_node(a, a, "x", "x'"))
 
 
-def identity_dn(sig: Signature, a: Type) -> tuple[Derivation, Derivation]:
+def identity_dn(a: Type) -> tuple[Derivation, Derivation]:
     return (dl_node(a, a, "x", "x'"), dr_node(a, a, "x", "x'"))
 
 
-def decompose_up(sig: Signature, a: Type, a1: Type, a2: Type) -> tuple[Derivation, Derivation]:
+def decompose_up(a: Type, a1: Type, a2: Type) -> tuple[Derivation, Derivation]:
     """``up[A => A''] x`` is order-equal to ``up[A' => A''] (up[A => A'] x)``."""
-    _need(sig, a, a1, "decompose_up")
-    _need(sig, a1, a2, "decompose_up")
     x = var_node(DynCtx.of(("x", "x'", a, a)), 0)
     le = ul_s(ur_s(ur_s(x, a1), a2), a2)          # up x <= up (up x)
     ge = ul_s(ul_s(ur_s(x, a2), a1), a2)          # up (up x) <= up x
     return le, ge
 
 
-def decompose_dn(sig: Signature, a: Type, a1: Type, a2: Type) -> tuple[Derivation, Derivation]:
+def decompose_dn(a: Type, a1: Type, a2: Type) -> tuple[Derivation, Derivation]:
     """``dn[A'' => A] x`` is order-equal to ``dn[A' => A] (dn[A'' => A'] x)``."""
-    _need(sig, a, a1, "decompose_dn")
-    _need(sig, a1, a2, "decompose_dn")
     x = var_node(DynCtx.of(("x", "x'", a2, a2)), 0)
     le = dr_s(dr_s(dl_s(x, a), a1), a)            # dn x <= dn (dn x)
     ge = dr_s(dl_s(dl_s(x, a1), a), a)            # dn (dn x) <= dn x
     return le, ge
 
 
-def fn_cast_up(sig: Signature, a: Type, b: Type, a1: Type, b1: Type
-               ) -> tuple[Derivation, Derivation]:
+def fn_cast_up(a: Type, b: Type, a1: Type, b1: Type) -> tuple[Derivation, Derivation]:
     """``up[A->B => A'->B'] f`` is the wrapper ``\\x':A'. up (f (dn x'))``."""
-    _need(sig, a, a1, "fn_cast_up")
-    _need(sig, b, b1, "fn_cast_up")
     f, f1 = Fn(a, b), Fn(a1, b1)
     fctx = Context.of(("f", f))
 
@@ -329,11 +321,8 @@ def fn_cast_up(sig: Signature, a: Type, b: Type, a1: Type, b1: Type
     return le, ge
 
 
-def fn_cast_dn(sig: Signature, a: Type, b: Type, a1: Type, b1: Type
-               ) -> tuple[Derivation, Derivation]:
+def fn_cast_dn(a: Type, b: Type, a1: Type, b1: Type) -> tuple[Derivation, Derivation]:
     """``dn[A'->B' => A->B] f`` is the wrapper ``\\x:A. dn (f (up x))``."""
-    _need(sig, a, a1, "fn_cast_dn")
-    _need(sig, b, b1, "fn_cast_dn")
     f, f1 = Fn(a, b), Fn(a1, b1)
     fctx = Context.of(("f", f1))
 
@@ -351,11 +340,8 @@ def fn_cast_dn(sig: Signature, a: Type, b: Type, a1: Type, b1: Type
     return le, ge
 
 
-def prod_cast_up(sig: Signature, a0: Type, a1: Type, b0: Type, b1: Type
-                 ) -> tuple[Derivation, Derivation]:
+def prod_cast_up(a0: Type, a1: Type, b0: Type, b1: Type) -> tuple[Derivation, Derivation]:
     """``up[A0*A1 => B0*B1] p`` casts componentwise."""
-    _need(sig, a0, b0, "prod_cast_up")
-    _need(sig, a1, b1, "prod_cast_up")
     p, p1 = Prod(a0, a1), Prod(b0, b1)
     pctx = Context.of(("p", p))
     phi = DynCtx.of(("p", "p", p, p))
@@ -373,11 +359,8 @@ def prod_cast_up(sig: Signature, a0: Type, a1: Type, b0: Type, b1: Type
     return le, ge
 
 
-def prod_cast_dn(sig: Signature, a0: Type, a1: Type, b0: Type, b1: Type
-                 ) -> tuple[Derivation, Derivation]:
+def prod_cast_dn(a0: Type, a1: Type, b0: Type, b1: Type) -> tuple[Derivation, Derivation]:
     """``dn[B0*B1 => A0*A1] p`` casts componentwise."""
-    _need(sig, a0, b0, "prod_cast_dn")
-    _need(sig, a1, b1, "prod_cast_dn")
     p, p1 = Prod(a0, a1), Prod(b0, b1)
     pctx = Context.of(("p", p1))
     phi = DynCtx.of(("p", "p", p1, p1))
@@ -395,12 +378,9 @@ def prod_cast_dn(sig: Signature, a0: Type, a1: Type, b0: Type, b1: Type
     return le, ge
 
 
-def fun_ext(sig: Signature, a: Type, b: Type, a1: Type, b1: Type
-            ) -> tuple[Derivation]:
+def fun_ext(a: Type, b: Type, a1: Type, b1: Type) -> tuple[Derivation]:
     """Two functions are related when applying them to related inputs
     yields related outputs; instantiated at a pair of function variables."""
-    _need(sig, a, a1, "fun_ext")
-    _need(sig, b, b1, "fun_ext")
     f, f1 = Fn(a, b), Fn(a1, b1)
     phi = DynCtx.of(("f", "f'", f, f1), ("x", "x'", a, a1))
     pointwise = app_mon(var_node(phi, 0), var_node(phi, 1))
@@ -411,28 +391,23 @@ def fun_ext(sig: Signature, a: Type, b: Type, a1: Type, b1: Type
     return (d,)
 
 
-def err_lift(sig: Signature, ctx: Context, a: Type, a1: Type, t1: Term) -> Derivation:
+def err_lift(ctx: Context, a: Type, a1: Type, t1: Term) -> Derivation:
     """``err[A] <= t' : A <= A'`` for any ``t' : A'``, via a downcast detour."""
-    _need(sig, a, a1, "err_lift")
     return trans_node(errbot_node(ctx, a, Downcast(a, a1, t1)),
                       dl_s(refl_node(ctx, t1, a1), a))
 
 
-def strict_up(sig: Signature, a: Type, a1: Type) -> tuple[Derivation, Derivation]:
+def strict_up(a: Type, a1: Type) -> tuple[Derivation, Derivation]:
     """``up err`` is order-equal to ``err``."""
-    _need(sig, a, a1, "strict_up")
     ctx = Context()
-    le = ul_s(err_lift(sig, ctx, a, a1, Err(a1)), a1)
+    le = ul_s(err_lift(ctx, a, a1, Err(a1)), a1)
     ge = errbot_node(ctx, a1, Upcast(a, a1, Err(a)))
     return le, ge
 
 
-def strict_dn(sig: Signature, a: Type, a1: Type) -> tuple[Derivation, Derivation]:
+def strict_dn(a: Type, a1: Type) -> tuple[Derivation, Derivation]:
     """``dn err`` is order-equal to ``err``; the interesting direction
     composes the retract axiom with upcast strictness."""
-    if not sig.retract:
-        raise FlagRequired("strict_dn", "retract")
-    _need(sig, a, a1, "strict_dn")
     ctx = Context()
     steps = under_dn(a, a1, errbot_node(ctx, a1, Upcast(a, a1, Err(a))))
     collapse = comp_node(retract_node(a, a1, "x", "x"),
@@ -443,103 +418,76 @@ def strict_dn(sig: Signature, a: Type, a1: Type) -> tuple[Derivation, Derivation
     return le, ge
 
 
-def uniqueness(sig: Signature, a: Type, a1: Type) -> tuple[Derivation, Derivation]:
+def uniqueness(a: Type, a1: Type) -> tuple[Derivation, Derivation]:
     """The characterizing rules pin the casts: any two terms satisfying
     them are order-equal, here witnessed by relating a cast to itself via
     one side's introduction and the other's elimination."""
-    _need(sig, a, a1, "uniqueness")
     up = ul_s(ur_s(var_node(DynCtx.of(("x", "x'", a, a)), 0), a1), a1)
     dn = cast_cong_dn(a, a1, "y", "y'")
     return up, dn
 
 
-def galois_unit(sig: Signature, a: Type, a1: Type) -> tuple[Derivation]:
+def galois_unit(a: Type, a1: Type) -> tuple[Derivation]:
     """``x <= dn (up x)``."""
-    _need(sig, a, a1, "galois_unit")
     return (dr_s(ur_s(var_node(DynCtx.of(("x", "x'", a, a)), 0), a1), a),)
 
 
-def galois_counit(sig: Signature, a: Type, a1: Type) -> tuple[Derivation]:
+def galois_counit(a: Type, a1: Type) -> tuple[Derivation]:
     """``up (dn x) <= x``."""
-    _need(sig, a, a1, "galois_counit")
     return (ul_s(dl_s(var_node(DynCtx.of(("x", "x'", a1, a1)), 0), a), a1),)
 
 
-def cast_congruence(sig: Signature, a: Type, a1: Type, b: Type, b1: Type
-                    ) -> tuple[Derivation, Derivation]:
+def cast_congruence(a: Type, a1: Type, b: Type, b1: Type) -> tuple[Derivation, Derivation]:
     """Related inputs give related casts across a dynamism square."""
-    _need(sig, a, a1, "cast_congruence")
-    _need(sig, b, b1, "cast_congruence")
-    _need(sig, a, b, "cast_congruence")
-    _need(sig, a1, b1, "cast_congruence")
     up = ul_s(ur_s(var_node(DynCtx.of(("x", "y", a, b)), 0), b1), a1)
     dn = dr_s(dl_s(var_node(DynCtx.of(("x'", "y'", a1, b1)), 0), a), b)
     return up, dn
 
 
-def _need_equidyn(sig: Signature, a: Type, b: Type, what: str):
-    _need(sig, a, b, what)
-    _need(sig, b, a, what)
-
-
-def equidyn_iso_1(sig: Signature, a: Type, b: Type) -> tuple[Derivation, Derivation]:
+def equidyn_iso_1(a: Type, b: Type) -> tuple[Derivation, Derivation]:
     """``up[B => A] (up[A => B] x)`` is order-equal to ``x``."""
-    _need_equidyn(sig, a, b, "equidyn_iso_1")
     x = var_node(DynCtx.of(("x", "x'", a, a)), 0)
     le = ul_s(ul_s(x, b), a)
     ge = ur_s(ur_s(x, b), a)
     return le, ge
 
 
-def equidyn_iso_2(sig: Signature, a: Type, b: Type) -> tuple[Derivation, Derivation]:
+def equidyn_iso_2(a: Type, b: Type) -> tuple[Derivation, Derivation]:
     """``dn[B => A] (dn[A => B] x)`` is order-equal to ``x``."""
-    _need_equidyn(sig, a, b, "equidyn_iso_2")
     x = var_node(DynCtx.of(("x", "x'", a, a)), 0)
     le = dl_s(dl_s(x, b), a)
     ge = dr_s(dr_s(x, b), a)
     return le, ge
 
 
-def equidyn_iso_3(sig: Signature, a: Type, b: Type) -> tuple[Derivation, Derivation]:
+def equidyn_iso_3(a: Type, b: Type) -> tuple[Derivation, Derivation]:
     """``dn[B => A] (up[A => B] x)`` is order-equal to ``x``; no retract
     axiom needed because the two types sit below each other."""
-    _need_equidyn(sig, a, b, "equidyn_iso_3")
     x = var_node(DynCtx.of(("x", "x'", a, a)), 0)
     le = dl_s(ul_s(x, b), a)
     ge = dr_s(ur_s(x, b), a)
     return le, ge
 
 
-def equidyn_iso_4(sig: Signature, a: Type, b: Type) -> tuple[Derivation, Derivation]:
+def equidyn_iso_4(a: Type, b: Type) -> tuple[Derivation, Derivation]:
     """``up[B => A] y`` is order-equal to ``dn[A => B] y``."""
-    _need_equidyn(sig, a, b, "equidyn_iso_4")
     y = var_node(DynCtx.of(("y", "y'", b, b)), 0)
     le = dr_s(ul_s(y, a), a)
     ge = ur_s(dl_s(y, a), a)
     return le, ge
 
 
-def cast_r(sig: Signature, a1: Type, a2: Type, b2: Type) -> tuple[Derivation]:
+def cast_r(a1: Type, a2: Type, b2: Type) -> tuple[Derivation]:
     """From ``x1 <= x2 : A1 <= A2``, the general cast of the right side to
     ``B2`` (up through ``?`` then down) stays above ``x1``."""
-    _need(sig, a1, a2, "cast_r")
-    _need(sig, a1, b2, "cast_r")
-    _need(sig, a2, DYN, "cast_r")
-    _need(sig, b2, DYN, "cast_r")
     prem = var_node(DynCtx.of(("x1", "x2", a1, a2)), 0)
     return (dr_s(ur_s(prem, DYN), b2),)
 
 
-def cast_l(sig: Signature, a1: Type, a2: Type, b1: Type) -> tuple[Derivation]:
+def cast_l(a1: Type, a2: Type, b1: Type) -> tuple[Derivation]:
     """From ``x1 <= x2 : A1 <= A2``, the general cast of the left side to
     ``B1 <= A2`` stays below ``x2``.  Routes the cast through ``A2``
     instead of ``?`` using decomposition and the retract axiom."""
-    if not sig.retract:
-        raise FlagRequired("cast_l", "retract")
-    _need(sig, a1, a2, "cast_l")
-    _need(sig, b1, a2, "cast_l")
-    _need(sig, a1, DYN, "cast_l")
-    _need(sig, b1, DYN, "cast_l")
 
     ctx1 = Context.of(("x1", a1))
     x1 = Var("x1")
@@ -547,12 +495,12 @@ def cast_l(sig: Signature, a1: Type, a2: Type, b1: Type) -> tuple[Derivation]:
     up_fac = Upcast(a2, DYN, Upcast(a1, a2, x1))  # up[A2 => ?] (up[A1 => A2] x1)
 
     # dn[? => B1] (up[A1 => ?] x1)  <=  dn[? => B1] (up[A2 => ?] (up[A1 => A2] x1))
-    dec_up = comp_node(decompose_up(sig, a1, a2, DYN)[0],
+    dec_up = comp_node(decompose_up(a1, a2, DYN)[0],
                        {"x": x1}, {"x'": x1}, (refl_node(ctx1, x1, a1),))
     step1 = under_dn(b1, DYN, dec_up)
 
     # ... <= dn[A2 => B1] (dn[? => A2] (up[A2 => ?] (up[A1 => A2] x1)))
-    dec_dn = comp_node(decompose_dn(sig, b1, a2, DYN)[0],
+    dec_dn = comp_node(decompose_dn(b1, a2, DYN)[0],
                        {"x": up_fac}, {"x'": up_fac},
                        (refl_node(ctx1, up_fac, DYN),))
 
@@ -569,8 +517,7 @@ def cast_l(sig: Signature, a1: Type, a2: Type, b1: Type) -> tuple[Derivation]:
     return (trans_node(factor, core),)
 
 
-def err_elim(sig: Signature, shape: str, a: Type, b: Type
-             ) -> tuple[Derivation, Derivation]:
+def err_elim(shape: str, a: Type, b: Type) -> tuple[Derivation, Derivation]:
     """Applying or projecting an error gives an error."""
     if shape == "app":
         fty = Fn(a, b)
@@ -600,43 +547,50 @@ def err_elim(sig: Signature, shape: str, a: Type, b: Type
 # Catalog and enumeration
 # ---------------------------------------------------------------------------
 
-# Parameter kinds drive enumeration; each maps to its number of parameters.
-ARITY = {
-    "ty": 1,        # one type
-    "pair": 2,      # A <= A'
-    "chain": 3,     # A <= A' <= A''
-    "pair2": 4,     # (A <= A', B <= B')
-    "square": 4,    # A <= A', B <= B', A <= B, A' <= B'
-    "equi": 2,      # A <= B and B <= A
-    "tri_r": 3,     # A1 <= A2, A1 <= B2
-    "tri_l": 3,     # A1 <= A2, B1 <= A2
-    "errsh": 3,     # an eliminator shape plus two types
+# Parameter kinds: each one's arity and its dynamism hypotheses, the pairs
+# ``(A, B)`` that must satisfy ``A <= B``, in the order they are checked.
+KINDS: dict[str, tuple[int, Callable[..., tuple]]] = {
+    "ty": (1, lambda a: ()),
+    "pair": (2, lambda a, a1: ((a, a1),)),
+    "chain": (3, lambda a, a1, a2: ((a, a1), (a1, a2))),
+    "pair2": (4, lambda a, b, a1, b1: ((a, a1), (b, b1))),
+    "square": (4, lambda a, a1, b, b1: ((a, a1), (b, b1), (a, b), (a1, b1))),
+    "equi": (2, lambda a, b: ((a, b), (b, a))),
+    "tri_r": (3, lambda a1, a2, b2: ((a1, a2), (a1, b2), (a2, DYN), (b2, DYN))),
+    "tri_l": (3, lambda a1, a2, b1: ((a1, a2), (b1, a2), (a1, DYN), (b1, DYN))),
+    "errsh": (3, lambda shape, a, b: ()),   # an eliminator shape plus two types
 }
 
-# name -> (parameter kind, builder)
-THEOREMS: dict[str, tuple[str, Callable]] = {
-    "identity_up": ("ty", identity_up),
-    "identity_dn": ("ty", identity_dn),
-    "decompose_up": ("chain", decompose_up),
-    "decompose_dn": ("chain", decompose_dn),
-    "fn_cast_up": ("pair2", fn_cast_up),
-    "fn_cast_dn": ("pair2", fn_cast_dn),
-    "prod_cast_up": ("pair2", prod_cast_up),
-    "prod_cast_dn": ("pair2", prod_cast_dn),
-    "fun_ext": ("pair2", fun_ext),
-    "strict_up": ("pair", strict_up),
-    "strict_dn": ("pair", strict_dn),
-    "uniqueness": ("pair", uniqueness),
-    "galois_unit": ("pair", galois_unit),
-    "galois_counit": ("pair", galois_counit),
-    "cast_congruence": ("square", cast_congruence),
-    "equidyn_iso_1": ("equi", equidyn_iso_1),
-    "equidyn_iso_2": ("equi", equidyn_iso_2),
-    "equidyn_iso_3": ("equi", equidyn_iso_3),
-    "equidyn_iso_4": ("equi", equidyn_iso_4),
-    "cast_r": ("tri_r", cast_r),
-    "cast_l": ("tri_l", cast_l),
-    "err_elim": ("errsh", err_elim),
+
+class Theorem(NamedTuple):
+    kind: str
+    build: Callable[..., tuple[Derivation, ...]]
+    flag: str | None = None     # the signature flag the theorem needs
+
+
+THEOREMS: dict[str, Theorem] = {
+    "identity_up": Theorem("ty", identity_up),
+    "identity_dn": Theorem("ty", identity_dn),
+    "decompose_up": Theorem("chain", decompose_up),
+    "decompose_dn": Theorem("chain", decompose_dn),
+    "fn_cast_up": Theorem("pair2", fn_cast_up),
+    "fn_cast_dn": Theorem("pair2", fn_cast_dn),
+    "prod_cast_up": Theorem("pair2", prod_cast_up),
+    "prod_cast_dn": Theorem("pair2", prod_cast_dn),
+    "fun_ext": Theorem("pair2", fun_ext),
+    "strict_up": Theorem("pair", strict_up),
+    "strict_dn": Theorem("pair", strict_dn, "retract"),
+    "uniqueness": Theorem("pair", uniqueness),
+    "galois_unit": Theorem("pair", galois_unit),
+    "galois_counit": Theorem("pair", galois_counit),
+    "cast_congruence": Theorem("square", cast_congruence),
+    "equidyn_iso_1": Theorem("equi", equidyn_iso_1),
+    "equidyn_iso_2": Theorem("equi", equidyn_iso_2),
+    "equidyn_iso_3": Theorem("equi", equidyn_iso_3),
+    "equidyn_iso_4": Theorem("equi", equidyn_iso_4),
+    "cast_r": Theorem("tri_r", cast_r),
+    "cast_l": Theorem("tri_l", cast_l, "retract"),
+    "err_elim": Theorem("errsh", err_elim),
 }
 
 # The subset whose two sides must also agree under cast elaboration.
@@ -648,13 +602,22 @@ REDUCTION_THEOREMS = (
 
 
 def derive_theorem(sig: Signature, name: str, *params) -> tuple[Derivation, ...]:
+    """Check the theorem's arity, then its flag, then its kind's
+    hypotheses in order, and build it."""
     if name not in THEOREMS:
         raise DerivationError(f"unknown theorem {name!r}")
-    kind, build = THEOREMS[name]
-    if len(params) != ARITY[kind]:
-        raise DerivationError(
-            f"{name} expects {ARITY[kind]} parameters, got {len(params)}")
-    return build(sig, *params)
+    kind, build, flag = THEOREMS[name]
+    arity, hypotheses = KINDS[kind]
+    if len(params) != arity:
+        raise DerivationError(f"{name} expects {arity} parameters, got {len(params)}")
+    if flag and not getattr(sig, flag):
+        raise FlagRequired(name, flag)
+    for a, b in hypotheses(*params):
+        if not tydyn_holds(sig, a, b):
+            from .grammar import type_to_text
+            raise HypothesisError(
+                f"{name}: {type_to_text(a)} <= {type_to_text(b)} is not derivable")
+    return build(*params)
 
 
 def conclusion_equation(d: Derivation) -> tuple[Context, Term, Term]:
@@ -763,8 +726,7 @@ def theorem_instances(sig: Signature, size: int = 3,
     if types is None:
         types = enumerate_types(sig, size)
     for name in (names or THEOREMS):
-        kind, _ = THEOREMS[name]
-        for params in _params_for(sig, kind, types, size):
+        for params in _params_for(sig, THEOREMS[name].kind, types, size):
             try:
                 ds = derive_theorem(sig, name, *params)
             except FlagRequired:

@@ -469,8 +469,7 @@ def theorem_instances_reference(sig, size: int = 3, names=None, types=None):
     if types is None:
         types = enumerate_types(sig, size)
     for name in (names or THEOREMS):
-        kind, _ = THEOREMS[name]
-        for params in _params_reference(sig, kind, types):
+        for params in _params_reference(sig, THEOREMS[name].kind, types):
             try:
                 ds = derive_theorem(sig, name, *params)
             except FlagRequired:

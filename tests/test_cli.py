@@ -562,3 +562,39 @@ def test_fuzzed_signatures(text):
     _soup(_TYPE_TOKENS + ["<=", "#"])), max_size=4).map("\n".join))
 def test_fuzzed_dyncheck_lines(text):
     _run_fuzzed(["dyncheck", "PAIRS"], {"PAIRS": text})
+
+
+@pytest.mark.parametrize("sig_text, argv, err", [
+    # kept, the second line would replace the first and make f(0) ill-typed
+    ("basetypes: Nat\nfnsyms:\n  f : (Nat) -> Nat\n  f : () -> Nat\n",
+     ("check", "f(0)"), "error: repeated function symbol 'f'\n"),
+    # kept, the second Nat line would hide the first one's overlap with Foo
+    ("basetypes: Nat Foo\nbasecodes:\n  Nat 0 10\n  Nat 50 60\n  Foo 5 8\n",
+     ("test-model", "--bound", "2", "--size", "1"),
+     "error: repeated basecodes line for 'Nat'\n"),
+    ("basetypes: Nat\nflags:\n  retract = on\n  retract = off\n",
+     ("check", "0"), "error: repeated flag 'retract'\n"),
+], ids=["fnsyms", "basecodes", "flags"])
+def test_a_repeated_signature_declaration_is_exit_2(tmp_path, capsys, sig_text,
+                                                    argv, err):
+    sig = tmp_path / "twice.gttsig"
+    sig.write_text(sig_text)
+    command, *rest = argv
+    if command == "check":
+        term = tmp_path / "term.gtt"
+        term.write_text(rest.pop() + "\n")
+        rest.append(term)
+    code, got = run_cli_err("--sig", sig, command, *rest, capsys=capsys)
+    assert (code, got) == (2, err)
+
+
+@pytest.mark.parametrize("word", ["fst", "snd", "up", "dn", "err"])
+def test_a_function_symbol_named_by_a_reserved_word_is_exit_2(tmp_path, capsys, word):
+    # fst(0) would parse as a projection of 0
+    sig = tmp_path / "reserved.gttsig"
+    sig.write_text(f"basetypes: Nat\nfnsyms:\n  {word} : (Nat) -> Nat\n")
+    term = tmp_path / "term.gtt"
+    term.write_text(f"{word}(0)\n")
+    code, err = run_cli_err("--sig", sig, "check", term, capsys=capsys)
+    assert (code, err) == (
+        2, f"error: function symbol name {word!r} is a reserved word\n")

@@ -1,19 +1,22 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 
 import gtt.theorems
 
+from gtt.derivio import derivations_to_text
 from gtt.grammar import parse_type
 from gtt.syntax import Context, DYN, Downcast, Err, Fn, NAT, Prod, Upcast, Var
 from gtt.typecheck import Signature, default_signature, enumerate_types, tydyn_holds
 from gtt.dynamism import DerivationError, check_derivation, derivation_errors
 from gtt.theorems import (
-    FlagRequired, HypothesisError, REDUCTION_THEOREMS, THEOREMS,
+    KINDS, FlagRequired, HypothesisError, REDUCTION_THEOREMS, THEOREMS,
     conclusion_equation, derive_theorem, theorem_instances, trans_node,
 )
 
-from oracles import theorem_instances_reference
+from oracles import _params_reference, theorem_instances_reference
 
 SIG = default_signature()
 NO_RETRACT = default_signature(retract=False)
@@ -194,3 +197,47 @@ def test_wrong_number_of_parameters_is_a_derivation_error():
         derive_theorem(SIG, "galois_unit", NAT)
     with pytest.raises(DerivationError, match="err_elim expects 3 parameters, got 4"):
         derive_theorem(SIG, "err_elim", "app", NAT, NAT, NAT)
+
+
+def _outcome_lines(sig):
+    """One line per ``derive_theorem`` call: every theorem at every tuple
+    of zero to four parameters over five types.  A line is the exception's
+    class and message, or the SHA-256 of the derivations as written."""
+    words = [parse_type(t) for t in ("Nat", "?", "1", "Nat -> Nat", "? * ?")]
+    for name in sorted(THEOREMS):
+        for n in range(5):
+            for params in itertools.product(words, repeat=n):
+                if name == "err_elim" and n == 3:
+                    params = ("app",) + params[1:]
+                try:
+                    text = derivations_to_text(derive_theorem(sig, name, *params))
+                except DerivationError as e:
+                    yield f"{type(e).__name__}: {e}"
+                else:
+                    yield hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_derive_theorem_outcomes_are_pinned():
+    # which check fails first, and its message, for every theorem and arity
+    lines = [line for sig in (SIG, NO_RETRACT, SIG.first_order_dyn())
+             for line in _outcome_lines(sig)]
+    assert len(lines) == 51546
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "52fd6046be127b72a701c70f9d4679a90d22de2d4bbc86cdf3677b88054cf3cd")
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_declared_hypotheses_pick_the_reference_tuples(kind):
+    # every tuple of the kind's arity over the size-3 types (an eliminator
+    # shape first for errsh), kept when each declared hypothesis holds
+    types = enumerate_types(SIG, 3)
+    arity, hypotheses = KINDS[kind]
+    if kind == "errsh":
+        tuples = itertools.product(("app", "prj1", "prj2"), types, types)
+    else:
+        tuples = itertools.product(types, repeat=arity)
+    kept = [params for params in tuples
+            if all(tydyn_holds(SIG, a, b) for a, b in hypotheses(*params))]
+    reference = list(_params_reference(SIG, kind, types))
+    assert len(set(reference)) == len(reference)
+    assert set(kept) == set(reference)
