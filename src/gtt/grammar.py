@@ -431,11 +431,16 @@ def _once(pairs, what: str) -> dict:
     return out
 
 
+def _is_identifier(name: str) -> bool:
+    """Whether ``name`` is one grammar identifier and no reserved word."""
+    token = _TOKEN.fullmatch(name)
+    return token is not None and token.lastgroup == "ident" and name not in RESERVED
+
+
 def _sig_line(section: str, line: str, found: dict):
     if section == "basetypes":
         for name in line.split():
-            token = _TOKEN.fullmatch(name)
-            if token is None or token.lastgroup != "ident" or name in RESERVED:
+            if not _is_identifier(name):
                 raise ParseError(f"base type name {name!r} is not an identifier")
             found[section].append(name)
     elif section == "flags":
@@ -470,6 +475,8 @@ def _parse_fnsym(line: str):
     name = name.strip()
     if name in RESERVED:
         raise ParseError(f"function symbol name {name!r} is a reserved word")
+    if not _is_identifier(name):
+        raise ParseError(f"function symbol name {name!r} is not an identifier")
     s = _Stream(tokenize(rest))
     s.expect("(")
     ins: list[Type] = []

@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .syntax import (
     App, Base, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
-    Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var,
+    Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, cast_annotations,
 )
 from .typecheck import Signature, first_order, floor_type, tydyn_holds
 from .dynamism import Derivation, DynJudgment
@@ -792,7 +792,19 @@ def _walk_related_pairs(sig: Signature, j: DynJudgment, bound: int,
     return Report(subject, bound, True, None, checks)
 
 
+def judgment_types(d: Derivation) -> Iterator[Type]:
+    """Every type mentioned by a derivation's root judgment: endpoints,
+    context entries, and annotations inside the two terms."""
+    j = d.conclusion
+    yield j.type_left
+    yield j.type_right
+    for _, _, tl, tr in j.phi:
+        yield tl
+        yield tr
+    yield from cast_annotations(j.left)
+    yield from cast_annotations(j.right)
+
+
 def derivation_first_order(d: Derivation) -> bool:
     """Whether a derivation's root judgment stays in the model fragment."""
-    from .theorems import judgment_types
     return all(first_order(ty) for ty in judgment_types(d))

@@ -16,11 +16,11 @@ None of it is trusted.  Every constructor returns a tuple of derivations
 primitive rules, so ``check_derivation`` is the single source of truth for
 their correctness.
 
-The catalog's builders take only their parameters.  ``KINDS`` declares
-each parameter kind's arity and dynamism hypotheses, ``THEOREMS`` gives
-each theorem its kind and the signature flag it needs, and
-``derive_theorem`` is the one place that checks them.  A builder called
-directly checks nothing; ``check_derivation`` still decides.
+The catalog's builders take only their parameters.  A ``KINDS`` row
+declares its parameter kind's arity, dynamism hypotheses, builds and
+shapes; ``THEOREMS`` gives each theorem its kind and the signature flag it
+needs.  ``derive_theorem`` checks a row, and the enumerator joins over it.
+A builder called directly checks nothing; ``check_derivation`` decides.
 
 Catalog:
 
@@ -167,34 +167,32 @@ def prj_mon(premise: Derivation, index: int) -> Derivation:
         (premise,), aux=index)
 
 
+def _conversion(rule: str, ctx: Context, subject: Term, other: Term, ty: Type,
+                direction: str) -> Derivation:
+    """``subject <= other`` forwards, ``other <= subject`` backwards."""
+    left, right = (subject, other) if direction == "fwd" else (other, subject)
+    return Derivation(rule, DynJudgment(DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
+
+
 def fn_beta_node(ctx: Context, redex: Term, ty: Type, direction: str = "fwd") -> Derivation:
     contractum = subst1(redex.fn.body, redex.fn.var, redex.arg)
-    left, right = (redex, contractum) if direction == "fwd" else (contractum, redex)
-    return Derivation("fn-beta", DynJudgment(
-        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
+    return _conversion("fn-beta", ctx, redex, contractum, ty, direction)
 
 
 def fn_eta_node(ctx: Context, subject: Term, ty: Fn, direction: str,
                 binder: str) -> Derivation:
     expansion = Lam(binder, ty.dom, App(subject, Var(binder)))
-    left, right = (subject, expansion) if direction == "fwd" else (expansion, subject)
-    return Derivation("fn-eta", DynJudgment(
-        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
+    return _conversion("fn-eta", ctx, subject, expansion, ty, direction)
 
 
 def prod_beta_node(ctx: Context, redex: Term, ty: Type, direction: str = "fwd") -> Derivation:
-    pair = redex.tup
-    contractum = pair.fst if redex.index == 1 else pair.snd
-    left, right = (redex, contractum) if direction == "fwd" else (contractum, redex)
-    return Derivation("prod-beta", DynJudgment(
-        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
+    contractum = redex.tup.fst if redex.index == 1 else redex.tup.snd
+    return _conversion("prod-beta", ctx, redex, contractum, ty, direction)
 
 
 def prod_eta_node(ctx: Context, subject: Term, ty: Prod, direction: str = "fwd") -> Derivation:
     expansion = Pair(Proj(1, subject), Proj(2, subject))
-    left, right = (subject, expansion) if direction == "fwd" else (expansion, subject)
-    return Derivation("prod-eta", DynJudgment(
-        DynCtx.diag(ctx), left, right, ty, ty), aux=direction)
+    return _conversion("prod-eta", ctx, subject, expansion, ty, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -529,36 +527,44 @@ def err_elim(shape: str, a: Type, b: Type) -> tuple[Derivation, Derivation]:
             fn_beta_node(ctx, redex, b, "fwd"))
         ge = errbot_node(ctx, b, App(Err(fty), Var("u")))
         return le, ge
-    if shape in ("prj1", "prj2"):
-        i = 1 if shape == "prj1" else 2
-        pty = Prod(a, b)
-        ctx = Context()
-        target = a if i == 1 else b
-        redex = Proj(i, Pair(Err(a), Err(b)))
-        le = trans_node(
-            prj_mon(errbot_node(ctx, pty, Pair(Err(a), Err(b))), i),
-            prod_beta_node(ctx, redex, target, "fwd"))
-        ge = errbot_node(ctx, target, Proj(i, Err(pty)))
-        return le, ge
-    raise DerivationError(f"unknown err_elim shape {shape!r}")
+    i = 1 if shape == "prj1" else 2
+    pty = Prod(a, b)
+    ctx = Context()
+    target = a if i == 1 else b
+    redex = Proj(i, Pair(Err(a), Err(b)))
+    le = trans_node(
+        prj_mon(errbot_node(ctx, pty, Pair(Err(a), Err(b))), i),
+        prod_beta_node(ctx, redex, target, "fwd"))
+    ge = errbot_node(ctx, target, Proj(i, Err(pty)))
+    return le, ge
 
 
 # ---------------------------------------------------------------------------
 # Catalog and enumeration
 # ---------------------------------------------------------------------------
 
-# Parameter kinds: each one's arity and its dynamism hypotheses, the pairs
-# ``(A, B)`` that must satisfy ``A <= B``, in the order they are checked.
-KINDS: dict[str, tuple[int, Callable[..., tuple]]] = {
-    "ty": (1, lambda a: ()),
-    "pair": (2, lambda a, a1: ((a, a1),)),
-    "chain": (3, lambda a, a1, a2: ((a, a1), (a1, a2))),
-    "pair2": (4, lambda a, b, a1, b1: ((a, a1), (b, b1))),
-    "square": (4, lambda a, a1, b, b1: ((a, a1), (b, b1), (a, b), (a1, b1))),
-    "equi": (2, lambda a, b: ((a, b), (b, a))),
-    "tri_r": (3, lambda a1, a2, b2: ((a1, a2), (a1, b2), (a2, DYN), (b2, DYN))),
-    "tri_l": (3, lambda a1, a2, b1: ((a1, a2), (b1, a2), (a1, DYN), (b1, DYN))),
-    "errsh": (3, lambda shape, a, b: ()),   # an eliminator shape plus two types
+class Kind(NamedTuple):
+    """A parameter kind, the one statement of its facts.  ``hypotheses``
+    are pairs ``(i, j)`` meaning ``p[i] <= p[j]``, in check order, where a
+    side is a parameter position or a fixed type; ``builds`` are the
+    position pairs a theorem combines into ``a -> b`` or ``a * b``;
+    ``shapes`` are the eliminator shapes the first parameter ranges over."""
+    arity: int
+    hypotheses: tuple = ()
+    builds: tuple[tuple[int, int], ...] = ()
+    shapes: tuple[str, ...] = ()
+
+
+KINDS: dict[str, Kind] = {
+    "ty": Kind(1),
+    "pair": Kind(2, ((0, 1),)),
+    "chain": Kind(3, ((0, 1), (1, 2))),
+    "pair2": Kind(4, ((0, 2), (1, 3)), builds=((0, 1), (2, 3))),
+    "square": Kind(4, ((0, 1), (2, 3), (0, 2), (1, 3))),
+    "equi": Kind(2, ((0, 1), (1, 0))),
+    "tri_r": Kind(3, ((0, 1), (0, 2), (1, DYN), (2, DYN))),
+    "tri_l": Kind(3, ((0, 1), (2, 1), (0, DYN), (2, DYN))),
+    "errsh": Kind(3, builds=((1, 2),), shapes=("app", "prj1", "prj2")),
 }
 
 
@@ -602,17 +608,19 @@ REDUCTION_THEOREMS = (
 
 
 def derive_theorem(sig: Signature, name: str, *params) -> tuple[Derivation, ...]:
-    """Check the theorem's arity, then its flag, then its kind's
-    hypotheses in order, and build it."""
+    """Check the theorem's arity, then its flag, then its kind's shapes
+    and hypotheses in order, and build it."""
     if name not in THEOREMS:
         raise DerivationError(f"unknown theorem {name!r}")
     kind, build, flag = THEOREMS[name]
-    arity, hypotheses = KINDS[kind]
-    if len(params) != arity:
-        raise DerivationError(f"{name} expects {arity} parameters, got {len(params)}")
+    row = KINDS[kind]
+    if len(params) != row.arity:
+        raise DerivationError(f"{name} expects {row.arity} parameters, got {len(params)}")
     if flag and not getattr(sig, flag):
         raise FlagRequired(name, flag)
-    for a, b in hypotheses(*params):
+    if row.shapes and params[0] not in row.shapes:
+        raise DerivationError(f"unknown {name} shape {params[0]!r}")
+    for a, b in _sides(row.hypotheses, params):
         if not tydyn_holds(sig, a, b):
             from .grammar import type_to_text
             raise HypothesisError(
@@ -632,80 +640,50 @@ def conclusion_equation(d: Derivation) -> tuple[Context, Term, Term]:
     return j.phi.left_ctx(), j.left, substitute(j.right, ren)
 
 
-def _params_for(sig: Signature, kind: str, types: list[Type], size: int
+def _sides(pairs, params) -> Iterator[tuple]:
+    """Each pair with its parameter positions read off ``params``."""
+    for a, b in pairs:
+        yield (params[a] if isinstance(a, int) else a,
+               params[b] if isinstance(b, int) else b)
+
+
+def _params_for(sig: Signature, kind: Kind, types: list[Type], size: int
                 ) -> Iterator[tuple]:
-    """Parameter tuples of one kind, in catalog order.  The two kinds whose
-    theorems build a type from their parameters (``pair2`` and ``errsh``)
-    only yield tuples whose built types fit the size budget; this is a
-    necessary condition for the instance to survive ``theorem_instances``'s
-    size filter, so the surviving sequence is unchanged."""
-    pairs = [(a, b) for a in types for b in types if tydyn_holds(sig, a, b)]
-    if kind == "ty":
-        for a in types:
-            yield (a,)
-    elif kind == "pair":
-        yield from pairs
-    elif kind == "chain":
-        for a, a1 in pairs:
-            for a2 in types:
-                if tydyn_holds(sig, a1, a2):
-                    yield (a, a1, a2)
-    elif kind == "pair2":
-        # (a, b, a1, b1) builds a*b and a1*b1 (or the arrows); the pairs
-        # (b, b1) that fit beside (a, a1) depend only on the two sizes
-        sized = [(type_size(a), type_size(b), (a, b)) for a, b in pairs]
-        fitting: dict[tuple[int, int], list[tuple[Type, Type]]] = {}
-        for sa, sa1, (a, a1) in sized:
-            inner = fitting.get((sa, sa1))
-            if inner is None:
-                inner = fitting[sa, sa1] = [
-                    pair for sb, sb1, pair in sized
-                    if sa + sb < size and sa1 + sb1 < size]
-            for b, b1 in inner:
-                yield (a, b, a1, b1)
-    elif kind == "square":
-        for a, a1 in pairs:
-            for b, b1 in pairs:
-                if tydyn_holds(sig, a, b) and tydyn_holds(sig, a1, b1):
-                    yield (a, a1, b, b1)
-    elif kind == "equi":
-        for a, b in pairs:
-            if tydyn_holds(sig, b, a):
-                yield (a, b)
-    elif kind == "tri_r":
-        for a1, a2 in pairs:
-            for b2 in types:
-                if tydyn_holds(sig, a1, b2):
-                    yield (a1, a2, b2)
-    elif kind == "tri_l":
-        for a1, a2 in pairs:
-            for b1 in types:
-                if tydyn_holds(sig, b1, a2):
-                    yield (a1, a2, b1)
-    elif kind == "errsh":
-        # the shape builds a -> b or a * b
-        sized = [(type_size(a), a) for a in types]
-        for shape in ("app", "prj1", "prj2"):
-            for sa, a in sized:
-                for sb, b in sized:
-                    if sa + sb < size:
-                        yield (shape, a, b)
-    else:  # pragma: no cover
-        raise ValueError(kind)
+    """Parameter tuples of one kind, in catalog order, by one join over its
+    row.  Positions are bound in the order the hypotheses first name them,
+    then the rest.  A position ranges over the types above an earlier
+    position when a hypothesis says so, over the shapes if it is the first
+    and the kind has them, and over every type otherwise.  Every other
+    hypothesis and every build's size budget is tested as soon as all its
+    positions are bound."""
+    order = list(dict.fromkeys(
+        [i for h in kind.hypotheses for i in h if isinstance(i, int)]
+        + list(range(kind.arity))))
+    above = {a: [b for b in types if tydyn_holds(sig, a, b)] for a in types}
+    sizes = {a: type_size(a) for a in types}
 
+    def ready(pairs, k):    # the pairs whose last position is bound at step k
+        return [h for h in pairs if order[k] in h
+                and all(i in order[:k + 1] for i in h if isinstance(i, int))]
+    steps = []
+    for k, pos in enumerate(order):
+        tests = ready(kind.hypotheses, k)
+        low = next((i for i, j in tests if j == pos and isinstance(i, int)), None)
+        tests = [h for h in tests if h != (low, pos)]
+        fixed = (pos == 0 and kind.shapes) or types
+        steps.append((pos, low, fixed, tests, ready(kind.builds, k)))
 
-def judgment_types(d: Derivation) -> Iterator[Type]:
-    """Every type mentioned by a derivation's root judgment: endpoints,
-    context entries, and annotations inside the two terms."""
-    from .syntax import cast_annotations
-    j = d.conclusion
-    yield j.type_left
-    yield j.type_right
-    for _, _, tl, tr in j.phi:
-        yield tl
-        yield tr
-    yield from cast_annotations(j.left)
-    yield from cast_annotations(j.right)
+    def join(p: list, k: int) -> Iterator[tuple]:
+        if k == len(steps):
+            yield tuple(p)
+            return
+        pos, low, fixed, tests, budgets = steps[k]
+        for t in fixed if low is None else above[p[low]]:
+            p[pos] = t
+            if (all(sizes[p[i]] + sizes[p[j]] < size for i, j in budgets)
+                    and all(tydyn_holds(sig, a, b) for a, b in _sides(tests, p))):
+                yield from join(p, k + 1)
+    return join([None] * kind.arity, 0)
 
 
 def theorem_instances(sig: Signature, size: int = 3,
@@ -714,24 +692,20 @@ def theorem_instances(sig: Signature, size: int = 3,
                       ) -> Iterator[tuple[str, tuple, tuple[Derivation, ...] | str]]:
     """Instantiate every catalog theorem at every hypothesis-satisfying
     parameter tuple whose instantiated conclusions mention only types of
-    the given size or smaller.
-
-    The budget is enforced during enumeration: parameter tuples that build
-    an oversized type are never derived.  The size check on the built
-    conclusions stays as the authority for the rest.
+    the given size or smaller.  Given types larger than the size are
+    dropped first; the join then yields only the tuples that fit, so every
+    derivation built is kept.
 
     Yields ``(name, params, derivations)``; a flag-gated theorem whose
     flag is off yields the string ``"SKIPPED(flag)"`` instead.
     """
     if types is None:
         types = enumerate_types(sig, size)
+    types = [ty for ty in types if type_size(ty) <= size]
     for name in (names or THEOREMS):
-        for params in _params_for(sig, THEOREMS[name].kind, types, size):
+        for params in _params_for(sig, KINDS[THEOREMS[name].kind], types, size):
             try:
                 ds = derive_theorem(sig, name, *params)
             except FlagRequired:
-                yield name, params, "SKIPPED(flag)"
-                continue
-            if all(type_size(ty) <= size
-                   for d in ds for ty in judgment_types(d)):
-                yield name, params, ds
+                ds = "SKIPPED(flag)"
+            yield name, params, ds

@@ -31,11 +31,12 @@ from gtt.syntax import (
 )
 from gtt.model import (
     FnVal, ModelError, NatVal, PairVal, Report, SemValue, UNIT_SEM,
-    denote_coreflection, enumerate_values, least_value, value_to_text,
+    denote_coreflection, enumerate_values, judgment_types, least_value,
+    value_to_text,
 )
 from gtt.syntax import Base, Fn, Prod, Unit, contains_fn, type_size
 from gtt.theorems import (
-    FlagRequired, THEOREMS, derive_theorem, judgment_types,
+    FlagRequired, HypothesisError, THEOREMS, derive_theorem,
 )
 from gtt.typecheck import (
     DynCtx, Signature, TypeCheckError, _unrelated_grounds, check_type_wf,
@@ -418,8 +419,9 @@ def derivations_to_text_reference(ds) -> str:
 
 # -- theorem instances by generate-then-filter --------------------------------
 #
-# Every hypothesis-satisfying parameter tuple is derived, and the size
-# filter on the built conclusions alone decides what is kept.
+# Every parameter tuple the kind's loops yield is derived; a tuple whose
+# declared hypotheses fail is skipped, and the size filter on the built
+# conclusions alone decides what is kept.
 
 def _params_reference(sig, kind: str, types: list):
     pairs = [(a, b) for a in types for b in types if tydyn_holds(sig, a, b)]
@@ -474,6 +476,8 @@ def theorem_instances_reference(sig, size: int = 3, names=None, types=None):
                 ds = derive_theorem(sig, name, *params)
             except FlagRequired:
                 yield name, params, "SKIPPED(flag)"
+                continue
+            except HypothesisError:
                 continue
             if all(type_size(ty) <= size
                    for d in ds for ty in judgment_types(d)):

@@ -598,3 +598,15 @@ def test_a_function_symbol_named_by_a_reserved_word_is_exit_2(tmp_path, capsys, 
     code, err = run_cli_err("--sig", sig, "check", term, capsys=capsys)
     assert (code, err) == (
         2, f"error: function symbol name {word!r} is a reserved word\n")
+
+
+@pytest.mark.parametrize("name", ["5", "g h", "?"], ids=["numeral", "two-words", "dyn"])
+def test_a_function_symbol_name_that_is_no_identifier_is_exit_2(tmp_path, capsys, name):
+    # `5` would type as the declared symbol but evaluate as the numeral;
+    # no term could call the other two
+    sig = tmp_path / "name.gttsig"
+    sig.write_text(f"basetypes: Nat\nfnsyms:\n  {name} : () -> Nat * Nat\n")
+    code, err = run_cli_err("--sig", sig, "check", FIXTURES / "zero.gtt",
+                            capsys=capsys)
+    assert (code, err) == (
+        2, f"error: function symbol name {name!r} is not an identifier\n")

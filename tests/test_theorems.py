@@ -8,7 +8,9 @@ import gtt.theorems
 
 from gtt.derivio import derivations_to_text
 from gtt.grammar import parse_type
-from gtt.syntax import Context, DYN, Downcast, Err, Fn, NAT, Prod, Upcast, Var
+from gtt.syntax import (
+    Context, DYN, Downcast, Err, Fn, NAT, Prod, Upcast, Var, type_size,
+)
 from gtt.typecheck import Signature, default_signature, enumerate_types, tydyn_holds
 from gtt.dynamism import DerivationError, check_derivation, derivation_errors
 from gtt.theorems import (
@@ -162,8 +164,11 @@ def test_catalog_covers_expected_names():
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
-@pytest.mark.parametrize("sig", [SIG, NO_RETRACT], ids=["retract", "no-retract"])
+@pytest.mark.parametrize("sig", [SIG, NO_RETRACT, SIG.first_order_dyn()],
+                         ids=["retract", "no-retract", "first-order-dyn"])
 def test_instances_match_generate_then_filter(sig, size):
+    # under first_order_dyn() a function type is not below ?, so the (.., ?)
+    # hypotheses of cast_r and cast_l drop tuples
     assert (list(theorem_instances(sig, size))
             == list(theorem_instances_reference(sig, size)))
 
@@ -175,6 +180,18 @@ def test_instances_match_generate_then_filter_on_given_types():
     for size in (2, 3, 4):
         assert (list(theorem_instances(SIG, size, types=types))
                 == list(theorem_instances_reference(SIG, size, types=types)))
+
+
+def test_given_types_larger_than_the_size_are_dropped_first():
+    # with the flag off a skipped theorem builds nothing, so no size check
+    # on its conclusions could drop it: the oversized types go up front
+    types = [parse_type(t) for t in
+             ("? * ?", "Nat", "Nat -> ?", "?", "1", "(Nat * Nat) -> ?")]
+    for size in (2, 3, 4):
+        fitting = [ty for ty in types if type_size(ty) <= size]
+        got = list(theorem_instances(NO_RETRACT, size, types=types))
+        assert got == list(theorem_instances_reference(NO_RETRACT, size, types=fitting))
+        assert all(type_size(ty) <= size for _, params, _ in got for ty in params)
 
 
 @pytest.mark.parametrize("size", [3, 4])
@@ -228,16 +245,16 @@ def test_derive_theorem_outcomes_are_pinned():
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_declared_hypotheses_pick_the_reference_tuples(kind):
-    # every tuple of the kind's arity over the size-3 types (an eliminator
-    # shape first for errsh), kept when each declared hypothesis holds
+    # every tuple of the kind's arity over the size-3 types (one of its
+    # eliminator shapes first, if it has them), kept when each declared
+    # hypothesis holds; a side is a parameter position or a fixed type
     types = enumerate_types(SIG, 3)
-    arity, hypotheses = KINDS[kind]
-    if kind == "errsh":
-        tuples = itertools.product(("app", "prj1", "prj2"), types, types)
-    else:
-        tuples = itertools.product(types, repeat=arity)
-    kept = [params for params in tuples
-            if all(tydyn_holds(SIG, a, b) for a, b in hypotheses(*params))]
+    row = KINDS[kind]
+    ranges = [row.shapes or types] + [types] * (row.arity - 1)
+    kept = [params for params in itertools.product(*ranges)
+            if all(tydyn_holds(SIG, *(params[s] if isinstance(s, int) else s
+                                      for s in h))
+                   for h in row.hypotheses)]
     reference = list(_params_reference(SIG, kind, types))
     assert len(set(reference)) == len(reference)
     assert set(kept) == set(reference)
