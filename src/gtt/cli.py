@@ -25,10 +25,13 @@ from .dynamism import DynJudgment, check_derivation, derivation_errors
 from .derivio import derivations_to_text, parse_derivations
 from .elaborate import elaborate, equal_terms, normalize
 from .model import (
-    ModelError, check_equipment, check_judgment_semantics, eval_term,
-    first_order, model_signature, value_to_text,
+    ModelError, check_equipment, check_judgment_semantics,
+    derivation_first_order, eval_term, first_order, model_signature,
+    value_to_text,
 )
-from .theorems import derive_theorem, theorem_instances, REDUCTION_THEOREMS
+from .theorems import (
+    REDUCTION_THEOREMS, conclusion_equation, derive_theorem, theorem_instances,
+)
 
 
 class _Failure(Exception):
@@ -213,14 +216,12 @@ def _cmd_test_theorems(args, sig):
             continue
         ok = all(check_derivation(sig, d) for d in ds)
         if ok and name in REDUCTION_THEOREMS:
-            from .theorems import conclusion_equation
             ctx, lhs, rhs = conclusion_equation(ds[0])
             ok = equal_terms(sig, lhs, rhs, ctx)
             if not ok:
                 lines.append(f"RESULT FAIL {name} {params}: sides differ "
                              "after elaboration")
         if ok:
-            from .model import derivation_first_order
             for d in ds:
                 if derivation_first_order(d):
                     report = check_judgment_semantics(sig, d.conclusion, args.bound)

@@ -23,23 +23,26 @@ bound and say so, proving nothing beyond it.
 
 Terms and orders are compiled, not interpreted: ``compile_term`` turns a
 term into a closure over the environment once, each cast with its
-coreflection map, and ``order_at`` builds each type's order once per
-bound.  Checks go through the adjunction ``up v <= w`` iff ``v <= dn w``
-that every coreflection is.  Denotations are monotone, so a judgment holds
-at every related pair of environments iff it holds at ``(dn g, g)`` for
-each right environment ``g``: the check evaluates the right side once per
+coreflection map, which ``denote_coreflection`` builds once per pair from
+the pairs it is made of, and ``order_at`` builds each type's order once
+per bound.  Each function-free type has one ``Enumeration`` per bound,
+built in one pass and kept on the signature: its values, the position of
+each, the size of each down-set and the covering pairs of its order.
+Checks go through the adjunction ``up v <= w`` iff ``v <= dn w`` that
+every coreflection is.  Denotations are monotone, so a judgment holds at
+every related pair of environments iff it holds at ``(dn g, g)`` for each
+right environment ``g``: the check evaluates the right side once per
 right environment and casts the left side up once per distinct downcast
-environment, keyed by positions in ``enumerate_values``.  An equipment
-check applies the upcast and the downcast once per value and tests
-monotonicity along the covering pairs of each order, which generate it.
-Both count the related pairs they cover, from the sizes of down-sets,
-so a pass reports the pairs of the all-pairs walk.  The shortcut is sound
-only for monotone maps whose downcasts stay inside the enumeration, so a
-judgment check whose test fails, raises ``ModelError`` or leaves the
-enumeration walks every related pair instead, and a failing cover walks
-every related pair of its order: a failure reports the walk's first
-counterexample, error and count.  ``eval_term`` and ``value_leq_at``
-compile and apply in one step.
+environment, keyed by positions.  An equipment check applies the upcast
+and the downcast once per value and tests monotonicity along the covering
+pairs of each order, which generate it.  Both count the related pairs
+they cover, from the sizes of down-sets, so a pass reports the pairs of
+the all-pairs walk.  The shortcut is sound only for monotone maps whose
+downcasts stay inside the enumeration, so a judgment check whose test
+fails, raises ``ModelError`` or leaves the enumeration walks every related
+pair instead, and a failing cover walks every related pair of its order:
+a failure reports the walk's first counterexample, error and count.
+``eval_term`` and ``value_leq_at`` compile and apply in one step.
 """
 
 from __future__ import annotations
@@ -218,15 +221,40 @@ def value_leq_at(sig: Signature, ty: Type, v: SemValue, w: SemValue,
 def enumerate_values(sig: Signature, ty: Type, bound: int = 2) -> list[SemValue]:
     """All values of a function-free type within the bound: naturals below
     ``bound``, and at ``?`` pairs nested at most ``bound - 1`` deep."""
-    key = ("values", ty, bound)
+    return enumeration(sig, ty, bound).values
+
+
+@dataclass(frozen=True, slots=True)
+class Enumeration:
+    """The values of a function-free type within a bound, with what the
+    checks read off them, all by position in ``values``:
+
+    * ``position`` maps a value to its position, or None when it is not
+      there;
+    * ``downs`` is the number of values below each value;
+    * ``covers()`` yields the covering pairs ``(i, k)``: value ``k`` is
+      above value ``i`` with nothing in between.  The enumeration is closed
+      downwards, so its order is the reflexive-transitive closure of these.
+    """
+    values: list[SemValue]
+    position: Callable[[SemValue], int | None]
+    downs: list[int]
+    covers: Callable[[], Iterator[tuple[int, int]]]
+
+
+def enumeration(sig: Signature, ty: Type, bound: int = 2) -> Enumeration:
+    """The enumeration of a function-free type, built once per type and
+    bound.  Each natural covers the error, and a product pairs its
+    components' values, the first varying slowest, covered componentwise."""
+    key = ("enumeration", ty, bound)
     cached = sig._model_cache.get(key)
     if cached is None:
-        cached = _enumerate_values(sig, ty, bound)
+        cached = _enumeration(sig, ty, bound)
         sig._model_cache[key] = cached
     return cached
 
 
-def _enumerate_values(sig: Signature, ty: Type, bound: int) -> list[SemValue]:
+def _enumeration(sig: Signature, ty: Type, bound: int) -> Enumeration:
     match ty:
         case Base(name):
             rng = _base_range(sig, name)
@@ -234,30 +262,67 @@ def _enumerate_values(sig: Signature, ty: Type, bound: int) -> list[SemValue]:
                 raise ModelError(f"base type {name} has no code range")
             lo, hi = rng
             top = min(bound, hi - lo) if hi != float("inf") else bound
-            return [NatVal(None)] + [NatVal(n) for n in range(int(top))]
+            values = [NatVal(None)] + [NatVal(n) for n in range(int(top))]
+            edges = [(0, k) for k in range(1, len(values))]
+            return Enumeration(values, {v: p for p, v in enumerate(values)}.get,
+                               [1] + [2] * len(edges), edges.__iter__)
         case Unit():
-            return [UNIT_SEM]
+            return Enumeration([UNIT_SEM], {UNIT_SEM: 0}.get, [1], [].__iter__)
         case Prod(a, b):
-            return [PairVal(x, y)
-                    for x in enumerate_values(sig, a, bound)
-                    for y in enumerate_values(sig, b, bound)]
+            first, second = enumeration(sig, a, bound), enumeration(sig, b, bound)
+            width = len(second.values)
+
+            def position(v: SemValue) -> int | None:
+                if type(v) is not PairVal:
+                    return None
+                i, k = first.position(v.fst), second.position(v.snd)
+                return None if i is None or k is None else i * width + k
+
+            def covers() -> Iterator[tuple[int, int]]:
+                for i, k in first.covers():
+                    yield from ((i * width + j, k * width + j) for j in range(width))
+                cb = list(second.covers())
+                for i in range(len(first.values)):
+                    yield from ((i * width + j, i * width + k) for j, k in cb)
+
+            return Enumeration(
+                [PairVal(x, y) for x in first.values for y in second.values],
+                position, [x * y for x in first.downs for y in second.downs], covers)
         case Fn(_, _):
             raise ModelError("cannot enumerate a function space")
         case _:
-            return _enumerate_dyn(bound)
+            return _dyn_enumeration(bound)
 
 
-def _enumerate_dyn(bound: int) -> list[SemValue]:
+def _dyn_enumeration(bound: int) -> Enumeration:
     """The error and the leaves ``0 .. bound-1``, then each round the new
-    pairs of everything so far, the first component varying slowest."""
-    out: list[SemValue] = [ERR_SEM] + [NatVal(n) for n in range(bound)]
-    seen = set(out)
+    pairs of the values that existed when the round began, the first
+    component varying slowest.  The error is covered by each leaf and by
+    the pair of errors, and a node ``(a, b)`` covers the nodes ``(a', b)``
+    and ``(a, b')`` for ``a'`` covered by ``a`` and ``b'`` by ``b``, which
+    come earlier; a node has one more value below it than the pairs of the
+    values below its components, since the pair of errors collapses to the
+    error."""
+    values: list[SemValue] = [ERR_SEM] + [NatVal(n) for n in range(bound)]
+    position = {v: p for p, v in enumerate(values)}
+    downs = [1] + [2] * bound
+    below: list[list[int]] = [[]] + [[0]] * bound  # the positions each value covers
     for _ in range(bound - 1):
-        fresh = [p for a in out for b in out
-                 if (p := PairVal(a, b)) not in seen]
-        seen.update(fresh)
-        out.extend(fresh)
-    return out
+        count = len(values)
+        for i in range(count):
+            for k in range(count):
+                v = PairVal(values[i], values[k])
+                if v in position:
+                    continue
+                position[v] = len(values)
+                values.append(v)
+                downs.append(1 + downs[i] * downs[k])
+                below.append(
+                    [0] if i == k == 0 else
+                    [position[PairVal(values[x], values[k])] for x in below[i]]
+                    + [position[PairVal(values[i], values[x])] for x in below[k]])
+    edges = [(i, k) for k, under in enumerate(below) for i in under]
+    return Enumeration(values, position.get, downs, edges.__iter__)
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +406,27 @@ def denote_coreflection(sig: Signature, a: Type, b: Type) -> Coreflection:
 
 
 def _coref(sig: Signature, a: Type, b: Type) -> Coreflection:
+    """The coreflection of ``a <= b`` from those of its parts, each looked
+    up through ``denote_coreflection``, so that every derivable pair has one
+    coreflection wherever it occurs."""
     if a == b:
         return Coreflection.identity(a)
     if b == DYN:
         tag = floor_type(a)
-        tagc = _tag_coreflection(sig, tag)
         if a == tag:
-            return tagc
-        return _coref(sig, a, tag).compose(tagc)
+            return _tag_coreflection(sig, tag)
+        return denote_coreflection(sig, a, tag).compose(
+            denote_coreflection(sig, tag, DYN))
     match a, b:
         case Prod(a1, a2), Prod(b1, b2):
-            (up1, dn1), (up2, dn2) = [(c.up, c.dn) for c in (_coref(sig, a1, b1),
-                                                             _coref(sig, a2, b2))]
+            (up1, dn1), (up2, dn2) = [(c.up, c.dn) for c in (
+                denote_coreflection(sig, a1, b1), denote_coreflection(sig, a2, b2))]
             return Coreflection(
                 a, b,
                 lambda v: PairVal(up1(v.fst), up2(v.snd)),
                 lambda v: PairVal(dn1(v.fst), dn2(v.snd)))
         case Fn(a1, a2), Fn(b1, b2):
-            carg, cres = _coref(sig, a1, b1), _coref(sig, a2, b2)
+            carg, cres = denote_coreflection(sig, a1, b1), denote_coreflection(sig, a2, b2)
             return Coreflection(
                 a, b,
                 lambda f: FnVal(lambda v: cres.up(f(carg.dn(v)))),
@@ -517,8 +585,8 @@ def check_equipment(sig: Signature, a: Type, b: Type, bound: int = 2) -> Report:
     if not (first_order(a) and first_order(b)):
         raise ModelError("equipment checks need function-free types")
     c = denote_coreflection(sig, a, b)
-    values_a = enumerate_values(sig, a, bound)
-    values_b = enumerate_values(sig, b, bound)
+    enum_a, enum_b = enumeration(sig, a, bound), enumeration(sig, b, bound)
+    values_a, values_b = enum_a.values, enum_b.values
     leq_a, leq_b = order_at(sig, a, bound), order_at(sig, b, bound)
     ups, dns = [], []  # the maps at each value, by position
     checks = 0
@@ -535,17 +603,17 @@ def check_equipment(sig: Signature, a: Type, b: Type, bound: int = 2) -> Report:
         if not leq_b(c.up(dns[-1]), w):
             return Report(subject, bound, False,
                           f"up (dn w) not below w at w = {value_to_text(w)}", checks)
-    for name, ty, values, images, leq in (("up", a, values_a, ups, leq_b),
-                                          ("dn", b, values_b, dns, leq_a)):
-        if all(leq(images[i], images[k]) for i, k in covers(sig, ty, bound)):
-            checks += sum(down_sizes(sig, ty, bound))
+    for name, ty, enum, images, leq in (("up", a, enum_a, ups, leq_b),
+                                        ("dn", b, enum_b, dns, leq_a)):
+        if all(leq(images[i], images[k]) for i, k in enum.covers()):
+            checks += sum(enum.downs)
             continue
         for i, k in related_indices(sig, ty, ty, bound):
             checks += 1
             if not leq(images[i], images[k]):
                 return Report(subject, bound, False,
-                              f"{name} not monotone at {value_to_text(values[i])} "
-                              f"<= {value_to_text(values[k])}", checks)
+                              f"{name} not monotone at {value_to_text(enum.values[i])} "
+                              f"<= {value_to_text(enum.values[k])}", checks)
     msig = model_signature(sig)
     if tydyn_holds(msig, a, DYN) and tydyn_holds(msig, b, DYN):
         into_dyn_a = denote_coreflection(sig, a, DYN)
@@ -577,80 +645,6 @@ def related_indices(sig: Signature, a: Type, b: Type, bound: int = 2
     return cached
 
 
-def down_sizes(sig: Signature, ty: Type, bound: int = 2) -> list[int]:
-    """The number of values below each value of a function-free type, by
-    position in ``enumerate_values``: one below the error, two below a
-    natural, the product of the components' counts below a pair, and one
-    more below a node of ``?``, whose pair of errors collapses to the
-    error."""
-    key = ("downs", ty, bound)
-    cached = sig._model_cache.get(key)
-    if cached is None:
-        values = enumerate_values(sig, ty, bound)
-        match ty:
-            case Base(_):
-                cached = [1] + [2] * (len(values) - 1)
-            case Unit():
-                cached = [1]
-            case Prod(a, b):
-                cached = [x * y for x in down_sizes(sig, a, bound)
-                          for y in down_sizes(sig, b, bound)]
-            case _:
-                size: dict[SemValue, int] = {}
-                for v in values:
-                    size[v] = (1 + size[v.fst] * size[v.snd]
-                               if type(v) is PairVal else 1 if v.n is None else 2)
-                cached = [size[v] for v in values]
-        sig._model_cache[key] = cached
-    return cached
-
-
-def covers(sig: Signature, ty: Type, bound: int = 2) -> Iterator[tuple[int, int]]:
-    """The covering pairs ``(i, k)`` of a function-free type's order within
-    the bound, by position in ``enumerate_values``: value ``k`` is above
-    value ``i`` with nothing in between.  Each natural covers the error,
-    pairs are covered componentwise, and at ``?`` the error is covered by
-    each leaf and by the pair of errors.  The enumeration is closed
-    downwards, so the order within it is the reflexive-transitive closure of
-    these pairs."""
-    match ty:
-        case Base(_):
-            yield from ((0, k) for k in range(1, len(enumerate_values(sig, ty, bound))))
-        case Unit():
-            pass
-        case Prod(a, b):
-            na = len(enumerate_values(sig, a, bound))
-            nb = len(enumerate_values(sig, b, bound))
-            for i, k in covers(sig, a, bound):
-                yield from ((i * nb + j, k * nb + j) for j in range(nb))
-            cb = list(covers(sig, b, bound))
-            for i in range(na):
-                yield from ((i * nb + j, i * nb + k) for j, k in cb)
-        case _:
-            yield from _dyn_covers(sig, bound)
-
-
-def _dyn_covers(sig: Signature, bound: int) -> list[tuple[int, int]]:
-    key = ("covers", DYN, bound)
-    cached = sig._model_cache.get(key)
-    if cached is None:
-        values = enumerate_values(sig, DYN, bound)
-        position = {v: p for p, v in enumerate(values)}
-        node = {(position[v.fst], position[v.snd]): p
-                for p, v in enumerate(values) if type(v) is PairVal}
-        below: list[list[int]] = []  # the positions each value covers
-        for v in values:
-            if type(v) is not PairVal:
-                below.append([] if v.n is None else [0])
-                continue
-            i, k = position[v.fst], position[v.snd]
-            below.append([0] if i == k == 0 else
-                         [node[x, k] for x in below[i]] + [node[i, x] for x in below[k]])
-        cached = [(i, k) for k, under in enumerate(below) for i in under]
-        sig._model_cache[key] = cached
-    return cached
-
-
 def _dn_column(sig: Signature, tl: Type, tr: Type, bound: int
                ) -> tuple[Sequence[int], int] | None:
     """For a context entry ``tl <= tr``: the position of ``dn w`` in
@@ -661,11 +655,11 @@ def _dn_column(sig: Signature, tl: Type, tr: Type, bound: int
     key = ("column", tl, tr, bound)
     if key in sig._model_cache:
         return sig._model_cache[key]
-    sizes = down_sizes(sig, tl, bound)
+    left = enumeration(sig, tl, bound)
     if tl == tr:
-        column: Sequence[int] | None = range(len(sizes))
+        column: Sequence[int] | None = range(len(left.values))
     else:
-        dn, position = denote_coreflection(sig, tl, tr).dn, _position(sig, tl, bound)
+        dn, position = denote_coreflection(sig, tl, tr).dn, left.position
         column = []
         for w in enumerate_values(sig, tr, bound):
             p = position(dn(w))
@@ -673,32 +667,9 @@ def _dn_column(sig: Signature, tl: Type, tr: Type, bound: int
                 column = None
                 break
             column.append(p)
-    out = None if column is None else (column, sum(sizes[p] for p in column))
+    out = None if column is None else (column, sum(left.downs[p] for p in column))
     sig._model_cache[key] = out
     return out
-
-
-def _position(sig: Signature, ty: Type, bound: int
-              ) -> Callable[[SemValue], int | None]:
-    """The position of a value in ``enumerate_values(sig, ty, bound)``, or
-    None when it is not there.  A pair's position is computed from its
-    components', so no large enumeration is hashed."""
-    key = ("position", ty, bound)
-    cached = sig._model_cache.get(key)
-    if cached is None:
-        if isinstance(ty, Prod):
-            first, second = _position(sig, ty.fst, bound), _position(sig, ty.snd, bound)
-            width = len(enumerate_values(sig, ty.snd, bound))
-
-            def cached(v: SemValue) -> int | None:
-                if type(v) is not PairVal:
-                    return None
-                i, k = first(v.fst), second(v.snd)
-                return None if i is None or k is None else i * width + k
-        else:
-            cached = {v: p for p, v in enumerate(enumerate_values(sig, ty, bound))}.get
-        sig._model_cache[key] = cached
-    return cached
 
 
 def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> Report:

@@ -702,7 +702,7 @@ def theorem_instances(sig: Signature, size: int = 3,
     if types is None:
         types = enumerate_types(sig, size)
     types = [ty for ty in types if type_size(ty) <= size]
-    for name in (names or THEOREMS):
+    for name in (THEOREMS if names is None else names):
         for params in _params_for(sig, KINDS[THEOREMS[name].kind], types, size):
             try:
                 ds = derive_theorem(sig, name, *params)

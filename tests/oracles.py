@@ -470,7 +470,7 @@ def _params_reference(sig, kind: str, types: list):
 def theorem_instances_reference(sig, size: int = 3, names=None, types=None):
     if types is None:
         types = enumerate_types(sig, size)
-    for name in (names or THEOREMS):
+    for name in (THEOREMS if names is None else names):
         for params in _params_reference(sig, THEOREMS[name].kind, types):
             try:
                 ds = derive_theorem(sig, name, *params)

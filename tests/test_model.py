@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gtt.grammar import parse_term, parse_type
+from gtt.grammar import parse_signature, parse_term, parse_type
 from gtt.syntax import (
     Context, DYN, Downcast, Err, Fn, Lam, NAT, Pair, Prod, UNIT, Upcast, Var,
     num,
@@ -17,8 +17,8 @@ from gtt.elaborate import elaborate
 from gtt import model
 from gtt.model import (
     ERR_SEM, Coreflection, FnVal, ModelError, NatVal, PairVal, UNIT_SEM,
-    check_equipment, check_judgment_semantics, covers, denote_coreflection,
-    derivation_first_order, down_sizes, enumerate_values, eval_term,
+    check_equipment, check_judgment_semantics, denote_coreflection,
+    derivation_first_order, enumerate_values, enumeration, eval_term,
     first_order, least_value, model_signature, order_at, related_indices,
     tydyn_holds, value_leq, value_leq_at, value_to_text,
 )
@@ -119,6 +119,24 @@ def test_pair_of_errors_glues_to_error_leaf():
     # every other pair is its own node, and dn takes a node back to it
     for v in enumerate_values(SIG, Prod(DYN, DYN), 2)[1:]:
         assert c.up(v) is v and c.dn(v) is v
+
+
+def test_an_overridden_coreflection_reaches_the_pairs_built_from_it():
+    # Nat * Nat <= ? is Nat * Nat <= ? * ? followed by the tag of ? * ?, so
+    # a component swap installed for the first reaches the composite, and
+    # one installed for Nat * Nat <= Nat * ? reaches
+    # Nat * (Nat * Nat) <= ? * (Nat * ?) as a component
+    sig = default_signature()
+    pair, dyn2 = Prod(NAT, NAT), Prod(DYN, DYN)
+    true = denote_coreflection(default_signature(), pair, dyn2)
+    sig._model_cache[("coref", pair, dyn2)] = Coreflection(
+        pair, dyn2, lambda v: PairVal(true.up(v).snd, true.up(v).fst), true.dn)
+    assert denote_coreflection(sig, pair, DYN).up(PairVal(L0, L1)) == PairVal(L1, L0)
+    inner = Prod(NAT, DYN)
+    sig._model_cache[("coref", pair, inner)] = Coreflection(
+        pair, inner, lambda v: PairVal(v.snd, v.fst), lambda w: w)
+    outer = denote_coreflection(sig, Prod(NAT, pair), Prod(DYN, inner))
+    assert outer.up(PairVal(L0, PairVal(L0, L1))) == PairVal(L0, PairVal(L1, L0))
 
 
 def _semantic_identity():
@@ -307,12 +325,64 @@ def test_related_counts_follow_the_downcasts(bound, compared):
     assert seen == compared
 
 
-def test_down_sizes_count_the_values_below():
-    for ty in [NAT, DYN, UNIT, Prod(NAT, DYN), Prod(DYN, DYN)]:
-        leq = order_at(SIG, ty, 2)
-        values = enumerate_values(SIG, ty, 2)
-        assert down_sizes(SIG, ty, 2) == [sum(leq(v, w) for v in values)
-                                          for w in values], ty
+TRUNCATED = parse_signature("basetypes: Nat\nbasecodes:\n  Nat 0 1\n")
+
+
+def _next_bound(sig, ty, bound):
+    """Some values of ``ty`` at ``bound + 1``: all of them at a base type
+    and the unit, a leaf beyond the bound and the pairs of about ten values
+    at ``?``, and the pairs of about ten such values each at a product."""
+    def some(values):
+        return values[::len(values) // 10 + 1]
+    match ty:
+        case Prod(a, b):
+            return [PairVal(x, y) for x in some(_next_bound(sig, a, bound))
+                    for y in some(_next_bound(sig, b, bound))]
+        case _ if ty == DYN:
+            values = some(enumerate_values(sig, DYN, bound))
+            return [NatVal(bound)] + [PairVal(x, y) for x in values for y in values]
+        case _:
+            return enumerate_values(sig, ty, bound + 1)
+
+
+@pytest.mark.parametrize("sig", [SIG, TRUNCATED], ids=["default", "Nat-0-1"])
+def test_the_enumeration_record_agrees_with_its_values(sig):
+    # every function-free type of size at most 3 at bounds 1 to 3, up to
+    # 2 * 10**4 values: positions invert the values, a value from the next
+    # bound outside them has none, and down-set sizes are counts of the
+    # order; under Nat 0 1 the naturals stop at 0 whatever the bound, so
+    # only the records of types with ? meet values outside them
+    types = [ty for ty in enumerate_types(sig, 3) if first_order(ty)]
+    records = reached = 0
+    for ty, bound in itertools.product(types, (1, 2, 3)):
+        enum = enumeration(sig, ty, bound)
+        if len(enum.values) > 2 * 10**4:
+            continue
+        assert enumerate_values(sig, ty, bound) is enum.values
+        records += 1
+        where = {v: p for p, v in enumerate(enum.values)}
+        assert len(where) == len(enum.values)
+        assert all(enum.position(v) == p for v, p in where.items()), ty
+        beyond = _next_bound(sig, ty, bound)
+        for v in beyond:
+            assert enum.position(v) == where.get(v), (ty, bound, v)
+        reached += any(v not in where for v in beyond)
+        leq = order_at(sig, ty, bound)
+        assert enum.downs == [sum(map(leq, enum.values, itertools.repeat(w)))
+                              for w in enum.values], (ty, bound)
+    assert (records, reached) == ((35, 29) if sig is SIG else (35, 17))
+    assert enumerate_values(TRUNCATED, NAT, 3) == [ERR, L0]
+    assert enumeration(TRUNCATED, NAT, 3).position(L1) is None
+
+
+def test_each_type_and_bound_has_one_enumeration_entry():
+    sig = default_signature()
+    for a, b in _derivable_pairs(3):
+        check_equipment(sig, a, b, 2)
+    kinds = {key[0] for key in sig._model_cache if isinstance(key, tuple)}
+    assert kinds == {"enumeration", "leq", "coref"}
+    assert {key[1:] for key in sig._model_cache if key[0] == "enumeration"} == {
+        (ty, 2) for ty in enumerate_types(SIG, 3) if first_order(ty)}
 
 
 def _closure(n, edges):
@@ -336,7 +406,7 @@ def _closure(n, edges):
                          ids=str)
 def test_covers_generate_the_order(ty):
     values = enumerate_values(SIG, ty, 2)
-    edges = list(covers(SIG, ty, 2))
+    edges = list(enumeration(SIG, ty, 2).covers())
     order = set(related_indices(SIG, ty, ty, 2))
     assert len(edges) == len(set(edges))
     assert _closure(len(values), edges) == order
@@ -347,7 +417,7 @@ def test_covers_generate_the_order(ty):
 
 
 def test_dyn_has_1124_covers_at_bound_3():
-    edges = list(covers(SIG, DYN, 3))
+    edges = list(enumeration(SIG, DYN, 3).covers())
     assert len(edges) == len(set(edges)) == 1124
     leq = order_at(SIG, DYN, 3)
     values = enumerate_values(SIG, DYN, 3)

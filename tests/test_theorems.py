@@ -142,6 +142,15 @@ def test_skip_marker_with_retract_off():
     assert names and set(names) <= {"strict_dn", "cast_l"}
 
 
+def test_an_empty_list_of_names_enumerates_no_theorem():
+    assert list(theorem_instances(SIG, 1, names=[])) == []
+    everything = list(theorem_instances(SIG, 1))
+    assert len(everything) == 88
+    assert list(theorem_instances(SIG, 1, names=None)) == everything
+    assert (list(theorem_instances(SIG, 1, names=["identity_up"]))
+            == [i for i in everything if i[0] == "identity_up"])
+
+
 def test_conclusion_equation_renames_right_variables():
     le, _ = derive_theorem(SIG, "identity_up", NAT)
     ctx, lhs, rhs = conclusion_equation(le)
