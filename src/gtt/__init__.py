@@ -9,9 +9,9 @@ ties them together over text files.
 """
 
 from .syntax import (
-    App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, NAT,
-    Pair, Prod, Proj, Term, Type, Unit, UNIT, UnitVal, UNITVAL, Upcast, Var,
-    alpha_eq, free_vars, num, substitute, subst1,
+    App, Base, Bound, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam,
+    NAT, Pair, Prod, Proj, Term, Type, Unit, UNIT, UnitVal, UNITVAL, Upcast,
+    Var, free_vars, instantiate, num, substitute, subst1,
 )
 from .typecheck import (
     DynCtx, Signature, check_ctx_dyn, check_type_wf, default_signature,

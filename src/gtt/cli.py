@@ -160,6 +160,7 @@ def _cmd_eval(args, sig):
     ctx, term = parse_term_file(_read(args.file), sig)
     if len(ctx):
         raise _Failure(2, "eval expects a closed term")
+    infer_type(sig, ctx, term)  # an ill-typed term has no value
     try:
         v = eval_term(sig, {}, term)
     except ModelError as e:

@@ -109,7 +109,7 @@ def _read_aux(sx, rd: _Reader):
         word = body[0]
         if word in ("fwd", "bwd"):
             return word
-        if not word.isdigit():
+        if not (word.isascii() and word.isdigit()):
             raise ParseError(f"bad aux atom {word!r}")
         return int(word)
     if len(body) == 2 and all(_headed(b, "sub") for b in body):

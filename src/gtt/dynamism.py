@@ -46,8 +46,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .syntax import (
-    App, Downcast, DYN, Err, Fn, GttError, Lam, Pair, Prod, Proj, Term, Type,
-    UNIT, UNITVAL, Upcast, Var, alpha_eq, free_vars, subst1, substitute,
+    App, Bound, Downcast, DYN, Err, Fn, GttError, Lam, Pair, Prod, Proj, Term,
+    Type, UNIT, UNITVAL, Upcast, Var, free_vars, instantiate, loose_indices,
+    substitute,
 )
 from .typecheck import (
     DynCtx, Signature, _infer, _unrelated_grounds, check_dynctx_wf,
@@ -189,7 +190,7 @@ def _chk_refl(sig, d):
         out.append("context must be diagonal (Gamma <= Gamma)")
     if j.type_left != j.type_right:
         out.append("endpoint types must coincide")
-    if not alpha_eq(j.left, j.right):
+    if j.left != j.right:
         out.append("sides are not alpha-equal")
     return out
 
@@ -223,13 +224,13 @@ def _chk_trans(sig, d):
         out.append("right context does not match second premise")
     if [ty for _, ty in mid1] != [ty for _, ty in mid2]:
         out.append("premises do not share the middle context")
-    elif not alpha_eq(j1.right, _rename_along(j2.left, mid2, mid1)):
+    elif j1.right != _rename_along(j2.left, mid2, mid1):
         out.append("premises do not share the middle term")
     if j1.type_right != j2.type_left:
         out.append("premises do not share the middle type")
-    if not alpha_eq(j1.left, j.left) or j1.type_left != j.type_left:
+    if j1.left != j.left or j1.type_left != j.type_left:
         out.append("left side does not match first premise")
-    if not alpha_eq(j2.right, j.right) or j2.type_right != j.type_right:
+    if j2.right != j.right or j2.type_right != j.type_right:
         out.append("right side does not match second premise")
     if d.aux is not None:
         if not (isinstance(d.aux, tuple) and len(d.aux) == 3):
@@ -238,7 +239,7 @@ def _chk_trans(sig, d):
         names = [x for x, _ in mid_ctx]  # renaming pairs them by position
         if (len(set(names)) != len(names)
                 or [ty for _, ty in mid_ctx] != [ty for _, ty in mid1]
-                or not alpha_eq(_rename_along(mid_term, mid_ctx, mid1), j1.right)
+                or _rename_along(mid_term, mid_ctx, mid1) != j1.right
                 or mid_type != j1.type_right):
             out.append("stored middle judgment disagrees with the premises")
     return out
@@ -252,7 +253,7 @@ def _chk_ax(sig, d):
             return [f"no term-dynamism axiom with index {i}"]
         lctx, lt, rctx, rt = sig.tmdyn_axioms[i]
         if ((lctx.entries, rctx.entries) == _sides(j.phi)
-                and alpha_eq(j.left, lt) and alpha_eq(j.right, rt)):
+                and j.left == lt and j.right == rt):
             return []
     return ["conclusion is not a term-dynamism axiom of the signature"]
 
@@ -280,14 +281,14 @@ def _chk_comp(sig, d):
         sub = d.premises[1 + i].conclusion
         if sub.phi != j.phi:
             out.append(f"substitution premise {i} has a different context")
-        if not alpha_eq(sub.left, gamma[xl]) or not alpha_eq(sub.right, gamma2[xr]):
+        if sub.left != gamma[xl] or sub.right != gamma2[xr]:
             out.append(f"substitution premise {i} does not prove the images related")
         if sub.type_left != tl or sub.type_right != tr:
             out.append(f"substitution premise {i} proves the wrong types")
     try:
-        if not alpha_eq(j.left, substitute(main.left, gamma)):
+        if j.left != substitute(main.left, gamma):
             out.append("left side is not the substituted main premise")
-        if not alpha_eq(j.right, substitute(main.right, gamma2)):
+        if j.right != substitute(main.right, gamma2):
             out.append("right side is not the substituted main premise")
     except GttError as e:
         out.append(f"substitution failed: {e}")
@@ -385,9 +386,9 @@ def _chk_lam_mon(sig, d):
     out = []
     if j.type_left != Fn(tl, p.type_left) or j.type_right != Fn(tr, p.type_right):
         out.append("conclusion types are not the expected function types")
-    if not alpha_eq(j.left, Lam(xl, tl, p.left)):
+    if j.left != Lam(xl, tl, p.left):
         out.append("left side is not the lambda of the premise")
-    if not alpha_eq(j.right, Lam(xr, tr, p.right)):
+    if j.right != Lam(xr, tr, p.right):
         out.append("right side is not the lambda of the premise")
     return out
 
@@ -404,9 +405,9 @@ def _chk_app_mon(sig, d):
         out.append("argument premise types do not match the function domains")
     if j.type_left != pf.type_left.cod or j.type_right != pf.type_right.cod:
         out.append("conclusion types are not the codomains")
-    if not alpha_eq(j.left, App(pf.left, pa.left)):
+    if j.left != App(pf.left, pa.left):
         out.append("left side is not the application of the premises")
-    if not alpha_eq(j.right, App(pf.right, pa.right)):
+    if j.right != App(pf.right, pa.right):
         out.append("right side is not the application of the premises")
     return out
 
@@ -420,9 +421,9 @@ def _chk_pair_mon(sig, d):
     if j.type_left != Prod(p1.type_left, p2.type_left) or \
             j.type_right != Prod(p1.type_right, p2.type_right):
         out.append("conclusion types are not the expected products")
-    if not alpha_eq(j.left, Pair(p1.left, p2.left)):
+    if j.left != Pair(p1.left, p2.left):
         out.append("left side is not the pairing of the premises")
-    if not alpha_eq(j.right, Pair(p1.right, p2.right)):
+    if j.right != Pair(p1.right, p2.right):
         out.append("right side is not the pairing of the premises")
     return out
 
@@ -442,9 +443,9 @@ def _chk_prj_mon(sig, d):
     want_r = p.type_right.fst if i == 1 else p.type_right.snd
     if j.type_left != want_l or j.type_right != want_r:
         out.append("conclusion types are not the projected components")
-    if not alpha_eq(j.left, Proj(i, p.left)):
+    if j.left != Proj(i, p.left):
         out.append("left side is not the projection of the premise")
-    if not alpha_eq(j.right, Proj(i, p.right)):
+    if j.right != Proj(i, p.right):
         out.append("right side is not the projection of the premise")
     return out
 
@@ -465,8 +466,8 @@ def _chk_fn_beta(sig, d):
         return out + ["aux must be fwd or bwd"]
     redex, contractum = oriented
     match redex:
-        case App(Lam(x, _, body), arg):
-            if not alpha_eq(contractum, subst1(body, x, arg)):
+        case App(Lam(_, _, body), arg):
+            if contractum != instantiate(body, arg):
                 out.append("contractum is not the substituted body")
         case _:
             out.append("subject is not a beta redex")
@@ -483,12 +484,12 @@ def _chk_fn_eta(sig, d):
     subject, expansion = oriented
     out = []
     match expansion:
-        case Lam(y, annot, App(g, Var(y2))) if y == y2:
+        case Lam(_, annot, App(g, Bound(0))):
             if annot != j.type_left.dom:
                 out.append("expansion annotates the wrong domain")
-            if y in free_vars(g):
+            if 0 in loose_indices(g):
                 out.append("expansion binder captures the subject")
-            elif not alpha_eq(g, subject):
+            elif g != subject:
                 out.append("expansion body does not apply the subject")
         case _:
             out.append("expansion side is not an eta expansion")
@@ -506,7 +507,7 @@ def _chk_prod_beta(sig, d):
     redex, contractum = oriented
     match redex:
         case Proj(i, Pair(t1, t2)):
-            if not alpha_eq(contractum, t1 if i == 1 else t2):
+            if contractum != (t1 if i == 1 else t2):
                 out.append("contractum is not the projected component")
         case _:
             out.append("subject is not a projection redex")
@@ -523,7 +524,7 @@ def _chk_prod_eta(sig, d):
     subject, expansion = oriented
     match expansion:
         case Pair(Proj(1, g1), Proj(2, g2)):
-            if not (alpha_eq(g1, subject) and alpha_eq(g2, subject)):
+            if g1 != subject or g2 != subject:
                 return ["expansion does not project the subject"]
             return []
         case _:

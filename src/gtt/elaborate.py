@@ -14,17 +14,20 @@ collapsing same-tag round trips when the retract flag is on and sending
 unrelated cross-tag round trips to the error when the disjointness flag
 is on; other ground casts on neutrals stay neutral.  It then reads the
 value back eta-long at the type.  ``equal_terms`` composes the two and
-compares up to alpha, which is the package's decision layer for
-order-equalities.  It types each side once, with ``infer_type``'s
-environment walk, and normalizes the elaborated side at that type.
+compares with ``==``, equality up to renaming of bound variables; it is
+the package's decision layer for order-equalities.  It types each side
+once, with ``infer_type``'s walk, and normalizes the elaborated side at
+that type.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .syntax import (
-    App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair,
-    Prod, Proj, Term, Type, Unit, UNITVAL, Upcast, Var,
-    alpha_eq, free_vars, fresh_name,
+    App, Base, Bound, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam,
+    Pair, Prod, Proj, Term, Type, Unit, UNITVAL, Upcast, Var, fresh_name,
+    shift, subterms,
 )
 from .typecheck import (
     Signature, TypeCheckError, _unrelated_grounds, floor_type, infer_type,
@@ -42,7 +45,6 @@ class NormalizeBudgetExceeded(GttError):
 
 def is_elaborated(t: Term) -> bool:
     """True when every cast inside ``t`` is a ground cast against ``?``."""
-    from .syntax import subterms
     for s in subterms(t):
         match s:
             case Upcast(lo, hi, _) | Downcast(lo, hi, _):
@@ -61,78 +63,72 @@ def elaborate(sig: Signature, ctx: Context, t: Term) -> Term:
     """Rewrite all casts of a well-typed term to ground casts, preserving
     the type."""
     infer_type(sig, ctx, t)  # reject ill-typed input up front
-    return _elab(sig, t)
+    return _elab(sig, t)[0]
 
 
-def _elab(sig: Signature, t: Term) -> Term:
+def _elab(sig: Signature, t: Term, hints: tuple[str, ...] = ()) -> tuple[Term, set]:
+    """``t`` elaborated, and its free variables: by name, or by index for the
+    enclosing binders, whose hints are ``hints``, innermost last."""
     match t:
-        case Upcast(lo, hi, b):
-            body = _elab(sig, b)
-            return _build_up(sig, lo, hi, body, free_vars(body))
-        case Downcast(lo, hi, b):
-            body = _elab(sig, b)
-            return _build_dn(sig, lo, hi, body, free_vars(body))
+        case Var(x) | Bound(x):
+            return t, {x}
+        case Upcast(lo, hi, b) | Downcast(lo, hi, b):
+            body, free = _elab(sig, b, hints)
+            names = {hints[-1 - v] if type(v) is int else v for v in free}
+            loose = any(type(v) is int for v in free)
+            placed = lambda d: shift(body, d) if d and loose else body
+            return _build(sig, isinstance(t, Upcast), lo, hi, placed, names, 0), free
         case Lam(x, annot, b):
-            return Lam(x, annot, _elab(sig, b))
-        case App(f, a):
-            return App(_elab(sig, f), _elab(sig, a))
-        case Pair(a, b):
-            return Pair(_elab(sig, a), _elab(sig, b))
+            body, free = _elab(sig, b, (*hints, x))
+            return Lam.nameless(x, annot, body), {
+                v - 1 if type(v) is int else v for v in free if v != 0}
+        case App(f, a) | Pair(f, a):
+            (f, ff), (a, af) = _elab(sig, f, hints), _elab(sig, a, hints)
+            return type(t)(f, a), ff | af
         case Proj(i, b):
-            return Proj(i, _elab(sig, b))
+            body, free = _elab(sig, b, hints)
+            return Proj(i, body), free
         case FnApp(f, args):
-            return FnApp(f, tuple(_elab(sig, a) for a in args))
+            elab = [_elab(sig, a, hints) for a in args]
+            return FnApp(f, tuple(a for a, _ in elab)), set().union(*(v for _, v in elab))
         case _:
-            return t
+            return t, set()
 
 
-# ``_build_up`` and ``_build_dn`` take the free variables of ``body``.  Every
-# wrapper they build has exactly those free variables, so a function wrapper
-# passes them on with its own binder added instead of scanning its body.
-
-def _build_up(sig: Signature, lo: Type, hi: Type, body: Term, fvs: set[str]) -> Term:
+def _build(sig: Signature, up: bool, lo: Type, hi: Type,
+           body: Callable[[int], Term], fvs: set[str], depth: int) -> Term:
+    """The cast of the subject from ``lo`` up to ``hi`` if ``up``, else from
+    ``hi`` down to ``lo``, under ``depth`` wrapper binders.  ``body`` puts the
+    subject under a number of them, so no body is closed by a walk.  ``fvs``
+    are the subject's names, which every wrapper has, so a function wrapper
+    adds its own binder's hint to them instead of scanning."""
     if lo == hi:
-        return body
+        return body(depth)
     if hi == DYN:
         tag = floor_type(lo)
         if lo == tag:
-            return Upcast(tag, DYN, body)
-        return Upcast(tag, DYN, _build_up(sig, lo, tag, body, fvs))
+            return (Upcast if up else Downcast)(tag, DYN, body(depth))
+        if up:
+            return Upcast(tag, DYN, _build(sig, up, lo, tag, body, fvs, depth))
+        return _build(sig, up, lo, tag, lambda d: Downcast(tag, DYN, body(d)), fvs, depth)
     match lo, hi:
         case Fn(a, b), Fn(a1, b1):
-            x = fresh_name("x", fvs)
-            inner = App(body, _build_dn(sig, a, a1, Var(x), {x}))
-            return Lam(x, a1, _build_up(sig, b, b1, inner, fvs | {x}))
+            x, arg = fresh_name("x", fvs), lambda d: Bound(d - 1 - depth)
+            inner = lambda d: App(body(d), _build(sig, not up, a, a1, arg, {x}, d))
+            return Lam.nameless(x, a1 if up else a,
+                                _build(sig, up, b, b1, inner, fvs | {x}, depth + 1))
         case Prod(a, b), Prod(a1, b1):
-            return Pair(_build_up(sig, a, a1, Proj(1, body), fvs),
-                        _build_up(sig, b, b1, Proj(2, body), fvs))
+            built: dict[int, Term] = {}  # both components share the subject
+            shared = lambda d: built.get(d) or built.setdefault(d, body(d))
+            return Pair(_build(sig, up, a, a1, lambda d: Proj(1, shared(d)), fvs, depth),
+                        _build(sig, up, b, b1, lambda d: Proj(2, shared(d)), fvs, depth))
         case Base(_), Base(_):
             # axiom-related bases have no structural route; go through ?
-            return Downcast(hi, DYN, Upcast(lo, DYN, body))
+            source, target = (lo, hi) if up else (hi, lo)
+            return Downcast(target, DYN, Upcast(source, DYN, body(depth)))
         case _:
-            raise ElaborationError(f"no elaboration for upcast {lo} => {hi}")
-
-
-def _build_dn(sig: Signature, lo: Type, hi: Type, body: Term, fvs: set[str]) -> Term:
-    if lo == hi:
-        return body
-    if hi == DYN:
-        tag = floor_type(lo)
-        if lo == tag:
-            return Downcast(tag, DYN, body)
-        return _build_dn(sig, lo, tag, Downcast(tag, DYN, body), fvs)
-    match lo, hi:
-        case Fn(a, b), Fn(a1, b1):
-            x = fresh_name("x", fvs)
-            inner = App(body, _build_up(sig, a, a1, Var(x), {x}))
-            return Lam(x, a, _build_dn(sig, b, b1, inner, fvs | {x}))
-        case Prod(a, b), Prod(a1, b1):
-            return Pair(_build_dn(sig, a, a1, Proj(1, body), fvs),
-                        _build_dn(sig, b, b1, Proj(2, body), fvs))
-        case Base(_), Base(_):
-            return Downcast(lo, DYN, Upcast(hi, DYN, body))
-        case _:
-            raise ElaborationError(f"no elaboration for downcast {hi} => {lo}")
+            cast = f"upcast {lo} => {hi}" if up else f"downcast {hi} => {lo}"
+            raise ElaborationError(f"no elaboration for {cast}")
 
 
 def oblique_cast(a: Type, b: Type, t: Term) -> Term:
@@ -170,7 +166,7 @@ def _normal_form(sig: Signature, t: Term, ty: Type, ctx: Context,
                  max_steps: int | None = None) -> Term:
     """Evaluate ``t`` and read its value back at ``ty``, its type."""
     fuel = _Fuel(max_steps)
-    v = _eval(sig, fuel, t, {x: _Var(x, a) for x, a in ctx})
+    v = _eval(sig, fuel, t, ({x: _Var(x, a) for x, a in ctx}, ()))
     return _readback(sig, fuel, v, ty, ctx.names())
 
 
@@ -181,11 +177,11 @@ _ERR = object()  # the error, at whatever type it is read back
 
 
 class _Var:
-    """A neutral variable; readback names it as it enters scope."""
-    __slots__ = ("name", "type")
+    """A neutral variable; readback names a bound one and gives it a level."""
+    __slots__ = ("name", "type", "level")
 
     def __init__(self, name: str | None, ty: Type):
-        self.name, self.type = name, ty
+        self.name, self.type, self.level = name, ty, None
 
 
 class _Closure:
@@ -193,21 +189,25 @@ class _Closure:
     ``lam.var``.  ``opened`` caches the body's value at a fresh variable."""
     __slots__ = ("lam", "env", "opened")
 
-    def __init__(self, lam: Lam, env: dict):
+    def __init__(self, lam: Lam, env: tuple):
         self.lam, self.env, self.opened = lam, env, None
 
 
-def _eval(sig: Signature, fuel: _Fuel, t: Term, env: dict):
+def _eval(sig: Signature, fuel: _Fuel, t: Term, env: tuple):
+    """The value of ``t`` in ``env``: the values of the free variables by
+    name, and those of the enclosing binders, innermost last."""
     match t:
         case Var(x):
-            return env[x]
+            return env[0][x]
+        case Bound(i):
+            return env[1][-1 - i]
         case Lam():
             return _Closure(t, env)
         case App(f, a):
             fv, av = _eval(sig, fuel, f, env), _eval(sig, fuel, a, env)
             if isinstance(fv, _Closure):
                 fuel.spend()
-                return _eval(sig, fuel, fv.lam.body, {**fv.env, fv.lam.var: av})
+                return _eval(sig, fuel, fv.lam.body, (fv.env[0], (*fv.env[1], av)))
             return _ERR if fv is _ERR else App(fv, av)
         case Pair(a, b):
             return Pair(_eval(sig, fuel, a, env), _eval(sig, fuel, b, env))
@@ -242,7 +242,7 @@ def _open(sig: Signature, fuel: _Fuel, c: _Closure):
     computed once: an upcast's error test and readback share them."""
     if c.opened is None:
         x = _Var(None, c.lam.annot)
-        c.opened = x, _eval(sig, fuel, c.lam.body, {**c.env, c.lam.var: x})
+        c.opened = x, _eval(sig, fuel, c.lam.body, (c.env[0], (*c.env[1], x)))
     return c.opened
 
 
@@ -266,7 +266,7 @@ def _is_err(sig: Signature, fuel: _Fuel, v, ty: Type) -> bool:
 
 def _readback(sig: Signature, fuel: _Fuel, v, ty: Type, scope: set[str]) -> Term:
     """The eta-long normal form of ``v`` at ``ty`` under the names in
-    ``scope``.  Binder names are chosen here and nowhere else."""
+    ``scope``, one more per binder.  Binder hints are chosen here only."""
     match ty:
         case Unit():
             return UNITVAL
@@ -276,8 +276,9 @@ def _readback(sig: Signature, fuel: _Fuel, v, ty: Type, scope: set[str]) -> Term
             else:
                 x, hint = _Var(None, dom), "x"
                 body = _ERR if v is _ERR else App(v, x)
-            x.name = fresh_name(hint, scope)
-            return Lam(x.name, dom, _readback(sig, fuel, body, cod, scope | {x.name}))
+            x.name, x.level = fresh_name(hint, scope), len(scope)
+            return Lam.nameless(
+                x.name, dom, _readback(sig, fuel, body, cod, scope | {x.name}))
         case Prod(a, b):
             return Pair(_readback(sig, fuel, _proj(1, v), a, scope),
                         _readback(sig, fuel, _proj(2, v), b, scope))
@@ -290,7 +291,9 @@ def _neutral(sig: Signature, fuel: _Fuel, v, scope: set[str]) -> tuple[Term, Typ
     the variable, the cast or the symbol at its head."""
     match v:
         case _Var():
-            return Var(v.name), v.type
+            if v.level is None:
+                return Var(v.name), v.type
+            return Bound(len(scope) - 1 - v.level), v.type
         case App(f, a):
             tf, fty = _neutral(sig, fuel, f, scope)
             return App(tf, _readback(sig, fuel, a, fty.dom, scope)), fty.cod
@@ -309,13 +312,13 @@ def _neutral(sig: Signature, fuel: _Fuel, v, scope: set[str]) -> tuple[Term, Typ
 
 def equal_terms(sig: Signature, t: Term, u: Term,
                 ctx: Context = Context()) -> bool:
-    """Alpha equality of eta-long normal forms after elaboration; both
+    """Equality of eta-long normal forms after elaboration; both
     terms must share the context and the type.  Each side is typed once:
     elaboration preserves the type."""
     ta = infer_type(sig, ctx, t)
     tb = infer_type(sig, ctx, u)
     if ta != tb:
         raise TypeCheckError(f"equal_terms: type mismatch {ta} vs {tb}")
-    nt = _normal_form(sig, _elab(sig, t), ta, ctx)
-    nu = _normal_form(sig, _elab(sig, u), tb, ctx)
-    return alpha_eq(nt, nu)
+    nt = _normal_form(sig, _elab(sig, t)[0], ta, ctx)
+    nu = _normal_form(sig, _elab(sig, u)[0], tb, ctx)
+    return nt == nu

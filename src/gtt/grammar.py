@@ -25,8 +25,9 @@ from __future__ import annotations
 import re
 
 from .syntax import (
-    App, Base, Context, Downcast, Dyn, DYN, Err, Fn, FnApp, GttError, Lam,
-    Pair, Prod, Proj, Term, Type, Unit, UNIT, UnitVal, UNITVAL, Upcast, Var,
+    App, Base, Bound, Context, Downcast, Dyn, DYN, Err, Fn, FnApp, GttError,
+    Lam, Pair, Prod, Proj, Term, Type, Unit, UNIT, UnitVal, UNITVAL, Upcast,
+    Var, free_vars, fresh_name, loose_indices,
 )
 
 RESERVED = {"fst", "snd", "up", "dn", "err"}
@@ -68,6 +69,7 @@ class _Stream:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.bound: list[str] = []  # the enclosing binders' names, innermost last
 
     def peek(self):
         return self.tokens[self.i]
@@ -139,9 +141,9 @@ def type_to_text(ty: Type) -> str:
         case Base(n):
             return n
         case Fn(a, b):
-            return f"{_type_text_arrow_left(a)} -> {type_to_text(b)}"
+            return f"{_operand(a, Fn)} -> {type_to_text(b)}"
         case Prod(a, b):
-            return f"{_type_text_atomish(a)} * {_type_text_atomish(b)}"
+            return f"{_operand(a, (Fn, Prod))} * {_operand(b, (Fn, Prod))}"
         case Unit():
             return "1"
         case Dyn():
@@ -149,14 +151,9 @@ def type_to_text(ty: Type) -> str:
     raise TypeError(f"not a type: {ty!r}")
 
 
-def _type_text_arrow_left(ty: Type) -> str:
-    return f"({type_to_text(ty)})" if isinstance(ty, Fn) else type_to_text(ty)
-
-
-def _type_text_atomish(ty: Type) -> str:
-    if isinstance(ty, (Fn, Prod)):
-        return f"({type_to_text(ty)})"
-    return type_to_text(ty)
+def _operand(ty: Type, looser) -> str:
+    """The text of ``ty``, in parentheses if it is one of ``looser``."""
+    return f"({type_to_text(ty)})" if isinstance(ty, looser) else type_to_text(ty)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,10 @@ def _term(s: _Stream, sig) -> Term:
         s.expect(":")
         ty = _type(s)
         s.expect(".")
-        return Lam(name, ty, _term(s, sig))
+        s.bound.append(name)
+        body = _term(s, sig)
+        s.bound.pop()
+        return Lam.nameless(name, ty, body)
     t = _prefix(s, sig)
     while _starts_prefix(s):
         t = App(t, _prefix(s, sig))
@@ -197,37 +197,24 @@ def _term(s: _Stream, sig) -> Term:
 
 def _starts_prefix(s: _Stream) -> bool:
     kind, text, _ = s.peek()
-    if kind in ("num",):
-        return True
-    if kind == "ident":
-        return True
-    return text in ("(", "up", "dn", "err", "fst", "snd")
+    return kind in ("num", "ident") or text == "("
 
 
 def _prefix(s: _Stream, sig) -> Term:
     kind, text, pos = s.peek()
-    if text == "fst":
+    if text in ("fst", "snd"):
         s.next()
-        return Proj(1, _prefix(s, sig))
-    if text == "snd":
-        s.next()
-        return Proj(2, _prefix(s, sig))
-    if text == "up":
+        return Proj(1 if text == "fst" else 2, _prefix(s, sig))
+    if text in ("up", "dn"):
         s.next()
         s.expect("[")
-        low = _type(s)
+        source = _type(s)
         s.expect("=>")
-        high = _type(s)
+        target = _type(s)
         s.expect("]")
-        return Upcast(low, high, _prefix(s, sig))
-    if text == "dn":
-        s.next()
-        s.expect("[")
-        high = _type(s)
-        s.expect("=>")
-        low = _type(s)
-        s.expect("]")
-        return Downcast(low, high, _prefix(s, sig))
+        if text == "up":
+            return Upcast(source, target, _prefix(s, sig))
+        return Downcast(target, source, _prefix(s, sig))
     if text == "err":
         s.next()
         s.expect("[")
@@ -258,68 +245,91 @@ def _atom(s: _Stream, sig) -> Term:
             raise ParseError(f"reserved word {text!r} is not a term", pos)
         if s.at("(") and sig.has_fn_symbol(text):
             s.next()
-            args = []
-            if not s.at(")"):
-                args.append(_term(s, sig))
-                while s.at(","):
-                    s.next()
-                    args.append(_term(s, sig))
-            s.expect(")")
-            return FnApp(text, tuple(args))
-        return Var(text)
+            return FnApp(text, tuple(_items(s, ")", lambda: _term(s, sig))))
+        return Bound(s.bound[::-1].index(text)) if text in s.bound else Var(text)
     raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
 
 
 def term_to_text(t: Term) -> str:
-    match t:
-        case Lam(x, ty, b):
-            return f"\\{x}:{type_to_text(ty)}. {term_to_text(b)}"
-        case App(f, a):
-            return f"{_app_text(f)} {_prefix_text(a)}"
-        case _:
-            return _prefix_text(t)
+    return _Printer().term(t)
 
 
-def _app_text(t: Term) -> str:
-    match t:
-        case App(f, a):
-            return f"{_app_text(f)} {_prefix_text(a)}"
-        case _:
-            return _prefix_text(t)
+class _Printer:
+    """Names each binder by its hint, or, if the hint would capture a name
+    free in its body, by the hint made fresh for those names.  Each name
+    is checked in O(1) as it is printed, and only a binder that captures
+    is printed again, under its fresh name."""
 
+    def __init__(self):
+        self.names: list[str] = []            # the binders' names, outermost first
+        self.levels: dict[str, list[int]] = {}  # a name -> its binders' levels
+        self.captor = float("inf")  # the level of the outermost binder that captured
 
-def _prefix_text(t: Term) -> str:
-    match t:
-        case Proj(1, b):
-            return f"fst {_prefix_text(b)}"
-        case Proj(2, b):
-            return f"snd {_prefix_text(b)}"
-        case Upcast(lo, hi, b):
-            return f"up[{type_to_text(lo)} => {type_to_text(hi)}] {_prefix_text(b)}"
-        case Downcast(lo, hi, b):
-            return f"dn[{type_to_text(hi)} => {type_to_text(lo)}] {_prefix_text(b)}"
-        case _:
-            return _atom_text(t)
+    def term(self, t: Term) -> str:
+        if isinstance(t, App):
+            return f"{self._app(t.fn)} {self._prefix(t.arg)}"
+        if not isinstance(t, Lam):
+            return self._prefix(t)
+        level, name = len(self.names), t.var
+        while True:
+            self.names.append(name)
+            stack = self.levels.setdefault(name, [])
+            stack.append(level)
+            text = f"\\{name}:{type_to_text(t.annot)}. {self.term(t.body)}"
+            self.names.pop()
+            stack.pop()
+            if self.captor != level:
+                return text
+            self.captor = float("inf")
+            name = fresh_name(t.var, free_vars(t.body) | {
+                self.names[level - i] for i in loose_indices(t.body) if i})
 
+    def _name(self, t: Var | Bound) -> str:
+        """The name of a variable; a binder of that name inside its own, if
+        there is one, captures it and is printed again."""
+        level = -1 if type(t) is Var else len(self.names) - 1 - t.index
+        name = t.name if level < 0 else self.names[level]
+        stack = self.levels.get(name)
+        if stack and stack[-1] != level:
+            self.captor = min(self.captor, stack[-1])
+        return name
 
-def _atom_text(t: Term) -> str:
-    match t:
-        case Var(x):
-            return x
-        case FnApp(f, args):
-            if not args and f.isdigit():
-                return f
-            if not args:
-                return f + "()"
-            return f + "(" + ", ".join(term_to_text(a) for a in args) + ")"
-        case UnitVal():
-            return "()"
-        case Pair(a, b):
-            return f"({term_to_text(a)}, {term_to_text(b)})"
-        case Err(ty):
-            return f"err[{type_to_text(ty)}]"
-        case _:
-            return f"({term_to_text(t)})"
+    def _app(self, t: Term) -> str:
+        match t:
+            case App(f, a):
+                return f"{self._app(f)} {self._prefix(a)}"
+            case _:
+                return self._prefix(t)
+
+    def _prefix(self, t: Term) -> str:
+        match t:
+            case Proj(1, b):
+                return f"fst {self._prefix(b)}"
+            case Proj(2, b):
+                return f"snd {self._prefix(b)}"
+            case Upcast(lo, hi, b):
+                return f"up[{type_to_text(lo)} => {type_to_text(hi)}] {self._prefix(b)}"
+            case Downcast(lo, hi, b):
+                return f"dn[{type_to_text(hi)} => {type_to_text(lo)}] {self._prefix(b)}"
+            case _:
+                return self._atom(t)
+
+    def _atom(self, t: Term) -> str:
+        match t:
+            case Var() | Bound():
+                return self._name(t)
+            case FnApp(f, args):
+                if not args and f.isdigit():
+                    return f
+                return f + "(" + ", ".join(self.term(a) for a in args) + ")"
+            case UnitVal():
+                return "()"
+            case Pair(a, b):
+                return f"({self.term(a)}, {self.term(b)})"
+            case Err(ty):
+                return f"err[{type_to_text(ty)}]"
+            case _:
+                return f"({self.term(t)})"
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +337,26 @@ def _atom_text(t: Term) -> str:
 # ---------------------------------------------------------------------------
 
 def _context(s: _Stream) -> Context:
+    def entry() -> tuple[str, Type]:
+        kind, name, pos = s.next()
+        if kind != "ident" or name in RESERVED:
+            raise ParseError(f"expected a variable, found {name!r}", pos)
+        s.expect(":")
+        return name, _type(s)
     s.expect("[")
-    entries: list[tuple[str, Type]] = []
-    if not s.at("]"):
-        while True:
-            kind, name, pos = s.next()
-            if kind != "ident" or name in RESERVED:
-                raise ParseError(f"expected a variable, found {name!r}", pos)
-            s.expect(":")
-            entries.append((name, _type(s)))
-            if s.at(","):
-                s.next()
-                continue
-            break
-    s.expect("]")
-    return Context(tuple(entries))
+    return Context(tuple(_items(s, "]", entry)))
+
+
+def _items(s: _Stream, close: str, item) -> list:
+    """Zero or more ``item`` parses separated by commas, then ``close``."""
+    out = []
+    if not s.at(close):
+        out.append(item())
+        while s.at(","):
+            s.next()
+            out.append(item())
+    s.expect(close)
+    return out
 
 
 def parse_term_file(text: str, sig=None) -> tuple[Context, Term]:
@@ -479,13 +494,7 @@ def _parse_fnsym(line: str):
         raise ParseError(f"function symbol name {name!r} is not an identifier")
     s = _Stream(tokenize(rest))
     s.expect("(")
-    ins: list[Type] = []
-    if not s.at(")"):
-        ins.append(_type(s))
-        while s.at(","):
-            s.next()
-            ins.append(_type(s))
-    s.expect(")")
+    ins = _items(s, ")", lambda: _type(s))
     s.expect("->")
     out = _type(s)
     if not s.done():

@@ -53,7 +53,7 @@ from math import prod
 from typing import Callable, Iterator, Optional, Sequence
 
 from .syntax import (
-    App, Base, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
+    App, Base, Bound, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
     Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, cast_annotations,
 )
 from .typecheck import Signature, first_order, floor_type, tydyn_holds
@@ -439,16 +439,16 @@ def _coref(sig: Signature, a: Type, b: Type) -> Coreflection:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-Env = dict[str, SemValue]
+Env = dict[str | int, SemValue]
 Compiled = Callable[[Env], SemValue]
 
 
-def compile_term(sig: Signature, t: Term) -> Compiled:
+def compile_term(sig: Signature, t: Term, depth: int = 0) -> Compiled:
     """Compositional denotation, compiled once into a closure over the
     environment.  Function symbols other than numerals have no canonical
     meaning.  Nothing fails at compile time: an unbound variable, an
     unevaluable symbol or a missing coreflection raises ``ModelError`` when
-    its subterm is evaluated."""
+    its subterm is evaluated.  The environment holds the binders by depth."""
     match t:
         case Var(x):
             def var(env: Env) -> SemValue:
@@ -457,32 +457,35 @@ def compile_term(sig: Signature, t: Term) -> Compiled:
                 except KeyError:
                     raise ModelError(f"environment does not bind {x}") from None
             return var
+        case Bound(i):
+            level = depth - 1 - i
+            return lambda env: env[level]
         case FnApp(f, args):
             if f.isdigit() and not args and sig.numerals_enabled():
                 n = NatVal(int(f))
                 return lambda env: n
             return _failing(f"function symbol {f} is not evaluable")
-        case Lam(x, _, body):
-            body_c = compile_term(sig, body)
-            return lambda env: FnVal(lambda v: body_c({**env, x: v}))
+        case Lam(_, _, body):
+            body_c = compile_term(sig, body, depth + 1)
+            return lambda env: FnVal(lambda v: body_c({**env, depth: v}))
         case App(f, a):
-            f_c, a_c = compile_term(sig, f), compile_term(sig, a)
+            f_c, a_c = compile_term(sig, f, depth), compile_term(sig, a, depth)
             return lambda env: f_c(env)(a_c(env))
         case Pair(a, b):
-            a_c, b_c = compile_term(sig, a), compile_term(sig, b)
+            a_c, b_c = compile_term(sig, a, depth), compile_term(sig, b, depth)
             return lambda env: PairVal(a_c(env), b_c(env))
         case Proj(1, b):
-            b_c = compile_term(sig, b)
+            b_c = compile_term(sig, b, depth)
             return lambda env: b_c(env).fst
         case Proj(_, b):
-            b_c = compile_term(sig, b)
+            b_c = compile_term(sig, b, depth)
             return lambda env: b_c(env).snd
         case UnitVal():
             return lambda env: UNIT_SEM
         case Upcast(lo, hi, b):
-            return _cast(sig, lo, hi, "up", compile_term(sig, b))
+            return _cast(sig, lo, hi, "up", compile_term(sig, b, depth))
         case Downcast(lo, hi, b):
-            return _cast(sig, lo, hi, "dn", compile_term(sig, b))
+            return _cast(sig, lo, hi, "dn", compile_term(sig, b, depth))
         case Err(at):
             least = least_value(sig, at)
             return lambda env: least

@@ -7,16 +7,21 @@ error constant at every type, and applications of signature-declared
 function symbols.
 
 Types are hash-consed: there is one live instance per type, so ``==`` on
-types is identity and hashing one is O(1).  Terms stay structural frozen
-dataclasses, identified up to renaming of bound variables; ``alpha_eq`` is
-the official equality on them and ``substitute`` is capture avoiding.
+types is identity and hashing one is O(1).  Terms are structural frozen
+dataclasses in the locally nameless representation (Charguéraud, *The
+Locally Nameless Representation*, JAR 2012): a variable bound by a lambda
+is ``Bound(i)``, the ``i``-th enclosing binder counting from 0, and a free
+one is a named ``Var``.  A lambda keeps its binder's name only as a hint
+for printing, which ``==`` and ``hash`` ignore, so ``==`` is equality up
+to renaming of bound variables.  Substituting terms without loose indices
+cannot capture, so no substitution ever renames.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterator, Mapping
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Callable, Iterator, Mapping
 
 
 class GttError(Exception):
@@ -177,10 +182,34 @@ class FnApp(Term):
 
 
 @dataclass(frozen=True, slots=True)
+class Bound(Term):
+    """The variable of the ``index``-th enclosing lambda, the nearest 0."""
+    index: int
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Lam(Term):
-    var: str
+    """``\\var:annot. body``; the body refers to the binder as ``Bound(0)``
+    and ``var`` is a hint for printing.  ``Lam(x, annot, body)`` closes a
+    body that names the binder ``x``; ``Lam.nameless`` takes a closed one."""
+    var: str = field(compare=False)
     annot: Type
     body: Term
+
+    def __init__(self, var: str, annot: Type, body: Term):
+        _set_fields(self, var, annot, _walk(body, lambda v, d: Bound(d) if (
+            type(v) is Var and v.name == var) else v))
+
+    @classmethod
+    def nameless(cls, var: str, annot: Type, body: Term) -> "Lam":
+        return _set_fields(object.__new__(cls), var, annot, body)
+
+
+def _set_fields(lam: Lam, var: str, annot: Type, body: Term) -> Lam:
+    object.__setattr__(lam, "var", var)
+    object.__setattr__(lam, "annot", annot)
+    object.__setattr__(lam, "body", body)
+    return lam
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,33 +273,27 @@ def num(n: int) -> Term:
     return FnApp(str(n))
 
 
-def term_size(t: Term) -> int:
+def _children(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of ``t``, left to right."""
     match t:
         case FnApp(_, args):
-            return 1 + sum(term_size(a) for a in args)
-        case Lam(_, _, b):
-            return 1 + term_size(b)
-        case App(f, a):
-            return 1 + term_size(f) + term_size(a)
-        case Pair(a, b):
-            return 1 + term_size(a) + term_size(b)
-        case Proj(_, b) | Upcast(_, _, b) | Downcast(_, _, b):
-            return 1 + term_size(b)
+            return args
+        case Lam(_, _, b) | Proj(_, b) | Upcast(_, _, b) | Downcast(_, _, b):
+            return (b,)
+        case App(a, b) | Pair(a, b):
+            return (a, b)
         case _:
-            return 1
+            return ()
+
+
+def term_size(t: Term) -> int:
+    return 1 + sum(map(term_size, _children(t)))
 
 
 def subterms(t: Term) -> Iterator[Term]:
     yield t
-    match t:
-        case FnApp(_, args):
-            for a in args:
-                yield from subterms(a)
-        case Lam(_, _, b) | Proj(_, b) | Upcast(_, _, b) | Downcast(_, _, b):
-            yield from subterms(b)
-        case App(a, b) | Pair(a, b):
-            yield from subterms(a)
-            yield from subterms(b)
+    for child in _children(t):
+        yield from subterms(child)
 
 
 def cast_annotations(t: Term) -> Iterator[Type]:
@@ -320,8 +343,8 @@ class Context:
         return iter(self.entries)
 
 
-# A substitution maps variable names to replacement terms.  ``substitute``
-# requires the map to cover every free variable of its argument.
+# A substitution maps variable names to terms without loose indices, which
+# no binder can capture; ``substitute`` requires it to cover every free one.
 Substitution = Mapping[str, Term]
 
 
@@ -330,18 +353,21 @@ def free_vars(t: Term) -> set[str]:
         case Var(x):
             return {x}
         case FnApp(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case Lam(x, _, b):
-            return free_vars(b) - {x}
+            return set().union(*map(free_vars, args))
+        case Lam(_, _, b) | Proj(_, b) | Upcast(_, _, b) | Downcast(_, _, b):
+            return free_vars(b)
         case App(a, b) | Pair(a, b):
             return free_vars(a) | free_vars(b)
-        case Proj(_, b) | Upcast(_, _, b) | Downcast(_, _, b):
-            return free_vars(b)
         case _:
             return set()
+
+
+def loose_indices(t: Term, depth: int = 0) -> set[int]:
+    """The indices, at ``t``'s root, of the outer binders that ``t`` refers to."""
+    if type(t) is Bound:
+        return {t.index - depth} if t.index >= depth else set()
+    depth += type(t) is Lam
+    return set().union(*(loose_indices(child, depth) for child in _children(t)))
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -353,92 +379,48 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 
 def substitute(t: Term, sigma: Substitution) -> Term:
-    """Simultaneous capture-avoiding substitution.
-
-    Every free variable of ``t`` must be in ``sigma``'s domain; binders are
-    renamed whenever they would capture a free variable of an image term.
-    """
-    return _subst(t, dict(sigma))
+    """Simultaneous substitution; every free variable of ``t`` must be in
+    ``sigma``'s domain."""
+    def leaf(v: Term, depth: int) -> Term:
+        if isinstance(v, Bound):
+            return v
+        if v.name not in sigma:
+            raise UnboundVariable(v.name)
+        return sigma[v.name]
+    return _walk(t, leaf)
 
 
 def subst1(t: Term, name: str, image: Term) -> Term:
     """Substitute a single variable, keeping all other free variables."""
-    sigma = {x: Var(x) for x in free_vars(t)}
-    sigma[name] = image
-    return _subst(t, sigma)
+    return _walk(t, lambda v, d: image if type(v) is Var and v.name == name else v)
 
 
-def _subst(t: Term, sigma: dict[str, Term]) -> Term:
+def shift(t: Term, by: int) -> Term:
+    """``t`` put under ``by`` more binders: its loose indices raised by ``by``."""
+    return _walk(t, lambda v, d: Bound(v.index + by) if (
+        type(v) is Bound and v.index >= d) else v)
+
+
+def instantiate(body: Term, image: Term) -> Term:
+    """A lambda's body with its binder replaced by ``image``."""
+    return _walk(body, lambda v, d: image if type(v) is Bound and v.index == d else v)
+
+
+def _walk(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
+    """``t`` with each variable ``v`` under ``depth`` binders replaced by
+    ``leaf(v, depth)``."""
     match t:
-        case Var(x):
-            if x not in sigma:
-                raise UnboundVariable(x)
-            return sigma[x]
+        case Var() | Bound():
+            return leaf(t, depth)
         case FnApp(f, args):
-            return FnApp(f, tuple(_subst(a, sigma) for a in args))
+            return FnApp(f, tuple(_walk(a, leaf, depth) for a in args))
         case Lam(x, annot, body):
-            inner = {y: img for y, img in sigma.items() if y != x}
-            captured = set()
-            for y in free_vars(body) - {x}:
-                if y not in inner:
-                    raise UnboundVariable(y)
-                captured |= free_vars(inner[y])
-            if x in captured:
-                x2 = fresh_name(x, captured | free_vars(body))
-                inner[x] = Var(x2)
-                return Lam(x2, annot, _subst(body, inner))
-            inner[x] = Var(x)
-            return Lam(x, annot, _subst(body, inner))
-        case App(f, a):
-            return App(_subst(f, sigma), _subst(a, sigma))
-        case Pair(a, b):
-            return Pair(_subst(a, sigma), _subst(b, sigma))
+            return Lam.nameless(x, annot, _walk(body, leaf, depth + 1))
+        case App(a, b) | Pair(a, b):
+            return type(t)(_walk(a, leaf, depth), _walk(b, leaf, depth))
         case Proj(i, b):
-            return Proj(i, _subst(b, sigma))
-        case Upcast(lo, hi, b):
-            return Upcast(lo, hi, _subst(b, sigma))
-        case Downcast(lo, hi, b):
-            return Downcast(lo, hi, _subst(b, sigma))
+            return Proj(i, _walk(b, leaf, depth))
+        case Upcast(lo, hi, b) | Downcast(lo, hi, b):
+            return type(t)(lo, hi, _walk(b, leaf, depth))
         case _:
             return t
-
-
-def alpha_eq(t: Term, u: Term) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-    return t is u or _aeq(t, u, {}, {}, 0)
-
-
-def _aeq(t: Term, u: Term, lenv: dict[str, int], renv: dict[str, int], depth: int) -> bool:
-    match t, u:
-        case Var(x), Var(y):
-            lx, ry = lenv.get(x), renv.get(y)
-            if lx is None and ry is None:
-                return x == y
-            return lx == ry and lx is not None
-        case FnApp(f, fargs), FnApp(g, gargs):
-            return f == g and len(fargs) == len(gargs) and all(
-                _aeq(a, b, lenv, renv, depth) for a, b in zip(fargs, gargs))
-        case Lam(x, ax, bx), Lam(y, ay, by):
-            if ax != ay:
-                return False
-            lenv2 = dict(lenv)
-            renv2 = dict(renv)
-            lenv2[x] = depth
-            renv2[y] = depth
-            return _aeq(bx, by, lenv2, renv2, depth + 1)
-        case App(f1, a1), App(f2, a2):
-            return _aeq(f1, f2, lenv, renv, depth) and _aeq(a1, a2, lenv, renv, depth)
-        case Pair(a1, b1), Pair(a2, b2):
-            return _aeq(a1, a2, lenv, renv, depth) and _aeq(b1, b2, lenv, renv, depth)
-        case Proj(i, b1), Proj(j, b2):
-            return i == j and _aeq(b1, b2, lenv, renv, depth)
-        case UnitVal(), UnitVal():
-            return True
-        case Upcast(l1, h1, b1), Upcast(l2, h2, b2):
-            return l1 == l2 and h1 == h2 and _aeq(b1, b2, lenv, renv, depth)
-        case Downcast(l1, h1, b1), Downcast(l2, h2, b2):
-            return l1 == l2 and h1 == h2 and _aeq(b1, b2, lenv, renv, depth)
-        case Err(a1), Err(a2):
-            return a1 == a2
-        case _:
-            return False

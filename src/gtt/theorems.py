@@ -45,11 +45,11 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .syntax import (
-    App, Context, Downcast, DYN, Err, Fn, Lam, Pair, Prod, Proj, Term, Type,
-    Upcast, Var, free_vars, subst1, substitute, type_size,
+    App, Bound, Context, Downcast, DYN, Err, Fn, Lam, Pair, Prod, Proj, Term,
+    Type, Upcast, Var, instantiate, substitute, type_size,
 )
 from .typecheck import DynCtx, Signature, enumerate_types, tydyn_holds
-from .dynamism import Derivation, DerivationError, DynJudgment
+from .dynamism import Derivation, DerivationError, DynJudgment, _rename_along
 
 
 class FlagRequired(DerivationError):
@@ -175,13 +175,13 @@ def _conversion(rule: str, ctx: Context, subject: Term, other: Term, ty: Type,
 
 
 def fn_beta_node(ctx: Context, redex: Term, ty: Type, direction: str = "fwd") -> Derivation:
-    contractum = subst1(redex.fn.body, redex.fn.var, redex.arg)
+    contractum = instantiate(redex.fn.body, redex.arg)
     return _conversion("fn-beta", ctx, redex, contractum, ty, direction)
 
 
 def fn_eta_node(ctx: Context, subject: Term, ty: Fn, direction: str,
                 binder: str) -> Derivation:
-    expansion = Lam(binder, ty.dom, App(subject, Var(binder)))
+    expansion = Lam.nameless(binder, ty.dom, App(subject, Bound(0)))
     return _conversion("fn-eta", ctx, subject, expansion, ty, direction)
 
 
@@ -634,10 +634,8 @@ def conclusion_equation(d: Derivation) -> tuple[Context, Term, Term]:
     meaningful when the context pairs variables at equal types, as the
     reduction theorems do."""
     j = d.conclusion
-    ren = {xr: Var(xl) for xl, xr, _, _ in j.phi}
-    for x in free_vars(j.right):
-        ren.setdefault(x, Var(x))
-    return j.phi.left_ctx(), j.left, substitute(j.right, ren)
+    left, right = j.phi.left_ctx(), j.phi.right_ctx()
+    return left, j.left, _rename_along(j.right, right, left)
 
 
 def _sides(pairs, params) -> Iterator[tuple]:

@@ -13,8 +13,8 @@ types are covariant in both positions).  Axioms between composite types
 would make the relation a general rewriting problem, so a signature
 rejects them.
 
-Typing checks the context once, then walks an environment in which an
-inner binder shadows an outer one of the same name; no term is renamed.
+Typing checks the context once, then walks the term with the free
+variables' types by name and the binders' by index, renaming nothing.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .syntax import (
-    App, Base, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair,
-    Prod, Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, contains_fn,
+    App, Base, Bound, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam,
+    Pair, Prod, Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, contains_fn,
 )
 
 
@@ -235,21 +235,24 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
     return _infer(sig, dict(ctx.entries), t)
 
 
-def _infer(sig: Signature, env: dict[str, Type], t: Term) -> Type:
-    """Typing under ``env``; an inner binder shadows an outer one."""
+def _infer(sig: Signature, env: dict[str, Type], t: Term,
+           bound: tuple[Type, ...] = ()) -> Type:
+    """Typing under ``env`` and the binders' types ``bound``, innermost last."""
     match t:
         case Var(x):
             ty = env.get(x)
             if ty is None:
                 raise TypeCheckError(f"unbound variable {x}", t)
             return ty
+        case Bound(i) if i < len(bound):  # a loose index is unrecognized
+            return bound[-1 - i]
         case FnApp(f, args):
             ins, out = sig.fn_signature(f)
             if len(ins) != len(args):
                 raise TypeCheckError(
                     f"symbol {f} expects {len(ins)} arguments, got {len(args)}", t)
             for i, (want, arg) in enumerate(zip(ins, args)):
-                got = _infer(sig, env, arg)
+                got = _infer(sig, env, arg, bound)
                 if got != want:
                     raise TypeCheckError(
                         f"argument {i} of {f} has type {got}, expected {want}", arg)
@@ -257,30 +260,30 @@ def _infer(sig: Signature, env: dict[str, Type], t: Term) -> Type:
         case Lam(x, annot, body):
             if not check_type_wf(sig, annot):
                 raise TypeCheckError(f"ill-formed annotation on {x}", t)
-            return Fn(annot, _infer(sig, {**env, x: annot}, body))
+            return Fn(annot, _infer(sig, env, body, (*bound, annot)))
         case App(fn, arg):
-            fty = _infer(sig, env, fn)
+            fty = _infer(sig, env, fn, bound)
             if not isinstance(fty, Fn):
                 raise TypeCheckError(f"applying a non-function of type {fty}", fn)
-            aty = _infer(sig, env, arg)
+            aty = _infer(sig, env, arg, bound)
             if aty != fty.dom:
                 raise TypeCheckError(
                     f"argument type {aty} does not match domain {fty.dom}", arg)
             return fty.cod
         case Pair(a, b):
-            return Prod(_infer(sig, env, a), _infer(sig, env, b))
+            return Prod(_infer(sig, env, a, bound), _infer(sig, env, b, bound))
         case Proj(i, tup):
-            pty = _infer(sig, env, tup)
+            pty = _infer(sig, env, tup, bound)
             if not isinstance(pty, Prod):
                 raise TypeCheckError(f"projecting from a non-product of type {pty}", tup)
             return pty.fst if i == 1 else pty.snd
         case UnitVal():
             return UNIT
         case Upcast(lo, hi, body):
-            _check_cast(sig, env, t, lo, hi, body, expect=lo)
+            _check_cast(sig, env, bound, t, lo, hi, body, expect=lo)
             return hi
         case Downcast(lo, hi, body):
-            _check_cast(sig, env, t, lo, hi, body, expect=hi)
+            _check_cast(sig, env, bound, t, lo, hi, body, expect=hi)
             return lo
         case Err(at):
             if not check_type_wf(sig, at):
@@ -289,7 +292,7 @@ def _infer(sig: Signature, env: dict[str, Type], t: Term) -> Type:
     raise TypeCheckError(f"unrecognized term {t!r}", t)
 
 
-def _check_cast(sig, env, cast, lo, hi, body, expect):
+def _check_cast(sig, env, bound, cast, lo, hi, body, expect):
     for ty in (lo, hi):
         if not check_type_wf(sig, ty):
             raise TypeCheckError(f"ill-formed cast endpoint {ty}", cast)
@@ -297,7 +300,7 @@ def _check_cast(sig, env, cast, lo, hi, body, expect):
         raise TypeCheckError(
             f"cast endpoints not in the dynamism relation: "
             f"{lo} <= {hi} fails", cast)
-    got = _infer(sig, env, body)
+    got = _infer(sig, env, body, bound)
     if got != expect:
         raise TypeCheckError(
             f"cast body has type {got}, expected {expect}", body)

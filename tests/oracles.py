@@ -25,9 +25,9 @@ from gtt.dynamism import _SCHEMA, Derivation, DynJudgment, _rule_errors
 from gtt.elaborate import _Fuel
 from gtt.grammar import ParseError, SexpList, term_to_text, type_to_text
 from gtt.syntax import (
-    App, Context, DYN, Downcast, Err, FnApp, GttError, Lam, Pair, Proj, Term,
-    Type, UNIT, UNITVAL, Upcast, UnitVal, Var, alpha_eq, free_vars, fresh_name,
-    subst1, substitute,
+    App, Bound, Context, DYN, Downcast, Err, FnApp, GttError, Lam, Pair, Proj,
+    Term, Type, UNIT, UNITVAL, Upcast, UnitVal, Var, free_vars, fresh_name,
+    instantiate, substitute,
 )
 from gtt.model import (
     FnVal, ModelError, NatVal, PairVal, Report, SemValue, UNIT_SEM,
@@ -111,29 +111,33 @@ def tydyn_search(sig: Signature, a: Type, b: Type, depth: int = 5,
 
 # -- alpha equivalence: rename every binder to its nesting depth -------------
 
-def canonical_rename(t: Term, depth: int = 0, env: dict[str, str] | None = None) -> Term:
-    env = env or {}
+def canonical_rename(t: Term, depth: int = 0) -> object:
+    """``t`` as nested tuples, with every binder named by its nesting depth
+    and every bound variable by its binder's name."""
     match t:
         case Var(x):
-            return Var(env.get(x, x))
-        case Lam(x, annot, body):
-            inner = dict(env)
-            inner[x] = f"%{depth}"
-            return Lam(f"%{depth}", annot, canonical_rename(body, depth + 1, inner))
+            return ("var", x)
+        case Bound(i):
+            return ("var", f"%{depth - 1 - i}")
+        case Lam(_, annot, body):
+            return ("lam", f"%{depth}", annot, canonical_rename(body, depth + 1))
         case App(f, a):
-            return App(canonical_rename(f, depth, env), canonical_rename(a, depth, env))
+            return ("app", canonical_rename(f, depth), canonical_rename(a, depth))
         case Pair(a, b):
-            return Pair(canonical_rename(a, depth, env), canonical_rename(b, depth, env))
+            return ("pair", canonical_rename(a, depth), canonical_rename(b, depth))
         case Proj(i, b):
-            return Proj(i, canonical_rename(b, depth, env))
+            return ("proj", i, canonical_rename(b, depth))
         case Upcast(lo, hi, b):
-            return Upcast(lo, hi, canonical_rename(b, depth, env))
+            return ("up", lo, hi, canonical_rename(b, depth))
         case Downcast(lo, hi, b):
-            return Downcast(lo, hi, canonical_rename(b, depth, env))
+            return ("dn", lo, hi, canonical_rename(b, depth))
         case FnApp(f, args):
-            return FnApp(f, tuple(canonical_rename(a, depth, env) for a in args))
-        case _:
-            return t
+            return ("fnapp", f, tuple(canonical_rename(a, depth) for a in args))
+        case UnitVal():
+            return ("unit",)
+        case Err(at):
+            return ("err", at)
+    raise AssertionError(t)
 
 
 def alpha_eq_oracle(t: Term, u: Term) -> bool:
@@ -143,29 +147,29 @@ def alpha_eq_oracle(t: Term, u: Term) -> bool:
 # -- substitution through a nameless representation --------------------------
 #
 # Terms become nested tuples with de Bruijn indices for bound variables and
-# names for free ones, so capture is impossible by construction.
+# names for free ones, without binder hints, so capture is impossible by
+# construction.
 
-def to_nameless(t: Term, bound: tuple[str, ...] = ()) -> object:
+def to_nameless(t: Term) -> object:
     match t:
         case Var(x):
-            for i, name in enumerate(reversed(bound)):
-                if name == x:
-                    return ("ix", i)
             return ("free", x)
-        case Lam(x, annot, body):
-            return ("lam", annot, to_nameless(body, bound + (x,)))
+        case Bound(i):
+            return ("ix", i)
+        case Lam(_, annot, body):
+            return ("lam", annot, to_nameless(body))
         case App(f, a):
-            return ("app", to_nameless(f, bound), to_nameless(a, bound))
+            return ("app", to_nameless(f), to_nameless(a))
         case Pair(a, b):
-            return ("pair", to_nameless(a, bound), to_nameless(b, bound))
+            return ("pair", to_nameless(a), to_nameless(b))
         case Proj(i, b):
-            return ("proj", i, to_nameless(b, bound))
+            return ("proj", i, to_nameless(b))
         case Upcast(lo, hi, b):
-            return ("up", lo, hi, to_nameless(b, bound))
+            return ("up", lo, hi, to_nameless(b))
         case Downcast(lo, hi, b):
-            return ("dn", lo, hi, to_nameless(b, bound))
+            return ("dn", lo, hi, to_nameless(b))
         case FnApp(f, args):
-            return ("fnapp", f, tuple(to_nameless(a, bound) for a in args))
+            return ("fnapp", f, tuple(to_nameless(a) for a in args))
         case UnitVal():
             return ("unit",)
         case Err(at):
@@ -497,6 +501,10 @@ def eval_term_reference(sig, env: dict, t: Term):
                 return NatVal(int(f))
             raise ModelError(f"function symbol {f} is not evaluable")
         case Lam(x, _, body):
+            # the body opened at a name that no variable in scope has
+            x = fresh_name(x, set(env) | free_vars(body))
+            body = instantiate(body, Var(x))
+
             def closure(v, _x=x, _body=body, _env=dict(env)):
                 inner = dict(_env)
                 inner[_x] = v
@@ -638,8 +646,11 @@ def check_equipment_reference(sig, a, b, bound: int = 2) -> Report:
 # -- normal forms by substitution and re-reduction -----------------------------
 
 # ``normalize`` as it was before normalization by evaluation: reduce with
-# capture-avoiding substitution, re-reducing each substituted body, then
-# eta-expand, inferring the type of every neutral application's head.
+# substitution, re-reducing each substituted body, then eta-expand,
+# inferring the type of every neutral application's head.  Each binder is
+# opened at a named variable on the way down, so every term substituted is
+# closed; a binder keeps its hint until eta expansion renames it apart
+# from the context.
 
 def normalize_reference(sig: Signature, t: Term, ctx: Context = Context(),
                         max_steps: int | None = None) -> Term:
@@ -670,7 +681,9 @@ def _is_error_value(t: Term, ty: Type) -> bool:
 def _reduce(sig: Signature, t: Term, fuel: _Fuel) -> Term:
     match t:
         case Lam(x, annot, b):
-            return Lam(x, annot, _reduce(sig, b, fuel))
+            y = fresh_name(x, free_vars(b))
+            body = Lam(y, annot, _reduce(sig, instantiate(b, Var(y)), fuel)).body
+            return Lam.nameless(x, annot, body)
         case Pair(a, b):
             return Pair(_reduce(sig, a, fuel), _reduce(sig, b, fuel))
         case FnApp(f, args):
@@ -679,9 +692,9 @@ def _reduce(sig: Signature, t: Term, fuel: _Fuel) -> Term:
             rf = _reduce(sig, f, fuel)
             ra = _reduce(sig, a, fuel)
             match rf:
-                case Lam(x, _, body):
+                case Lam(_, _, body):
                     fuel.spend()
-                    return _reduce(sig, subst1(body, x, ra), fuel)
+                    return _reduce(sig, instantiate(body, ra), fuel)
                 case Err(Fn(_, cod)):
                     return Err(cod)
                 case _:
@@ -726,9 +739,8 @@ def _eta_long(sig: Signature, ctx: Context, t: Term, ty: Type) -> Term:
             match t:
                 case Lam(x, _, b):
                     if x in ctx.names():
-                        x2 = fresh_name(x, ctx.names() | free_vars(b))
-                        b = subst1(b, x, Var(x2))
-                        x = x2
+                        x = fresh_name(x, ctx.names() | free_vars(b))
+                    b = instantiate(b, Var(x))
                     return Lam(x, dom, _eta_long(sig, ctx.extend(x, dom), b, cod))
                 case Err(_):
                     x = fresh_name("x", ctx.names())
@@ -774,8 +786,11 @@ def _eta_spine(sig: Signature, ctx: Context, t: Term) -> Term:
 # -- typing by renaming shadowed binders ---------------------------------------
 
 # ``infer_type`` as it was before the environment walk: a binder whose name
-# is already in the context is renamed apart through the body with
-# ``subst1``.  Like it, this never checks the context's own types.
+# is already in the context is renamed apart and its body opened at the new
+# name.  A binder whose body has a free variable of its own name had that
+# variable substituted in by an outer opening, and is renamed apart from it
+# first, as capture-avoiding substitution renamed it.  Like ``infer_type``,
+# this never checks the context's own types.
 
 def infer_type_reference(sig: Signature, ctx: Context, t: Term) -> Type:
     """The unique type of ``t`` under ``ctx``, or a TypeCheckError naming
@@ -798,13 +813,14 @@ def infer_type_reference(sig: Signature, ctx: Context, t: Term) -> Type:
                         f"argument {i} of {f} has type {got}, expected {want}", arg)
             return out
         case Lam(x, annot, body):
+            if x in free_vars(body):
+                x = fresh_name(x, free_vars(body))
             if not check_type_wf(sig, annot):
                 raise TypeCheckError(f"ill-formed annotation on {x}", t)
             if x in ctx.names():
-                x2 = fresh_name(x, ctx.names() | {x})
-                return Fn(annot, infer_type_reference(
-                    sig, ctx.extend(x2, annot), subst1(body, x, Var(x2))))
-            return Fn(annot, infer_type_reference(sig, ctx.extend(x, annot), body))
+                x = fresh_name(x, ctx.names() | {x})
+            return Fn(annot, infer_type_reference(
+                sig, ctx.extend(x, annot), instantiate(body, Var(x))))
         case App(fn, arg):
             fty = infer_type_reference(sig, ctx, fn)
             if not isinstance(fty, Fn):
@@ -902,13 +918,13 @@ def _chk_trans_reference(sig, d):
     mid1, mid2 = j1.phi.right_ctx(), j2.phi.left_ctx()
     if [ty for _, ty in mid1] != [ty for _, ty in mid2]:
         out.append("premises do not share the middle context")
-    elif not alpha_eq(j1.right, _rename_along_reference(j2.left, mid2, mid1)):
+    elif j1.right != _rename_along_reference(j2.left, mid2, mid1):
         out.append("premises do not share the middle term")
     if j1.type_right != j2.type_left:
         out.append("premises do not share the middle type")
-    if not alpha_eq(j1.left, j.left) or j1.type_left != j.type_left:
+    if j1.left != j.left or j1.type_left != j.type_left:
         out.append("left side does not match first premise")
-    if not alpha_eq(j2.right, j.right) or j2.type_right != j.type_right:
+    if j2.right != j.right or j2.type_right != j.type_right:
         out.append("right side does not match second premise")
     if d.aux is not None:
         if not (isinstance(d.aux, tuple) and len(d.aux) == 3):
@@ -916,7 +932,7 @@ def _chk_trans_reference(sig, d):
         mid_ctx, mid_term, mid_type = d.aux
         mid_ctx = Context(tuple(mid_ctx))  # raises on a repeated name
         if ([ty for _, ty in mid_ctx] != [ty for _, ty in mid1]
-                or not alpha_eq(_rename_along_reference(mid_term, mid_ctx, mid1), j1.right)
+                or _rename_along_reference(mid_term, mid_ctx, mid1) != j1.right
                 or mid_type != j1.type_right):
             out.append("stored middle judgment disagrees with the premises")
     return out
@@ -932,7 +948,7 @@ def _chk_ax_reference(sig, d):
             return [f"no term-dynamism axiom with index {i}"]
         lctx, lt, rctx, rt = sig.tmdyn_axioms[i]
         if (j.phi.left_ctx() == lctx and j.phi.right_ctx() == rctx
-                and alpha_eq(j.left, lt) and alpha_eq(j.right, rt)):
+                and j.left == lt and j.right == rt):
             return []
     return ["conclusion is not a term-dynamism axiom of the signature"]
 

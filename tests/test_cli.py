@@ -203,6 +203,31 @@ def test_malformed_derivation_file_is_exit_2(tmp_path, capsys, text):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("7 0", "applying a non-function of type Nat"),
+    ("() 0", "applying a non-function of type 1"),
+    ("snd 7", "projecting from a non-product of type Nat"),
+    ("fst ()", "projecting from a non-product of type 1"),
+    ("fst (\\y:Nat -> Nat. y)",
+     "projecting from a non-product of type (Nat -> Nat) -> Nat -> Nat"),
+    ("dn[? => ? * ?] up[Nat => ?] ()", "cast body has type 1, expected Nat"),
+])
+def test_eval_of_an_ill_typed_term_is_a_type_error(tmp_path, capsys, text, message):
+    # typed before it is evaluated, so the model never applies a number
+    path = tmp_path / "bad.gtt"
+    path.write_text(text)
+    code, err = run_cli_err("eval", path, capsys=capsys)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_an_aux_of_a_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
+    # '²' is a digit to str.isdigit but not to int()
+    path = tmp_path / "aux.gttd"
+    path.write_text("(ax (concl (ctx) {0} {0} {Nat} {Nat}) (aux \u00b2))")
+    code, err = run_cli_err("prove", path, capsys=capsys)
+    assert (code, err) == (2, "error: bad aux atom '\u00b2'\n")
+
+
 def test_non_numeric_basecodes_is_exit_2(tmp_path, capsys):
     sig = tmp_path / "bad.gttsig"
     sig.write_text("basetypes: Nat\nbasecodes:\n  Nat a b\n")

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import random
 import sys
@@ -7,7 +8,7 @@ import pytest
 from gtt.grammar import parse_term, parse_term_file, parse_type, term_to_text
 from gtt.syntax import (
     App, Context, DYN, Downcast, Err, Fn, Lam, NAT, Pair, Prod, Proj, UNIT,
-    UNITVAL, Upcast, Var, alpha_eq, num, term_size,
+    UNITVAL, Upcast, Var, num, term_size,
 )
 from gtt.typecheck import (
     TypeCheckError, default_signature, floor_type, infer_type, is_ground,
@@ -61,14 +62,14 @@ def test_function_cast_wraps():
     t = parse_term("up[Nat -> Nat => ? -> ?] f", SIG)
     out = elaborate(SIG, FN_CTX, t)
     want = parse_term("\\y:?. up[Nat => ?] (f dn[? => Nat] y)", SIG)
-    assert alpha_eq(out, want)
+    assert out == want
 
 
 def test_cast_to_dyn_factors_through_tag():
     t = parse_term("up[Nat -> Nat => ?] f", SIG)
     out = elaborate(SIG, FN_CTX, t)
     want = parse_term("up[? -> ? => ?] (\\y:?. up[Nat => ?] (f dn[? => Nat] y))", SIG)
-    assert alpha_eq(out, want)
+    assert out == want
 
 
 def test_product_cast_projects():
@@ -76,7 +77,7 @@ def test_product_cast_projects():
     t = parse_term("up[Nat * Nat => ? * ?] p", SIG)
     out = elaborate(SIG, ctx, t)
     want = parse_term("(up[Nat => ?] fst p, up[Nat => ?] snd p)", SIG)
-    assert alpha_eq(out, want)
+    assert out == want
 
 
 def test_elaborate_rejects_ill_typed():
@@ -174,7 +175,7 @@ def test_normalize_idempotent():
     for _ in range(120):
         ctx, t, ty = gen_welltyped(rng, SIG, size=rng.randint(1, 18))
         nf = normalize(SIG, elaborate(SIG, ctx, t), ctx)
-        assert alpha_eq(normalize(SIG, nf, ctx), nf)
+        assert normalize(SIG, nf, ctx) == nf
 
 
 def test_watchdog_budget():
@@ -251,14 +252,14 @@ def test_normal_forms_print_as_the_reference_on_fixtures(sig, path):
 
 
 def test_binder_names_come_from_the_source_not_from_renaming_history():
-    # the reference renames x to x'' while substituting x for x', then
-    # keeps that name; readback starts again from the binder's own name
+    # substituting x for x' renames no binder; readback and the reference
+    # each start again from the binder's own name, and prime it past x
     ctx = Context.of(("x", NAT))
     t = parse_term("(\\x':Nat. \\x:Nat. x') x", SIG)
     nf, ref = normalize(SIG, t, ctx), normalize_reference(SIG, t, ctx)
     assert term_to_text(nf) == "\\x':Nat. x"
-    assert term_to_text(ref) == "\\x'':Nat. x"
-    assert alpha_eq(nf, ref)
+    assert term_to_text(ref) == "\\x':Nat. x"
+    assert nf == ref
 
 
 def test_one_closure_read_back_under_two_scopes():
@@ -312,32 +313,72 @@ def test_each_entry_point_types_each_term_once(monkeypatch):
 def test_elaboration_scans_free_variables_linearly(monkeypatch):
     # the fn-tower round trips nest one function wrapper per tower level;
     # each wrapper adds its binder to the free variables it was given
-    # instead of scanning its body again, and names binders as before
+    # instead of scanning its body again, refers to its binder by index
+    # instead of closing its body by a walk, and names binders as before
     from perfbench.bench_gen import tower
-    syntax, evaluator = sys.modules["gtt.syntax"], sys.modules["gtt.elaborate"]
-    calls = []
-    real = syntax.free_vars
+    syntax = sys.modules["gtt.syntax"]
+    calls, walks = [], []
+    real, real_walk = syntax.free_vars, syntax._walk
 
     def counting(t):
         calls.append(None)
         return real(t)
+
+    def counting_walk(*args):
+        walks.append(None)
+        return real_walk(*args)
     monkeypatch.setattr(syntax, "free_vars", counting)
-    monkeypatch.setattr(evaluator, "free_vars", counting)
+    monkeypatch.setattr(syntax, "_walk", counting_walk)
 
     def elaborated(height):
         ty = tower("b", height)
         ctx = Context.of(("f", ty))
         calls.clear()
+        walks.clear()
         out = elaborate(SIG, ctx, Downcast(ty, DYN, Upcast(ty, DYN, Var("f"))))
-        return term_size(out), len(calls), out
+        return term_size(out), len(calls), out, len(walks)
 
     runs = [elaborated(h) for h in (5, 6, 7, 8)]
-    assert [size for size, _, _ in runs] == [313, 633, 1273, 2553]
+    assert [size for size, _, _, _ in runs] == [313, 633, 1273, 2553]
     # each call visits one node of the elaborated term at most once
-    assert all(count <= size for size, count, _ in runs)
+    assert all(count <= size for size, count, _, _ in runs)
+    assert all(walk <= size for size, _, _, walk in runs)
     assert term_to_text(elaborated(2)[2]) == (
         "\\x:Nat -> Nat. \\x':Nat. dn[? => Nat] (dn[? => ? -> ?] "
         "(dn[? => ? -> ?] up[? -> ? => ?] (\\x:?. up[? -> ? => ?] "
         "(\\x':?. up[Nat => ?] (f (\\x':Nat. dn[? => Nat] (dn[? => ? -> ?] "
         "x up[Nat => ?] x')) dn[? => Nat] x'))) up[? -> ? => ?] "
         "(\\x':?. up[Nat => ?] (x dn[? => Nat] x'))) up[Nat => ?] x')")
+
+
+EDGE_TERM = "(\\x:Nat -> Nat. dn[? => Nat -> Nat] up[Nat -> Nat => ?] x) (\\y:Nat. y)"
+
+
+def test_printed_elaborations_and_normal_forms_are_pinned():
+    # the text `gtt elaborate` and `gtt normalize` print for every term file
+    # of the benchmark's normalize inputs, each under its job's retract flag
+    from perfbench.bench_gen import normalize_inputs
+    inputs = normalize_inputs(1)
+    sigs = {"on": SIG, "off": NO_RETRACT}
+    digest = {"elaborate": hashlib.sha256(), "normalize": hashlib.sha256()}
+    for job in inputs.jobs:
+        sig = sigs[job["retract"]]
+        for name in (job["left"], job["right"]):
+            ctx, t = parse_term_file(inputs.files[name], sig)
+            elab = elaborate(sig, ctx, t)
+            digest["elaborate"].update(f"{name}\n{term_to_text(elab)}\n".encode())
+            nf = normalize(sig, elab, ctx)
+            digest["normalize"].update(f"{name}\n{term_to_text(nf)}\n".encode())
+    assert {k: h.hexdigest() for k, h in digest.items()} == {
+        "elaborate": "f44c66e20d7f80409f4f42dadb5f315ac7b3d7eabe67a8037e36b3264e091b02",
+        "normalize": "4ec6051bd6f324f7327fbb7bb6c85778b5c75422cf7e1d3590f01e47ecb2c61d",
+    }
+    # a function wrapper under a user binder named x primes its own binder
+    # past x, in the elaborated term and in the normal form
+    t = parse_term(EDGE_TERM, SIG)
+    elab = elaborate(SIG, Context(), t)
+    assert term_to_text(elab) == (
+        "(\\x:Nat -> Nat. \\x':Nat. dn[? => Nat] (dn[? => ? -> ?] "
+        "up[? -> ? => ?] (\\x':?. up[Nat => ?] (x dn[? => Nat] x')) "
+        "up[Nat => ?] x')) (\\y:Nat. y)")
+    assert term_to_text(normalize(SIG, elab)) == "\\x':Nat. x'"

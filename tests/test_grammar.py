@@ -11,7 +11,6 @@ from gtt.grammar import (
 )
 from gtt.syntax import (
     App, Base, Context, DYN, Fn, FnApp, NAT, Pair, UNIT, UNITVAL, Upcast, Var,
-    alpha_eq,
 )
 from gtt.typecheck import DynCtx, default_signature
 from gtt.derivio import derivations_to_text, parse_derivations
@@ -51,14 +50,14 @@ def test_type_roundtrip(text):
 @pytest.mark.parametrize("text", TERM_FIXTURES)
 def test_term_roundtrip(text):
     t = parse_term(text, SIG)
-    assert alpha_eq(parse_term(term_to_text(t), SIG), t)
+    assert parse_term(term_to_text(t), SIG) == t
 
 
 def test_term_roundtrip_random():
     rng = random.Random(11)
     for _ in range(200):
         _, t, _ = gen_welltyped(rng, SIG, size=rng.randint(1, 20))
-        assert alpha_eq(parse_term(term_to_text(t), SIG), t)
+        assert parse_term(term_to_text(t), SIG) == t
 
 
 def test_arrow_right_associative():

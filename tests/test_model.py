@@ -691,11 +691,11 @@ def test_each_distinct_environment_is_evaluated_once(
     runs = []
     depth = 0
 
-    def counting_compile(sig, t):
+    def counting_compile(sig, t, *binders):
         nonlocal depth
         depth += 1
         try:
-            closure = compile_term(sig, t)
+            closure = compile_term(sig, t, *binders)
         finally:
             depth -= 1
         if depth:

@@ -6,10 +6,10 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from gtt.grammar import parse_type
+from gtt.grammar import parse_term, parse_type, term_to_text
 from gtt.syntax import (
-    App, Base, Context, ContextError, Dyn, Err, Fn, Lam, NAT, Pair, Prod,
-    UNIT, UnboundVariable, Unit, Upcast, DYN, Var, alpha_eq, free_vars, num,
+    App, Base, Bound, Context, ContextError, Dyn, Err, Fn, Lam, NAT, Pair,
+    Prod, UNIT, UnboundVariable, Unit, Upcast, DYN, Var, free_vars, num,
     subst1, substitute,
 )
 from gtt.typecheck import default_signature
@@ -21,25 +21,33 @@ SIG = default_signature()
 
 
 def test_alpha_eq_renamed_binder():
-    assert alpha_eq(Lam("x", NAT, Var("x")), Lam("y", NAT, Var("y")))
+    assert Lam("x", NAT, Var("x")) == Lam("y", NAT, Var("y"))
 
 
 def test_alpha_eq_distinct_bodies():
-    assert not alpha_eq(Lam("x", NAT, Var("x")), Lam("x", NAT, Err(NAT)))
+    assert Lam("x", NAT, Var("x")) != Lam("x", NAT, Err(NAT))
 
 
 def test_alpha_eq_free_vs_bound():
     # free x on the left, bound binder renamed on the right
     t = Pair(Var("x"), Lam("x", NAT, Var("x")))
     u = Pair(Var("x"), Lam("z", NAT, Var("z")))
-    assert alpha_eq(t, u)
+    assert t == u
     assert alpha_eq_oracle(t, u)
     # but a free variable cannot be renamed
-    assert not alpha_eq(Pair(Var("x"), Var("x")), Pair(Var("y"), Var("y")))
+    assert Pair(Var("x"), Var("x")) != Pair(Var("y"), Var("y"))
 
 
 def test_alpha_eq_casts_compare_types():
-    assert not alpha_eq(Upcast(NAT, DYN, Var("x")), Upcast(DYN, DYN, Var("x")))
+    assert Upcast(NAT, DYN, Var("x")) != Upcast(DYN, DYN, Var("x"))
+
+
+def test_equality_ignores_binder_hints_and_repr_keeps_them():
+    t, u = Lam("x", NAT, Var("x")), Lam.nameless("y", NAT, Bound(0))
+    assert t == u and hash(t) == hash(u)
+    assert repr(t) == "Lam(var='x', annot=Base(name='Nat'), body=Bound(index=0))"
+    assert repr(u) == "Lam(var='y', annot=Base(name='Nat'), body=Bound(index=0))"
+    assert term_to_text(t) == "\\x:Nat. x" and term_to_text(u) == "\\y:Nat. y"
 
 
 def test_substitute_disjoint():
@@ -50,15 +58,17 @@ def test_substitute_disjoint():
 
 def test_substitute_identity_up_to_alpha():
     t = Lam("x", NAT, Var("x"))
-    assert alpha_eq(substitute(t, {}), t)
+    assert substitute(t, {}) == t
 
 
 def test_substitute_avoids_capture():
-    # (\y:Nat. x)[x := y] must rename the binder
+    # (\y:Nat. x)[x := y] keeps the image free; the binder keeps its hint,
+    # and the printer renames it
     t = Lam("y", NAT, Var("x"))
     out = substitute(t, {"x": Var("y")})
-    assert isinstance(out, Lam) and out.var != "y"
+    assert isinstance(out, Lam) and out.var == "y"
     assert out.body == Var("y")
+    assert term_to_text(out) == "\\y':Nat. y"
     # cross-checked against the nameless-representation oracle
     assert to_nameless(out) == subst_nameless(to_nameless(t), {"x": ("free", "y")})
 
@@ -96,7 +106,7 @@ def test_substitution_composes():
         one_two = substitute(substitute(t, sigma), delta)
         composed = substitute(
             t, {x: substitute(img, delta) for x, img in sigma.items()})
-        assert alpha_eq(one_two, composed)
+        assert one_two == composed
 
 
 def test_substitute_never_captures():
@@ -115,13 +125,13 @@ def test_alpha_eq_is_equivalence_and_congruence():
     rng = random.Random(9)
     terms = [gen_welltyped(rng, SIG, size=rng.randint(1, 10))[1] for _ in range(60)]
     for t in terms:
-        assert alpha_eq(t, t)
+        assert t == t
     for t in terms:
         for u in terms[:20]:
-            assert alpha_eq(t, u) == alpha_eq(u, t)
-            if alpha_eq(t, u):
-                assert alpha_eq(Pair(t, num(0)), Pair(u, num(0)))
-                assert alpha_eq(Lam("x", NAT, t), Lam("x", NAT, u))
+            assert (t == u) == (u == t)
+            if t == u:
+                assert Pair(t, num(0)) == Pair(u, num(0))
+                assert Lam("x", NAT, t) == Lam("x", NAT, u)
 
 
 def test_alpha_eq_matches_canonical_renaming_oracle():
@@ -129,12 +139,23 @@ def test_alpha_eq_matches_canonical_renaming_oracle():
     terms = [gen_welltyped(rng, SIG, size=rng.randint(1, 12))[1] for _ in range(80)]
     for t in terms:
         for u in terms[:25]:
-            assert alpha_eq(t, u) == alpha_eq_oracle(t, u)
+            assert (t == u) == alpha_eq_oracle(t, u)
 
 
 def test_subst1_keeps_other_frees():
     t = App(Var("x"), Var("y"))
     assert subst1(t, "x", num(0)) == App(num(0), Var("y"))
+
+
+def test_a_capturing_substitution_prints_with_fresh_names():
+    # each binder is primed past the names free in its body, which include
+    # the outer binder's printed name; the text parses back to an equal term
+    t = parse_term("\\y:Nat. \\y':Nat. x y y'", SIG)
+    out = substitute(t, {"x": Var("y")})
+    assert out.var == "y" and out.body.var == "y'"
+    text = term_to_text(out)
+    assert text == "\\y':Nat. \\y'':Nat. y y' y''"
+    assert parse_term(text, SIG) == out
 
 
 # -- hash-consed types -----------------------------------------------------------

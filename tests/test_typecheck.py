@@ -8,8 +8,9 @@ import pytest
 from gtt.elaborate import elaborate
 from gtt.grammar import parse_signature, parse_term, parse_term_file, parse_type
 from gtt.syntax import (
-    App, Base, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair, Prod,
-    Proj, UNIT, UNITVAL, Upcast, Var, num, subst1, subterms, term_size,
+    App, Base, Bound, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair,
+    Prod, Proj, UNIT, UNITVAL, Upcast, Var, instantiate, num, subst1, subterms,
+    term_size,
 )
 from gtt.theorems import theorem_instances
 from gtt.typecheck import (
@@ -245,28 +246,26 @@ def _agree(sig, ctx, t):
     return got[0]
 
 
-def _rebind(t, rng, pool, env=None):
-    """``t`` with every binder renamed from ``pool``; a renamed binder may
-    shadow an outer one or capture a variable of its body."""
-    env = env or {}
+def _rebind(t, rng, pool):
+    """``t`` with every binder renamed from ``pool``, as if written with
+    that name; a renamed binder may shadow an outer one or capture a
+    variable of its body."""
     match t:
-        case Var(x):
-            return Var(env.get(x, x))
-        case Lam(x, annot, body):
+        case Lam(_, annot, body):
             y = rng.choice(pool)
-            return Lam(y, annot, _rebind(body, rng, pool, {**env, x: y}))
+            return Lam(y, annot, _rebind(instantiate(body, Var(y)), rng, pool))
         case App(f, a):
-            return App(_rebind(f, rng, pool, env), _rebind(a, rng, pool, env))
+            return App(_rebind(f, rng, pool), _rebind(a, rng, pool))
         case Pair(a, b):
-            return Pair(_rebind(a, rng, pool, env), _rebind(b, rng, pool, env))
+            return Pair(_rebind(a, rng, pool), _rebind(b, rng, pool))
         case Proj(i, b):
-            return Proj(i, _rebind(b, rng, pool, env))
+            return Proj(i, _rebind(b, rng, pool))
         case Upcast(lo, hi, b):
-            return Upcast(lo, hi, _rebind(b, rng, pool, env))
+            return Upcast(lo, hi, _rebind(b, rng, pool))
         case Downcast(lo, hi, b):
-            return Downcast(lo, hi, _rebind(b, rng, pool, env))
+            return Downcast(lo, hi, _rebind(b, rng, pool))
         case FnApp(f, args):
-            return FnApp(f, tuple(_rebind(a, rng, pool, env) for a in args))
+            return FnApp(f, tuple(_rebind(a, rng, pool) for a in args))
     return t
 
 
@@ -279,10 +278,10 @@ def _mutations(t):
             yield Upcast(hi, lo, b)
         case Downcast(lo, hi, b):
             yield Downcast(hi, lo, b)
-        case Var(_):
+        case Var(_) | Bound(_):
             yield Var("unbound")
         case Lam(x, _, b):
-            yield Lam(x, EVEN, b)
+            yield Lam.nameless(x, EVEN, b)
         case Err(_):
             yield Err(Fn(NAT, EVEN))
         case App(f, _):
@@ -299,7 +298,7 @@ def _mutants(t, rng, count):
         k -= 1
         match t:
             case Lam(x, annot, b):
-                return Lam(x, annot, at(b, k))
+                return Lam.nameless(x, annot, at(b, k))
             case App(a, b) | Pair(a, b):
                 n = term_size(a)
                 if k < n:
@@ -393,6 +392,6 @@ def test_typing_neither_substitutes_nor_computes_free_variables(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("typing called the substitution machinery")
-    monkeypatch.setattr(syntax, "_subst", forbidden)
+    monkeypatch.setattr(syntax, "_walk", forbidden)
     monkeypatch.setattr(syntax, "free_vars", forbidden)
     assert [infer_type(SIG, ctx, t) for ctx, t in trips] == want
