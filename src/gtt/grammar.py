@@ -311,6 +311,8 @@ class _Printer:
                 return f"up[{type_to_text(lo)} => {type_to_text(hi)}] {self._prefix(b)}"
             case Downcast(lo, hi, b):
                 return f"dn[{type_to_text(hi)} => {type_to_text(lo)}] {self._prefix(b)}"
+            case Proj(i, _):
+                raise ValueError(f"projection index must be 1 or 2, not {i!r}")
             case _:
                 return self._atom(t)
 
@@ -328,8 +330,9 @@ class _Printer:
                 return f"({self.term(a)}, {self.term(b)})"
             case Err(ty):
                 return f"err[{type_to_text(ty)}]"
-            case _:
+            case App() | Lam():
                 return f"({self.term(t)})"
+        raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,12 @@ def first_order(ty: Type) -> bool:
 
 
 class Signature:
-    """Immutable bundle of declarations; validation happens on creation."""
+    """Immutable bundle of declarations; validation happens on creation.
+
+    It also holds the caches of the queries made against it: type
+    dynamism, well-formedness, the model's denotations and the checker's
+    verdict memo.  A new ``Signature``, ``replace`` included, starts them
+    empty."""
 
     def __init__(self,
                  base_types: Iterable[str] = ("Nat",),
@@ -96,6 +101,8 @@ class Signature:
         self._dyn_cache: dict[tuple[Type, Type], bool] = {}
         self._wf_cache: dict[Type, bool] = {}
         self._model_cache: dict = {}
+        # ``dynamism``'s verdict memo: the new generation, then the old
+        self._verdicts: tuple[dict, dict] = ({}, {})
         self._validate()
 
     # -- construction helpers ------------------------------------------------
@@ -273,6 +280,8 @@ def _infer(sig: Signature, env: dict[str, Type], t: Term,
         case Pair(a, b):
             return Prod(_infer(sig, env, a, bound), _infer(sig, env, b, bound))
         case Proj(i, tup):
+            if i not in (1, 2):
+                raise TypeCheckError("projection index must be 1 or 2", t)
             pty = _infer(sig, env, tup, bound)
             if not isinstance(pty, Prod):
                 raise TypeCheckError(f"projecting from a non-product of type {pty}", tup)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import gtt.cli
 import gtt.grammar
 from gtt.cli import main
+from gtt.syntax import App, Proj, Var
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -37,6 +38,24 @@ def test_prove_errbot(capsys):
 def test_prove_galois_fixture(capsys):
     code, _ = run_cli("prove", FIXTURES / "galois_unit.gttd", capsys=capsys)
     assert code == 0
+
+
+def test_prove_tells_a_mutated_copy_from_the_fixture(capsys, tmp_path):
+    # the fixture, then a copy whose var leaf at root.1.0.0 has the right
+    # side err[Nat]; every other node of the copy is a node of the fixture,
+    # so a verdict that leaks between the two trees changes the report
+    pair = tmp_path / "pair.gttd"
+    pair.write_text((FIXTURES / "galois_unit.gttd").read_text()
+                    + (FIXTURES / "galois_unit_var_err.gttd").read_text())
+    code, out = run_cli("prove", pair, capsys=capsys)
+    assert code == 1
+    assert out == (
+        "RESULT PASS derivation 0 (comp): "
+        "x <= dn[? => Nat] up[Nat => ?] x' : Nat <= Nat\n"
+        "RESULT FAIL derivation 1 (comp)\n"
+        "  root.1.0.0: var: conclusion is not a context entry\n"
+        "  root.1.0: trans: premises do not share the middle term\n"
+        "  root.1.0: trans: stored middle judgment disagrees with the premises\n")
 
 
 def test_compare_semantic_counterexample(capsys):
@@ -407,6 +426,14 @@ def test_derive_with_an_unusable_parameter_is_exit_2(capsys, params, err):
 def test_a_value_that_is_not_a_type_has_no_text():
     with pytest.raises(TypeError, match="not a type: 'app'"):
         gtt.grammar.type_to_text("app")
+
+
+def test_a_projection_index_other_than_1_or_2_has_no_text():
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"projection index must be 1 or 2, not {i}$"):
+            gtt.grammar.term_to_text(Proj(i, Var("x")))
+    with pytest.raises(TypeError, match="not a term: 'app'"):
+        gtt.grammar.term_to_text(App(Var("f"), "app"))
 
 
 @pytest.mark.parametrize("codes, err", [

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import itertools
 import pathlib
@@ -10,8 +11,8 @@ import pytest
 from gtt.derivio import parse_derivations
 from gtt.grammar import parse_type
 from gtt.syntax import (
-    App, Context, DYN, Downcast, Err, Fn, GttError, Lam, NAT, Pair, Prod,
-    Proj, UNIT, UNITVAL, Upcast, Var, num,
+    App, Bound, Context, DYN, Downcast, Err, Fn, FnApp, GttError, Lam, NAT,
+    Pair, Prod, Proj, Term, UNIT, UNITVAL, Upcast, Var, num,
 )
 from gtt.typecheck import DynCtx, Signature, default_signature
 from gtt.dynamism import (
@@ -432,6 +433,106 @@ def test_trans_over_premises_that_repeat_a_name_is_rejected(phi, repeated, last)
     ] + last
     assert _outcome(derivation_errors_reference, SIG, d) == (
         "ContextError", f"duplicate variable in context: {repeated}")
+
+
+# -- the verdict memo against the plain checker --------------------------------
+
+def _check_twice_shuffled(sig, derivations, seed):
+    """Check every derivation twice, in a shuffled order, on one signature,
+    against the reference's outcome for it."""
+    want = [_outcome(derivation_errors_reference, sig, d) for d in derivations]
+    order = list(range(len(derivations))) * 2
+    random.Random(seed).shuffle(order)
+    for i in order:
+        assert _outcome(derivation_errors, sig, derivations[i]) == want[i], \
+            derivations[i]
+    return want
+
+
+def _rehinted(x):
+    """``x`` with every lambda's hint changed: equal under ``==``, but
+    printed apart.  Tuples, such as auxes, are rebuilt item by item."""
+    if isinstance(x, Lam):
+        return Lam.nameless(x.var + "h", x.annot, _rehinted(x.body))
+    if isinstance(x, Term):
+        return type(x)(*(_rehinted(getattr(x, f.name))
+                         for f in dataclasses.fields(x)))
+    if isinstance(x, tuple):
+        return tuple(map(_rehinted, x))
+    return x
+
+
+def _rehinted_derivation(d: Derivation) -> Derivation:
+    j = d.conclusion
+    return Derivation(d.rule, dataclasses.replace(
+        j, left=_rehinted(j.left), right=_rehinted(j.right)),
+        tuple(map(_rehinted_derivation, d.premises)), _rehinted(d.aux))
+
+
+def _has_lambda(d: Derivation) -> bool:
+    return "\\" in d.conclusion.describe() or any(map(_has_lambda, d.premises))
+
+
+@pytest.mark.parametrize("retract", [True, False], ids=["retract", "no-retract"])
+def test_the_memo_agrees_with_the_plain_checker_on_the_corpus(retract):
+    # the size-3 corpus, its mutations, and lambda-hint renamings of its
+    # derivations that hold a lambda, on one fresh signature
+    sig = default_signature(retract=retract)
+    pool = bench_gen.catalog_pool()
+    rng = random.Random(18)
+    mutants = [bench_gen.mutate(d, rng)[0] for d in pool]
+    lambdas = [d for d in pool if _has_lambda(d)]
+    renamed = list(map(_rehinted_derivation, lambdas))
+    assert len(renamed) == 134
+    assert renamed == lambdas and repr(renamed) != repr(lambdas)
+    want = _check_twice_shuffled(sig, pool + mutants + renamed, 18)
+    assert sum(map(bool, want)) == len(mutants) + (0 if retract else 758)
+    new, old = sig._verdicts
+    assert len(new) + len(old) <= 4096
+
+
+def test_a_rejected_verdict_is_not_shared_across_lambda_hints():
+    # a typing error prints a binder's hint, which ``==`` ignores
+    even = parse_type("Even")
+
+    def ill_formed(hint):
+        lam = Lam.nameless(hint, even, Bound(0))
+        return refl_node(Context(), lam, Fn(even, even))
+    ds = [ill_formed("x"), ill_formed("y")]
+    ds.append(trans_node(ds[0], ds[1]))
+    ds.append(trans_node(ds[1], ds[0]))
+    assert ds[0] == ds[1] and ds[2] == ds[3]
+    want = _check_twice_shuffled(default_signature(), ds, 1)
+    assert "ill-formed annotation on x" in want[0][0]
+    assert "ill-formed annotation on y" in want[1][0]
+
+
+def test_the_memo_tells_auxes_of_equal_value_and_other_types_apart():
+    # 1, True and 1.0 are equal and hash alike; the checker tells them apart
+    axiom = (Context.of(("x", NAT)), Var("x"), Context.of(("y", DYN)), Var("y"))
+    sig = Signature(tmdyn_axioms=(axiom,))
+    ax = Derivation("ax", DynJudgment(
+        DynCtx.of(("x", "y", NAT, DYN)), Var("x"), Var("y"), NAT, DYN))
+    pair = var_node(DynCtx.of(("p", "p", Prod(NAT, UNIT), Prod(NAT, UNIT))), 0)
+    nodes = [ax, prj_mon(pair, 1), prj_mon(pair, 2)]
+    ds = [dataclasses.replace(d, aux=aux) for d in nodes for aux in (1, True, 1.0)]
+    want = _check_twice_shuffled(sig, ds, 2)
+    assert want[:3] == [["root: ax: no term-dynamism axiom with index 1"],
+                        ["root: ax: no term-dynamism axiom with index True"],
+                        ["root: ax: aux must be an axiom index"]]
+    assert want[3:6] == [[]] * 3
+
+
+def test_an_unhashable_node_is_checked_without_the_memo():
+    # a list aux, and a function symbol whose arguments are a list
+    d, = parse_derivations((FIXTURES / "galois_unit.gttd").read_text(), SIG)
+    mid = d.premises[0]
+    listed = dataclasses.replace(d, premises=(
+        dataclasses.replace(mid, aux=list(mid.aux)), *d.premises[1:]))
+    zero = FnApp("0", [])
+    ds = [d, listed, refl_node(Context(), zero, NAT)]
+    want = _check_twice_shuffled(default_signature(), ds, 3)
+    assert want == [[], ["root.0: trans: aux must be the stored middle judgment"], []]
 
 
 # -- each rule's shape, under shape faults --------------------------------------

@@ -11,11 +11,14 @@ from gtt.grammar import parse_type
 from gtt.syntax import (
     Context, DYN, Downcast, Err, Fn, NAT, Prod, Upcast, Var, type_size,
 )
-from gtt.typecheck import Signature, default_signature, enumerate_types, tydyn_holds
+from gtt.typecheck import (
+    DynCtx, Signature, default_signature, enumerate_types, tydyn_holds,
+)
 from gtt.dynamism import DerivationError, check_derivation, derivation_errors
 from gtt.theorems import (
     KINDS, FlagRequired, HypothesisError, REDUCTION_THEOREMS, THEOREMS,
-    conclusion_equation, derive_theorem, theorem_instances, trans_node,
+    conclusion_equation, derive_theorem, dl_s, dr_s, theorem_instances,
+    trans_node, ul_s, ur_s, var_node,
 )
 
 from oracles import _params_reference, theorem_instances_reference
@@ -134,6 +137,19 @@ def test_trans_composition_of_accepted_derivations():
     # le1: up x <= up (up x') ;  ge2: up (up x) <= up x'
     t = trans_node(le1, ge2)
     assert check_derivation(SIG, t)
+
+
+@pytest.mark.parametrize("rule, endpoint", [
+    (ur_s, DYN), (ul_s, DYN), (dr_s, NAT), (dl_s, NAT)],
+    ids=["ur_s", "ul_s", "dr_s", "dl_s"])
+def test_equal_types_share_one_template(rule, endpoint):
+    # premises built apart, at the same types: one template object
+    def premise():
+        return var_node(DynCtx.of(("x", "x'", NAT, DYN)), 0)
+    d1, d2 = rule(premise(), endpoint), rule(premise(), endpoint)
+    assert d1.premises[0] is d2.premises[0]
+    assert d1 == d2 and d1 is not d2
+    assert derivation_errors(SIG, d1) == []
 
 
 def test_skip_marker_with_retract_off():

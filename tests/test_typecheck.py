@@ -55,6 +55,13 @@ def test_infer_proj_pair():
     assert infer_type(SIG, ctx, t) == NAT
 
 
+def test_a_projection_index_other_than_1_or_2_does_not_type():
+    ctx = Context.of(("x", Prod(NAT, UNIT)))
+    for i in (0, 3):
+        with pytest.raises(TypeCheckError, match="^projection index must be 1 or 2$"):
+            infer_type(SIG, ctx, Proj(i, Var("x")))
+
+
 def test_infer_names_offending_subterm():
     bad = App(Lam("x", NAT, Var("x")), UNITVAL)
     with pytest.raises(TypeCheckError) as exc:
