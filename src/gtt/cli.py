@@ -102,12 +102,16 @@ def _cmd_dyncheck(args, sig):
         lines_out.append(f"RESULT {'PASS' if ok else 'FAIL'} "
                          f"{type_to_text(a)} <= {type_to_text(b)}")
         status = status or (0 if ok else 1)
+    if not lines_out:  # a truncated file must not read as a pass
+        raise _Failure(2, "error: no 'A <= B' line in file")
     _emit(args, lines_out)
     return status
 
 
 def _cmd_prove(args, sig):
     ds = parse_derivations(_read(args.file), sig)
+    if not ds:  # a truncated `gtt derive > f.gttd` must not read as a pass
+        raise _Failure(2, "error: no derivation in file")
     lines = []
     status = 0
     for i, d in enumerate(ds):

@@ -322,6 +322,50 @@ def test_deeply_nested_derivation_file_is_a_parse_error(tmp_path, capsys):
     assert "derivation must be" in err
 
 
+def test_a_deep_derivation_chain_is_exit_2(tmp_path, capsys):
+    judgment = "(concl (ctx) {0} {0} {Nat} {Nat})"
+    path = tmp_path / "deep.gttd"
+    path.write_text(f"(trans {judgment} " * 2000 + f"(refl {judgment})" + ")" * 2000)
+    code, err = run_cli_err("prove", path, capsys=capsys)
+    assert (code, err) == (2, "error: input nested too deeply\n")
+
+
+@pytest.mark.parametrize("text, err", [
+    ("(r (concl (ctx (x y {Nat})) {0} {0} {Nat} {Nat}))",
+     "error: context entry must be (x x' {A} {A'})\n"),
+    ("(ax (concl (ctx) {0} {0} {Nat} {Nat}) (aux))",
+     "error: unrecognized aux form: ['aux']\n"),
+    ("(r) )", "error: unbalanced ')' (at offset 4)\n"),
+    ("(r (concl (ctx) {0} {0} {Nat} {?})#))",
+     "error: unexpected end of input in s-expression (at offset 37)\n"),
+    # the file is read with universal newlines: '\r\n' is one character
+    ("(r (concl (ctx) {0} {0} {Nat} {Nat}))\r\n)",
+     "error: unbalanced ')' (at offset 38)\n"),
+])
+def test_prove_prints_the_reader_error_exactly(tmp_path, capsys, text, err):
+    # the full table of reader messages is in test_grammar.py
+    path = tmp_path / "bad.gttd"
+    path.write_bytes(text.encode())
+    code = main(["prove", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+
+
+@pytest.mark.parametrize("text", ["", "  \n\t\n", "# a comment\n# another\n"],
+                         ids=["empty", "blank", "comments"])
+@pytest.mark.parametrize("command, err", [
+    ("prove", "error: no derivation in file\n"),
+    ("dyncheck", "error: no 'A <= B' line in file\n"),
+])
+def test_a_file_with_nothing_to_check_is_exit_2(tmp_path, capsys, text, command, err):
+    # a truncated `gtt derive > f.gttd` must not read as a pass
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+
+
 @pytest.mark.parametrize("aux", ["fwd", "1"])
 def test_transitivity_with_a_foreign_aux_is_rejected(tmp_path, capsys, aux):
     leaf = "(refl (concl (ctx) {0} {0} {Nat} {Nat}))"

@@ -13,8 +13,9 @@ from gtt.syntax import (
     App, Base, Context, DYN, Fn, FnApp, NAT, Pair, UNIT, UNITVAL, Upcast, Var,
 )
 from gtt.typecheck import DynCtx, default_signature
+from gtt import derivio
 from gtt.derivio import derivations_to_text, parse_derivations
-from gtt.theorems import derive_theorem
+from gtt.theorems import derive_theorem, theorem_instances
 from gtt.dynamism import Derivation, DynJudgment, check_derivation
 from perfbench import bench_gen
 
@@ -326,6 +327,208 @@ def test_derivation_reader_keeps_types_and_terms_apart():
         j = d.conclusion
         assert (j.left, j.right, j.type_left, j.type_right) == (
             Var("Nat"), Var("Nat"), NAT, NAT)
+
+
+# -- the derivation reader's errors, pinned -----------------------------------
+
+_C = "(concl (ctx) {0} {0} {Nat} {Nat})"
+
+# every message of the derivation reader and of the s-expression scanner,
+# with the text that raises it and the exact string, offset included
+READER_ERRORS = [
+    # a {...} chunk expected
+    ("(r (concl (ctx) x {0} {Nat} {Nat}))", "expected a {...} chunk, found 'x'"),
+    ("(r (concl (ctx) {0} {0} (Nat) {Nat}))",
+     "expected a {...} chunk, found ['Nat']"),
+    # a variable name expected
+    ("(r (concl (ctx ({x} y {Nat} {Nat})) {0} {0} {Nat} {Nat}))",
+     "expected a variable name, found ('chunk', 'x')"),
+    ("(r (concl (ctx ((a) y {Nat} {Nat})) {0} {0} {Nat} {Nat}))",
+     "expected a variable name, found ['a']"),
+    # a (x {...}) binding
+    (f"(comp {_C} (aux (sub (x)) (sub)))", "expected (x {...}), found ['x']"),
+    (f"(comp {_C} (aux (sub y) (sub)))", "expected (x {...}), found 'y'"),
+    (f"(trans {_C} (aux (mid (ctx (z)) {{z}} {{Nat}})))",
+     "expected (x {...}), found ['z']"),
+    # a context entry of the wrong arity
+    ("(r (concl (ctx (x y {Nat})) {0} {0} {Nat} {Nat}))",
+     "context entry must be (x x' {A} {A'})"),
+    ("(r (concl (ctx x) {0} {0} {Nat} {Nat}))",
+     "context entry must be (x x' {A} {A'})"),
+    # (ctx ...) and (concl ...)
+    ("(r (concl (cx) {0} {0} {Nat} {Nat}))", "expected (ctx ...)"),
+    ("(r (concl {0} {0} {Nat} {Nat}))",
+     "expected (concl (ctx ...) {t} {t'} {A} {A'})"),
+    ("(r (concl (ctx) {0} {0} {Nat} {Nat} {Nat}))",
+     "expected (concl (ctx ...) {t} {t'} {A} {A'})"),
+    ("(r (conc (ctx) {0} {0} {Nat} {Nat}))",
+     "expected (concl (ctx ...) {t} {t'} {A} {A'})"),
+    ("(r x)", "expected (concl (ctx ...) {t} {t'} {A} {A'})"),
+    # an aux after the first is a premise, and so needs a conclusion
+    (f"(r {_C} (aux 1) (aux 2))", "expected (concl (ctx ...) {t} {t'} {A} {A'})"),
+    # aux atoms: '²' is a digit to str.isdigit but not to int()
+    (f"(ax {_C} (aux seven))", "bad aux atom 'seven'"),
+    (f"(ax {_C} (aux ²))", "bad aux atom '²'"),
+    (f"(ax {_C} (aux -1))", "bad aux atom '-1'"),
+    (f"(ax {_C} (aux))", "unrecognized aux form: ['aux']"),
+    # (mid ...) and the other aux forms
+    (f"(trans {_C} (aux (mid (cx (z {{Nat}})) {{z}} {{Nat}})))",
+     "expected (mid (ctx (x {A}) ...) {t} {A})"),
+    (f"(trans {_C} (aux (mid (ctx (z {{Nat}})) {{z}})))",
+     "unrecognized aux form: ['aux', ['mid', ['ctx', ['z', ('chunk', 'Nat')]], "
+     "('chunk', 'z')]]"),
+    (f"(ur {_C} (aux fwd bwd))", "unrecognized aux form: ['aux', 'fwd', 'bwd']"),
+    (f"(ur {_C} (aux {{1}}))", "unrecognized aux form: ['aux', ('chunk', '1')]"),
+    (f"(comp {_C} (aux (sub) (mid)))",
+     "unrecognized aux form: ['aux', ['sub'], ['mid']]"),
+    # a missing conclusion, and a derivation not headed by an atom
+    ("(r)", "rule r is missing its conclusion"),
+    ("x", "derivation must be (rule (concl ...) ...)"),
+    ("()", "derivation must be (rule (concl ...) ...)"),
+    ("({r} (concl (ctx) {0} {0} {Nat} {Nat}))",
+     "derivation must be (rule (concl ...) ...)"),
+    (f"(r {_C} x)", "derivation must be (rule (concl ...) ...)"),
+    (f"(r {_C} ())", "derivation must be (rule (concl ...) ...)"),
+    # the four scanner errors
+    ("(a))", "unbalanced ')' (at offset 3)"),
+    ("(a {b", "unterminated '{' chunk (at offset 3)"),
+    ("(a (b)", "unexpected end of input in s-expression (at offset 6)"),
+    ("(a } b)", "unbalanced '}' (at offset 3)"),
+    # a scanner error wins over a structural or chunk error before it
+    ("(r) )", "unbalanced ')' (at offset 4)"),
+    ("x (a {b", "unterminated '{' chunk (at offset 5)"),
+    ("(r (concl (ctx) {0} {0} {Nat ->} {Nat})) )", "unbalanced ')' (at offset 41)"),
+    # a comment swallows the closing parentheses
+    (f"(r {_C} # )\n", "unexpected end of input in s-expression (at offset 41)"),
+    ("(r (concl (ctx) {0} {0} {Nat} {?})#))",
+     "unexpected end of input in s-expression (at offset 37)"),
+    # a '#' inside a chunk is chunk text: the term parser reads the comment
+    ("(r (concl (ctx) {#} {0} {Nat} {Nat}))",
+     "expected a term, found 'end of input' (at offset 1)"),
+    ("(r (concl (ctx) {0} {0} {Nat #} {Nat}) x)",
+     "derivation must be (rule (concl ...) ...)"),
+    # CRLF line ends: offsets count the '\r'
+    ("(r\r\n  (concl (ctx) {0} {0} {Nat} {Nat})\r\n",
+     "unexpected end of input in s-expression (at offset 41)"),
+    (f"(r {_C})\r\n)", "unbalanced ')' (at offset 39)"),
+    # chunks that the type and term parsers reject
+    ("(r (concl (ctx) {0} {0} {Nat ->} {Nat}))", "expected a type, found '' (at offset 6)"),
+    ("(r (concl (ctx) {\\x:Nat.} {0} {Nat} {Nat}))",
+     "expected a term, found 'end of input' (at offset 7)"),
+]
+
+
+@pytest.mark.parametrize("text, message", READER_ERRORS)
+def test_derivation_reader_errors_are_pinned(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_derivations(text, SIG)
+    assert str(info.value) == message
+
+
+def test_a_comment_or_crlf_between_tokens_reads_like_a_space():
+    text = ("(r\r\n  (concl # a comment (ctx) {x}\r\n"
+            "    (ctx) {0 # a comment in a chunk} {0} {Nat} {Nat}))\r\n")
+    (d,) = parse_derivations(text, SIG)
+    assert d == Derivation("r", DynJudgment(DynCtx(), FnApp("0"), FnApp("0"), NAT, NAT))
+
+
+# -- the token reader against the s-expression reader -------------------------
+
+def _sharing(ds):
+    """Each chunk's parse in reading order, as the index of the first leaf
+    of its kind that is the same object: types and terms apart."""
+    types, terms = [], []
+
+    def walk(d):
+        j = d.conclusion
+        for _, _, a, b in j.phi:
+            types.extend((a, b))
+        terms.extend((j.left, j.right))
+        types.extend((j.type_left, j.type_right))
+        if isinstance(d.aux, tuple) and len(d.aux) == 2:
+            terms.extend(t for side in d.aux for _, t in side)
+        elif isinstance(d.aux, tuple):
+            ctx, term, ty = d.aux
+            types.extend(a for _, a in ctx)
+            terms.append(term)
+            types.append(ty)
+        for p in d.premises:
+            walk(p)
+    for d in ds:
+        walk(d)
+    return [[first.setdefault(id(x), k) for k, x in enumerate(xs)]
+            for first, xs in (({}, types), ({}, terms))]
+
+
+def _reads_alike(text, sig=SIG):
+    """Either both readers read ``text`` to equal derivations that share
+    their parses alike, or ``parse_derivations`` raises the error of the
+    s-expression reader; True when the text is read."""
+    try:
+        want = derivio._read_sexps(text, sig)
+    except ParseError as e:
+        with pytest.raises(ParseError) as info:
+            parse_derivations(text, sig)
+        assert str(info.value) == str(e)
+        return False
+    got = derivio._read_tokens(derivio._tokens(text), sig)
+    assert got == want
+    assert _sharing(got) == _sharing(want)
+    return True
+
+
+GTTD_FIXTURES = sorted(FIXTURES.glob("*.gttd"))
+
+
+@pytest.mark.parametrize("path", GTTD_FIXTURES, ids=lambda p: p.name)
+def test_token_reader_matches_on_the_fixtures(path):
+    assert _reads_alike(path.read_text())
+
+
+@pytest.mark.parametrize("retract", ["on", "off"])
+def test_token_reader_matches_on_the_corpus(retract):
+    sig = SIG.replace(retract=retract == "on")
+    ds = [d for _, _, built in theorem_instances(sig, 3)
+          if not isinstance(built, str) for d in built]
+    assert len(ds) == {"on": 3847, "off": 3016}[retract]
+    assert _reads_alike(derivations_to_text(ds), sig)
+
+
+_PIECES = list("(){}# \n") + [
+    "aux", "sub", "mid", "ctx", "concl", "fwd", "bwd", "7", "{Nat}", "{x}"]
+
+
+def _mutate(text, rng):
+    """``text`` with one character deleted or replaced by a piece, or one
+    piece inserted."""
+    pos = rng.randrange(len(text) + 1)
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:pos] + text[pos + 1:]
+    piece = rng.choice(_PIECES)
+    return text[:pos] + piece + text[pos + op - 1:]
+
+
+def test_token_reader_matches_on_mutated_fixtures():
+    rng = random.Random(19)
+    texts = [path.read_text() for path in GTTD_FIXTURES]
+    read = 0
+    for _ in range(20_000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(text, rng)
+        read += _reads_alike(text)
+    # the fuzz reaches both outcomes
+    assert 1000 < read < 19_000
+
+
+def test_a_file_only_the_error_path_reads_is_an_internal_error(monkeypatch):
+    # a gap in the token reader must not hide as a slower read
+    def rejects(toks, sig):
+        raise derivio._Mismatch
+    monkeypatch.setattr(derivio, "_read_tokens", rejects)
+    with pytest.raises(RuntimeError, match="the s-expression reader accepts"):
+        parse_derivations((FIXTURES / "errbot.gttd").read_text(), SIG)
 
 
 def test_signature_section_header_without_colon():
