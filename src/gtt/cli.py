@@ -53,7 +53,8 @@ def _load_signature(args) -> Signature:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # no newline translation, so that an offset counts the file's characters
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as e:

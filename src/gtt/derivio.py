@@ -15,21 +15,17 @@ stored middle judgment of transitivity.  Variable names are bare atoms;
 types and terms are ``{...}`` chunks, which may not contain ``}``.
 ``#`` starts a comment that runs to the end of the line.
 
-Reading is one pass over one token list.  A single ``re.findall`` cuts the
-file into tokens (parentheses, bare words and ``{...}`` chunks, with the
-whitespace and comments between them dropped), and a walk by index builds
-the ``DynCtx``, ``DynJudgment`` and ``Derivation`` values directly, checking
-each token where the format puts it.  Within one ``parse_derivations`` call
-each distinct chunk text is parsed once as a type and once as a term, and
-every repeat shares that parse.  The walk carries no error messages: on the
-first token out of place, a chunk that does not parse or nesting too deep
-for it, it hands the text to the error path, which scans it into
-s-expressions with ``grammar.parse_sexps`` and walks those with the
-``_read_*`` functions.  That path raises the ``ParseError`` that names the
-fault, and a scanner error, which carries its offset, wins over a
-structural one before it.  Should that path read the text without fault,
-the walk has a gap, and ``RuntimeError`` says so: a result never comes
-from the error path.  Both costs are linear in the file size.
+Reading is one walk by index over one token list, which a single
+``re.findall`` cuts (parentheses, bare words and ``{...}`` chunks, with the
+whitespace and comments between them dropped).  It builds the ``DynCtx``,
+``DynJudgment`` and ``Derivation`` values directly, checks each token where
+the format puts it, and parses each distinct chunk text once per call as a
+type and once as a term, so that repeats share the parse.  It raises the
+``ParseError`` of the first fault it meets, but one inside a ``concl`` or an
+``aux`` only if that list has its shape (six items; one of the forms above).
+A fault of the text itself (a ``)`` or ``}`` that closes nothing, a ``{``
+never closed, the end inside a list) wins over all others: when the walk
+stops, one more linear scan, the only code that counts offsets, looks for it.
 
 Writing is one pass that appends strings to one list and joins it once.
 Within one ``derivations_to_text`` call each distinct type (interned, so
@@ -42,120 +38,11 @@ from __future__ import annotations
 import re
 
 from .grammar import (
-    ParseError, SexpList, parse_sexps, parse_term, parse_type, term_to_text,
-    type_to_text,
+    ParseError, parse_term, parse_type, term_to_text, type_to_text,
 )
-from .syntax import GttError, Term, Type
+from .syntax import Term, Type
 from .typecheck import DynCtx, Signature
 from .dynamism import Derivation, DynJudgment
-
-
-def _chunk(x) -> str:
-    if isinstance(x, tuple) and x and x[0] == "chunk":
-        return x[1]
-    raise ParseError(f"expected a {{...}} chunk, found {x!r}")
-
-
-def _name(x) -> str:
-    if isinstance(x, str):
-        return x
-    raise ParseError(f"expected a variable name, found {x!r}")
-
-
-def _headed(sx, head: str) -> bool:
-    return isinstance(sx, SexpList) and len(sx) > 0 and sx[0] == head
-
-
-def _memo(parse):
-    table: dict = {}
-
-    def read(x):
-        text = _chunk(x)
-        out = table.get(text)
-        if out is None:
-            out = table[text] = parse(text)
-        return out
-    return read
-
-
-class _Reader:
-    """Chunk readers for one ``_read_sexps`` call, one table for types
-    and one for terms (``Nat`` is a base type in one, a variable in the
-    other).  Parses are frozen values and ``sig`` is fixed for the call, so
-    repeats can share them; the tables die with the call."""
-
-    def __init__(self, sig: Signature):
-        self.type = _memo(parse_type)
-        self.term = _memo(lambda text: parse_term(text, sig))
-
-
-def _binding(entry, read):
-    """``(x {chunk})``, with the chunk read by ``read``."""
-    if not (isinstance(entry, SexpList) and len(entry) == 2):
-        raise ParseError(f"expected (x {{...}}), found {entry!r}")
-    return _name(entry[0]), read(entry[1])
-
-
-def _read_dynctx(sx, rd: _Reader) -> DynCtx:
-    if not _headed(sx, "ctx"):
-        raise ParseError("expected (ctx ...)")
-    entries = []
-    for entry in sx[1:]:
-        if not (isinstance(entry, SexpList) and len(entry) == 4):
-            raise ParseError("context entry must be (x x' {A} {A'})")
-        entries.append((_name(entry[0]), _name(entry[1]),
-                        rd.type(entry[2]), rd.type(entry[3])))
-    return DynCtx(tuple(entries))
-
-
-def _read_concl(sx, rd: _Reader) -> DynJudgment:
-    if not (_headed(sx, "concl") and len(sx) == 6):
-        raise ParseError("expected (concl (ctx ...) {t} {t'} {A} {A'})")
-    return DynJudgment(_read_dynctx(sx[1], rd), rd.term(sx[2]), rd.term(sx[3]),
-                       rd.type(sx[4]), rd.type(sx[5]))
-
-
-def _read_aux(sx, rd: _Reader):
-    body = sx[1:]
-    if len(body) == 1 and isinstance(body[0], str):
-        word = body[0]
-        if word in ("fwd", "bwd"):
-            return word
-        if not (word.isascii() and word.isdigit()):
-            raise ParseError(f"bad aux atom {word!r}")
-        return int(word)
-    if len(body) == 2 and all(_headed(b, "sub") for b in body):
-        return tuple(tuple(_binding(e, rd.term) for e in b[1:]) for b in body)
-    if len(body) == 1 and _headed(body[0], "mid") and len(body[0]) == 4:
-        _, ctx_sx, term, ty = body[0]
-        if not _headed(ctx_sx, "ctx"):
-            raise ParseError("expected (mid (ctx (x {A}) ...) {t} {A})")
-        entries = tuple(_binding(e, rd.type) for e in ctx_sx[1:])
-        return entries, rd.term(term), rd.type(ty)
-    raise ParseError(f"unrecognized aux form: {sx!r}")
-
-
-def _read_derivation(sx, rd: _Reader) -> Derivation:
-    if not (isinstance(sx, SexpList) and sx and isinstance(sx[0], str)):
-        raise ParseError("derivation must be (rule (concl ...) ...)")
-    rule = sx[0]
-    if len(sx) < 2:
-        raise ParseError(f"rule {rule} is missing its conclusion")
-    conclusion = _read_concl(sx[1], rd)
-    aux = None
-    rest = sx[2:]
-    if rest and _headed(rest[0], "aux"):
-        aux = _read_aux(rest[0], rd)
-        rest = rest[1:]
-    premises = tuple(_read_derivation(p, rd) for p in rest)
-    return Derivation(rule, conclusion, premises, aux)
-
-
-def _read_sexps(text: str, sig: Signature) -> list[Derivation]:
-    """The error path: scan, then walk the s-expressions."""
-    rd = _Reader(sig)
-    return [_read_derivation(sx, rd) for sx in parse_sexps(text)]
-
 
 # the whitespace and comments before a token, then the token: a chunk, a
 # parenthesis, a bare word or a brace that opens or closes no chunk.  The
@@ -163,9 +50,11 @@ def _read_sexps(text: str, sig: Signature) -> list[Derivation]:
 # no text is skipped; an empty token appears only at the end of the text.
 _TOKENS = re.compile(r"(?:\s+|\#[^\n]*)*(\{[^}]*\}|[()]|[^\s(){}\#]+|[{}])?")
 
-
-class _Mismatch(Exception):
-    """A token out of place; the error path names the fault."""
+_NOT_A_DERIVATION = "derivation must be (rule (concl ...) ...)"
+_NOT_A_CONCL = "expected (concl (ctx ...) {t} {t'} {A} {A'})"
+_NOT_AN_AUX = "unrecognized aux form"  # ``_aux_form`` raises it with the aux
+_TEXT_FAULTS = {")": "unbalanced ')'", "{": "unterminated '{' chunk",
+                "}": "unbalanced '}'"}
 
 
 class _Chunks(dict):
@@ -175,125 +64,191 @@ class _Chunks(dict):
         self.parse = parse
 
     def __missing__(self, token: str):
-        if token[0] != "{" or len(token) < 2:
-            raise _Mismatch
         out = self[token] = self.parse(token[1:-1])
         return out
 
 
-# The walk is module functions that take the token list, not closures over
-# it: a closure that calls itself is a reference cycle, which would keep a
-# file's tokens alive until the cycle collector runs.
+# The walk is module functions, not closures over the token list: a closure
+# that calls itself is a reference cycle, which keeps a file's tokens alive
+# until the cycle collector runs.  Its messages hold for a text with no fault
+# of its own; ``_scan`` names that fault first.
+
+def _items(toks: list[str], at: int) -> list[int]:
+    """The index of each item of the list whose ``(`` is ``toks[at]``."""
+    out, depth, j = [], 0, at + 1
+    while depth or toks[j] != ")":
+        if not depth:
+            out.append(j)
+        depth += (toks[j] == "(") - (toks[j] == ")")
+        j += 1
+    return out
+
+
+def _show(toks: list[str], at: int) -> str:
+    """The item at ``toks[at]`` in a message: a word, ``("chunk", text)`` or list."""
+    stack: list[list] = [[]]
+    for tok in toks[at:]:
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            stack[-2].append(stack.pop())
+        else:
+            stack[-1].append(("chunk", tok[1:-1]) if tok[0] == "{" else tok)
+        if len(stack) == 1:
+            return repr(stack[0][0])
+
+
+def _fault(toks: list[str], at: int, tables: tuple, message: str, skip=0):
+    """Raise ``message`` unless the item at ``toks[at]`` is a list of ``skip +
+    len(tables)`` items, else its first item after ``skip`` that is out of
+    place (a word for ``None``, else a chunk the table parses), else ``message``."""
+    items = _items(toks, at) if toks[at] == "(" else []
+    if len(items) == skip + len(tables):
+        for j, table in zip(items[skip:], tables):
+            if table is None and toks[j][0] in "(){}":
+                raise ParseError(f"expected a variable name, found {_show(toks, j)}")
+            if table is not None and toks[j][0] != "{":
+                raise ParseError(f"expected a {{...}} chunk, found {_show(toks, j)}")
+            if table is not None:
+                table[toks[j]]
+    raise ParseError(message)
+
+
+def _aux_form(toks: list[str], at: int):
+    """Raise unless the aux list at ``toks[at]`` has one of the three forms."""
+    body = _items(toks, at)[1:]
+    heads = [toks[j:j + 2] for j in body]
+    if not (len(body) == 2 and heads == [["(", "sub"]] * 2 or len(body) == 1 and (
+            heads[0][0][0] not in "({" or heads[0] == ["(", "mid"]
+            and len(_items(toks, body[0])) == 4)):
+        raise ParseError(f"{_NOT_AN_AUX}: {_show(toks, at)}") from None
+
 
 def _bindings(toks: list[str], i: int, chunks: _Chunks):
-    """The ``(x {...})`` entries from ``toks[i]`` to a ``)``, and the index
-    after that ``)``."""
+    """The ``(x {...})`` entries from ``toks[i]`` to a ``)``, and the index after it."""
     out = []
-    while toks[i] == "(":
+    while toks[i] != ")":
         x, chunk, close = toks[i + 1:i + 4]
-        if x[0] in "(){}" or close != ")":
-            raise _Mismatch
+        if toks[i] != "(" or x[0] in "(){}" or chunk[0] != "{" or close != ")":
+            _fault(toks, i, (None, chunks),
+                   f"expected (x {{...}}), found {_show(toks, i)}")
         out.append((x, chunks[chunk]))
         i += 4
-    if toks[i] != ")":
-        raise _Mismatch
     return tuple(out), i + 1
 
 
 def _derivation(toks: list[str], i: int, types: _Chunks, terms: _Chunks):
     """The derivation whose ``(`` is ``toks[i]``, and the index after its
-    ``)``.  Every check is inline: an index past the end or a short unpack
-    is a mismatch as well."""
-    rule, open_concl, concl, open_ctx, ctx = toks[i + 1:i + 6]
-    if (rule[0] in "(){}" or open_concl != "(" or concl != "concl"
-            or open_ctx != "(" or ctx != "ctx"):
-        raise _Mismatch
-    i += 6
-    entries = []
-    while toks[i] == "(":
-        x, y, a, b, close = toks[i + 1:i + 6]
-        if x[0] in "(){}" or y[0] in "(){}" or close != ")":
-            raise _Mismatch
-        entries.append((x, y, types[a], types[b]))
+    ``)``.  Every check is inline; only a fault calls out, to name itself."""
+    rule = toks[i + 1]
+    if rule[0] in "(){}":
+        raise ParseError(_NOT_A_DERIVATION)
+    if toks[i + 2] == ")":
+        raise ParseError(f"rule {rule} is missing its conclusion")
+    if toks[i + 2] != "(" or toks[i + 3] != "concl":
+        raise ParseError(_NOT_A_CONCL)
+    at = i + 2
+    try:
+        if toks[i + 4] != "(" or toks[i + 5] != "ctx":
+            raise ParseError("expected (ctx ...)")
         i += 6
-    close_ctx, left, right, a, b, close = toks[i:i + 6]
-    if close_ctx != ")" or close != ")":
-        raise _Mismatch
-    conclusion = DynJudgment(DynCtx(tuple(entries)), terms[left],
-                             terms[right], types[a], types[b])
+        entries = []
+        while toks[i] != ")":
+            x, y, a, b, close = toks[i + 1:i + 6]
+            if (toks[i] != "(" or x[0] in "(){}" or y[0] in "(){}"
+                    or a[0] != "{" or b[0] != "{" or close != ")"):
+                _fault(toks, i, (None, None, types, types),
+                       "context entry must be (x x' {A} {A'})")
+            entries.append((x, y, types[a], types[b]))
+            i += 6
+        left, right, a, b, close = toks[i + 1:i + 6]
+        if (left[0] != "{" or right[0] != "{" or a[0] != "{" or b[0] != "{"
+                or close != ")"):
+            _fault(toks, at, (terms, terms, types, types), _NOT_A_CONCL, 2)
+        conclusion = DynJudgment(DynCtx(tuple(entries)), terms[left],
+                                 terms[right], types[a], types[b])
+    except Exception:
+        if len(_items(toks, at)) != 6:
+            raise ParseError(_NOT_A_CONCL) from None
+        raise
     i += 6
     aux = None
     if toks[i] == "(" and toks[i + 1] == "aux":
-        word = toks[i + 2]
-        if word != "(":
-            if toks[i + 3] != ")":
-                raise _Mismatch
-            if word == "fwd" or word == "bwd":
-                aux = word
-            elif word.isascii() and word.isdigit():
-                aux = int(word)
+        at = i
+        try:
+            word = toks[i + 2]
+            if word != "(":
+                if toks[i + 3] != ")":
+                    raise ParseError(_NOT_AN_AUX)
+                if word == "fwd" or word == "bwd":
+                    aux = word
+                elif word.isascii() and word.isdigit():
+                    aux = int(word)
+                else:
+                    raise ParseError(f"bad aux atom {word!r}")
+                i += 4
+            elif toks[i + 3] == "sub":
+                left, i = _bindings(toks, i + 4, terms)
+                if toks[i] != "(" or toks[i + 1] != "sub":
+                    raise ParseError(_NOT_AN_AUX)
+                right, i = _bindings(toks, i + 2, terms)
+                if toks[i] != ")":
+                    raise ParseError(_NOT_AN_AUX)
+                aux = left, right
+                i += 1
+            elif toks[i + 3] == "mid":
+                if toks[i + 4] != "(" or toks[i + 5] != "ctx":
+                    raise ParseError("expected (mid (ctx (x {A}) ...) {t} {A})")
+                ctx, i = _bindings(toks, i + 6, types)
+                term, ty, close, close_aux = toks[i:i + 4]
+                if (term[0] != "{" or ty[0] != "{" or close != ")"
+                        or close_aux != ")"):
+                    _fault(toks, at + 2, (terms, types), _NOT_AN_AUX, 2)
+                aux = ctx, terms[term], types[ty]
+                i += 4
             else:
-                raise _Mismatch
-            i += 4
-        elif toks[i + 3] == "sub":
-            left, i = _bindings(toks, i + 4, terms)
-            if toks[i] != "(" or toks[i + 1] != "sub":
-                raise _Mismatch
-            right, i = _bindings(toks, i + 2, terms)
-            if toks[i] != ")":
-                raise _Mismatch
-            aux = left, right
-            i += 1
-        elif toks[i + 3] == "mid" and toks[i + 4] == "(" and toks[i + 5] == "ctx":
-            ctx, i = _bindings(toks, i + 6, types)
-            term, ty, close, close_aux = toks[i:i + 4]
-            if close != ")" or close_aux != ")":
-                raise _Mismatch
-            aux = ctx, terms[term], types[ty]
-            i += 4
-        else:
-            raise _Mismatch
+                raise ParseError(_NOT_AN_AUX)
+        except Exception:
+            _aux_form(toks, at)
+            raise
     premises = []
     while toks[i] == "(":
         premise, i = _derivation(toks, i, types, terms)
         premises.append(premise)
-    if toks[i] != ")":
-        raise _Mismatch
+    if toks[i] != ")":  # a premise that is a word or a chunk
+        raise ParseError(_NOT_A_DERIVATION)
     return Derivation(rule, conclusion, tuple(premises), aux), i + 1
 
 
-def _read_tokens(toks: list[str], sig: Signature) -> list[Derivation]:
-    """The derivations spelled by ``toks``, which ends in one ``""``."""
-    types = _Chunks(parse_type)
-    terms = _Chunks(lambda text: parse_term(text, sig))
-    out = []
-    i = 0
-    while toks[i] == "(":
-        d, i = _derivation(toks, i, types, terms)
-        out.append(d)
-    if i != len(toks) - 1:
-        raise _Mismatch
-    return out
-
-
-def _tokens(text: str) -> list[str]:
-    toks = _TOKENS.findall(text)
-    while toks and not toks[-1]:
-        toks.pop()
-    toks.append("")  # the end, which no check accepts
-    return toks
+def _scan(text: str):
+    """Raise the first fault of the text itself, if it has one."""
+    depth = 0
+    for m in _TOKENS.finditer(text):
+        depth += (m[1] == "(") - (m[1] == ")")
+        if depth < 0 or m[1] in ("{", "}"):
+            raise ParseError(_TEXT_FAULTS[m[1]], m.start(1))
+    if depth:
+        raise ParseError("unexpected end of input in s-expression", len(text))
 
 
 def parse_derivations(text: str, sig: Signature) -> list[Derivation]:
+    toks = _TOKENS.findall(text)
+    toks[toks.index(""):] = [""]  # one "" at the end, which no check accepts
+    types = _Chunks(parse_type)
+    terms = _Chunks(lambda text: parse_term(text, sig))
+    out, i = [], 0
     try:
-        return _read_tokens(_tokens(text), sig)
-    # a token out of place, an index past the end, a short unpack, a chunk
-    # that does not parse, or nesting deeper than the interpreter allows
-    except (_Mismatch, IndexError, ValueError, GttError, RecursionError) as e:
-        mismatch = e
-    _read_sexps(text, sig)  # raises the error that names the fault
-    raise RuntimeError("the token reader rejected a derivation file that "
-                       "the s-expression reader accepts") from mismatch
+        while toks[i] == "(":
+            d, i = _derivation(toks, i, types, terms)
+            out.append(d)
+        if i != len(toks) - 1:  # a word or a chunk at the top level
+            raise ParseError(_NOT_A_DERIVATION)
+    except Exception:
+        # whatever stopped the walk (a fault it names, a chunk that does not
+        # parse, nesting too deep), a fault of the text itself comes first
+        _scan(text)
+        raise
+    return out
 
 
 def derivations_to_text(ds) -> str:

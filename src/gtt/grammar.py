@@ -512,59 +512,3 @@ def _parse_tmdyn(line: str, sig):
     lctx, lterm = parse_term_file(left.strip(), sig)
     rctx, rterm = parse_term_file(right.strip(), sig)
     return lctx, lterm, rctx, rterm
-
-
-# ---------------------------------------------------------------------------
-# S-expressions (derivation files)
-# ---------------------------------------------------------------------------
-
-class SexpList(list):
-    pass
-
-
-# one token, if any, and the whitespace and comments after it
-_SEXP_TOKEN = re.compile(r"""
-    (?: (?P<atom>[^\s(){}\#]+)
-      | \{(?P<chunk>[^}]*)\}
-      | (?P<open>\()
-      | (?P<close>\))
-      | (?P<unterminated>\{)
-      | (?P<stray>\})
-    )?
-    (?:\s+|\#[^\n]*)*
-""", re.VERBOSE)
-
-
-def parse_sexps(text: str) -> list:
-    """Parse a sequence of s-expressions in one left-to-right pass.
-
-    Atoms are bare words; ``{...}`` chunks are raw text handed to the term
-    and type parsers by the derivation reader.  ``#`` comments allowed.
-    Open lists are kept on an explicit stack, so nesting depth is not
-    bounded by the interpreter's recursion limit.
-    """
-    stack: list[list] = []
-    items: list = []
-    for m in _SEXP_TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "atom":
-            items.append(m.group(kind))
-        elif kind == "chunk":
-            items.append(("chunk", m.group(kind)))
-        elif kind == "open":
-            stack.append(items)
-            items = []
-        elif kind == "close":
-            if not stack:
-                raise ParseError("unbalanced ')'", m.start())
-            inner = SexpList(items)
-            items = stack.pop()
-            items.append(inner)
-        elif kind == "unterminated":
-            raise ParseError("unterminated '{' chunk", m.start())
-        elif kind == "stray":
-            raise ParseError("unbalanced '}'", m.start())
-    if stack:
-        raise ParseError("unexpected end of input in s-expression", len(text))
-    return items
-

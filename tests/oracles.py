@@ -5,10 +5,12 @@ check: type dynamism by a bounded search for derivations that may use
 transitivity, alpha equivalence by brute-force canonical renaming,
 substitution through a nameless (de Bruijn) representation, the order
 at ``?`` by enumerating every subtree replacement and its values by
-rounds deduplicated through list membership, s-expressions by
-recursive descent, tokens by matching at each position, derivation files
-through an s-expression tree that renders every type and term at each
-occurrence, theorem instances by deriving every parameter tuple
+rounds deduplicated through list membership, tokens by matching at
+each position, derivation files read by the reference reader (a scan of
+the whole text into an s-expression tree, then a walk of that tree that
+checks each list's shape before its items) and written through an
+s-expression tree that renders every type and term at each occurrence,
+theorem instances by deriving every parameter tuple
 before the size filter, the model by walking the term for every
 environment and testing each map at every related pair of values, normal forms by substitution, re-reduction and eta
 expansion with a type inferred at every spine node, types by renaming
@@ -23,7 +25,9 @@ import re
 
 from gtt.dynamism import _SCHEMA, Derivation, DynJudgment, _rule_errors
 from gtt.elaborate import _Fuel
-from gtt.grammar import ParseError, SexpList, term_to_text, type_to_text
+from gtt.grammar import (
+    ParseError, parse_term, parse_type, term_to_text, type_to_text,
+)
 from gtt.syntax import (
     App, Bound, Context, DYN, Downcast, Err, FnApp, GttError, Lam, Pair, Proj,
     Term, Type, UNIT, UNITVAL, Upcast, UnitVal, Var, free_vars, fresh_name,
@@ -261,61 +265,170 @@ def enumerate_dyn_reference(bound: int, leaves: tuple[int, ...] | None = None
     return out
 
 
-# -- s-expressions by recursive descent ---------------------------------------
+# -- derivation files read through an s-expression tree ----------------------
 #
-# One call per list, character tests in place of a token regex.  Errors are
-# the first one met left to right, with the same message and offset as
-# ``gtt.grammar.parse_sexps``.
+# ``gtt.derivio.parse_derivations`` as it was when it had two paths, kept
+# whole as the reference reader: ``parse_sexps`` scans the whole text into
+# an s-expression tree first, so a fault of the text itself wins over any
+# other, and the ``_read_*`` walk then checks each list's shape before what
+# is in it, naming each fault with the item that stands in its place.
 
-_ATOM = re.compile(r"[^\s(){}#]+")
+class SexpList(list):
+    pass
 
 
-def parse_sexps_reference(text: str) -> list:
-    items, _ = _sexp_seq(text, 0, top=True)
+# one token, if any, and the whitespace and comments after it
+_SEXP_TOKEN = re.compile(r"""
+    (?: (?P<atom>[^\s(){}\#]+)
+      | \{(?P<chunk>[^}]*)\}
+      | (?P<open>\()
+      | (?P<close>\))
+      | (?P<unterminated>\{)
+      | (?P<stray>\})
+    )?
+    (?:\s+|\#[^\n]*)*
+""", re.VERBOSE)
+
+
+def parse_sexps(text: str) -> list:
+    """Parse a sequence of s-expressions in one left-to-right pass.
+
+    Atoms are bare words; ``{...}`` chunks are raw text handed to the term
+    and type parsers by the derivation reader.  ``#`` comments allowed.
+    Open lists are kept on an explicit stack, so nesting depth is not
+    bounded by the interpreter's recursion limit.
+    """
+    stack: list[list] = []
+    items: list = []
+    for m in _SEXP_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "atom":
+            items.append(m.group(kind))
+        elif kind == "chunk":
+            items.append(("chunk", m.group(kind)))
+        elif kind == "open":
+            stack.append(items)
+            items = []
+        elif kind == "close":
+            if not stack:
+                raise ParseError("unbalanced ')'", m.start())
+            inner = SexpList(items)
+            items = stack.pop()
+            items.append(inner)
+        elif kind == "unterminated":
+            raise ParseError("unterminated '{' chunk", m.start())
+        elif kind == "stray":
+            raise ParseError("unbalanced '}'", m.start())
+    if stack:
+        raise ParseError("unexpected end of input in s-expression", len(text))
     return items
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-        elif text[pos] == "#":
-            nl = text.find("\n", pos)
-            pos = len(text) if nl < 0 else nl + 1
-        else:
-            break
-    return pos
+def _chunk(x) -> str:
+    if isinstance(x, tuple) and x and x[0] == "chunk":
+        return x[1]
+    raise ParseError(f"expected a {{...}} chunk, found {x!r}")
 
 
-def _sexp_seq(text: str, pos: int, top: bool = False):
-    items = []
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            if not top:
-                raise ParseError("unexpected end of input in s-expression", pos)
-            return items, pos
-        ch = text[pos]
-        if ch == ")":
-            if top:
-                raise ParseError("unbalanced ')'", pos)
-            return items, pos
-        if ch == "(":
-            inner, pos = _sexp_seq(text, pos + 1)
-            items.append(SexpList(inner))
-            pos += 1
-        elif ch == "{":
-            end = text.find("}", pos)
-            if end < 0:
-                raise ParseError("unterminated '{' chunk", pos)
-            items.append(("chunk", text[pos + 1:end]))
-            pos = end + 1
-        elif ch == "}":
-            raise ParseError("unbalanced '}'", pos)
-        else:
-            m = _ATOM.match(text, pos)
-            items.append(m.group())
-            pos = m.end()
+def _name(x) -> str:
+    if isinstance(x, str):
+        return x
+    raise ParseError(f"expected a variable name, found {x!r}")
+
+
+def _headed(sx, head: str) -> bool:
+    return isinstance(sx, SexpList) and len(sx) > 0 and sx[0] == head
+
+
+def _memo(parse):
+    table: dict = {}
+
+    def read(x):
+        text = _chunk(x)
+        out = table.get(text)
+        if out is None:
+            out = table[text] = parse(text)
+        return out
+    return read
+
+
+class _Reader:
+    """Chunk readers for one ``parse_derivations_reference`` call, one table
+    for types and one for terms (``Nat`` is a base type in one, a variable
+    in the other).  Parses are frozen values and ``sig`` is fixed for the
+    call, so repeats can share them; the tables die with the call."""
+
+    def __init__(self, sig: Signature):
+        self.type = _memo(parse_type)
+        self.term = _memo(lambda text: parse_term(text, sig))
+
+
+def _binding(entry, read):
+    """``(x {chunk})``, with the chunk read by ``read``."""
+    if not (isinstance(entry, SexpList) and len(entry) == 2):
+        raise ParseError(f"expected (x {{...}}), found {entry!r}")
+    return _name(entry[0]), read(entry[1])
+
+
+def _read_dynctx(sx, rd: _Reader) -> DynCtx:
+    if not _headed(sx, "ctx"):
+        raise ParseError("expected (ctx ...)")
+    entries = []
+    for entry in sx[1:]:
+        if not (isinstance(entry, SexpList) and len(entry) == 4):
+            raise ParseError("context entry must be (x x' {A} {A'})")
+        entries.append((_name(entry[0]), _name(entry[1]),
+                        rd.type(entry[2]), rd.type(entry[3])))
+    return DynCtx(tuple(entries))
+
+
+def _read_concl(sx, rd: _Reader) -> DynJudgment:
+    if not (_headed(sx, "concl") and len(sx) == 6):
+        raise ParseError("expected (concl (ctx ...) {t} {t'} {A} {A'})")
+    return DynJudgment(_read_dynctx(sx[1], rd), rd.term(sx[2]), rd.term(sx[3]),
+                       rd.type(sx[4]), rd.type(sx[5]))
+
+
+def _read_aux(sx, rd: _Reader):
+    body = sx[1:]
+    if len(body) == 1 and isinstance(body[0], str):
+        word = body[0]
+        if word in ("fwd", "bwd"):
+            return word
+        if not (word.isascii() and word.isdigit()):
+            raise ParseError(f"bad aux atom {word!r}")
+        return int(word)
+    if len(body) == 2 and all(_headed(b, "sub") for b in body):
+        return tuple(tuple(_binding(e, rd.term) for e in b[1:]) for b in body)
+    if len(body) == 1 and _headed(body[0], "mid") and len(body[0]) == 4:
+        _, ctx_sx, term, ty = body[0]
+        if not _headed(ctx_sx, "ctx"):
+            raise ParseError("expected (mid (ctx (x {A}) ...) {t} {A})")
+        entries = tuple(_binding(e, rd.type) for e in ctx_sx[1:])
+        return entries, rd.term(term), rd.type(ty)
+    raise ParseError(f"unrecognized aux form: {sx!r}")
+
+
+def _read_derivation(sx, rd: _Reader) -> Derivation:
+    if not (isinstance(sx, SexpList) and sx and isinstance(sx[0], str)):
+        raise ParseError("derivation must be (rule (concl ...) ...)")
+    rule = sx[0]
+    if len(sx) < 2:
+        raise ParseError(f"rule {rule} is missing its conclusion")
+    conclusion = _read_concl(sx[1], rd)
+    aux = None
+    rest = sx[2:]
+    if rest and _headed(rest[0], "aux"):
+        aux = _read_aux(rest[0], rd)
+        rest = rest[1:]
+    premises = tuple(_read_derivation(p, rd) for p in rest)
+    return Derivation(rule, conclusion, premises, aux)
+
+
+def parse_derivations_reference(text: str, sig: Signature) -> list[Derivation]:
+    """Scan, then walk the s-expressions."""
+    rd = _Reader(sig)
+    return [_read_derivation(sx, rd) for sx in parse_sexps(text)]
 
 
 # -- tokens by matching at each position --------------------------------------

@@ -338,9 +338,9 @@ def test_a_deep_derivation_chain_is_exit_2(tmp_path, capsys):
     ("(r) )", "error: unbalanced ')' (at offset 4)\n"),
     ("(r (concl (ctx) {0} {0} {Nat} {?})#))",
      "error: unexpected end of input in s-expression (at offset 37)\n"),
-    # the file is read with universal newlines: '\r\n' is one character
+    # the file is read without newline translation: '\r\n' is two characters
     ("(r (concl (ctx) {0} {0} {Nat} {Nat}))\r\n)",
-     "error: unbalanced ')' (at offset 38)\n"),
+     "error: unbalanced ')' (at offset 39)\n"),
 ])
 def test_prove_prints_the_reader_error_exactly(tmp_path, capsys, text, err):
     # the full table of reader messages is in test_grammar.py
@@ -349,6 +349,32 @@ def test_prove_prints_the_reader_error_exactly(tmp_path, capsys, text, err):
     code = main(["prove", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", err)
+
+
+def test_a_term_error_offset_counts_each_crlf_as_two_characters(tmp_path, capsys):
+    path = tmp_path / "crlf.gtt"
+    path.write_bytes(b"[x : Nat]\r\n  x )")
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: trailing input: ')' (at offset 15)\n")
+
+
+def test_crlf_signature_and_pair_files_read_like_lf_ones(tmp_path, capsys):
+    reports = []
+    for newline in ("\n", "\r\n"):
+        paths = []
+        for name in ("two_bases.gttsig", "dyn_pairs_bases.txt"):
+            path = tmp_path / newline.encode().hex() / name
+            path.parent.mkdir(exist_ok=True)
+            lines = (FIXTURES / name).read_text().splitlines()
+            path.write_bytes(newline.join(lines).encode() + newline.encode())
+            paths.append(str(path))
+        code = main(["--sig", paths[0], "dyncheck", paths[1]])
+        captured = capsys.readouterr()
+        reports.append((code, captured.out, captured.err))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 1 and "RESULT FAIL Nat <= Even" in reports[0][1]
 
 
 @pytest.mark.parametrize("text", ["", "  \n\t\n", "# a comment\n# another\n"],

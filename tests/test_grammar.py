@@ -6,21 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtt.grammar import (
-    ParseError, context_to_text, parse_sexps, parse_signature, parse_term,
-    parse_term_file, parse_type, term_to_text, tokenize, type_to_text,
+    ParseError, context_to_text, parse_signature, parse_term, parse_term_file,
+    parse_type, term_to_text, tokenize, type_to_text,
 )
 from gtt.syntax import (
     App, Base, Context, DYN, Fn, FnApp, NAT, Pair, UNIT, UNITVAL, Upcast, Var,
 )
 from gtt.typecheck import DynCtx, default_signature
-from gtt import derivio
 from gtt.derivio import derivations_to_text, parse_derivations
 from gtt.theorems import derive_theorem, theorem_instances
 from gtt.dynamism import Derivation, DynJudgment, check_derivation
 from perfbench import bench_gen
 
 from oracles import (
-    derivations_to_text_reference, parse_sexps_reference, sexp_to_text,
+    derivations_to_text_reference, parse_derivations_reference,
     tokenize_reference,
 )
 from termgen import gen_welltyped
@@ -120,12 +119,6 @@ def test_fn_symbol_application_parses():
     assert parse_term("add(1, x)", sig) == FnApp("add", (FnApp("1"), Var("x")))
     # undeclared names followed by parens are ordinary application
     assert parse_term("h (x)", sig) == App(Var("h"), Var("x"))
-
-
-def test_sexp_roundtrip():
-    sexps = parse_sexps("(a (b {Nat -> ?} c) d) (e)")
-    text = "\n".join(sexp_to_text(s) for s in sexps)
-    assert parse_sexps(text) == sexps
 
 
 def test_derivation_file_roundtrip():
@@ -249,7 +242,7 @@ def test_tokenizer_names_the_offset_of_an_unexpected_character():
     assert info.value.pos == 8
 
 
-# -- the s-expression scanner against the recursive reference -----------------
+# -- the reader against the reference on random s-expressions ----------------
 
 _WS = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c",
                        "\x1f", "\u00a0", "\u2003"])
@@ -284,15 +277,8 @@ def _outcome(parse, text):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_WELL_FORMED, _FRAGMENTS))
-def test_sexp_scanner_matches_reference(text):
-    assert _outcome(parse_sexps, text) == _outcome(parse_sexps_reference, text)
-
-
-@settings(deadline=None)
-@given(_WELL_FORMED)
-def test_well_formed_sexps_round_trip(text):
-    items = parse_sexps(text)
-    assert parse_sexps("\n".join(sexp_to_text(x) for x in items)) == items
+def test_reader_matches_reference_on_random_sexps(text):
+    _reads_alike(text)
 
 
 @pytest.mark.parametrize("text, message, pos", [
@@ -303,19 +289,19 @@ def test_well_formed_sexps_round_trip(text):
 ])
 def test_sexp_errors_name_their_offset(text, message, pos):
     with pytest.raises(ParseError) as info:
-        parse_sexps(text)
+        parse_derivations(text, SIG)
     assert str(info.value) == f"{message} (at offset {pos})"
     assert info.value.pos == pos
 
 
 def test_sexp_scanner_is_not_bounded_by_recursion_depth():
     depth = 5000
-    (item,) = parse_sexps("(" * depth + "x" + ")" * depth)
-    for _ in range(depth):
-        (item,) = item
-    assert item == "x"
     with pytest.raises(ParseError, match="derivation must be"):
         parse_derivations("(" * depth + ")" * depth, SIG)
+    # the scan for a fault of the text keeps no stack of its own either
+    with pytest.raises(ParseError) as info:
+        parse_derivations("(" * depth + ")" * (depth + 1), SIG)
+    assert str(info.value) == f"unbalanced ')' (at offset {2 * depth})"
 
 
 def test_derivation_reader_keeps_types_and_terms_apart():
@@ -432,7 +418,7 @@ def test_a_comment_or_crlf_between_tokens_reads_like_a_space():
     assert d == Derivation("r", DynJudgment(DynCtx(), FnApp("0"), FnApp("0"), NAT, NAT))
 
 
-# -- the token reader against the s-expression reader -------------------------
+# -- the reader against the reference reader ---------------------------------
 
 def _sharing(ds):
     """Each chunk's parse in reading order, as the index of the first leaf
@@ -460,18 +446,21 @@ def _sharing(ds):
             for first, xs in (({}, types), ({}, terms))]
 
 
-def _reads_alike(text, sig=SIG):
+def _reads_alike(text, sig=SIG, faults=None):
     """Either both readers read ``text`` to equal derivations that share
     their parses alike, or ``parse_derivations`` raises the error of the
-    s-expression reader; True when the text is read."""
+    reference reader, offset included; True when the text is read.  The
+    message of an error goes into the set ``faults``, if one is given."""
     try:
-        want = derivio._read_sexps(text, sig)
+        want = parse_derivations_reference(text, sig)
     except ParseError as e:
         with pytest.raises(ParseError) as info:
             parse_derivations(text, sig)
-        assert str(info.value) == str(e)
+        assert (str(info.value), info.value.pos) == (str(e), e.pos)
+        if faults is not None:
+            faults.add(str(e))
         return False
-    got = derivio._read_tokens(derivio._tokens(text), sig)
+    got = parse_derivations(text, sig)
     assert got == want
     assert _sharing(got) == _sharing(want)
     return True
@@ -522,13 +511,41 @@ def test_token_reader_matches_on_mutated_fixtures():
     assert 1000 < read < 19_000
 
 
-def test_a_file_only_the_error_path_reads_is_an_internal_error(monkeypatch):
-    # a gap in the token reader must not hide as a slower read
-    def rejects(toks, sig):
-        raise derivio._Mismatch
-    monkeypatch.setattr(derivio, "_read_tokens", rejects)
-    with pytest.raises(RuntimeError, match="the s-expression reader accepts"):
-        parse_derivations((FIXTURES / "errbot.gttd").read_text(), SIG)
+# pieces of the format: openers, which the soup closes at its end, and whole
+# lists and leaves.  A concl or an aux of the wrong length often holds a
+# fault of its own, and the shape of the list must win over it.
+_OPENERS = ["(r (concl (ctx", f"(r {_C} (aux (sub", f"(r {_C} (aux (mid (ctx",
+            f"(r {_C} (aux", f"(trans {_C}", "(concl", "(ctx", "(sub", "(mid", "("]
+_WHOLE = [
+    f"(r {_C})", "(aux fwd)", "(aux 7)", "(aux (sub (x {0})) (sub (y {0})))",
+    "(aux (mid (ctx (z {Nat})) {z} {Nat}))", _C, "(x y {Nat} {Nat})",
+    "(x y {Nat})", "(x {0})", "({x} {0})", "((a) y {Nat} {Nat})",
+    "{\\x:Nat.}", "x", "{0}", "{Nat}", "{Nat ->}", "²", "#c\n", ")", ")", ")",
+]
+
+
+def _soup(rng):
+    """0 to 14 pieces, and a ``)`` for each list still open at the end."""
+    out, depth = [], 0
+    for _ in range(rng.randint(0, 14)):
+        piece = rng.choice(_OPENERS + _WHOLE)
+        depth = max(depth + piece.count("(") - piece.count(")"), 0)
+        out.append(piece)
+    return " ".join(out) + ")" * depth
+
+
+def test_token_reader_matches_on_a_soup_of_pieces():
+    rng = random.Random(21)
+    faults: set[str] = set()
+    read = sum(_reads_alike(_soup(rng), faults=faults) for _ in range(20_000))
+    assert read > 1000
+    # the soup reaches every structural message, and a fault of the text
+    for kind in ["derivation must be", "missing its conclusion",
+                 "expected (concl", "expected (ctx", "context entry",
+                 "expected a variable name", "expected a {...} chunk",
+                 "expected (x {...})", "bad aux atom", "unrecognized aux form",
+                 "expected (mid", "unbalanced ')'"]:
+        assert any(kind in fault for fault in faults), kind
 
 
 def test_signature_section_header_without_colon():
