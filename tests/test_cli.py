@@ -362,11 +362,10 @@ def test_a_term_error_offset_counts_each_crlf_as_two_characters(tmp_path, capsys
 
 def test_crlf_signature_and_pair_files_read_like_lf_ones(tmp_path, capsys):
     reports = []
-    for newline in ("\n", "\r\n"):
+    for tag, newline in (("lf", "\n"), ("crlf", "\r\n")):
         paths = []
         for name in ("two_bases.gttsig", "dyn_pairs_bases.txt"):
-            path = tmp_path / newline.encode().hex() / name
-            path.parent.mkdir(exist_ok=True)
+            path = tmp_path / f"{tag}-{name}"
             lines = (FIXTURES / name).read_text().splitlines()
             path.write_bytes(newline.join(lines).encode() + newline.encode())
             paths.append(str(path))
