@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,13 +70,142 @@ def test_cast_binds_tighter_than_application():
     assert t == App(Upcast(NAT, DYN, Var("x")), Var("y"))
 
 
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_type("Nat ->")
-    with pytest.raises(ParseError):
-        parse_term("\\x:Nat . . x", SIG)
-    with pytest.raises(ParseError):
-        parse_term("fst", SIG)
+# -- the term and type grammar's errors, pinned --------------------------------
+
+ADD = parse_signature("basetypes: Nat\nfnsyms:\n  add : (Nat, Nat) -> Nat")
+_ENTRY = {
+    "type": parse_type,
+    "term": lambda text: parse_term(text, SIG),
+    "file": lambda text: parse_term_file(text, SIG),
+    "add": lambda text: parse_term(text, ADD),
+    "sig": parse_signature,
+}
+
+# every message the grammar raises, with an entry point, a text that raises
+# it and the exact string, offset included
+GRAMMAR_ERRORS = [
+    # an unexpected character: after a comment or a CRLF, among Unicode
+    # whitespace and numerals (`\s` and `\d` are Unicode classes, identifiers
+    # ASCII), and ahead of every parse error, wherever in the text it is
+    ("type", "Nat é", "unexpected character 'é' (at offset 4)"),
+    ("term", "é", "unexpected character 'é' (at offset 0)"),
+    ("term", "x 😀", "unexpected character '😀' (at offset 2)"),
+    ("term", "x ²", "unexpected character '²' (at offset 2)"),
+    ("type", "Nat # c\n é", "unexpected character 'é' (at offset 9)"),
+    ("term", "x # é\r\n é", "unexpected character 'é' (at offset 8)"),
+    ("file", "[x : Nat]\r\n  x é", "unexpected character 'é' (at offset 15)"),
+    ("type", "Nat\u2003é", "unexpected character 'é' (at offset 4)"),
+    ("term", "١ é", "unexpected character 'é' (at offset 2)"),
+    ("type", "١", "expected a type, found '١' (at offset 0)"),
+    ("type", "-> é", "unexpected character 'é' (at offset 3)"),
+    ("term", ") é", "unexpected character 'é' (at offset 2)"),
+    ("term", "x ) é", "unexpected character 'é' (at offset 4)"),
+    ("file", "[x Nat] é", "unexpected character 'é' (at offset 8)"),
+    ("term", "\\x:Nat . . é", "unexpected character 'é' (at offset 11)"),
+    ("term", "(" * 3000 + " é", "unexpected character 'é' (at offset 3001)"),
+    ("type", "(" * 3000 + "é", "unexpected character 'é' (at offset 3000)"),
+    # reserved words as a type, as a term and as a bound or context variable
+    ("type", "up", "reserved word 'up' is not a type (at offset 0)"),
+    ("type", "Nat -> err", "reserved word 'err' is not a type (at offset 7)"),
+    ("term", "fst", "expected a term, found 'end of input' (at offset 3)"),
+    ("term", "up", "expected '[', found 'end of input' (at offset 2)"),
+    ("term", "x err", "expected '[', found 'end of input' (at offset 5)"),
+    ("term", "snd snd", "expected a term, found 'end of input' (at offset 7)"),
+    ("term", "\\up:Nat. x", "expected a variable after lambda, found 'up' (at offset 1)"),
+    ("term", "\\:Nat. x", "expected a variable after lambda, found ':' (at offset 1)"),
+    ("term", "\\", "expected a variable after lambda, found '' (at offset 1)"),
+    ("file", "[up : Nat] x", "expected a variable, found 'up' (at offset 1)"),
+    ("file", "[(x : Nat] x", "expected a variable, found '(' (at offset 1)"),
+    ("file", "[x : Nat,] x", "expected a variable, found ']' (at offset 9)"),
+    ("file", "[", "expected a variable, found '' (at offset 1)"),
+    # each expected token, in the middle and at the end of the input
+    ("type", "(Nat", "expected ')', found 'end of input' (at offset 4)"),
+    ("type", "(Nat ?", "expected ')', found '?' (at offset 5)"),
+    ("term", "(x", "expected ')', found 'end of input' (at offset 2)"),
+    ("term", "(x y ]", "expected ')', found ']' (at offset 5)"),
+    ("term", "(x, y", "expected ')', found 'end of input' (at offset 5)"),
+    ("term", "(x, y z", "expected ')', found 'end of input' (at offset 7)"),
+    ("add", "add(1, x", "expected ')', found 'end of input' (at offset 8)"),
+    ("add", "add(1 ]", "expected ')', found ']' (at offset 6)"),
+    ("add", "add(", "expected a term, found 'end of input' (at offset 4)"),
+    ("add", "add(1,)", "expected a term, found ')' (at offset 6)"),
+    ("term", "up[Nat", "expected '=>', found 'end of input' (at offset 6)"),
+    ("term", "up[Nat ?] x", "expected '=>', found '?' (at offset 7)"),
+    ("term", "up x", "expected '[', found 'x' (at offset 3)"),
+    ("term", "err", "expected '[', found 'end of input' (at offset 3)"),
+    ("term", "err x", "expected '[', found 'x' (at offset 4)"),
+    ("term", "up[Nat => ?", "expected ']', found 'end of input' (at offset 11)"),
+    ("term", "up[Nat => ? x", "expected ']', found 'x' (at offset 12)"),
+    ("term", "err[Nat", "expected ']', found 'end of input' (at offset 7)"),
+    ("term", "err[Nat x]", "expected ']', found 'x' (at offset 8)"),
+    ("file", "[x : Nat x", "expected ']', found 'x' (at offset 9)"),
+    ("file", "[x : Nat", "expected ']', found 'end of input' (at offset 8)"),
+    ("term", "\\x Nat. x", "expected ':', found 'Nat' (at offset 3)"),
+    ("term", "\\x", "expected ':', found 'end of input' (at offset 2)"),
+    ("file", "[x Nat] x", "expected ':', found 'Nat' (at offset 3)"),
+    ("file", "[x", "expected ':', found 'end of input' (at offset 2)"),
+    ("term", "\\x:Nat x", "expected '.', found 'x' (at offset 7)"),
+    ("term", "\\x:Nat", "expected '.', found 'end of input' (at offset 6)"),
+    ("type", "Nat ->", "expected a type, found '' (at offset 6)"),
+    ("type", "->", "expected a type, found '->' (at offset 0)"),
+    ("type", "", "expected a type, found '' (at offset 0)"),
+    ("type", "Nat * ", "expected a type, found '' (at offset 6)"),
+    ("term", "up[=> ?] x", "expected a type, found '=>' (at offset 3)"),
+    ("term", "\\x:. x", "expected a type, found '.' (at offset 3)"),
+    ("term", "", "expected a term, found 'end of input' (at offset 0)"),
+    ("term", ")", "expected a term, found ')' (at offset 0)"),
+    ("term", "\\x:Nat.", "expected a term, found 'end of input' (at offset 7)"),
+    ("term", "(x, )", "expected a term, found ')' (at offset 4)"),
+    ("term", "\\x:Nat . . x", "expected a term, found '.' (at offset 9)"),
+    ("file", "[x : Nat]", "expected a term, found 'end of input' (at offset 9)"),
+    ("file", "", "expected a term, found 'end of input' (at offset 0)"),
+    # the three kinds of trailing input
+    ("type", "Nat Nat", "trailing input after type: 'Nat' (at offset 4)"),
+    ("type", "Nat )", "trailing input after type: ')' (at offset 4)"),
+    ("term", "x )", "trailing input after term: ')' (at offset 2)"),
+    ("term", "x => y", "trailing input after term: '=>' (at offset 2)"),
+    ("file", "[x : Nat] x )", "trailing input: ')' (at offset 12)"),
+    ("file", "x ]", "trailing input: ']' (at offset 2)"),
+    # signature files: each section's faults
+    ("sig", "nosuch:\n  x", "unknown signature section 'nosuch'"),
+    ("sig", "Nat <= ?", "signature line outside any section: 'Nat <= ?'"),
+    ("sig", "basetypes: Nat 9x", "base type name '9x' is not an identifier"),
+    ("sig", "basetypes: Nat up", "base type name 'up' is not an identifier"),
+    ("sig", "flags:\n  retract = maybe", "bad flag line: 'retract = maybe'"),
+    ("sig", "flags:\n  retract = on\n  retract = off", "repeated flag 'retract'"),
+    ("sig", "basecodes:\n  Nat 1", "bad basecodes line: 'Nat 1'"),
+    ("sig", "basecodes:\n  Nat 1 2\n  Nat 3 4", "repeated basecodes line for 'Nat'"),
+    ("sig", "tydyn:\n  Nat ?", "expected 'A <= B': 'Nat ?'"),
+    ("sig", "tydyn:\n  Nat <= Nat ->", "expected a type, found '' (at offset 6)"),
+    ("sig", "tydyn:\n  Nat -> <= Nat", "expected a type, found '' (at offset 6)"),
+    ("sig", "tydyn:\n  Nat Nat <= Nat", "trailing input after type: 'Nat' (at offset 4)"),
+    ("sig", "tydyn:\n  Nat <= Nat Nat", "trailing input after type: 'Nat' (at offset 4)"),
+    ("sig", "tydyn:\n  Nat <= é", "unexpected character 'é' (at offset 0)"),
+    ("sig", "fnsyms:\n  g Nat", "expected 'f : (A, ...) -> B': 'g Nat'"),
+    ("sig", "fnsyms:\n  up : () -> Nat", "function symbol name 'up' is a reserved word"),
+    ("sig", "fnsyms:\n  9 : () -> Nat", "function symbol name '9' is not an identifier"),
+    ("sig", "fnsyms:\n  f(x) : () -> Nat", "function symbol name 'f(x)' is not an identifier"),
+    ("sig", "fnsyms:\n  g : () -> Nat\n  g : (Nat) -> Nat", "repeated function symbol 'g'"),
+    ("sig", "fnsyms: g : Nat", "expected '(', found 'Nat' (at offset 1)"),
+    ("sig", "fnsyms:\n  g : (Nat Nat) -> Nat", "expected ')', found 'Nat' (at offset 6)"),
+    ("sig", "fnsyms:\n  g : (Nat) Nat", "expected '->', found 'Nat' (at offset 7)"),
+    ("sig", "fnsyms:\n  g : (Nat)", "expected '->', found 'end of input' (at offset 6)"),
+    ("sig", "fnsyms:\n  g : (Nat) -> é", "unexpected character 'é' (at offset 10)"),
+    ("sig", "fnsyms:\n  g : () -> Nat Nat", "trailing input in fnsyms line: 'g : () -> Nat Nat'"),
+    ("sig", "tmdyn:\n  [x : Nat] x", "expected 'ctx t <= ctx t'': '[x : Nat] x'"),
+    ("sig", "tmdyn:\n  [x Nat] x <= y", "expected ':', found 'Nat' (at offset 3)"),
+    ("sig", "tmdyn:\n  [x : Nat] x ) <= [y : ?] y", "trailing input: ')' (at offset 12)"),
+    ("sig", "tmdyn:\n  [x : Nat] x <= [y : ?] y )", "trailing input: ')' (at offset 10)"),
+]
+
+
+@pytest.mark.parametrize("entry, text, message", GRAMMAR_ERRORS)
+def test_grammar_errors_are_pinned(entry, text, message):
+    with pytest.raises(ParseError) as info:
+        _ENTRY[entry](text)
+    assert str(info.value) == message
+    offset = re.search(r" \(at offset (\d+)\)$", message)
+    assert info.value.pos == (int(offset[1]) if offset else -1)
 
 
 def test_term_file_context_prefix():
