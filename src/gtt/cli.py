@@ -15,7 +15,8 @@ import traceback
 
 from .syntax import GttError, base_names
 from .grammar import (
-    parse_signature, parse_term_file, parse_type, term_to_text, type_to_text,
+    parse_signature, parse_term_file, parse_type, read_type_pair, term_to_text,
+    type_to_text,
 )
 from .typecheck import (
     DynCtx, Signature, default_signature, enumerate_types, infer_type,
@@ -94,10 +95,9 @@ def _cmd_dyncheck(args, sig):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        left, sep, right = line.partition("<=")
-        if not sep:
+        if "<=" not in line:
             raise _Failure(2, f"dyncheck lines must be 'A <= B': {line!r}")
-        a, b = parse_type(left.strip()), parse_type(right.strip())
+        a, b = read_type_pair(line, "dyncheck")
         _check_declared(sig, line, a, b)
         ok = tydyn_holds(sig, a, b)
         lines_out.append(f"RESULT {'PASS' if ok else 'FAIL'} "

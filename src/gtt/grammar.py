@@ -18,6 +18,17 @@ Whether ``f(...)`` is a symbol application or a variable applied to a
 parenthesized argument depends on the signature, so the term parser takes
 the ambient signature (defaulting to the built-in one with only ``Nat``
 and its numerals).
+
+One lexer serves types, terms, term files and signature lines: a single
+``re.findall`` cuts the text into token texts, dropping the whitespace and
+comments between them, and the parsers walk that list by index, comparing
+texts inline.  Identifiers are ASCII; numerals (``\\d``) and whitespace
+(``\\s``) are Unicode classes.  A bound variable is found in O(1), in a dict
+of the enclosing binders' names.  Offsets are counted only when a parse
+fails, by one more scan of the text, and that scan first raises any
+character that starts no token: such a character, wherever it is, wins over
+every other parse error.  A type's text is made once and kept on the
+(hash-consed) type.
 """
 
 from __future__ import annotations
@@ -39,56 +50,56 @@ class ParseError(GttError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<arrow2>=>)
-  | (?P<arrow>->)
-  | (?P<leq><=)
-  | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<sym>[()\[\],:.\\*?=|{}])
-  | (?P<bad>[\s\S])
-""", re.VERBOSE)
+# the whitespace and comments before a token, then the token.  A character
+# that starts no token of the grammar is a token of its own, which no parse
+# accepts; the token is optional, so every match starts where the one before
+# it ended, and an empty token appears only at the end of the text.
+_WORDS = r"=>|->|<=|\d+|[A-Za-z_][A-Za-z0-9_']*|[()\[\],:.\\*?=|{}]"
+_SKIP = r"(?:\s+|\#[^\n]*)*"
+_TOKEN = re.compile(rf"{_SKIP}({_WORDS}|[\s\S])?")
+_SCAN = re.compile(rf"{_SKIP}(?:({_WORDS})|([\s\S]))?")  # the same, faults apart
+
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_PREFIX_START = _IDENT_START | frozenset("0123456789(")  # and any other numeral
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """One scan; a character that starts no other token is ``bad``."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        out.append((kind, m.group(), m.start()))
-    out.append(("eof", "", len(text)))
-    return out
+class _Fault(Exception):
+    """A parse error at the token ``toks[at]``; ``_read`` gives its offset."""
+
+    def __init__(self, msg: str, at: int):
+        super().__init__(msg)
+        self.msg, self.at = msg, at
 
 
-class _Stream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-        self.bound: list[str] = []  # the enclosing binders' names, innermost last
+def _expected(value: str, toks: list[str], at: int) -> _Fault:
+    return _Fault(f"expected {value!r}, found {toks[at] or 'end of input'!r}", at)
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _read(text: str, walk, *args, what: str = ""):
+    """``walk(toks, *args)`` over the token texts of ``text``.  Only when it
+    fails does one scan of ``text`` count offsets: an unexpected character
+    anywhere wins, else the fault's token names its offset.  ``what``
+    prefixes every message."""
+    toks = _TOKEN.findall(text)
+    try:
+        return walk(toks, *args)
+    except _Fault as fault:
+        raise ParseError(what + fault.msg, _offset(text, fault.at, what)) from None
+    except Exception:  # nesting too deep, a duplicate context entry
+        _offset(text, -1, what)
+        raise
 
-    def expect(self, value: str):
-        kind, text, pos = self.next()
-        if text != value:
-            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
 
-    def at(self, value: str) -> bool:
-        return self.peek()[1] == value
-
-    def done(self) -> bool:
-        return self.peek()[0] == "eof"
+def _offset(text: str, at: int, what: str) -> int:
+    """The offset of token ``at`` of ``text``, after raising the first
+    character that starts no token, if there is one."""
+    pos = len(text)
+    for k, m in enumerate(_SCAN.finditer(text)):
+        if m[2]:
+            raise ParseError(f"{what}unexpected character {m[2]!r}", m.start(2))
+        if k == at and m[1]:
+            pos = m.start(1)
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -96,59 +107,73 @@ class _Stream:
 # ---------------------------------------------------------------------------
 
 def parse_type(text: str) -> Type:
-    s = _Stream(tokenize(text))
-    ty = _type(s)
-    if not s.done():
-        raise ParseError(f"trailing input after type: {s.peek()[1]!r}", s.peek()[2])
+    return _read(text, _whole_type)
+
+
+def _whole_type(toks: list[str]) -> Type:
+    ty, i = _type(toks, 0)
+    if toks[i]:
+        raise _Fault(f"trailing input after type: {toks[i]!r}", i)
     return ty
 
 
-def _type(s: _Stream) -> Type:
-    left = _prod_type(s)
-    if s.at("->"):
-        s.next()
-        return Fn(left, _type(s))
-    return left
+def _type(toks: list[str], i: int) -> tuple[Type, int]:
+    """The type at ``toks[i]`` and the index after it: ``*``-chains of atoms,
+    joined by ``->`` to the right."""
+    doms = []
+    while True:
+        ty, i = _atom_type(toks, i)
+        while toks[i] == "*":
+            snd, i = _atom_type(toks, i + 1)
+            ty = Prod(ty, snd)
+        if toks[i] != "->":
+            break
+        doms.append(ty)
+        i += 1
+    while doms:
+        ty = Fn(doms.pop(), ty)
+    return ty, i
 
 
-def _prod_type(s: _Stream) -> Type:
-    left = _atom_type(s)
-    while s.at("*"):
-        s.next()
-        left = Prod(left, _atom_type(s))
-    return left
-
-
-def _atom_type(s: _Stream) -> Type:
-    kind, text, pos = s.next()
-    if text == "?":
-        return DYN
-    if text == "1":
-        return UNIT
-    if text == "(":
-        ty = _type(s)
-        s.expect(")")
-        return ty
-    if kind == "ident":
-        if text in RESERVED:
-            raise ParseError(f"reserved word {text!r} is not a type", pos)
-        return Base(text)
-    raise ParseError(f"expected a type, found {text!r}", pos)
+def _atom_type(toks: list[str], i: int) -> tuple[Type, int]:
+    tok = toks[i]
+    if tok == "?":
+        return DYN, i + 1
+    if tok == "(":
+        ty, i = _type(toks, i + 1)
+        if toks[i] != ")":
+            raise _expected(")", toks, i)
+        return ty, i + 1
+    if tok == "1":
+        return UNIT, i + 1
+    if tok[:1] in _IDENT_START:
+        if tok in RESERVED:
+            raise _Fault(f"reserved word {tok!r} is not a type", i)
+        return Base(tok), i + 1
+    raise _Fault(f"expected a type, found {tok!r}", i)
 
 
 def type_to_text(ty: Type) -> str:
+    """The text of ``ty``, made once: it stays on the type while the type lives."""
+    try:
+        return ty._text
+    except AttributeError:
+        pass
     match ty:
         case Base(n):
-            return n
+            text = n
         case Fn(a, b):
-            return f"{_operand(a, Fn)} -> {type_to_text(b)}"
+            text = f"{_operand(a, Fn)} -> {type_to_text(b)}"
         case Prod(a, b):
-            return f"{_operand(a, (Fn, Prod))} * {_operand(b, (Fn, Prod))}"
+            text = f"{_operand(a, (Fn, Prod))} * {_operand(b, (Fn, Prod))}"
         case Unit():
-            return "1"
+            text = "1"
         case Dyn():
-            return "?"
-    raise TypeError(f"not a type: {ty!r}")
+            text = "?"
+        case _:
+            raise TypeError(f"not a type: {ty!r}")
+    object.__setattr__(ty, "_text", text)
+    return text
 
 
 def _operand(ty: Type, looser) -> str:
@@ -159,13 +184,19 @@ def _operand(ty: Type, looser) -> str:
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
+#
+# The walk passes ``bound``, each enclosing binder's name -> its level (the
+# innermost binder of a name wins), and ``depth``, the number of enclosing
+# binders; the name at level ``l`` is ``Bound(depth - 1 - l)``.
 
 def parse_term(text: str, sig=None) -> Term:
-    sig = _default_sig(sig)
-    s = _Stream(tokenize(text))
-    t = _term(s, sig)
-    if not s.done():
-        raise ParseError(f"trailing input after term: {s.peek()[1]!r}", s.peek()[2])
+    return _read(text, _whole_term, _default_sig(sig))
+
+
+def _whole_term(toks: list[str], sig) -> Term:
+    t, i = _term(toks, 0, sig, {}, 0)
+    if toks[i]:
+        raise _Fault(f"trailing input after term: {toks[i]!r}", i)
     return t
 
 
@@ -176,78 +207,95 @@ def _default_sig(sig):
     return sig
 
 
-def _term(s: _Stream, sig) -> Term:
-    if s.at("\\"):
-        s.next()
-        kind, name, pos = s.next()
-        if kind != "ident" or name in RESERVED:
-            raise ParseError(f"expected a variable after lambda, found {name!r}", pos)
-        s.expect(":")
-        ty = _type(s)
-        s.expect(".")
-        s.bound.append(name)
-        body = _term(s, sig)
-        s.bound.pop()
-        return Lam.nameless(name, ty, body)
-    t = _prefix(s, sig)
-    while _starts_prefix(s):
-        t = App(t, _prefix(s, sig))
-    return t
+def _term(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term, int]:
+    """The term at ``toks[i]`` and the index after it."""
+    if toks[i] == "\\":
+        name = toks[i + 1]
+        if name[:1] not in _IDENT_START or name in RESERVED:
+            raise _Fault(f"expected a variable after lambda, found {name!r}", i + 1)
+        if toks[i + 2] != ":":
+            raise _expected(":", toks, i + 2)
+        ty, i = _type(toks, i + 3)
+        if toks[i] != ".":
+            raise _expected(".", toks, i)
+        outer = bound.get(name)
+        bound[name] = depth
+        body, i = _term(toks, i + 1, sig, bound, depth + 1)
+        if outer is None:
+            del bound[name]
+        else:
+            bound[name] = outer
+        return Lam.nameless(name, ty, body), i
+    t, i = _prefix(toks, i, sig, bound, depth)
+    while toks[i][:1] in _PREFIX_START or toks[i].isdecimal():
+        arg, i = _prefix(toks, i, sig, bound, depth)
+        t = App(t, arg)
+    return t, i
 
 
-def _starts_prefix(s: _Stream) -> bool:
-    kind, text, _ = s.peek()
-    return kind in ("num", "ident") or text == "("
+def _prefix(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term, int]:
+    """The term at ``toks[i]`` that no application spine or lambda holds."""
+    tok = toks[i]
+    if tok[:1] in _IDENT_START:
+        if tok in RESERVED:
+            return _cast(toks, i, sig, bound, depth)
+        if toks[i + 1] == "(" and sig.has_fn_symbol(tok):
+            args, i = _items(toks, i + 2, _term, sig, bound, depth)
+            return FnApp(tok, args), i
+        level = bound.get(tok)
+        return (Var(tok) if level is None else Bound(depth - 1 - level)), i + 1
+    if tok == "(":
+        if toks[i + 1] == ")":
+            return UNITVAL, i + 2
+        t, i = _term(toks, i + 1, sig, bound, depth)
+        if toks[i] == ",":
+            u, i = _term(toks, i + 1, sig, bound, depth)
+            t = Pair(t, u)
+        if toks[i] != ")":
+            raise _expected(")", toks, i)
+        return t, i + 1
+    if tok.isdecimal():
+        return FnApp(tok), i + 1
+    raise _Fault(f"expected a term, found {tok or 'end of input'!r}", i)
 
 
-def _prefix(s: _Stream, sig) -> Term:
-    kind, text, pos = s.peek()
-    if text in ("fst", "snd"):
-        s.next()
-        return Proj(1 if text == "fst" else 2, _prefix(s, sig))
-    if text in ("up", "dn"):
-        s.next()
-        s.expect("[")
-        source = _type(s)
-        s.expect("=>")
-        target = _type(s)
-        s.expect("]")
-        if text == "up":
-            return Upcast(source, target, _prefix(s, sig))
-        return Downcast(target, source, _prefix(s, sig))
-    if text == "err":
-        s.next()
-        s.expect("[")
-        ty = _type(s)
-        s.expect("]")
-        return Err(ty)
-    return _atom(s, sig)
+def _cast(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term, int]:
+    """The projection, cast or error whose reserved word is ``toks[i]``."""
+    word = toks[i]
+    if word == "fst" or word == "snd":
+        body, i = _prefix(toks, i + 1, sig, bound, depth)
+        return Proj(1 if word == "fst" else 2, body), i
+    if toks[i + 1] != "[":
+        raise _expected("[", toks, i + 1)
+    ty, i = _type(toks, i + 2)
+    if word == "err":
+        if toks[i] != "]":
+            raise _expected("]", toks, i)
+        return Err(ty), i + 1
+    if toks[i] != "=>":
+        raise _expected("=>", toks, i)
+    target, i = _type(toks, i + 1)
+    if toks[i] != "]":
+        raise _expected("]", toks, i)
+    body, i = _prefix(toks, i + 1, sig, bound, depth)
+    if word == "up":
+        return Upcast(ty, target, body), i
+    return Downcast(target, ty, body), i
 
 
-def _atom(s: _Stream, sig) -> Term:
-    kind, text, pos = s.next()
-    if kind == "num":
-        return FnApp(text)
-    if text == "(":
-        if s.at(")"):
-            s.next()
-            return UNITVAL
-        t = _term(s, sig)
-        if s.at(","):
-            s.next()
-            u = _term(s, sig)
-            s.expect(")")
-            return Pair(t, u)
-        s.expect(")")
-        return t
-    if kind == "ident":
-        if text in RESERVED:
-            raise ParseError(f"reserved word {text!r} is not a term", pos)
-        if s.at("(") and sig.has_fn_symbol(text):
-            s.next()
-            return FnApp(text, tuple(_items(s, ")", lambda: _term(s, sig))))
-        return Bound(s.bound[::-1].index(text)) if text in s.bound else Var(text)
-    raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
+def _items(toks: list[str], i: int, item, *args) -> tuple[tuple, int]:
+    """``item`` walks separated by commas from ``toks[i]`` to a ``)``, and
+    the index after it."""
+    out = []
+    if toks[i] != ")":
+        x, i = item(toks, i, *args)
+        out.append(x)
+        while toks[i] == ",":
+            x, i = item(toks, i + 1, *args)
+            out.append(x)
+    if toks[i] != ")":
+        raise _expected(")", toks, i)
+    return tuple(out), i + 1
 
 
 def term_to_text(t: Term) -> str:
@@ -336,41 +384,43 @@ class _Printer:
 
 
 # ---------------------------------------------------------------------------
-# Contexts: ``[x : T, y : U]`` prefix used by term files and tmdyn lines
+# Term files: an optional ``[x : T, y : U]`` context, then a term
 # ---------------------------------------------------------------------------
-
-def _context(s: _Stream) -> Context:
-    def entry() -> tuple[str, Type]:
-        kind, name, pos = s.next()
-        if kind != "ident" or name in RESERVED:
-            raise ParseError(f"expected a variable, found {name!r}", pos)
-        s.expect(":")
-        return name, _type(s)
-    s.expect("[")
-    return Context(tuple(_items(s, "]", entry)))
-
-
-def _items(s: _Stream, close: str, item) -> list:
-    """Zero or more ``item`` parses separated by commas, then ``close``."""
-    out = []
-    if not s.at(close):
-        out.append(item())
-        while s.at(","):
-            s.next()
-            out.append(item())
-    s.expect(close)
-    return out
-
 
 def parse_term_file(text: str, sig=None) -> tuple[Context, Term]:
     """A term file: optional ``[x : T, ...]`` context prefix, then a term."""
-    sig = _default_sig(sig)
-    s = _Stream(tokenize(text))
-    ctx = _context(s) if s.at("[") else Context()
-    t = _term(s, sig)
-    if not s.done():
-        raise ParseError(f"trailing input: {s.peek()[1]!r}", s.peek()[2])
+    return _read(text, _whole_file, _default_sig(sig))
+
+
+def _whole_file(toks: list[str], sig) -> tuple[Context, Term]:
+    ctx, t, i = _file(toks, 0, sig)
+    if toks[i]:
+        raise _Fault(f"trailing input: {toks[i]!r}", i)
     return ctx, t
+
+
+def _file(toks: list[str], i: int, sig) -> tuple[Context, Term, int]:
+    entries = []
+    if toks[i] == "[":
+        i += 1
+        if toks[i] != "]":
+            while True:
+                name = toks[i]
+                if name[:1] not in _IDENT_START or name in RESERVED:
+                    raise _Fault(f"expected a variable, found {name!r}", i)
+                if toks[i + 1] != ":":
+                    raise _expected(":", toks, i + 1)
+                ty, i = _type(toks, i + 2)
+                entries.append((name, ty))
+                if toks[i] != ",":
+                    break
+                i += 1
+        if toks[i] != "]":
+            raise _expected("]", toks, i)
+        i += 1
+    ctx = Context(tuple(entries))  # a repeated name is raised before the term
+    t, i = _term(toks, i, sig, {}, 0)
+    return ctx, t, i
 
 
 def context_to_text(ctx: Context) -> str:
@@ -423,7 +473,7 @@ def parse_signature(text: str):
     flags = _once(found["flags"], "flag")
     sig = Signature(
         base_types=frozenset(found["basetypes"]),
-        tydyn_axioms=tuple(_parse_type_pair(line) for line in found["tydyn"]),
+        tydyn_axioms=tuple(_parse_tydyn(line) for line in found["tydyn"]),
         fn_symbols=_once(map(_parse_fnsym, found["fnsyms"]), "function symbol"),
         tmdyn_axioms=(),
         retract=flags.get("retract", True),
@@ -451,8 +501,8 @@ def _once(pairs, what: str) -> dict:
 
 def _is_identifier(name: str) -> bool:
     """Whether ``name`` is one grammar identifier and no reserved word."""
-    token = _TOKEN.fullmatch(name)
-    return token is not None and token.lastgroup == "ident" and name not in RESERVED
+    return (_TOKEN.findall(name)[0] == name and name[:1] in _IDENT_START
+            and name not in RESERVED)
 
 
 def _sig_line(section: str, line: str, found: dict):
@@ -479,11 +529,26 @@ def _sig_line(section: str, line: str, found: dict):
         found[section].append(line)
 
 
-def _parse_type_pair(line: str) -> tuple[Type, Type]:
-    left, sep, right = line.partition("<=")
-    if not sep:
+def _parse_tydyn(line: str) -> tuple[Type, Type]:
+    if "<=" not in line:
         raise ParseError(f"expected 'A <= B': {line!r}")
-    return parse_type(left.strip()), parse_type(right.strip())
+    return read_type_pair(line, "tydyn")
+
+
+def read_type_pair(line: str, section: str) -> tuple[Type, Type]:
+    """The types of the ``A <= B`` line ``line`` in one walk; an error names
+    the line and ``section``, and its offset counts from the line's start."""
+    return _read(line, _type_pair, what=f"{section} line {line!r}: ")
+
+
+def _type_pair(toks: list[str]) -> tuple[Type, Type]:
+    a, i = _type(toks, 0)
+    if toks[i] != "<=":
+        raise _expected("<=", toks, i)
+    b, i = _type(toks, i + 1)
+    if toks[i]:
+        raise _Fault(f"trailing input after type: {toks[i]!r}", i)
+    return a, b
 
 
 def _parse_fnsym(line: str):
@@ -495,20 +560,33 @@ def _parse_fnsym(line: str):
         raise ParseError(f"function symbol name {name!r} is a reserved word")
     if not _is_identifier(name):
         raise ParseError(f"function symbol name {name!r} is not an identifier")
-    s = _Stream(tokenize(rest))
-    s.expect("(")
-    ins = _items(s, ")", lambda: _type(s))
-    s.expect("->")
-    out = _type(s)
-    if not s.done():
-        raise ParseError(f"trailing input in fnsyms line: {line!r}")
-    return name, (tuple(ins), out)
+    return name, _read(line, _fn_type, what=f"fnsyms line {line!r}: ")
+
+
+def _fn_type(toks: list[str]) -> tuple[tuple[Type, ...], Type]:
+    """``(A, ...) -> B`` after the ``f :`` that ``toks`` opens with."""
+    if toks[2] != "(":
+        raise _expected("(", toks, 2)
+    ins, i = _items(toks, 3, _type)
+    if toks[i] != "->":
+        raise _expected("->", toks, i)
+    out, i = _type(toks, i + 1)
+    if toks[i]:
+        raise _Fault(f"trailing input after type: {toks[i]!r}", i)
+    return ins, out
 
 
 def _parse_tmdyn(line: str, sig):
-    left, sep, right = line.partition("<=")
-    if not sep:
+    if "<=" not in line:
         raise ParseError(f"expected 'ctx t <= ctx t'': {line!r}")
-    lctx, lterm = parse_term_file(left.strip(), sig)
-    rctx, rterm = parse_term_file(right.strip(), sig)
+    return _read(line, _term_pair, sig, what=f"tmdyn line {line!r}: ")
+
+
+def _term_pair(toks: list[str], sig):
+    lctx, lterm, i = _file(toks, 0, sig)
+    if toks[i] != "<=":
+        raise _expected("<=", toks, i)
+    rctx, rterm, i = _file(toks, i + 1, sig)
+    if toks[i]:
+        raise _Fault(f"trailing input: {toks[i]!r}", i)
     return lctx, lterm, rctx, rterm

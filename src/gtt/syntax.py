@@ -46,9 +46,10 @@ class Type:
     """A hash-consed type: a constructor returns the one live instance for
     its fields, so ``==`` is identity and ``hash`` is O(1).  Each class
     keeps a table of weak references, and an entry dies with its type
-    (Filliâtre and Conchon, *Type-Safe Modular Hash-Consing*, 2006)."""
+    (Filliâtre and Conchon, *Type-Safe Modular Hash-Consing*, 2006).
+    ``grammar.type_to_text`` keeps a type's text in ``_text`` once made."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_text")
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls):

@@ -26,7 +26,7 @@ import re
 from gtt.dynamism import _SCHEMA, Derivation, DynJudgment, _rule_errors
 from gtt.elaborate import _Fuel
 from gtt.grammar import (
-    ParseError, parse_term, parse_type, term_to_text, type_to_text,
+    RESERVED, ParseError, parse_term, parse_type, term_to_text, type_to_text,
 )
 from gtt.syntax import (
     App, Bound, Context, DYN, Downcast, Err, FnApp, GttError, Lam, Pair, Proj,
@@ -462,6 +462,196 @@ def tokenize_reference(text: str) -> list[tuple[str, str, int]]:
     out.append(("eof", "", len(text)))
     return out
 
+
+
+# -- terms and types by a parser over token tuples ------------------------------
+#
+# ``gtt.grammar``'s parser as it was before it walked a list of token texts
+# by index: a stream of ``(kind, text, offset)`` tuples read through method
+# calls, with each bound variable found by a search of the enclosing binders.
+# It lexes with ``tokenize_reference``, so an unexpected character anywhere
+# in the text is raised before parsing starts.
+
+class _Stream:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+        self.bound: list[str] = []  # the enclosing binders' names, innermost last
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, value: str):
+        kind, text, pos = self.next()
+        if text != value:
+            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
+
+    def at(self, value: str) -> bool:
+        return self.peek()[1] == value
+
+    def done(self) -> bool:
+        return self.peek()[0] == "eof"
+
+
+def parse_type_reference(text: str) -> Type:
+    s = _Stream(tokenize_reference(text))
+    ty = _type(s)
+    if not s.done():
+        raise ParseError(f"trailing input after type: {s.peek()[1]!r}", s.peek()[2])
+    return ty
+
+
+def _type(s: _Stream) -> Type:
+    left = _prod_type(s)
+    if s.at("->"):
+        s.next()
+        return Fn(left, _type(s))
+    return left
+
+
+def _prod_type(s: _Stream) -> Type:
+    left = _atom_type(s)
+    while s.at("*"):
+        s.next()
+        left = Prod(left, _atom_type(s))
+    return left
+
+
+def _atom_type(s: _Stream) -> Type:
+    kind, text, pos = s.next()
+    if text == "?":
+        return DYN
+    if text == "1":
+        return UNIT
+    if text == "(":
+        ty = _type(s)
+        s.expect(")")
+        return ty
+    if kind == "ident":
+        if text in RESERVED:
+            raise ParseError(f"reserved word {text!r} is not a type", pos)
+        return Base(text)
+    raise ParseError(f"expected a type, found {text!r}", pos)
+
+
+def parse_term_reference(text: str, sig) -> Term:
+    s = _Stream(tokenize_reference(text))
+    t = _term(s, sig)
+    if not s.done():
+        raise ParseError(f"trailing input after term: {s.peek()[1]!r}", s.peek()[2])
+    return t
+
+
+def _term(s: _Stream, sig) -> Term:
+    if s.at("\\"):
+        s.next()
+        kind, name, pos = s.next()
+        if kind != "ident" or name in RESERVED:
+            raise ParseError(f"expected a variable after lambda, found {name!r}", pos)
+        s.expect(":")
+        ty = _type(s)
+        s.expect(".")
+        s.bound.append(name)
+        body = _term(s, sig)
+        s.bound.pop()
+        return Lam.nameless(name, ty, body)
+    t = _prefix(s, sig)
+    while _starts_prefix(s):
+        t = App(t, _prefix(s, sig))
+    return t
+
+
+def _starts_prefix(s: _Stream) -> bool:
+    kind, text, _ = s.peek()
+    return kind in ("num", "ident") or text == "("
+
+
+def _prefix(s: _Stream, sig) -> Term:
+    kind, text, pos = s.peek()
+    if text in ("fst", "snd"):
+        s.next()
+        return Proj(1 if text == "fst" else 2, _prefix(s, sig))
+    if text in ("up", "dn"):
+        s.next()
+        s.expect("[")
+        source = _type(s)
+        s.expect("=>")
+        target = _type(s)
+        s.expect("]")
+        if text == "up":
+            return Upcast(source, target, _prefix(s, sig))
+        return Downcast(target, source, _prefix(s, sig))
+    if text == "err":
+        s.next()
+        s.expect("[")
+        ty = _type(s)
+        s.expect("]")
+        return Err(ty)
+    return _atom(s, sig)
+
+
+def _atom(s: _Stream, sig) -> Term:
+    kind, text, pos = s.next()
+    if kind == "num":
+        return FnApp(text)
+    if text == "(":
+        if s.at(")"):
+            s.next()
+            return UNITVAL
+        t = _term(s, sig)
+        if s.at(","):
+            s.next()
+            u = _term(s, sig)
+            s.expect(")")
+            return Pair(t, u)
+        s.expect(")")
+        return t
+    if kind == "ident":
+        if text in RESERVED:
+            raise ParseError(f"reserved word {text!r} is not a term", pos)
+        if s.at("(") and sig.has_fn_symbol(text):
+            s.next()
+            return FnApp(text, tuple(_items(s, ")", lambda: _term(s, sig))))
+        return Bound(s.bound[::-1].index(text)) if text in s.bound else Var(text)
+    raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
+
+
+def _context(s: _Stream) -> Context:
+    def entry() -> tuple[str, Type]:
+        kind, name, pos = s.next()
+        if kind != "ident" or name in RESERVED:
+            raise ParseError(f"expected a variable, found {name!r}", pos)
+        s.expect(":")
+        return name, _type(s)
+    s.expect("[")
+    return Context(tuple(_items(s, "]", entry)))
+
+
+def _items(s: _Stream, close: str, item) -> list:
+    """Zero or more ``item`` parses separated by commas, then ``close``."""
+    out = []
+    if not s.at(close):
+        out.append(item())
+        while s.at(","):
+            s.next()
+            out.append(item())
+    s.expect(close)
+    return out
+
+
+def parse_term_file_reference(text: str, sig) -> tuple[Context, Term]:
+    """A term file: optional ``[x : T, ...]`` context prefix, then a term."""
+    s = _Stream(tokenize_reference(text))
+    ctx = _context(s) if s.at("[") else Context()
+    t = _term(s, sig)
+    if not s.done():
+        raise ParseError(f"trailing input: {s.peek()[1]!r}", s.peek()[2])
+    return ctx, t
 
 # -- derivation files by way of an s-expression tree ---------------------------
 #

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 from gtt.syntax import (
@@ -134,3 +135,11 @@ def gen_welltyped(rng: random.Random, sig: Signature, size: int,
             ctx = Context.of(("a", NAT), ("b", DYN), ("p", Prod(NAT, DYN)))
     ty = gen_type(rng, rng.randint(1, 4), first_order)
     return ctx, gen_term(rng, sig, ctx, ty, size, first_order), ty
+
+
+@functools.cache
+def normalize_inputs(seed: int):
+    """The benchmark's ``normalize`` inputs for ``seed``, made once per
+    session: generating them takes seconds."""
+    from perfbench.bench_gen import normalize_inputs
+    return normalize_inputs(seed)

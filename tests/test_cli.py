@@ -376,6 +376,32 @@ def test_crlf_signature_and_pair_files_read_like_lf_ones(tmp_path, capsys):
     assert reports[0][0] == 1 and "RESULT FAIL Nat <= Even" in reports[0][1]
 
 
+@pytest.mark.parametrize("sig_text, pairs, err", [
+    # the second pair line, read in one walk: the offset counts from the
+    # start of the line, and the message names it
+    ("basetypes: Nat\n", "Nat <= ?\n  ? <= Nat ->  # cut short\n",
+     "error: dyncheck line '? <= Nat ->': expected a type, found '' (at offset 11)\n"),
+    ("basetypes: Nat\ntydyn:\n  Nat <= Nat ->\n", "Nat <= ?\n",
+     "error: tydyn line 'Nat <= Nat ->': expected a type, found '' (at offset 13)\n"),
+    ("basetypes: Nat\nfnsyms: g : Nat\n", "Nat <= ?\n",
+     "error: fnsyms line 'g : Nat': expected '(', found 'Nat' (at offset 4)\n"),
+    ("basetypes: Nat\ntmdyn:\n  [x : Nat] x <= [y : ?] y )\n", "Nat <= ?\n",
+     "error: tmdyn line '[x : Nat] x <= [y : ?] y )': trailing input: ')' "
+     "(at offset 25)\n"),
+    ("basetypes: Nat\ntydyn:\n  Nat <= \u00e9 ->\n", "Nat <= ?\n",
+     "error: tydyn line 'Nat <= \u00e9 ->': unexpected character '\u00e9' "
+     "(at offset 7)\n"),
+], ids=["dyncheck", "tydyn", "fnsyms", "tmdyn", "character"])
+def test_a_pair_or_signature_line_error_names_its_line(tmp_path, capsys, sig_text,
+                                                       pairs, err):
+    sig, path = tmp_path / "s.gttsig", tmp_path / "pairs.txt"
+    sig.write_text(sig_text)
+    path.write_text(pairs)
+    code = main(["--sig", str(sig), "dyncheck", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+
+
 @pytest.mark.parametrize("text", ["", "  \n\t\n", "# a comment\n# another\n"],
                          ids=["empty", "blank", "comments"])
 @pytest.mark.parametrize("command, err", [

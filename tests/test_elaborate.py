@@ -22,7 +22,7 @@ from gtt.theorems import (
 )
 
 from oracles import normalize_reference
-from termgen import gen_welltyped
+from termgen import gen_welltyped, normalize_inputs
 
 SIG = default_signature()
 NO_RETRACT = default_signature(retract=False)
@@ -357,7 +357,6 @@ EDGE_TERM = "(\\x:Nat -> Nat. dn[? => Nat -> Nat] up[Nat -> Nat => ?] x) (\\y:Na
 def test_printed_elaborations_and_normal_forms_are_pinned():
     # the text `gtt elaborate` and `gtt normalize` print for every term file
     # of the benchmark's normalize inputs, each under its job's retract flag
-    from perfbench.bench_gen import normalize_inputs
     inputs = normalize_inputs(1)
     sigs = {"on": SIG, "off": NO_RETRACT}
     digest = {"elaborate": hashlib.sha256(), "normalize": hashlib.sha256()}

@@ -6,12 +6,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gtt.grammar
 from gtt.grammar import (
     ParseError, context_to_text, parse_signature, parse_term, parse_term_file,
-    parse_type, term_to_text, tokenize, type_to_text,
+    parse_type, term_to_text, type_to_text,
 )
 from gtt.syntax import (
-    App, Base, Context, DYN, Fn, FnApp, NAT, Pair, UNIT, UNITVAL, Upcast, Var,
+    App, Base, Context, DYN, Fn, FnApp, GttError, NAT, Pair, Type, UNIT,
+    UNITVAL, Upcast, Var,
 )
 from gtt.typecheck import DynCtx, default_signature
 from gtt.derivio import derivations_to_text, parse_derivations
@@ -21,9 +23,9 @@ from perfbench import bench_gen
 
 from oracles import (
     derivations_to_text_reference, parse_derivations_reference,
-    tokenize_reference,
+    parse_term_file_reference, parse_term_reference, parse_type_reference,
 )
-from termgen import gen_welltyped
+from termgen import gen_welltyped, normalize_inputs
 
 SIG = default_signature()
 
@@ -166,7 +168,9 @@ GRAMMAR_ERRORS = [
     ("term", "x => y", "trailing input after term: '=>' (at offset 2)"),
     ("file", "[x : Nat] x )", "trailing input: ')' (at offset 12)"),
     ("file", "x ]", "trailing input: ']' (at offset 2)"),
-    # signature files: each section's faults
+    # signature files: each section's faults.  A tydyn, fnsyms or tmdyn line
+    # is read in one walk, so its message names the line and its offset
+    # counts from the start of the line
     ("sig", "nosuch:\n  x", "unknown signature section 'nosuch'"),
     ("sig", "Nat <= ?", "signature line outside any section: 'Nat <= ?'"),
     ("sig", "basetypes: Nat 9x", "base type name '9x' is not an identifier"),
@@ -176,26 +180,40 @@ GRAMMAR_ERRORS = [
     ("sig", "basecodes:\n  Nat 1", "bad basecodes line: 'Nat 1'"),
     ("sig", "basecodes:\n  Nat 1 2\n  Nat 3 4", "repeated basecodes line for 'Nat'"),
     ("sig", "tydyn:\n  Nat ?", "expected 'A <= B': 'Nat ?'"),
-    ("sig", "tydyn:\n  Nat <= Nat ->", "expected a type, found '' (at offset 6)"),
-    ("sig", "tydyn:\n  Nat -> <= Nat", "expected a type, found '' (at offset 6)"),
-    ("sig", "tydyn:\n  Nat Nat <= Nat", "trailing input after type: 'Nat' (at offset 4)"),
-    ("sig", "tydyn:\n  Nat <= Nat Nat", "trailing input after type: 'Nat' (at offset 4)"),
-    ("sig", "tydyn:\n  Nat <= é", "unexpected character 'é' (at offset 0)"),
+    ("sig", "tydyn:\n  Nat <= Nat ->",
+     "tydyn line 'Nat <= Nat ->': expected a type, found '' (at offset 13)"),
+    ("sig", "tydyn:\n  Nat -> <= Nat",
+     "tydyn line 'Nat -> <= Nat': expected a type, found '<=' (at offset 7)"),
+    ("sig", "tydyn:\n  Nat Nat <= Nat",
+     "tydyn line 'Nat Nat <= Nat': expected '<=', found 'Nat' (at offset 4)"),
+    ("sig", "tydyn:\n  Nat <= Nat Nat",
+     "tydyn line 'Nat <= Nat Nat': trailing input after type: 'Nat' (at offset 11)"),
+    ("sig", "tydyn:\n  Nat <= é",
+     "tydyn line 'Nat <= é': unexpected character 'é' (at offset 7)"),
     ("sig", "fnsyms:\n  g Nat", "expected 'f : (A, ...) -> B': 'g Nat'"),
     ("sig", "fnsyms:\n  up : () -> Nat", "function symbol name 'up' is a reserved word"),
     ("sig", "fnsyms:\n  9 : () -> Nat", "function symbol name '9' is not an identifier"),
     ("sig", "fnsyms:\n  f(x) : () -> Nat", "function symbol name 'f(x)' is not an identifier"),
     ("sig", "fnsyms:\n  g : () -> Nat\n  g : (Nat) -> Nat", "repeated function symbol 'g'"),
-    ("sig", "fnsyms: g : Nat", "expected '(', found 'Nat' (at offset 1)"),
-    ("sig", "fnsyms:\n  g : (Nat Nat) -> Nat", "expected ')', found 'Nat' (at offset 6)"),
-    ("sig", "fnsyms:\n  g : (Nat) Nat", "expected '->', found 'Nat' (at offset 7)"),
-    ("sig", "fnsyms:\n  g : (Nat)", "expected '->', found 'end of input' (at offset 6)"),
-    ("sig", "fnsyms:\n  g : (Nat) -> é", "unexpected character 'é' (at offset 10)"),
-    ("sig", "fnsyms:\n  g : () -> Nat Nat", "trailing input in fnsyms line: 'g : () -> Nat Nat'"),
+    ("sig", "fnsyms: g : Nat",
+     "fnsyms line 'g : Nat': expected '(', found 'Nat' (at offset 4)"),
+    ("sig", "fnsyms:\n  g : (Nat Nat) -> Nat",
+     "fnsyms line 'g : (Nat Nat) -> Nat': expected ')', found 'Nat' (at offset 9)"),
+    ("sig", "fnsyms:\n  g : (Nat) Nat",
+     "fnsyms line 'g : (Nat) Nat': expected '->', found 'Nat' (at offset 10)"),
+    ("sig", "fnsyms:\n  g : (Nat)",
+     "fnsyms line 'g : (Nat)': expected '->', found 'end of input' (at offset 9)"),
+    ("sig", "fnsyms:\n  g : (Nat) -> é",
+     "fnsyms line 'g : (Nat) -> é': unexpected character 'é' (at offset 13)"),
+    ("sig", "fnsyms:\n  g : () -> Nat Nat",
+     "fnsyms line 'g : () -> Nat Nat': trailing input after type: 'Nat' (at offset 14)"),
     ("sig", "tmdyn:\n  [x : Nat] x", "expected 'ctx t <= ctx t'': '[x : Nat] x'"),
-    ("sig", "tmdyn:\n  [x Nat] x <= y", "expected ':', found 'Nat' (at offset 3)"),
-    ("sig", "tmdyn:\n  [x : Nat] x ) <= [y : ?] y", "trailing input: ')' (at offset 12)"),
-    ("sig", "tmdyn:\n  [x : Nat] x <= [y : ?] y )", "trailing input: ')' (at offset 10)"),
+    ("sig", "tmdyn:\n  [x Nat] x <= y",
+     "tmdyn line '[x Nat] x <= y': expected ':', found 'Nat' (at offset 3)"),
+    ("sig", "tmdyn:\n  [x : Nat] x ) <= [y : ?] y",
+     "tmdyn line '[x : Nat] x ) <= [y : ?] y': expected '<=', found ')' (at offset 12)"),
+    ("sig", "tmdyn:\n  [x : Nat] x <= [y : ?] y )",
+     "tmdyn line '[x : Nat] x <= [y : ?] y )': trailing input: ')' (at offset 25)"),
 ]
 
 
@@ -347,7 +365,7 @@ def test_writer_rejects_an_unknown_aux_like_the_reference(aux):
     assert str(new.value) == str(old.value) == f"cannot serialize aux {aux!r}"
 
 
-# -- the tokenizer against the loop that matched at each position ------------
+# -- the parser against the parser over token tuples --------------------------
 
 _TOKEN_PIECES = st.sampled_from([
     "=>", "->", "<=", "=", "<", "-", ">", "(", ")", "[", "]", "{", "}", ",",
@@ -359,15 +377,129 @@ _TOKEN_TEXT = st.lists(st.one_of(_TOKEN_PIECES, st.characters(codec="utf-8")),
                        max_size=16).map("".join)
 
 
+def _shown(result):
+    """A parse result with its binder hints, which ``==`` ignores."""
+    if isinstance(result, tuple):
+        return context_to_text(result[0]), term_to_text(result[1])
+    if isinstance(result, Type):
+        return type_to_text(result)
+    return term_to_text(result)
+
+
+def _parses_alike(parse, reference, text, faults=None):
+    """Either both parsers read ``text`` to equal results with equal binder
+    hints, or both raise the same error, message and offset included; True
+    when the text is read.  The message goes into the set ``faults``."""
+    try:
+        want = reference(text)
+    except GttError as e:
+        with pytest.raises(GttError) as info:
+            parse(text)
+        assert (type(info.value), str(info.value), getattr(info.value, "pos", None)) \
+            == (type(e), str(e), getattr(e, "pos", None))
+        if faults is not None:
+            faults.add(str(e))
+        return False
+    got = parse(text)
+    assert got == want and _shown(got) == _shown(want)
+    return True
+
+
+def _file(text):
+    return parse_term_file(text, SIG)
+
+
+def _file_reference(text):
+    return parse_term_file_reference(text, SIG)
+
+
 @settings(max_examples=500, deadline=None)
 @given(_TOKEN_TEXT)
-def test_tokenizer_matches_reference(text):
-    assert _outcome(tokenize, text) == _outcome(tokenize_reference, text)
+def test_parser_matches_reference_on_token_soup(text):
+    _parses_alike(parse_type, parse_type_reference, text)
+    _parses_alike(_file, _file_reference, text)
+    _parses_alike(lambda t: parse_term(t, SIG),
+                  lambda t: parse_term_reference(t, SIG), text)
 
 
-def test_tokenizer_names_the_offset_of_an_unexpected_character():
+def _normalize_texts():
+    return [text for seed in (1, 2)
+            for text in normalize_inputs(seed).files.values()]
+
+
+def _termgen_texts(count=600):
+    """Term files and type texts of seeded well-typed terms."""
+    rng = random.Random(22)
+    files, types = [], []
+    for _ in range(count):
+        ctx, t, ty = gen_welltyped(rng, SIG, size=rng.randint(1, 14))
+        files.append(f"{context_to_text(ctx)} {term_to_text(t)}")
+        types.append(type_to_text(ty))
+    return files, types
+
+
+def test_parser_matches_reference_on_generated_inputs():
+    files, types = _termgen_texts()
+    texts = _normalize_texts()
+    assert len(texts) == 800
+    for text in texts + files:
+        assert _parses_alike(_file, _file_reference, text)
+    for text in types:
+        assert _parses_alike(parse_type, parse_type_reference, text)
+
+
+_GRAMMAR_PIECES = [
+    "(", ")", "[", "]", ",", ":", ".", "\\", "*", "?", "->", "=>", "<=", "=",
+    "up", "dn", "err", "fst", "snd", "x", "y'", "Nat", "1", "0", "42", "\u0661",
+    " ", "\n", "\r\n", "# c\n", "#", "\u00e9", "\u2003", "{", "-", "[x : Nat]",
+    ", a : 1",
+]
+
+
+def _mutate_text(text, rng):
+    """``text`` with one character deleted or replaced by a grammar piece,
+    one piece inserted, or one whole token deleted or repeated."""
+    op = rng.randrange(5)
+    if op >= 3:
+        spans = [m.span(1) for m in gtt.grammar._TOKEN.finditer(text) if m[1]]
+        if spans:
+            start, end = rng.choice(spans)
+            return text[:start] + text[start:end] * (op - 3) + text[end:]
+    pos = rng.randrange(len(text) + 1)
+    if op == 0:
+        return text[:pos] + text[pos + 1:]
+    return text[:pos] + rng.choice(_GRAMMAR_PIECES) + text[pos + op - 1:]
+
+
+def test_parser_matches_reference_on_mutated_inputs():
+    rng = random.Random(23)
+    files, types = _termgen_texts(300)
+    small = [text for text in _normalize_texts() if len(text) < 200]
+    faults: set[str] = set()
+    read = 0
+    for k in range(20_000):
+        if k % 4 == 3:
+            text, parse, reference = rng.choice(types), parse_type, parse_type_reference
+        else:
+            text = rng.choice(small if k % 4 == 2 else files)
+            parse, reference = _file, _file_reference
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate_text(text, rng)
+        read += _parses_alike(parse, reference, text, faults)
+    # the fuzz reaches both outcomes and every kind of message
+    assert 2000 < read < 18_000
+    for kind in ["unexpected character", "expected a type", "expected a term",
+                 "expected ')'", "expected ']'", "expected ':'", "expected '.'",
+                 "expected '=>'", "expected '['", "trailing input:",
+                 "trailing input after type", "reserved word",
+                 "expected a variable after lambda", "expected a variable,",
+                 "duplicate variable"]:
+        assert any(kind in fault for fault in faults), kind
+
+
+def test_an_unexpected_character_names_its_offset():
     with pytest.raises(ParseError) as info:
-        tokenize("x ->\r\n  \u00e9 y")
+        parse_term("x ->\r\n  \u00e9 y", SIG)
     assert str(info.value) == "unexpected character '\u00e9' (at offset 8)"
     assert info.value.pos == 8
 
