@@ -54,13 +54,16 @@ class ParseError(GttError):
 # that starts no token of the grammar is a token of its own, which no parse
 # accepts; the token is optional, so every match starts where the one before
 # it ended, and an empty token appears only at the end of the text.
-_WORDS = r"=>|->|<=|\d+|[A-Za-z_][A-Za-z0-9_']*|[()\[\],:.\\*?=|{}]"
+_WORDS = r"[A-Za-z_][A-Za-z0-9_']*|[()\[\],:.\\*?|{}]|=>?|->|<=|\d+"
 _SKIP = r"(?:\s+|\#[^\n]*)*"
 _TOKEN = re.compile(rf"{_SKIP}({_WORDS}|[\s\S])?")
 _SCAN = re.compile(rf"{_SKIP}(?:({_WORDS})|([\s\S]))?")  # the same, faults apart
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_PREFIX_START = _IDENT_START | frozenset("0123456789(")  # and any other numeral
+# the tokens after which an application spine ends: all but identifiers,
+# numerals and "(", and any character that starts no token, which
+# ``_prefix`` then raises on (and the scan for it wins)
+_SPINE_ENDS = frozenset(["", "=>", "->", "<=", *")[],:.\\*?=|{}"])
 
 
 class _Fault(Exception):
@@ -118,39 +121,35 @@ def _whole_type(toks: list[str]) -> Type:
 
 
 def _type(toks: list[str], i: int) -> tuple[Type, int]:
-    """The type at ``toks[i]`` and the index after it: ``*``-chains of atoms,
-    joined by ``->`` to the right."""
-    doms = []
+    """The type at ``toks[i]`` and the index after it: a ``*``-chain of
+    atoms, and after a ``->`` the type it maps to."""
+    left = None  # the ``*``-chain so far
     while True:
-        ty, i = _atom_type(toks, i)
-        while toks[i] == "*":
-            snd, i = _atom_type(toks, i + 1)
-            ty = Prod(ty, snd)
-        if toks[i] != "->":
-            break
-        doms.append(ty)
-        i += 1
-    while doms:
-        ty = Fn(doms.pop(), ty)
-    return ty, i
-
-
-def _atom_type(toks: list[str], i: int) -> tuple[Type, int]:
-    tok = toks[i]
-    if tok == "?":
-        return DYN, i + 1
-    if tok == "(":
-        ty, i = _type(toks, i + 1)
-        if toks[i] != ")":
-            raise _expected(")", toks, i)
-        return ty, i + 1
-    if tok == "1":
-        return UNIT, i + 1
-    if tok[:1] in _IDENT_START:
-        if tok in RESERVED:
+        tok = toks[i]
+        if tok == "?":
+            ty = DYN
+        elif tok == "(":
+            ty, i = _type(toks, i + 1)
+            if toks[i] != ")":
+                raise _expected(")", toks, i)
+        elif tok == "1":
+            ty = UNIT
+        elif tok[:1] in _IDENT_START and tok not in RESERVED:
+            ty = Base(tok)
+        elif tok in RESERVED:
             raise _Fault(f"reserved word {tok!r} is not a type", i)
-        return Base(tok), i + 1
-    raise _Fault(f"expected a type, found {tok!r}", i)
+        else:
+            raise _Fault(f"expected a type, found {tok!r}", i)
+        if left is not None:
+            ty = Prod(left, ty)
+        tok = toks[i + 1]
+        if tok == "*":
+            left, i = ty, i + 2
+        elif tok == "->":
+            cod, i = _type(toks, i + 2)
+            return Fn(ty, cod), i
+        else:
+            return ty, i + 1
 
 
 def type_to_text(ty: Type) -> str:
@@ -227,7 +226,7 @@ def _term(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term, 
             bound[name] = outer
         return Lam.nameless(name, ty, body), i
     t, i = _prefix(toks, i, sig, bound, depth)
-    while toks[i][:1] in _PREFIX_START or toks[i].isdecimal():
+    while toks[i] not in _SPINE_ENDS:
         arg, i = _prefix(toks, i, sig, bound, depth)
         t = App(t, arg)
     return t, i
@@ -237,13 +236,31 @@ def _prefix(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term
     """The term at ``toks[i]`` that no application spine or lambda holds."""
     tok = toks[i]
     if tok[:1] in _IDENT_START:
-        if tok in RESERVED:
-            return _cast(toks, i, sig, bound, depth)
-        if toks[i + 1] == "(" and sig.has_fn_symbol(tok):
-            args, i = _items(toks, i + 2, _term, sig, bound, depth)
-            return FnApp(tok, args), i
-        level = bound.get(tok)
-        return (Var(tok) if level is None else Bound(depth - 1 - level)), i + 1
+        if tok not in RESERVED:
+            if toks[i + 1] == "(" and sig.has_fn_symbol(tok):
+                args, i = _items(toks, i + 2, _term, sig, bound, depth)
+                return FnApp(tok, args), i
+            level = bound.get(tok)
+            return (Var(tok) if level is None else Bound(depth - 1 - level)), i + 1
+        if tok == "fst" or tok == "snd":
+            body, i = _prefix(toks, i + 1, sig, bound, depth)
+            return Proj(1 if tok == "fst" else 2, body), i
+        # up[A => B] t, dn[B => A] t or err[A]
+        if toks[i + 1] != "[":
+            raise _expected("[", toks, i + 1)
+        ty, i = _type(toks, i + 2)
+        if tok != "err":
+            if toks[i] != "=>":
+                raise _expected("=>", toks, i)
+            target, i = _type(toks, i + 1)
+        if toks[i] != "]":
+            raise _expected("]", toks, i)
+        if tok == "err":
+            return Err(ty), i + 1
+        body, i = _prefix(toks, i + 1, sig, bound, depth)
+        if tok == "up":
+            return Upcast(ty, target, body), i
+        return Downcast(target, ty, body), i
     if tok == "(":
         if toks[i + 1] == ")":
             return UNITVAL, i + 2
@@ -257,30 +274,6 @@ def _prefix(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term
     if tok.isdecimal():
         return FnApp(tok), i + 1
     raise _Fault(f"expected a term, found {tok or 'end of input'!r}", i)
-
-
-def _cast(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term, int]:
-    """The projection, cast or error whose reserved word is ``toks[i]``."""
-    word = toks[i]
-    if word == "fst" or word == "snd":
-        body, i = _prefix(toks, i + 1, sig, bound, depth)
-        return Proj(1 if word == "fst" else 2, body), i
-    if toks[i + 1] != "[":
-        raise _expected("[", toks, i + 1)
-    ty, i = _type(toks, i + 2)
-    if word == "err":
-        if toks[i] != "]":
-            raise _expected("]", toks, i)
-        return Err(ty), i + 1
-    if toks[i] != "=>":
-        raise _expected("=>", toks, i)
-    target, i = _type(toks, i + 1)
-    if toks[i] != "]":
-        raise _expected("]", toks, i)
-    body, i = _prefix(toks, i + 1, sig, bound, depth)
-    if word == "up":
-        return Upcast(ty, target, body), i
-    return Downcast(target, ty, body), i
 
 
 def _items(toks: list[str], i: int, item, *args) -> tuple[tuple, int]:
@@ -314,9 +307,10 @@ class _Printer:
         self.captor = float("inf")  # the level of the outermost binder that captured
 
     def term(self, t: Term) -> str:
-        if isinstance(t, App):
+        cls = type(t)
+        if cls is App:
             return f"{self._app(t.fn)} {self._prefix(t.arg)}"
-        if not isinstance(t, Lam):
+        if cls is not Lam:
             return self._prefix(t)
         level, name = len(self.names), t.var
         while True:
@@ -343,43 +337,40 @@ class _Printer:
         return name
 
     def _app(self, t: Term) -> str:
-        match t:
-            case App(f, a):
-                return f"{self._app(f)} {self._prefix(a)}"
-            case _:
-                return self._prefix(t)
+        if type(t) is App:
+            return f"{self._app(t.fn)} {self._prefix(t.arg)}"
+        return self._prefix(t)
 
     def _prefix(self, t: Term) -> str:
-        match t:
-            case Proj(1, b):
-                return f"fst {self._prefix(b)}"
-            case Proj(2, b):
-                return f"snd {self._prefix(b)}"
-            case Upcast(lo, hi, b):
-                return f"up[{type_to_text(lo)} => {type_to_text(hi)}] {self._prefix(b)}"
-            case Downcast(lo, hi, b):
-                return f"dn[{type_to_text(hi)} => {type_to_text(lo)}] {self._prefix(b)}"
-            case Proj(i, _):
-                raise ValueError(f"projection index must be 1 or 2, not {i!r}")
-            case _:
-                return self._atom(t)
+        cls = type(t)
+        if cls is Upcast:
+            return f"up[{type_to_text(t.low)} => {type_to_text(t.high)}] {self._prefix(t.body)}"
+        if cls is Downcast:
+            return f"dn[{type_to_text(t.high)} => {type_to_text(t.low)}] {self._prefix(t.body)}"
+        if cls is Proj:
+            if t.index == 1:
+                return f"fst {self._prefix(t.tup)}"
+            if t.index == 2:
+                return f"snd {self._prefix(t.tup)}"
+            raise ValueError(f"projection index must be 1 or 2, not {t.index!r}")
+        return self._atom(t)
 
     def _atom(self, t: Term) -> str:
-        match t:
-            case Var() | Bound():
-                return self._name(t)
-            case FnApp(f, args):
-                if not args and f.isdigit():
-                    return f
-                return f + "(" + ", ".join(self.term(a) for a in args) + ")"
-            case UnitVal():
-                return "()"
-            case Pair(a, b):
-                return f"({self.term(a)}, {self.term(b)})"
-            case Err(ty):
-                return f"err[{type_to_text(ty)}]"
-            case App() | Lam():
-                return f"({self.term(t)})"
+        cls = type(t)
+        if cls is Var or cls is Bound:
+            return self._name(t)
+        if cls is FnApp:
+            if not t.args and t.sym.isdigit():
+                return t.sym
+            return t.sym + "(" + ", ".join(self.term(a) for a in t.args) + ")"
+        if cls is UnitVal:
+            return "()"
+        if cls is Pair:
+            return f"({self.term(t.fst)}, {self.term(t.snd)})"
+        if cls is Err:
+            return f"err[{type_to_text(t.at)}]"
+        if cls is App or cls is Lam:
+            return f"({self.term(t)})"
         raise TypeError(f"not a term: {t!r}")
 
 
