@@ -19,16 +19,12 @@ parenthesized argument depends on the signature, so the term parser takes
 the ambient signature (defaulting to the built-in one with only ``Nat``
 and its numerals).
 
-One lexer serves types, terms, term files and signature lines: a single
-``re.findall`` cuts the text into token texts, dropping the whitespace and
-comments between them, and the parsers walk that list by index, comparing
-texts inline.  Identifiers are ASCII; numerals (``\\d``) and whitespace
-(``\\s``) are Unicode classes.  A bound variable is found in O(1), in a dict
-of the enclosing binders' names.  Offsets are counted only when a parse
-fails, by one more scan of the text, and that scan first raises any
-character that starts no token: such a character, wherever it is, wins over
-every other parse error.  A type's text is made once and kept on the
-(hash-consed) type.
+One ``re.findall`` cuts a type, term, term file or signature line into
+token texts, and the parser walks that list by index.  Identifiers are
+ASCII; numerals (``\\d``) and whitespace (``\\s``) are Unicode.  Only a
+failed parse scans the text again, to count offsets, and a character that
+starts no token, wherever it is, wins over every other error.  A type's
+text is made once and kept on the (hash-consed) type.
 """
 
 from __future__ import annotations
@@ -50,44 +46,42 @@ class ParseError(GttError):
         self.pos = pos
 
 
-# the whitespace and comments before a token, then the token.  A character
-# that starts no token of the grammar is a token of its own, which no parse
-# accepts; the token is optional, so every match starts where the one before
-# it ended, and an empty token appears only at the end of the text.
+# the whitespace and comments before a token, then the token: a character
+# that starts no token is a token no parse accepts.  The token is optional, so
+# no text is skipped, and an empty token appears only at the end of the text.
 _WORDS = r"[A-Za-z_][A-Za-z0-9_']*|[()\[\],:.\\*?|{}]|=>?|->|<=|\d+"
 _SKIP = r"(?:\s+|\#[^\n]*)*"
 _TOKEN = re.compile(rf"{_SKIP}({_WORDS}|[\s\S])?")
 _SCAN = re.compile(rf"{_SKIP}(?:({_WORDS})|([\s\S]))?")  # the same, faults apart
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-# the tokens after which an application spine ends: all but identifiers,
-# numerals and "(", and any character that starts no token, which
-# ``_prefix`` then raises on (and the scan for it wins)
+# the tokens that end an application spine: all but identifiers, numerals,
+# "(" and a character that starts no token (which ``_prefix`` then raises on)
 _SPINE_ENDS = frozenset(["", "=>", "->", "<=", *")[],:.\\*?=|{}"])
 
 
 class _Fault(Exception):
-    """A parse error at the token ``toks[at]``; ``_read`` gives its offset."""
-
-    def __init__(self, msg: str, at: int):
-        super().__init__(msg)
-        self.msg, self.at = msg, at
+    """``(message, at)``: a parse error at the token ``toks[at]``."""
 
 
 def _expected(value: str, toks: list[str], at: int) -> _Fault:
     return _Fault(f"expected {value!r}, found {toks[at] or 'end of input'!r}", at)
 
 
-def _read(text: str, walk, *args, what: str = ""):
-    """``walk(toks, *args)`` over the token texts of ``text``.  Only when it
-    fails does one scan of ``text`` count offsets: an unexpected character
-    anywhere wins, else the fault's token names its offset.  ``what``
-    prefixes every message."""
+def _read(text: str, trailing: str, walk, *args, what: str = ""):
+    """What ``walk(toks, 0, *args)`` reads from the token texts of ``text``, to
+    their end (else ``trailing`` input is raised).  Only a failure scans
+    ``text`` again, to count offsets: a character that starts no token wins,
+    else the fault's token names its offset.  ``what`` prefixes messages."""
     toks = _TOKEN.findall(text)
     try:
-        return walk(toks, *args)
+        value, i = walk(toks, 0, *args)
+        if toks[i]:
+            raise _Fault(f"{trailing}: {toks[i]!r}", i)
+        return value
     except _Fault as fault:
-        raise ParseError(what + fault.msg, _offset(text, fault.at, what)) from None
+        msg, at = fault.args
+        raise ParseError(what + msg, _offset(text, at, what)) from None
     except Exception:  # nesting too deep, a duplicate context entry
         _offset(text, -1, what)
         raise
@@ -110,14 +104,7 @@ def _offset(text: str, at: int, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 def parse_type(text: str) -> Type:
-    return _read(text, _whole_type)
-
-
-def _whole_type(toks: list[str]) -> Type:
-    ty, i = _type(toks, 0)
-    if toks[i]:
-        raise _Fault(f"trailing input after type: {toks[i]!r}", i)
-    return ty
+    return _read(text, "trailing input after type", _type)
 
 
 def _type(toks: list[str], i: int) -> tuple[Type, int]:
@@ -154,24 +141,22 @@ def _type(toks: list[str], i: int) -> tuple[Type, int]:
 
 def type_to_text(ty: Type) -> str:
     """The text of ``ty``, made once: it stays on the type while the type lives."""
-    try:
-        return ty._text
-    except AttributeError:
-        pass
-    match ty:
-        case Base(n):
-            text = n
-        case Fn(a, b):
-            text = f"{_operand(a, Fn)} -> {type_to_text(b)}"
-        case Prod(a, b):
-            text = f"{_operand(a, (Fn, Prod))} * {_operand(b, (Fn, Prod))}"
-        case Unit():
-            text = "1"
-        case Dyn():
-            text = "?"
-        case _:
-            raise TypeError(f"not a type: {ty!r}")
-    object.__setattr__(ty, "_text", text)
+    text = getattr(ty, "_text", None)
+    if text is None:
+        match ty:
+            case Base(n):
+                text = n
+            case Fn(a, b):
+                text = f"{_operand(a, Fn)} -> {type_to_text(b)}"
+            case Prod(a, b):
+                text = f"{_operand(a, (Fn, Prod))} * {_operand(b, (Fn, Prod))}"
+            case Unit():
+                text = "1"
+            case Dyn():
+                text = "?"
+            case _:
+                raise TypeError(f"not a type: {ty!r}")
+        object.__setattr__(ty, "_text", text)
     return text
 
 
@@ -185,18 +170,11 @@ def _operand(ty: Type, looser) -> str:
 # ---------------------------------------------------------------------------
 #
 # The walk passes ``bound``, each enclosing binder's name -> its level (the
-# innermost binder of a name wins), and ``depth``, the number of enclosing
-# binders; the name at level ``l`` is ``Bound(depth - 1 - l)``.
+# innermost binder of a name wins; None once it is closed), and ``depth``,
+# the number of binders: the name at level ``l`` is ``Bound(depth - 1 - l)``.
 
 def parse_term(text: str, sig=None) -> Term:
-    return _read(text, _whole_term, _default_sig(sig))
-
-
-def _whole_term(toks: list[str], sig) -> Term:
-    t, i = _term(toks, 0, sig, {}, 0)
-    if toks[i]:
-        raise _Fault(f"trailing input after term: {toks[i]!r}", i)
-    return t
+    return _read(text, "trailing input after term", _term, _default_sig(sig), {}, 0)
 
 
 def _default_sig(sig):
@@ -209,21 +187,12 @@ def _default_sig(sig):
 def _term(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term, int]:
     """The term at ``toks[i]`` and the index after it."""
     if toks[i] == "\\":
-        name = toks[i + 1]
-        if name[:1] not in _IDENT_START or name in RESERVED:
-            raise _Fault(f"expected a variable after lambda, found {name!r}", i + 1)
-        if toks[i + 2] != ":":
-            raise _expected(":", toks, i + 2)
-        ty, i = _type(toks, i + 3)
+        (name, ty), i = _entry(toks, i + 1, "a variable after lambda")
         if toks[i] != ".":
             raise _expected(".", toks, i)
-        outer = bound.get(name)
-        bound[name] = depth
+        outer, bound[name] = bound.get(name), depth
         body, i = _term(toks, i + 1, sig, bound, depth + 1)
-        if outer is None:
-            del bound[name]
-        else:
-            bound[name] = outer
+        bound[name] = outer
         return Lam.nameless(name, ty, body), i
     t, i = _prefix(toks, i, sig, bound, depth)
     while toks[i] not in _SPINE_ENDS:
@@ -238,7 +207,7 @@ def _prefix(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term
     if tok[:1] in _IDENT_START:
         if tok not in RESERVED:
             if toks[i + 1] == "(" and sig.has_fn_symbol(tok):
-                args, i = _items(toks, i + 2, _term, sig, bound, depth)
+                args, i = _items(toks, i + 2, ")", _term, sig, bound, depth)
                 return FnApp(tok, args), i
             level = bound.get(tok)
             return (Var(tok) if level is None else Bound(depth - 1 - level)), i + 1
@@ -258,9 +227,7 @@ def _prefix(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term
         if tok == "err":
             return Err(ty), i + 1
         body, i = _prefix(toks, i + 1, sig, bound, depth)
-        if tok == "up":
-            return Upcast(ty, target, body), i
-        return Downcast(target, ty, body), i
+        return (Upcast(ty, target, body) if tok == "up" else Downcast(target, ty, body)), i
     if tok == "(":
         if toks[i + 1] == ")":
             return UNITVAL, i + 2
@@ -276,18 +243,18 @@ def _prefix(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term
     raise _Fault(f"expected a term, found {tok or 'end of input'!r}", i)
 
 
-def _items(toks: list[str], i: int, item, *args) -> tuple[tuple, int]:
-    """``item`` walks separated by commas from ``toks[i]`` to a ``)``, and
+def _items(toks: list[str], i: int, close: str, item, *args) -> tuple[tuple, int]:
+    """``item`` walks separated by commas from ``toks[i]`` to ``close``, and
     the index after it."""
     out = []
-    if toks[i] != ")":
+    if toks[i] != close:
         x, i = item(toks, i, *args)
         out.append(x)
         while toks[i] == ",":
             x, i = item(toks, i + 1, *args)
             out.append(x)
-    if toks[i] != ")":
-        raise _expected(")", toks, i)
+    if toks[i] != close:
+        raise _expected(close, toks, i)
     return tuple(out), i + 1
 
 
@@ -307,11 +274,8 @@ class _Printer:
         self.captor = float("inf")  # the level of the outermost binder that captured
 
     def term(self, t: Term) -> str:
-        cls = type(t)
-        if cls is App:
-            return f"{self._app(t.fn)} {self._prefix(t.arg)}"
-        if cls is not Lam:
-            return self._prefix(t)
+        if type(t) is not Lam:
+            return self._app(t)
         level, name = len(self.names), t.var
         while True:
             self.names.append(name)
@@ -348,15 +312,9 @@ class _Printer:
         if cls is Downcast:
             return f"dn[{type_to_text(t.high)} => {type_to_text(t.low)}] {self._prefix(t.body)}"
         if cls is Proj:
-            if t.index == 1:
-                return f"fst {self._prefix(t.tup)}"
-            if t.index == 2:
-                return f"snd {self._prefix(t.tup)}"
+            if t.index in (1, 2):
+                return f"{'fst' if t.index == 1 else 'snd'} {self._prefix(t.tup)}"
             raise ValueError(f"projection index must be 1 or 2, not {t.index!r}")
-        return self._atom(t)
-
-    def _atom(self, t: Term) -> str:
-        cls = type(t)
         if cls is Var or cls is Bound:
             return self._name(t)
         if cls is FnApp:
@@ -380,38 +338,27 @@ class _Printer:
 
 def parse_term_file(text: str, sig=None) -> tuple[Context, Term]:
     """A term file: optional ``[x : T, ...]`` context prefix, then a term."""
-    return _read(text, _whole_file, _default_sig(sig))
+    return _read(text, "trailing input", _file, _default_sig(sig))
 
 
-def _whole_file(toks: list[str], sig) -> tuple[Context, Term]:
-    ctx, t, i = _file(toks, 0, sig)
-    if toks[i]:
-        raise _Fault(f"trailing input: {toks[i]!r}", i)
-    return ctx, t
-
-
-def _file(toks: list[str], i: int, sig) -> tuple[Context, Term, int]:
-    entries = []
+def _file(toks: list[str], i: int, sig) -> tuple[tuple[Context, Term], int]:
+    entries = ()
     if toks[i] == "[":
-        i += 1
-        if toks[i] != "]":
-            while True:
-                name = toks[i]
-                if name[:1] not in _IDENT_START or name in RESERVED:
-                    raise _Fault(f"expected a variable, found {name!r}", i)
-                if toks[i + 1] != ":":
-                    raise _expected(":", toks, i + 1)
-                ty, i = _type(toks, i + 2)
-                entries.append((name, ty))
-                if toks[i] != ",":
-                    break
-                i += 1
-        if toks[i] != "]":
-            raise _expected("]", toks, i)
-        i += 1
-    ctx = Context(tuple(entries))  # a repeated name is raised before the term
+        entries, i = _items(toks, i + 1, "]", _entry)
+    ctx = Context(entries)  # a repeated name is raised before the term
     t, i = _term(toks, i, sig, {}, 0)
-    return ctx, t, i
+    return (ctx, t), i
+
+
+def _entry(toks: list[str], i: int, what="a variable") -> tuple[tuple[str, Type], int]:
+    """``x : T`` from ``toks[i]``, and the index after it."""
+    name = toks[i]
+    if name[:1] not in _IDENT_START or name in RESERVED:
+        raise _Fault(f"expected {what}, found {name!r}", i)
+    if toks[i + 1] != ":":
+        raise _expected(":", toks, i + 1)
+    ty, i = _type(toks, i + 2)
+    return (name, ty), i
 
 
 def context_to_text(ctx: Context) -> str:
@@ -464,7 +411,7 @@ def parse_signature(text: str):
     flags = _once(found["flags"], "flag")
     sig = Signature(
         base_types=frozenset(found["basetypes"]),
-        tydyn_axioms=tuple(_parse_tydyn(line) for line in found["tydyn"]),
+        tydyn_axioms=tuple(read_type_pair(line, "tydyn") for line in found["tydyn"]),
         fn_symbols=_once(map(_parse_fnsym, found["fnsyms"]), "function symbol"),
         tmdyn_axioms=(),
         retract=flags.get("retract", True),
@@ -520,26 +467,20 @@ def _sig_line(section: str, line: str, found: dict):
         found[section].append(line)
 
 
-def _parse_tydyn(line: str) -> tuple[Type, Type]:
-    if "<=" not in line:
-        raise ParseError(f"expected 'A <= B': {line!r}")
-    return read_type_pair(line, "tydyn")
-
-
 def read_type_pair(line: str, section: str) -> tuple[Type, Type]:
     """The types of the ``A <= B`` line ``line`` in one walk; an error names
     the line and ``section``, and its offset counts from the line's start."""
-    return _read(line, _type_pair, what=f"{section} line {line!r}: ")
+    return _read(line, "trailing input after type", _pair, _type,
+                 what=f"{section} line {line!r}: ")
 
 
-def _type_pair(toks: list[str]) -> tuple[Type, Type]:
-    a, i = _type(toks, 0)
+def _pair(toks: list[str], i: int, side, *args) -> tuple[tuple, int]:
+    """``side <= side`` from ``toks[i]``, and the index after it."""
+    left, i = side(toks, i, *args)
     if toks[i] != "<=":
         raise _expected("<=", toks, i)
-    b, i = _type(toks, i + 1)
-    if toks[i]:
-        raise _Fault(f"trailing input after type: {toks[i]!r}", i)
-    return a, b
+    right, i = side(toks, i + 1, *args)
+    return (left, right), i
 
 
 def _parse_fnsym(line: str):
@@ -551,33 +492,22 @@ def _parse_fnsym(line: str):
         raise ParseError(f"function symbol name {name!r} is a reserved word")
     if not _is_identifier(name):
         raise ParseError(f"function symbol name {name!r} is not an identifier")
-    return name, _read(line, _fn_type, what=f"fnsyms line {line!r}: ")
+    return name, _read(line, "trailing input after type", _fn_type,
+                       what=f"fnsyms line {line!r}: ")
 
 
-def _fn_type(toks: list[str]) -> tuple[tuple[Type, ...], Type]:
-    """``(A, ...) -> B`` after the ``f :`` that ``toks`` opens with."""
-    if toks[2] != "(":
-        raise _expected("(", toks, 2)
-    ins, i = _items(toks, 3, _type)
+def _fn_type(toks: list[str], i: int) -> tuple[tuple, int]:
+    """``(A, ...) -> B`` after the ``f :`` at ``toks[i]``."""
+    if toks[i + 2] != "(":
+        raise _expected("(", toks, i + 2)
+    ins, i = _items(toks, i + 3, ")", _type)
     if toks[i] != "->":
         raise _expected("->", toks, i)
     out, i = _type(toks, i + 1)
-    if toks[i]:
-        raise _Fault(f"trailing input after type: {toks[i]!r}", i)
-    return ins, out
+    return (ins, out), i
 
 
 def _parse_tmdyn(line: str, sig):
-    if "<=" not in line:
-        raise ParseError(f"expected 'ctx t <= ctx t'': {line!r}")
-    return _read(line, _term_pair, sig, what=f"tmdyn line {line!r}: ")
-
-
-def _term_pair(toks: list[str], sig):
-    lctx, lterm, i = _file(toks, 0, sig)
-    if toks[i] != "<=":
-        raise _expected("<=", toks, i)
-    rctx, rterm, i = _file(toks, i + 1, sig)
-    if toks[i]:
-        raise _Fault(f"trailing input: {toks[i]!r}", i)
+    (lctx, lterm), (rctx, rterm) = _read(line, "trailing input", _pair, _file, sig,
+                                         what=f"tmdyn line {line!r}: ")
     return lctx, lterm, rctx, rterm

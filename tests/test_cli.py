@@ -381,6 +381,8 @@ def test_crlf_signature_and_pair_files_read_like_lf_ones(tmp_path, capsys):
     # start of the line, and the message names it
     ("basetypes: Nat\n", "Nat <= ?\n  ? <= Nat ->  # cut short\n",
      "error: dyncheck line '? <= Nat ->': expected a type, found '' (at offset 11)\n"),
+    ("basetypes: Nat\n", "Nat <= ?\nNat ?\n",
+     "error: dyncheck line 'Nat ?': expected '<=', found '?' (at offset 4)\n"),
     ("basetypes: Nat\ntydyn:\n  Nat <= Nat ->\n", "Nat <= ?\n",
      "error: tydyn line 'Nat <= Nat ->': expected a type, found '' (at offset 13)\n"),
     ("basetypes: Nat\nfnsyms: g : Nat\n", "Nat <= ?\n",
@@ -391,7 +393,7 @@ def test_crlf_signature_and_pair_files_read_like_lf_ones(tmp_path, capsys):
     ("basetypes: Nat\ntydyn:\n  Nat <= \u00e9 ->\n", "Nat <= ?\n",
      "error: tydyn line 'Nat <= \u00e9 ->': unexpected character '\u00e9' "
      "(at offset 7)\n"),
-], ids=["dyncheck", "tydyn", "fnsyms", "tmdyn", "character"])
+], ids=["dyncheck", "no-leq", "tydyn", "fnsyms", "tmdyn", "character"])
 def test_a_pair_or_signature_line_error_names_its_line(tmp_path, capsys, sig_text,
                                                        pairs, err):
     sig, path = tmp_path / "s.gttsig", tmp_path / "pairs.txt"

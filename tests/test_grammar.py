@@ -179,7 +179,7 @@ GRAMMAR_ERRORS = [
     ("sig", "flags:\n  retract = on\n  retract = off", "repeated flag 'retract'"),
     ("sig", "basecodes:\n  Nat 1", "bad basecodes line: 'Nat 1'"),
     ("sig", "basecodes:\n  Nat 1 2\n  Nat 3 4", "repeated basecodes line for 'Nat'"),
-    ("sig", "tydyn:\n  Nat ?", "expected 'A <= B': 'Nat ?'"),
+    ("sig", "tydyn:\n  Nat ?", "tydyn line 'Nat ?': expected '<=', found '?' (at offset 4)"),
     ("sig", "tydyn:\n  Nat <= Nat ->",
      "tydyn line 'Nat <= Nat ->': expected a type, found '' (at offset 13)"),
     ("sig", "tydyn:\n  Nat -> <= Nat",
@@ -207,7 +207,8 @@ GRAMMAR_ERRORS = [
      "fnsyms line 'g : (Nat) -> é': unexpected character 'é' (at offset 13)"),
     ("sig", "fnsyms:\n  g : () -> Nat Nat",
      "fnsyms line 'g : () -> Nat Nat': trailing input after type: 'Nat' (at offset 14)"),
-    ("sig", "tmdyn:\n  [x : Nat] x", "expected 'ctx t <= ctx t'': '[x : Nat] x'"),
+    ("sig", "tmdyn:\n  [x : Nat] x",
+     "tmdyn line '[x : Nat] x': expected '<=', found 'end of input' (at offset 11)"),
     ("sig", "tmdyn:\n  [x Nat] x <= y",
      "tmdyn line '[x Nat] x <= y': expected ':', found 'Nat' (at offset 3)"),
     ("sig", "tmdyn:\n  [x : Nat] x ) <= [y : ?] y",
