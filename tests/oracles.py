@@ -5,8 +5,9 @@ check: type dynamism by a bounded search for derivations that may use
 transitivity, alpha equivalence by brute-force canonical renaming,
 substitution through a nameless (de Bruijn) representation, the order
 at ``?`` by enumerating every subtree replacement and its values by
-rounds deduplicated through list membership, tokens by matching at
-each position, derivation files read by the reference reader (a scan of
+rounds deduplicated through list membership, terms and types by a
+parser over token tuples that are matched at each position, derivation
+files read by the reference reader (a scan of
 the whole text into an s-expression tree, then a walk of that tree that
 checks each list's shape before its items) and written through an
 s-expression tree that renders every type and term at each occurrence,
@@ -433,9 +434,9 @@ def parse_derivations_reference(text: str, sig: Signature) -> list[Derivation]:
 
 # -- tokens by matching at each position --------------------------------------
 #
-# ``gtt.grammar.tokenize`` as it was before it became one ``finditer`` scan:
-# the token pattern without its catch-all group, matched at each position in
-# a loop that stops at the first character no token starts with.
+# The lexer of the reference parser below: the grammar's token pattern
+# without its catch-all group, matched at each position in a loop that stops
+# at the first character no token starts with.
 
 _TOKEN_REFERENCE = re.compile(r"""
     (?P<ws>\s+|\#[^\n]*)

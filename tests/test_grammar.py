@@ -6,7 +6,6 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import gtt.grammar
 from gtt.grammar import (
     ParseError, context_to_text, parse_signature, parse_term, parse_term_file,
     parse_type, term_to_text, type_to_text,
@@ -455,6 +454,7 @@ _GRAMMAR_PIECES = [
     " ", "\n", "\r\n", "# c\n", "#", "\u00e9", "\u2003", "{", "-", "[x : Nat]",
     ", a : 1",
 ]
+_WORD = re.compile(r"[A-Za-z0-9_']+|[=-]>|<=|\S")  # roughly a token
 
 
 def _mutate_text(text, rng):
@@ -462,7 +462,7 @@ def _mutate_text(text, rng):
     one piece inserted, or one whole token deleted or repeated."""
     op = rng.randrange(5)
     if op >= 3:
-        spans = [m.span(1) for m in gtt.grammar._TOKEN.finditer(text) if m[1]]
+        spans = [m.span() for m in _WORD.finditer(text)]
         if spans:
             start, end = rng.choice(spans)
             return text[:start] + text[start:end] * (op - 3) + text[end:]
