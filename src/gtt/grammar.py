@@ -484,7 +484,7 @@ def _pair(toks: list[str], i: int, side, *args) -> tuple[tuple, int]:
 
 
 def _parse_fnsym(line: str):
-    name, sep, rest = line.partition(":")
+    name, sep, _ = line.partition(":")
     if not sep:
         raise ParseError(f"expected 'f : (A, ...) -> B': {line!r}")
     name = name.strip()
