@@ -39,20 +39,18 @@ call in ``syntax`` and ``typecheck``.  Nothing here builds a derivation;
 the node builders, the derived sequent rules and the cast theorems live
 in ``theorems``, and everything they build is checked here.
 
-The catalog repeats nodes heavily, so each node's verdict is memoized on
-the ``Signature``.  A verdict is the node's error lines relative to the
-node (``: trans: ...`` for its own, ``.0.1: var: ...`` for a premise's),
-and ``derivation_errors`` prefixes ``root``, so the lines and their order
-are the plain recursive check's.  The key is exact: the rule, the
-conclusion, the premises' verdicts by identity, and the aux's type and
-value (``1``, ``True`` and ``1.0`` are equal but checked apart).  A node
-whose key cannot be hashed is checked without the memo, and a verdict
-with errors is reused only for the conclusion object it was computed for,
-because a typing error prints a lambda's hint, which ``==`` ignores.  The
-memo is bounded: two generations of at most ``_GENERATION`` entries; a
-hit in the old one is copied to the new one, and when the new one fills
-up the old one is dropped.  The memo only skips repeated work: what is
-trusted is still ``_SCHEMA`` and the presupposition check.
+The check walks the tree once, premises first, and writes each error
+line with its full path (``root.0.1: var: ...``) as it finds it.  The
+catalog repeats nodes heavily, so each passing node is memoized on the
+``Signature`` as an opaque token, keyed exactly: the rule, the
+conclusion, the premises' tokens by identity, and the aux's type and
+value (``1``, ``True`` and ``1.0`` are equal but checked apart).  A
+failing node is checked wherever it occurs, so its lines print its own
+lambda hints, which ``==`` ignores; so is a node whose key cannot be
+hashed.  The memo is bounded: two generations of at most ``_GENERATION``
+entries; a hit in the old one is copied to the new one, and when the new
+one fills up the old one is dropped.  The memo only skips repeated work:
+what is trusted is still ``_SCHEMA`` and the presupposition check.
 """
 
 from __future__ import annotations
@@ -108,61 +106,55 @@ def check_derivation(sig: Signature, d: Derivation) -> bool:
 def derivation_errors(sig: Signature, d: Derivation) -> list[str]:
     """Every schema or presupposition violation, one line per failure,
     each prefixed with the path of premise indices from the root."""
-    return ["root" + e for e in _verdict(sig, d).errors]
+    out: list[str] = []
+    _verdict(sig, d, "root", out)
+    return out
 
 
 # entries per generation of the verdict memo; it holds fewer than twice this
 _GENERATION = 2048
 
 
-class _Verdict:
-    """A node's error lines, each relative to the node (``: rule: msg`` or
-    ``.0.1: rule: msg``), and the conclusion they were computed for."""
-    __slots__ = ("errors", "conclusion")
-
-    def __init__(self, errors: tuple[str, ...], conclusion: DynJudgment):
-        self.errors, self.conclusion = errors, conclusion
-
-    def fits(self, conclusion: DynJudgment) -> bool:
-        """Whether these are ``conclusion``'s lines.  Lines with errors fit
-        only their own conclusion: ``==`` ignores a lambda's hint, which a
-        typing error may print."""
-        return not self.errors or self.conclusion is conclusion
-
-
-def _verdict(sig: Signature, d: Derivation) -> _Verdict:
-    """The node's verdict from the memo, else checked from its premises'."""
-    premises = tuple(_verdict(sig, p) for p in d.premises)
-    key = (d.rule, d.conclusion, premises, type(d.aux), d.aux)
+def _verdict(sig: Signature, d: Derivation, path: str,
+             out: list[str]) -> object | None:
+    """Append the error lines of ``d`` at ``path`` to ``out``, its premises'
+    first; return the node's memo token if it passes, else ``None``."""
+    tokens = []
+    for i, p in enumerate(d.premises):
+        tokens.append(_verdict(sig, p, f"{path}.{i}", out))
+    if None in tokens:  # only passing nodes are memoized
+        _check_node(sig, d, path, out)
+        return None
+    key = (d.rule, d.conclusion, tuple(tokens), type(d.aux), d.aux)
     new, old = sig._verdicts
     try:
-        v = new.get(key)
+        token = new.get(key)
     except TypeError:  # an unhashable conclusion or aux: no memo
-        return _check_node(sig, d, premises)
-    if v is not None and v.fits(d.conclusion):
-        return v
-    if v is None:
-        v = old.get(key)  # a hit in the old generation moves to the new one
-    if v is None or not v.fits(d.conclusion):
-        v = _check_node(sig, d, premises)
-    new[key] = v
+        return object() if _check_node(sig, d, path, out) else None
+    if token is not None:
+        return token
+    token = old.get(key)  # a hit in the old generation moves to the new one
+    if token is None:
+        if not _check_node(sig, d, path, out):
+            return None
+        token = object()
+    new[key] = token
     if len(new) >= _GENERATION:
         sig._verdicts = ({}, new)
-    return v
+    return token
 
 
-def _check_node(sig: Signature, d: Derivation,
-                premises: tuple[_Verdict, ...]) -> _Verdict:
-    errors = [f".{i}{e}" for i, p in enumerate(premises) for e in p.errors]
-    pres = _presupposition_errors(sig, d.conclusion)
-    if pres:
-        errors.extend(f": {d.rule}: {msg}" for msg in pres)
-    elif d.rule not in _SCHEMA:
-        errors.append(f": unknown rule {d.rule!r}")
-    else:
-        errors.extend(f": {d.rule}: {msg}"
-                      for msg in _rule_errors(sig, d, _SCHEMA[d.rule]))
-    return _Verdict(tuple(errors), d.conclusion)
+def _check_node(sig: Signature, d: Derivation, path: str,
+                out: list[str]) -> bool:
+    """Append the node's own error lines to ``out``; whether it has none."""
+    errors = _presupposition_errors(sig, d.conclusion)
+    if not errors:
+        if d.rule not in _SCHEMA:
+            out.append(f"{path}: unknown rule {d.rule!r}")
+            return False
+        errors = _rule_errors(sig, d, _SCHEMA[d.rule])
+    out.extend(f"{path}: {d.rule}: {msg}" for msg in errors)
+    return not errors
 
 
 def _presupposition_errors(sig: Signature, j: DynJudgment) -> list[str]:

@@ -617,16 +617,15 @@ def check_equipment(sig: Signature, a: Type, b: Type, bound: int = 2) -> Report:
                 return Report(subject, bound, False,
                               f"{name} not monotone at {value_to_text(enum.values[i])} "
                               f"<= {value_to_text(enum.values[k])}", checks)
-    msig = model_signature(sig)
-    if tydyn_holds(msig, a, DYN) and tydyn_holds(msig, b, DYN):
-        into_dyn_a = denote_coreflection(sig, a, DYN)
-        into_dyn_b = denote_coreflection(sig, b, DYN)
-        for v, up_v in zip(values_a, ups):
-            checks += 1
-            if into_dyn_a.up(v) != into_dyn_b.up(up_v):
-                return Report(subject, bound, False,
-                              f"embedding into ? does not factor at "
-                              f"{value_to_text(v)}", checks)
+    # both types are function-free, so both sit below ``?`` in the model
+    into_dyn_a = denote_coreflection(sig, a, DYN)
+    into_dyn_b = denote_coreflection(sig, b, DYN)
+    for v, up_v in zip(values_a, ups):
+        checks += 1
+        if into_dyn_a.up(v) != into_dyn_b.up(up_v):
+            return Report(subject, bound, False,
+                          f"embedding into ? does not factor at "
+                          f"{value_to_text(v)}", checks)
     return Report(subject, bound, True, None, checks)
 
 

@@ -330,6 +330,18 @@ def test_a_deep_derivation_chain_is_exit_2(tmp_path, capsys):
     assert (code, err) == (2, "error: input nested too deeply\n")
 
 
+def test_a_valid_800_deep_derivation_chain_proves(tmp_path, capsys):
+    # the checker takes one frame per level, as the reader does, so a
+    # chain of 800 levels is well within the interpreter's stack
+    judgment = "(concl (ctx) {0} {0} {Nat} {Nat})"
+    path = tmp_path / "deep.gttd"
+    path.write_text(f"(trans {judgment} (refl {judgment}) " * 800
+                    + f"(refl {judgment})" + ")" * 800)
+    code, out = run_cli("prove", path, capsys=capsys)
+    assert (code, out) == (
+        0, "RESULT PASS derivation 0 (trans): 0 <= 0 : Nat <= Nat\n")
+
+
 @pytest.mark.parametrize("text, err", [
     ("(r (concl (ctx (x y {Nat})) {0} {0} {Nat} {Nat}))",
      "error: context entry must be (x x' {A} {A'})\n"),

@@ -507,6 +507,31 @@ def test_a_rejected_verdict_is_not_shared_across_lambda_hints():
     assert "ill-formed annotation on y" in want[1][0]
 
 
+def test_the_memo_holds_passing_nodes_only():
+    sig = default_signature()
+    d, = parse_derivations(
+        (FIXTURES / "galois_unit_var_err.gttd").read_text(), sig)
+    lines = derivation_errors(sig, d)
+    new, old = sig._verdicts
+    assert len(new) + len(old) == 5  # the fixture's passing nodes
+    assert len(lines) == 3 and derivation_errors(sig, d) == lines
+
+
+def test_paths_at_depth_and_on_a_shared_failing_node():
+    # a failing bottom under 300 levels of passing ``trans`` nodes, and one
+    # failing object reached as both premises of a node
+    zero = refl_node(Context(), num(0), NAT)
+    bad = Derivation("refl", DynJudgment(DynCtx(), num(0), num(1), NAT, NAT))
+    deep = bad
+    for _ in range(300):
+        deep = trans_node(zero, deep)
+    shared = trans_node(bad, bad)
+    want = _check_twice_shuffled(default_signature(), [deep, shared], 4)
+    assert want[0] == ["root" + ".1" * 300 + ": refl: sides are not alpha-equal"]
+    assert want[1][:2] == ["root.0: refl: sides are not alpha-equal",
+                           "root.1: refl: sides are not alpha-equal"]
+
+
 def test_the_memo_tells_auxes_of_equal_value_and_other_types_apart():
     # 1, True and 1.0 are equal and hash alike; the checker tells them apart
     axiom = (Context.of(("x", NAT)), Var("x"), Context.of(("y", DYN)), Var("y"))
