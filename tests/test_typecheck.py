@@ -88,6 +88,69 @@ def test_shadowing_binder_is_alpha_renamed():
     assert infer_type(SIG, ctx, t) == Fn(NAT, NAT)
 
 
+ADD = Signature(fn_symbols={"add": ((NAT, NAT), NAT)})
+ERR_CTX = Context.of(("x", NAT), ("f", Fn(NAT, NAT)), ("p", Prod(NAT, UNIT)))
+ODD = Base("Odd")
+_add = lambda *args: FnApp("add", args)
+
+# every error ``infer_type`` raises, under ``ADD`` and ``ERR_CTX`` unless a
+# row gives its own context: the term, the exact message and the subterm the
+# error names; where two errors are present, the row pins which one wins
+TYPE_ERRORS = [
+    (None, Var("y"), "unbound variable y", Var("y")),
+    (Context.of(("y", EVEN)), Var("nope"), "ill-formed context entry y : Even", None),
+    # a loose index, at the root and under a binder
+    (None, Bound(0), "unrecognized term Bound(index=0)", Bound(0)),
+    (None, Lam.nameless("z", NAT, Bound(1)), "unrecognized term Bound(index=1)", Bound(1)),
+    (None, FnApp("g"), "unknown function symbol: g", None),
+    (None, _add(num(1)), "symbol add expects 2 arguments, got 1", _add(num(1))),
+    # the arity before the arguments, and the arguments left to right
+    (None, _add(Var("y")), "symbol add expects 2 arguments, got 1", _add(Var("y"))),
+    (None, _add(num(1), UNITVAL), "argument 1 of add has type 1, expected Nat", UNITVAL),
+    (None, _add(UNITVAL, Var("y")), "argument 0 of add has type 1, expected Nat", UNITVAL),
+    # the annotation before the body
+    (None, Lam("z", EVEN, Var("y")), "ill-formed annotation on z", Lam("z", EVEN, Var("y"))),
+    (None, Lam("z", NAT, App(Var("z"), Var("x"))),
+     "applying a non-function of type Nat", Bound(0)),
+    # the function before the argument
+    (None, App(UNITVAL, Var("y")), "applying a non-function of type 1", UNITVAL),
+    (None, App(Var("f"), UNITVAL), "argument type 1 does not match domain Nat", UNITVAL),
+    (None, Pair(Var("y"), Var("w")), "unbound variable y", Var("y")),
+    # the index before the tuple
+    (None, Proj(3, Var("p")), "projection index must be 1 or 2", Proj(3, Var("p"))),
+    (None, Proj(3, Var("y")), "projection index must be 1 or 2", Proj(3, Var("y"))),
+    (None, Proj(0, UNITVAL), "projection index must be 1 or 2", Proj(0, UNITVAL)),
+    (None, Proj(2, UNITVAL), "projecting from a non-product of type 1", UNITVAL),
+    # an ill-formed endpoint before the relation and the body, the low one first
+    (None, Upcast(EVEN, DYN, UNITVAL), "ill-formed cast endpoint Even",
+     Upcast(EVEN, DYN, UNITVAL)),
+    (None, Upcast(NAT, EVEN, UNITVAL), "ill-formed cast endpoint Even",
+     Upcast(NAT, EVEN, UNITVAL)),
+    (None, Downcast(ODD, EVEN, Var("y")), "ill-formed cast endpoint Odd",
+     Downcast(ODD, EVEN, Var("y"))),
+    # the relation before the body
+    (None, Upcast(DYN, NAT, Var("y")),
+     "cast endpoints not in the dynamism relation: ? <= Nat fails",
+     Upcast(DYN, NAT, Var("y"))),
+    (None, Downcast(DYN, NAT, Var("y")),
+     "cast endpoints not in the dynamism relation: ? <= Nat fails",
+     Downcast(DYN, NAT, Var("y"))),
+    (None, Upcast(NAT, DYN, UNITVAL), "cast body has type 1, expected Nat", UNITVAL),
+    (None, Downcast(NAT, DYN, UNITVAL), "cast body has type 1, expected ?", UNITVAL),
+    (None, Downcast(NAT, DYN, Var("y")), "unbound variable y", Var("y")),
+    (None, Err(EVEN), "ill-formed error annotation Even", Err(EVEN)),
+    (None, Upcast(NAT, DYN, Err(EVEN)), "ill-formed error annotation Even", Err(EVEN)),
+]
+
+
+@pytest.mark.parametrize("ctx, t, message, subterm", TYPE_ERRORS)
+def test_type_errors_are_pinned(ctx, t, message, subterm):
+    with pytest.raises(TypeCheckError) as info:
+        infer_type(ADD, ERR_CTX if ctx is None else ctx, t)
+    assert str(info.value) == message
+    assert info.value.subterm == subterm
+
+
 def test_ill_formed_context_entry_is_rejected():
     ctx = Context.of(("y", NAT), ("x", EVEN))
     with pytest.raises(TypeCheckError, match="^ill-formed context entry x : Even$"):
