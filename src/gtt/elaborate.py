@@ -18,6 +18,12 @@ compares with ``==``, equality up to renaming of bound variables; it is
 the package's decision layer for order-equalities.  It types each side
 once, with ``infer_type``'s walk, and normalizes the elaborated side at
 that type.
+
+The elaborator, the evaluator and readback run once per node, and
+dispatch on ``type(t)`` (or the value's or type's class) in an if-chain,
+frequent classes first, for the reason ``gtt.syntax`` gives: a ``match``
+class pattern costs an ``isinstance`` test and a ``__match_args__`` lookup
+per field, case after case.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .syntax import (
-    App, Base, Bound, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam,
-    Pair, Prod, Proj, Term, Type, Unit, UNITVAL, Upcast, Var, fresh_name,
+    App, Base, Bound, Context, Downcast, Dyn, DYN, Err, Fn, FnApp, GttError,
+    Lam, Pair, Prod, Proj, Term, Type, Unit, UNITVAL, Upcast, Var, fresh_name,
     shift, subterms,
 )
 from .typecheck import (
@@ -69,30 +75,34 @@ def elaborate(sig: Signature, ctx: Context, t: Term) -> Term:
 def _elab(sig: Signature, t: Term, hints: tuple[str, ...] = ()) -> tuple[Term, set]:
     """``t`` elaborated, and its free variables: by name, or by index for the
     enclosing binders, whose hints are ``hints``, innermost last."""
-    match t:
-        case Var(x) | Bound(x):
-            return t, {x}
-        case Upcast(lo, hi, b) | Downcast(lo, hi, b):
-            body, free = _elab(sig, b, hints)
-            names = {hints[-1 - v] if type(v) is int else v for v in free}
-            loose = any(type(v) is int for v in free)
-            placed = lambda d: shift(body, d) if d and loose else body
-            return _build(sig, isinstance(t, Upcast), lo, hi, placed, names, 0), free
-        case Lam(x, annot, b):
-            body, free = _elab(sig, b, (*hints, x))
-            return Lam.nameless(x, annot, body), {
-                v - 1 if type(v) is int else v for v in free if v != 0}
-        case App(f, a) | Pair(f, a):
-            (f, ff), (a, af) = _elab(sig, f, hints), _elab(sig, a, hints)
-            return type(t)(f, a), ff | af
-        case Proj(i, b):
-            body, free = _elab(sig, b, hints)
-            return Proj(i, body), free
-        case FnApp(f, args):
-            elab = [_elab(sig, a, hints) for a in args]
-            return FnApp(f, tuple(a for a, _ in elab)), set().union(*(v for _, v in elab))
-        case _:
-            return t, set()
+    k = type(t)
+    if k is Var:
+        return t, {t.name}
+    if k is Bound:
+        return t, {t.index}
+    if k is Upcast or k is Downcast:
+        body, free = _elab(sig, t.body, hints)
+        names = {hints[-1 - v] if type(v) is int else v for v in free}
+        loose = any(type(v) is int for v in free)
+        placed = lambda d: shift(body, d) if d and loose else body
+        return _build(sig, k is Upcast, t.low, t.high, placed, names, 0), free
+    if k is Pair:
+        (a, fa), (b, fb) = _elab(sig, t.fst, hints), _elab(sig, t.snd, hints)
+        return Pair(a, b), fa | fb
+    if k is App:
+        (f, ff), (a, fa) = _elab(sig, t.fn, hints), _elab(sig, t.arg, hints)
+        return App(f, a), ff | fa
+    if k is Proj:
+        body, free = _elab(sig, t.tup, hints)
+        return Proj(t.index, body), free
+    if k is Lam:
+        body, free = _elab(sig, t.body, (*hints, t.var))
+        return Lam.nameless(t.var, t.annot, body), {
+            v - 1 if type(v) is int else v for v in free if v != 0}
+    if k is FnApp:
+        elab = [_elab(sig, a, hints) for a in t.args]
+        return FnApp(t.sym, tuple(a for a, _ in elab)), set().union(*(v for _, v in elab))
+    return t, set()
 
 
 def _build(sig: Signature, up: bool, lo: Type, hi: Type,
@@ -111,24 +121,25 @@ def _build(sig: Signature, up: bool, lo: Type, hi: Type,
         if up:
             return Upcast(tag, DYN, _build(sig, up, lo, tag, body, fvs, depth))
         return _build(sig, up, lo, tag, lambda d: Downcast(tag, DYN, body(d)), fvs, depth)
-    match lo, hi:
-        case Fn(a, b), Fn(a1, b1):
-            x, arg = fresh_name("x", fvs), lambda d: Bound(d - 1 - depth)
-            inner = lambda d: App(body(d), _build(sig, not up, a, a1, arg, {x}, d))
-            return Lam.nameless(x, a1 if up else a,
-                                _build(sig, up, b, b1, inner, fvs | {x}, depth + 1))
-        case Prod(a, b), Prod(a1, b1):
-            built: dict[int, Term] = {}  # both components share the subject
-            shared = lambda d: built.get(d) or built.setdefault(d, body(d))
-            return Pair(_build(sig, up, a, a1, lambda d: Proj(1, shared(d)), fvs, depth),
-                        _build(sig, up, b, b1, lambda d: Proj(2, shared(d)), fvs, depth))
-        case Base(_), Base(_):
-            # axiom-related bases have no structural route; go through ?
-            source, target = (lo, hi) if up else (hi, lo)
-            return Downcast(target, DYN, Upcast(source, DYN, body(depth)))
-        case _:
-            cast = f"upcast {lo} => {hi}" if up else f"downcast {hi} => {lo}"
-            raise ElaborationError(f"no elaboration for {cast}")
+    k = type(lo)
+    if k is Fn and type(hi) is Fn:
+        a, b, a1, b1 = lo.dom, lo.cod, hi.dom, hi.cod
+        x, arg = fresh_name("x", fvs), lambda d: Bound(d - 1 - depth)
+        inner = lambda d: App(body(d), _build(sig, not up, a, a1, arg, {x}, d))
+        return Lam.nameless(x, a1 if up else a,
+                            _build(sig, up, b, b1, inner, fvs | {x}, depth + 1))
+    if k is Prod and type(hi) is Prod:
+        built: dict[int, Term] = {}  # both components share the subject
+        shared = lambda d: built.get(d) or built.setdefault(d, body(d))
+        return Pair(
+            _build(sig, up, lo.fst, hi.fst, lambda d: Proj(1, shared(d)), fvs, depth),
+            _build(sig, up, lo.snd, hi.snd, lambda d: Proj(2, shared(d)), fvs, depth))
+    if k is Base and type(hi) is Base:
+        # axiom-related bases have no structural route; go through ?
+        source, target = (lo, hi) if up else (hi, lo)
+        return Downcast(target, DYN, Upcast(source, DYN, body(depth)))
+    cast = f"upcast {lo} => {hi}" if up else f"downcast {hi} => {lo}"
+    raise ElaborationError(f"no elaboration for {cast}")
 
 
 def oblique_cast(a: Type, b: Type, t: Term) -> Term:
@@ -196,45 +207,44 @@ class _Closure:
 def _eval(sig: Signature, fuel: _Fuel, t: Term, env: tuple):
     """The value of ``t`` in ``env``: the values of the free variables by
     name, and those of the enclosing binders, innermost last."""
-    match t:
-        case Var(x):
-            return env[0][x]
-        case Bound(i):
-            return env[1][-1 - i]
-        case Lam():
-            return _Closure(t, env)
-        case App(f, a):
-            fv, av = _eval(sig, fuel, f, env), _eval(sig, fuel, a, env)
-            if isinstance(fv, _Closure):
+    k = type(t)
+    if k is Proj:
+        v = _eval(sig, fuel, t.tup, env)
+        if type(v) is Pair:
+            fuel.spend()
+        return _proj(t.index, v)
+    if k is Pair:
+        return Pair(_eval(sig, fuel, t.fst, env), _eval(sig, fuel, t.snd, env))
+    if k is Err:
+        return _ERR
+    if k is App:
+        fv, av = _eval(sig, fuel, t.fn, env), _eval(sig, fuel, t.arg, env)
+        if type(fv) is _Closure:
+            fuel.spend()
+            return _eval(sig, fuel, fv.lam.body, (fv.env[0], (*fv.env[1], av)))
+        return _ERR if fv is _ERR else App(fv, av)
+    if k is Downcast:
+        g, v = t.low, _eval(sig, fuel, t.body, env)
+        if type(v) is Upcast:
+            if v.low is g and sig.retract:
                 fuel.spend()
-                return _eval(sig, fuel, fv.lam.body, (fv.env[0], (*fv.env[1], av)))
-            return _ERR if fv is _ERR else App(fv, av)
-        case Pair(a, b):
-            return Pair(_eval(sig, fuel, a, env), _eval(sig, fuel, b, env))
-        case Proj(i, b):
-            v = _eval(sig, fuel, b, env)
-            if isinstance(v, Pair):
+                return v.body
+            if sig.disjointness and _unrelated_grounds(sig, g, v.low):
                 fuel.spend()
-            return _proj(i, v)
-        case FnApp(f, args):
-            return FnApp(f, tuple(_eval(sig, fuel, a, env) for a in args))
-        case Upcast(g, hi, b):
-            v = _eval(sig, fuel, b, env)
-            return _ERR if _is_err(sig, fuel, v, g) else Upcast(g, hi, v)
-        case Downcast(g, hi, b):
-            v = _eval(sig, fuel, b, env)
-            if isinstance(v, Upcast):
-                if v.low == g and sig.retract:
-                    fuel.spend()
-                    return v.body
-                if sig.disjointness and _unrelated_grounds(sig, g, v.low):
-                    fuel.spend()
-                    return _ERR
-            return _ERR if v is _ERR else Downcast(g, hi, v)
-        case Err(_):
-            return _ERR
-        case _:
-            return t
+                return _ERR
+        return _ERR if v is _ERR else Downcast(g, t.high, v)
+    if k is Upcast:
+        g, v = t.low, _eval(sig, fuel, t.body, env)
+        return _ERR if _is_err(sig, fuel, v, g) else Upcast(g, t.high, v)
+    if k is Lam:
+        return _Closure(t, env)
+    if k is Var:
+        return env[0][t.name]
+    if k is Bound:
+        return env[1][-1 - t.index]
+    if k is FnApp:
+        return FnApp(t.sym, tuple(_eval(sig, fuel, a, env) for a in t.args))
+    return t
 
 
 def _open(sig: Signature, fuel: _Fuel, c: _Closure):
@@ -247,7 +257,7 @@ def _open(sig: Signature, fuel: _Fuel, c: _Closure):
 
 
 def _proj(i: int, v):
-    if isinstance(v, Pair):
+    if type(v) is Pair:
         return v.fst if i == 1 else v.snd
     return _ERR if v is _ERR else Proj(i, v)
 
@@ -256,58 +266,57 @@ def _is_err(sig: Signature, fuel: _Fuel, v, ty: Type) -> bool:
     """Whether ``v`` is the error at ``ty``.  At function and product types
     the error is a constant-error closure or a pair of errors; at the unit
     type every value is the error by the eta law."""
-    if v is _ERR or isinstance(ty, Unit):
+    if v is _ERR or type(ty) is Unit:
         return True
-    if isinstance(v, _Closure):
+    k = type(v)
+    if k is _Closure:
         return _is_err(sig, fuel, _open(sig, fuel, v)[1], ty.cod)
-    return (isinstance(v, Pair) and _is_err(sig, fuel, v.fst, ty.fst)
+    return (k is Pair and _is_err(sig, fuel, v.fst, ty.fst)
             and _is_err(sig, fuel, v.snd, ty.snd))
 
 
 def _readback(sig: Signature, fuel: _Fuel, v, ty: Type, scope: set[str]) -> Term:
     """The eta-long normal form of ``v`` at ``ty`` under the names in
     ``scope``, one more per binder.  Binder hints are chosen here only."""
-    match ty:
-        case Unit():
-            return UNITVAL
-        case Fn(dom, cod):
-            if isinstance(v, _Closure):
-                (x, body), hint = _open(sig, fuel, v), v.lam.var
-            else:
-                x, hint = _Var(None, dom), "x"
-                body = _ERR if v is _ERR else App(v, x)
-            x.name, x.level = fresh_name(hint, scope), len(scope)
-            return Lam.nameless(
-                x.name, dom, _readback(sig, fuel, body, cod, scope | {x.name}))
-        case Prod(a, b):
-            return Pair(_readback(sig, fuel, _proj(1, v), a, scope),
-                        _readback(sig, fuel, _proj(2, v), b, scope))
-        case _:
-            return Err(ty) if v is _ERR else _neutral(sig, fuel, v, scope)[0]
+    k = type(ty)
+    if k is Dyn or k is Base:
+        return Err(ty) if v is _ERR else _neutral(sig, fuel, v, scope)[0]
+    if k is Fn:
+        if type(v) is _Closure:
+            (x, body), hint = _open(sig, fuel, v), v.lam.var
+        else:
+            x, hint = _Var(None, ty.dom), "x"
+            body = _ERR if v is _ERR else App(v, x)
+        x.name, x.level = fresh_name(hint, scope), len(scope)
+        return Lam.nameless(
+            x.name, ty.dom, _readback(sig, fuel, body, ty.cod, scope | {x.name}))
+    if k is Prod:
+        return Pair(_readback(sig, fuel, _proj(1, v), ty.fst, scope),
+                    _readback(sig, fuel, _proj(2, v), ty.snd, scope))
+    return UNITVAL
 
 
 def _neutral(sig: Signature, fuel: _Fuel, v, scope: set[str]) -> tuple[Term, Type]:
     """Read back a neutral or an upcast, with its type, which comes from
     the variable, the cast or the symbol at its head."""
-    match v:
-        case _Var():
-            if v.level is None:
-                return Var(v.name), v.type
-            return Bound(len(scope) - 1 - v.level), v.type
-        case App(f, a):
-            tf, fty = _neutral(sig, fuel, f, scope)
-            return App(tf, _readback(sig, fuel, a, fty.dom, scope)), fty.cod
-        case Proj(i, p):
-            tp, pty = _neutral(sig, fuel, p, scope)
-            return Proj(i, tp), pty.fst if i == 1 else pty.snd
-        case Upcast(g, hi, b):
-            return Upcast(g, hi, _readback(sig, fuel, b, g, scope)), hi
-        case Downcast(g, hi, b):
-            return Downcast(g, hi, _readback(sig, fuel, b, hi, scope)), g
-        case FnApp(f, args):
-            ins, out = sig.fn_signature(f)
-            return FnApp(f, tuple(_readback(sig, fuel, a, want, scope)
-                                  for a, want in zip(args, ins))), out
+    k = type(v)
+    if k is _Var:
+        if v.level is None:
+            return Var(v.name), v.type
+        return Bound(len(scope) - 1 - v.level), v.type
+    if k is Proj:
+        tp, pty = _neutral(sig, fuel, v.tup, scope)
+        return Proj(v.index, tp), pty.fst if v.index == 1 else pty.snd
+    if k is App:
+        tf, fty = _neutral(sig, fuel, v.fn, scope)
+        return App(tf, _readback(sig, fuel, v.arg, fty.dom, scope)), fty.cod
+    if k is Upcast:
+        return Upcast(v.low, v.high, _readback(sig, fuel, v.body, v.low, scope)), v.high
+    if k is Downcast:
+        return Downcast(v.low, v.high, _readback(sig, fuel, v.body, v.high, scope)), v.low
+    ins, out = sig.fn_signature(v.sym)  # a symbol application
+    return FnApp(v.sym, tuple(_readback(sig, fuel, a, want, scope)
+                              for a, want in zip(v.args, ins))), out
 
 
 def equal_terms(sig: Signature, t: Term, u: Term,

@@ -15,6 +15,13 @@ one is a named ``Var``.  A lambda keeps its binder's name only as a hint
 for printing, which ``==`` and ``hash`` ignore, so ``==`` is equality up
 to renaming of bound variables.  Substituting terms without loose indices
 cannot capture, so no substitution ever renames.
+
+The walks over every node (``_walk``, which substitution, shifting and
+closing a lambda share, ``free_vars`` and ``_children``) dispatch on
+``type(t)`` in an if-chain, frequent classes first, and read fields by
+attribute.  A ``case App(f, a)`` pattern costs an ``isinstance`` test and a
+``__match_args__`` lookup per field, case after case; terms are never
+subclassed, so ``type(t) is App`` picks the same branch for less.
 """
 
 from __future__ import annotations
@@ -276,15 +283,18 @@ def num(n: int) -> Term:
 
 def _children(t: Term) -> tuple[Term, ...]:
     """The immediate subterms of ``t``, left to right."""
-    match t:
-        case FnApp(_, args):
-            return args
-        case Lam(_, _, b) | Proj(_, b) | Upcast(_, _, b) | Downcast(_, _, b):
-            return (b,)
-        case App(a, b) | Pair(a, b):
-            return (a, b)
-        case _:
-            return ()
+    k = type(t)
+    if k is Upcast or k is Downcast or k is Lam:
+        return (t.body,)
+    if k is App:
+        return (t.fn, t.arg)
+    if k is Pair:
+        return (t.fst, t.snd)
+    if k is Proj:
+        return (t.tup,)
+    if k is FnApp:
+        return t.args
+    return ()
 
 
 def term_size(t: Term) -> int:
@@ -350,17 +360,20 @@ Substitution = Mapping[str, Term]
 
 
 def free_vars(t: Term) -> set[str]:
-    match t:
-        case Var(x):
-            return {x}
-        case FnApp(_, args):
-            return set().union(*map(free_vars, args))
-        case Lam(_, _, b) | Proj(_, b) | Upcast(_, _, b) | Downcast(_, _, b):
-            return free_vars(b)
-        case App(a, b) | Pair(a, b):
-            return free_vars(a) | free_vars(b)
-        case _:
-            return set()
+    k = type(t)
+    if k is Var:
+        return {t.name}
+    if k is Upcast or k is Downcast or k is Lam:
+        return free_vars(t.body)
+    if k is App:
+        return free_vars(t.fn) | free_vars(t.arg)
+    if k is Pair:
+        return free_vars(t.fst) | free_vars(t.snd)
+    if k is Proj:
+        return free_vars(t.tup)
+    if k is FnApp:
+        return set().union(*map(free_vars, t.args))
+    return set()
 
 
 def loose_indices(t: Term, depth: int = 0) -> set[int]:
@@ -410,18 +423,19 @@ def instantiate(body: Term, image: Term) -> Term:
 def _walk(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
     """``t`` with each variable ``v`` under ``depth`` binders replaced by
     ``leaf(v, depth)``."""
-    match t:
-        case Var() | Bound():
-            return leaf(t, depth)
-        case FnApp(f, args):
-            return FnApp(f, tuple(_walk(a, leaf, depth) for a in args))
-        case Lam(x, annot, body):
-            return Lam.nameless(x, annot, _walk(body, leaf, depth + 1))
-        case App(a, b) | Pair(a, b):
-            return type(t)(_walk(a, leaf, depth), _walk(b, leaf, depth))
-        case Proj(i, b):
-            return Proj(i, _walk(b, leaf, depth))
-        case Upcast(lo, hi, b) | Downcast(lo, hi, b):
-            return type(t)(lo, hi, _walk(b, leaf, depth))
-        case _:
-            return t
+    k = type(t)
+    if k is Var or k is Bound:
+        return leaf(t, depth)
+    if k is Upcast or k is Downcast:
+        return k(t.low, t.high, _walk(t.body, leaf, depth))
+    if k is App:
+        return App(_walk(t.fn, leaf, depth), _walk(t.arg, leaf, depth))
+    if k is Pair:
+        return Pair(_walk(t.fst, leaf, depth), _walk(t.snd, leaf, depth))
+    if k is Proj:
+        return Proj(t.index, _walk(t.tup, leaf, depth))
+    if k is Lam:
+        return Lam.nameless(t.var, t.annot, _walk(t.body, leaf, depth + 1))
+    if k is FnApp:
+        return FnApp(t.sym, tuple(_walk(a, leaf, depth) for a in t.args))
+    return t

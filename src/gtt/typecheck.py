@@ -15,6 +15,9 @@ rejects them.
 
 Typing checks the context once, then walks the term with the free
 variables' types by name and the binders' by index, renaming nothing.
+The walk dispatches on ``type(t)``, as ``gtt.syntax``'s walks do and for
+the same reason (a ``match`` class pattern is an ``isinstance`` test and
+field lookups, case after case), and compares hash-consed types with ``is``.
 """
 
 from __future__ import annotations
@@ -222,13 +225,15 @@ def check_type_wf(sig: Signature, ty: Type) -> bool:
     cached = sig._wf_cache.get(ty)
     if cached is not None:
         return cached
-    match ty:
-        case Base(n):
-            out = n in sig.base_types
-        case Fn(a, b) | Prod(a, b):
-            out = check_type_wf(sig, a) and check_type_wf(sig, b)
-        case _:
-            out = True
+    k = type(ty)
+    if k is Base:
+        out = ty.name in sig.base_types
+    elif k is Fn:
+        out = check_type_wf(sig, ty.dom) and check_type_wf(sig, ty.cod)
+    elif k is Prod:
+        out = check_type_wf(sig, ty.fst) and check_type_wf(sig, ty.snd)
+    else:
+        out = True
     sig._wf_cache[ty] = out
     return out
 
@@ -245,74 +250,71 @@ def infer_type(sig: Signature, ctx: Context, t: Term) -> Type:
 def _infer(sig: Signature, env: dict[str, Type], t: Term,
            bound: tuple[Type, ...] = ()) -> Type:
     """Typing under ``env`` and the binders' types ``bound``, innermost last."""
-    match t:
-        case Var(x):
-            ty = env.get(x)
-            if ty is None:
-                raise TypeCheckError(f"unbound variable {x}", t)
-            return ty
-        case Bound(i) if i < len(bound):  # a loose index is unrecognized
-            return bound[-1 - i]
-        case FnApp(f, args):
-            ins, out = sig.fn_signature(f)
-            if len(ins) != len(args):
+    k = type(t)
+    if k is Var:
+        ty = env.get(t.name)
+        if ty is None:
+            raise TypeCheckError(f"unbound variable {t.name}", t)
+        return ty
+    if k is Upcast or k is Downcast:
+        lo, hi = t.low, t.high
+        for ty in (lo, hi):
+            if not check_type_wf(sig, ty):
+                raise TypeCheckError(f"ill-formed cast endpoint {ty}", t)
+        if not tydyn_holds(sig, lo, hi):
+            raise TypeCheckError(
+                f"cast endpoints not in the dynamism relation: "
+                f"{lo} <= {hi} fails", t)
+        expect, out = (lo, hi) if k is Upcast else (hi, lo)
+        got = _infer(sig, env, t.body, bound)
+        if got is not expect:
+            raise TypeCheckError(
+                f"cast body has type {got}, expected {expect}", t.body)
+        return out
+    if k is Proj:
+        i = t.index
+        if i not in (1, 2):
+            raise TypeCheckError("projection index must be 1 or 2", t)
+        pty = _infer(sig, env, t.tup, bound)
+        if type(pty) is not Prod:
+            raise TypeCheckError(f"projecting from a non-product of type {pty}", t.tup)
+        return pty.fst if i == 1 else pty.snd
+    if k is Pair:
+        return Prod(_infer(sig, env, t.fst, bound), _infer(sig, env, t.snd, bound))
+    if k is App:
+        fty = _infer(sig, env, t.fn, bound)
+        if type(fty) is not Fn:
+            raise TypeCheckError(f"applying a non-function of type {fty}", t.fn)
+        aty = _infer(sig, env, t.arg, bound)
+        if aty is not fty.dom:
+            raise TypeCheckError(
+                f"argument type {aty} does not match domain {fty.dom}", t.arg)
+        return fty.cod
+    if k is Err:
+        if not check_type_wf(sig, t.at):
+            raise TypeCheckError(f"ill-formed error annotation {t.at}", t)
+        return t.at
+    if k is Bound and t.index < len(bound):  # a loose index is unrecognized
+        return bound[-1 - t.index]
+    if k is Lam:
+        if not check_type_wf(sig, t.annot):
+            raise TypeCheckError(f"ill-formed annotation on {t.var}", t)
+        return Fn(t.annot, _infer(sig, env, t.body, (*bound, t.annot)))
+    if k is UnitVal:
+        return UNIT
+    if k is FnApp:
+        f, args = t.sym, t.args
+        ins, out = sig.fn_signature(f)
+        if len(ins) != len(args):
+            raise TypeCheckError(
+                f"symbol {f} expects {len(ins)} arguments, got {len(args)}", t)
+        for i, (want, arg) in enumerate(zip(ins, args)):
+            got = _infer(sig, env, arg, bound)
+            if got is not want:
                 raise TypeCheckError(
-                    f"symbol {f} expects {len(ins)} arguments, got {len(args)}", t)
-            for i, (want, arg) in enumerate(zip(ins, args)):
-                got = _infer(sig, env, arg, bound)
-                if got != want:
-                    raise TypeCheckError(
-                        f"argument {i} of {f} has type {got}, expected {want}", arg)
-            return out
-        case Lam(x, annot, body):
-            if not check_type_wf(sig, annot):
-                raise TypeCheckError(f"ill-formed annotation on {x}", t)
-            return Fn(annot, _infer(sig, env, body, (*bound, annot)))
-        case App(fn, arg):
-            fty = _infer(sig, env, fn, bound)
-            if not isinstance(fty, Fn):
-                raise TypeCheckError(f"applying a non-function of type {fty}", fn)
-            aty = _infer(sig, env, arg, bound)
-            if aty != fty.dom:
-                raise TypeCheckError(
-                    f"argument type {aty} does not match domain {fty.dom}", arg)
-            return fty.cod
-        case Pair(a, b):
-            return Prod(_infer(sig, env, a, bound), _infer(sig, env, b, bound))
-        case Proj(i, tup):
-            if i not in (1, 2):
-                raise TypeCheckError("projection index must be 1 or 2", t)
-            pty = _infer(sig, env, tup, bound)
-            if not isinstance(pty, Prod):
-                raise TypeCheckError(f"projecting from a non-product of type {pty}", tup)
-            return pty.fst if i == 1 else pty.snd
-        case UnitVal():
-            return UNIT
-        case Upcast(lo, hi, body):
-            _check_cast(sig, env, bound, t, lo, hi, body, expect=lo)
-            return hi
-        case Downcast(lo, hi, body):
-            _check_cast(sig, env, bound, t, lo, hi, body, expect=hi)
-            return lo
-        case Err(at):
-            if not check_type_wf(sig, at):
-                raise TypeCheckError(f"ill-formed error annotation {at}", t)
-            return at
+                    f"argument {i} of {f} has type {got}, expected {want}", arg)
+        return out
     raise TypeCheckError(f"unrecognized term {t!r}", t)
-
-
-def _check_cast(sig, env, bound, cast, lo, hi, body, expect):
-    for ty in (lo, hi):
-        if not check_type_wf(sig, ty):
-            raise TypeCheckError(f"ill-formed cast endpoint {ty}", cast)
-    if not tydyn_holds(sig, lo, hi):
-        raise TypeCheckError(
-            f"cast endpoints not in the dynamism relation: "
-            f"{lo} <= {hi} fails", cast)
-    got = _infer(sig, env, body, bound)
-    if got != expect:
-        raise TypeCheckError(
-            f"cast body has type {got}, expected {expect}", body)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ import pytest
 
 from gtt.grammar import parse_term, parse_term_file, parse_type, term_to_text
 from gtt.syntax import (
-    App, Context, DYN, Downcast, Err, Fn, Lam, NAT, Pair, Prod, Proj, UNIT,
-    UNITVAL, Upcast, Var, num, term_size,
+    App, Bound, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair, Prod,
+    Proj, Term, UNIT, UNITVAL, UnitVal, Upcast, Var, num, shift, substitute,
+    term_size,
 )
 from gtt.typecheck import (
-    TypeCheckError, default_signature, floor_type, infer_type, is_ground,
+    Signature, TypeCheckError, default_signature, floor_type, infer_type,
+    is_ground,
 )
 from gtt.elaborate import (
     NormalizeBudgetExceeded, elaborate, equal_terms, is_elaborated, normalize,
@@ -381,3 +383,65 @@ def test_printed_elaborations_and_normal_forms_are_pinned():
         "up[? -> ? => ?] (\\x':?. up[Nat => ?] (x dn[? => Nat] x')) "
         "up[Nat => ?] x')) (\\y:Nat. y)")
     assert term_to_text(normalize(SIG, elab)) == "\\x':Nat. x'"
+
+
+# -- every term walk handles every term class ---------------------------------
+
+def _concrete(cls):
+    """The leaf subclasses of ``cls`` that their modules name: a slotted
+    dataclass is a copy of the class its decorator was given, which stays
+    listed among the subclasses."""
+    subs = [c for c in cls.__subclasses__()
+            if getattr(sys.modules[c.__module__], c.__qualname__, None) is c]
+    return set().union(*map(_concrete, subs)) if subs else {cls}
+
+
+X, SEVEN = Var("x"), num(7)
+ID_X, ID_SEVEN = Upcast(NAT, NAT, X), Upcast(NAT, NAT, SEVEN)
+ADD_SIG = Signature(fn_symbols={"add": ((NAT, NAT), NAT)})
+DISPATCH_CTX = Context.of(("x", NAT), ("f", Fn(NAT, NAT)))
+_add = lambda *args: FnApp("add", args)
+
+# each term class: an instance under ``DISPATCH_CTX`` whose every child holds
+# ``x`` inside an identity cast, then its type, the instance with ``x := 7``,
+# its elaboration (the identity casts dropped) and its normal form; ``Bound``
+# is the binder's variable inside a lambda
+DISPATCH = {
+    Var: (X, NAT, SEVEN, X, X),
+    Bound: (Lam("y", NAT, Pair(Var("y"), ID_X)), Fn(NAT, Prod(NAT, NAT)),
+            Lam("y", NAT, Pair(Var("y"), ID_SEVEN)), Lam("y", NAT, Pair(Var("y"), X)),
+            Lam("y", NAT, Pair(Var("y"), X))),
+    FnApp: (_add(ID_X, ID_X), NAT, _add(ID_SEVEN, ID_SEVEN), _add(X, X), _add(X, X)),
+    Lam: (Lam("y", NAT, ID_X), Fn(NAT, NAT), Lam("y", NAT, ID_SEVEN), Lam("y", NAT, X),
+          Lam("y", NAT, X)),
+    App: (App(Var("f"), ID_X), NAT, App(Var("f"), ID_SEVEN), App(Var("f"), X),
+          App(Var("f"), X)),
+    Pair: (Pair(ID_X, UNITVAL), Prod(NAT, UNIT), Pair(ID_SEVEN, UNITVAL), Pair(X, UNITVAL),
+           Pair(X, UNITVAL)),
+    Proj: (Proj(2, Pair(UNITVAL, ID_X)), NAT, Proj(2, Pair(UNITVAL, ID_SEVEN)),
+           Proj(2, Pair(UNITVAL, X)), X),
+    UnitVal: (UNITVAL, UNIT, UNITVAL, UNITVAL, UNITVAL),
+    Upcast: (Upcast(NAT, DYN, ID_X), DYN, Upcast(NAT, DYN, ID_SEVEN), Upcast(NAT, DYN, X),
+             Upcast(NAT, DYN, X)),
+    Downcast: (Downcast(NAT, DYN, Upcast(NAT, DYN, ID_X)), NAT,
+               Downcast(NAT, DYN, Upcast(NAT, DYN, ID_SEVEN)),
+               Downcast(NAT, DYN, Upcast(NAT, DYN, X)), X),
+    Err: (Err(NAT), NAT, Err(NAT), Err(NAT), Err(NAT)),
+}
+
+
+def test_every_term_class_has_a_dispatch_row():
+    # a term class added later fails here until each walk handles it
+    assert set(DISPATCH) == _concrete(Term)
+
+
+@pytest.mark.parametrize("cls", DISPATCH, ids=lambda c: c.__name__)
+def test_every_walk_handles_the_term_class(cls):
+    t, ty, substituted, elaborated, normal = DISPATCH[cls]
+    assert substitute(t, {"x": SEVEN, "f": Var("f")}) == substituted
+    assert infer_type(ADD_SIG, DISPATCH_CTX, t) is ty
+    elab = elaborate(ADD_SIG, DISPATCH_CTX, t)
+    assert elab == elaborated
+    assert normalize(ADD_SIG, elab, DISPATCH_CTX) == normal
+    # the substitution walk reaches a loose index, which ``shift`` moves
+    assert shift(Bound(0), 1) == Bound(1)
