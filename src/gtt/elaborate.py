@@ -129,11 +129,11 @@ def _build(sig: Signature, up: bool, lo: Type, hi: Type,
         return Lam.nameless(x, a1 if up else a,
                             _build(sig, up, b, b1, inner, fvs | {x}, depth + 1))
     if k is Prod and type(hi) is Prod:
+        a, b, a1, b1 = lo.fst, lo.snd, hi.fst, hi.snd
         built: dict[int, Term] = {}  # both components share the subject
         shared = lambda d: built.get(d) or built.setdefault(d, body(d))
-        return Pair(
-            _build(sig, up, lo.fst, hi.fst, lambda d: Proj(1, shared(d)), fvs, depth),
-            _build(sig, up, lo.snd, hi.snd, lambda d: Proj(2, shared(d)), fvs, depth))
+        return Pair(_build(sig, up, a, a1, lambda d: Proj(1, shared(d)), fvs, depth),
+                    _build(sig, up, b, b1, lambda d: Proj(2, shared(d)), fvs, depth))
     if k is Base and type(hi) is Base:
         # axiom-related bases have no structural route; go through ?
         source, target = (lo, hi) if up else (hi, lo)

@@ -443,5 +443,5 @@ def test_every_walk_handles_the_term_class(cls):
     elab = elaborate(ADD_SIG, DISPATCH_CTX, t)
     assert elab == elaborated
     assert normalize(ADD_SIG, elab, DISPATCH_CTX) == normal
-    # the substitution walk reaches a loose index, which ``shift`` moves
-    assert shift(Bound(0), 1) == Bound(1)
+    if cls is Bound:  # substitution keeps an index; ``shift`` moves a loose one
+        assert shift(Bound(0), 1) == Bound(1)
