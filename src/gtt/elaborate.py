@@ -4,20 +4,28 @@
 *ground* casts: single-layer tags ``Nat``, ``? -> ?``, ``? * ?``, ``1`` and
 user base types, each cast directly against ``?``.  Identity casts vanish,
 function casts become wrappers that cast the argument down and the result
-up, product casts cast componentwise, and a cast against ``?`` factors
-through the ground tag of its other endpoint.
+up, product casts cast componentwise, a cast against ``?`` factors
+through the ground tag of its other endpoint, and a cast between
+axiom-related base types goes up to ``?`` and down.
 
-``normalize`` computes eta-long beta-normal forms of elaborated terms by
-evaluation (Berger and Schwichtenberg, LICS 1991).  It evaluates the term
-to a value, pushing the error through eliminators and ground casts,
-collapsing same-tag round trips when the retract flag is on and sending
-unrelated cross-tag round trips to the error when the disjointness flag
-is on; other ground casts on neutrals stay neutral.  It then reads the
-value back eta-long at the type.  ``equal_terms`` composes the two and
-compares with ``==``, equality up to renaming of bound variables; it is
-the package's decision layer for order-equalities.  It types each side
-once, with ``infer_type``'s walk, and normalizes the elaborated side at
-that type.
+``normalize`` computes eta-long beta-normal forms by evaluation (Berger
+and Schwichtenberg, LICS 1991).  It evaluates the term to a value, pushing
+the error through eliminators and ground casts, collapsing same-tag round
+trips when the retract flag is on and sending unrelated cross-tag round
+trips to the error when the disjointness flag is on; other ground casts
+on neutrals stay neutral.  It then reads the value back eta-long at the
+type.  Every other cast it runs on values by elaboration's cases
+(``_cast`` follows ``_build``): a function cast is a cast closure, the
+wrapper as a value, which evaluates its subject only where the wrapper's
+body would.  So the normal form of a term is that of its elaboration, up
+to the hints of the wrappers' binders.  The term that ``elaborate``
+returned last is not typed again: its output, context and type wait in a
+one-entry slot on the ``Signature``.
+
+``equal_terms`` types each side once, normalizes it as it is, with no
+elaborated term built, and compares with ``==``, equality up to renaming
+of bound variables; it is the package's decision layer for
+order-equalities.
 
 The elaborator, the evaluator and readback run once per node, and
 dispatch on ``type(t)`` (or the value's or type's class) in an if-chain,
@@ -68,8 +76,10 @@ def is_elaborated(t: Term) -> bool:
 def elaborate(sig: Signature, ctx: Context, t: Term) -> Term:
     """Rewrite all casts of a well-typed term to ground casts, preserving
     the type."""
-    infer_type(sig, ctx, t)  # reject ill-typed input up front
-    return _elab(sig, t)[0]
+    ty = infer_type(sig, ctx, t)  # reject ill-typed input up front
+    out = _elab(sig, t)[0]
+    sig._elaborated = out, ctx, ty
+    return out
 
 
 def _elab(sig: Signature, t: Term, hints: tuple[str, ...] = ()) -> tuple[Term, set]:
@@ -138,8 +148,12 @@ def _build(sig: Signature, up: bool, lo: Type, hi: Type,
         # axiom-related bases have no structural route; go through ?
         source, target = (lo, hi) if up else (hi, lo)
         return Downcast(target, DYN, Upcast(source, DYN, body(depth)))
+    raise _no_route(up, lo, hi)
+
+
+def _no_route(up: bool, lo: Type, hi: Type) -> ElaborationError:
     cast = f"upcast {lo} => {hi}" if up else f"downcast {hi} => {lo}"
-    raise ElaborationError(f"no elaboration for {cast}")
+    return ElaborationError(f"no elaboration for {cast}")
 
 
 def oblique_cast(a: Type, b: Type, t: Term) -> Term:
@@ -169,8 +183,15 @@ class _Fuel:
 
 def normalize(sig: Signature, t: Term, ctx: Context = Context(),
               max_steps: int | None = None) -> Term:
-    """Eta-long beta-normal form of a well-typed elaborated term."""
-    return _normal_form(sig, t, infer_type(sig, ctx, t), ctx, max_steps)
+    """Eta-long beta-normal form of a well-typed term.  The term that
+    ``elaborate`` returned last on ``sig`` is not typed again under an equal
+    context: elaboration keeps the type."""
+    last = sig._elaborated
+    if last is not None and last[0] is t and last[1] == ctx:
+        ty = last[2]
+    else:
+        ty = infer_type(sig, ctx, t)
+    return _normal_form(sig, t, ty, ctx, max_steps)
 
 
 def _normal_form(sig: Signature, t: Term, ty: Type, ctx: Context,
@@ -181,9 +202,9 @@ def _normal_form(sig: Signature, t: Term, ty: Type, ctx: Context,
     return _readback(sig, fuel, v, ty, ctx.names())
 
 
-# Values: closures, ``Pair``s of values, the error ``_ERR``, ``()``, ``Upcast``s
-# of a value, and neutrals: ``_Var``s and ``App``, ``Proj``, ``Downcast`` and
-# ``FnApp`` nodes holding values.
+# Values: closures, cast closures, ``Pair``s of values, the error ``_ERR``,
+# ``()``, ground ``Upcast``s of a value, and neutrals: ``_Var``s and ``App``,
+# ``Proj``, ground ``Downcast`` and ``FnApp`` nodes holding values.
 _ERR = object()  # the error, at whatever type it is read back
 
 
@@ -204,6 +225,20 @@ class _Closure:
         self.lam, self.env, self.opened = lam, env, None
 
 
+class _CastClosure:
+    """A cast between two function types: the wrapper that ``_build`` writes,
+    which casts its argument back, applies the subject and casts the result
+    on.  ``subject`` computes the subject's value; it is called when the
+    wrapper is first applied or opened, where the wrapper's body would
+    evaluate it, and its value is kept in ``value``.  ``opened`` caches the
+    body's value at a fresh variable, as ``_Closure.opened`` does."""
+    __slots__ = ("up", "low", "high", "subject", "value", "opened")
+
+    def __init__(self, up: bool, lo: Fn, hi: Fn, subject: Callable[[], object]):
+        self.up, self.low, self.high, self.subject = up, lo, hi, subject
+        self.value = self.opened = None
+
+
 def _eval(sig: Signature, fuel: _Fuel, t: Term, env: tuple):
     """The value of ``t`` in ``env``: the values of the free variables by
     name, and those of the enclosing binders, innermost last."""
@@ -218,24 +253,15 @@ def _eval(sig: Signature, fuel: _Fuel, t: Term, env: tuple):
     if k is Err:
         return _ERR
     if k is App:
-        fv, av = _eval(sig, fuel, t.fn, env), _eval(sig, fuel, t.arg, env)
-        if type(fv) is _Closure:
-            fuel.spend()
-            return _eval(sig, fuel, fv.lam.body, (fv.env[0], (*fv.env[1], av)))
-        return _ERR if fv is _ERR else App(fv, av)
-    if k is Downcast:
-        g, v = t.low, _eval(sig, fuel, t.body, env)
-        if type(v) is Upcast:
-            if v.low is g and sig.retract:
-                fuel.spend()
-                return v.body
-            if sig.disjointness and _unrelated_grounds(sig, g, v.low):
-                fuel.spend()
-                return _ERR
-        return _ERR if v is _ERR else Downcast(g, t.high, v)
-    if k is Upcast:
-        g, v = t.low, _eval(sig, fuel, t.body, env)
-        return _ERR if _is_err(sig, fuel, v, g) else Upcast(g, t.high, v)
+        return _apply(sig, fuel, _eval(sig, fuel, t.fn, env), _eval(sig, fuel, t.arg, env))
+    if k is Downcast or k is Upcast:
+        lo, hi = t.low, t.high
+        if hi is DYN and is_ground(lo):  # as every cast of an elaborated term
+            # is: evaluated here, it takes one frame, as other nodes do
+            v = _eval(sig, fuel, t.body, env)
+            return _tag(sig, fuel, lo, v) if k is Upcast else _untag(sig, fuel, lo, v)
+        return _cast(sig, fuel, k is Upcast, lo, hi,
+                     lambda: _eval(sig, fuel, t.body, env))
     if k is Lam:
         return _Closure(t, env)
     if k is Var:
@@ -247,12 +273,93 @@ def _eval(sig: Signature, fuel: _Fuel, t: Term, env: tuple):
     return t
 
 
-def _open(sig: Signature, fuel: _Fuel, c: _Closure):
-    """A fresh variable for the closure's binder and the body's value at it,
-    computed once: an upcast's error test and readback share them."""
+def _apply(sig: Signature, fuel: _Fuel, fv, av):
+    """The value of ``fv`` applied to ``av``."""
+    k = type(fv)
+    if k is _Closure:
+        fuel.spend()
+        return _eval(sig, fuel, fv.lam.body, (fv.env[0], (*fv.env[1], av)))
+    if k is _CastClosure:
+        fuel.spend()
+        return _unwrap(sig, fuel, fv, av)
+    return _ERR if fv is _ERR else App(fv, av)
+
+
+def _cast(sig: Signature, fuel: _Fuel, up: bool, lo: Type, hi: Type,
+          subject: Callable[[], object]):
+    """The value of the cast of ``subject()`` from ``lo`` up to ``hi`` if
+    ``up``, else from ``hi`` down to ``lo``, by ``_build``'s cases: the value
+    of the term that ``_build`` writes, and ``subject`` is called where that
+    term would evaluate the subject."""
+    if lo is hi:
+        return subject()
+    if hi is DYN:
+        tag = floor_type(lo)
+        if lo is tag:
+            v = subject()
+            return _tag(sig, fuel, tag, v) if up else _untag(sig, fuel, tag, v)
+        if up:
+            return _tag(sig, fuel, tag, _cast(sig, fuel, up, lo, tag, subject))
+        return _cast(sig, fuel, up, lo, tag,
+                     lambda: _untag(sig, fuel, tag, subject()))
+    k = type(lo)
+    if k is Fn and type(hi) is Fn:
+        return _CastClosure(up, lo, hi, subject)
+    if k is Prod and type(hi) is Prod:
+        shared: list = []  # both components share the subject's value
+
+        def part(i: int):
+            if not shared:
+                shared.append(subject())
+            return _proj(i, shared[0])
+        return Pair(_cast(sig, fuel, up, lo.fst, hi.fst, lambda: part(1)),
+                    _cast(sig, fuel, up, lo.snd, hi.snd, lambda: part(2)))
+    if k is Base and type(hi) is Base:  # through ?, as ``_build`` goes
+        source, target = (lo, hi) if up else (hi, lo)
+        return _untag(sig, fuel, target, _tag(sig, fuel, source, subject()))
+    raise _no_route(up, lo, hi)
+
+
+def _unwrap(sig: Signature, fuel: _Fuel, c: _CastClosure, av):
+    """The body of the wrapper ``c`` at the argument ``av``."""
+    lo, hi, up = c.low, c.high, c.up
+
+    def result():
+        if c.value is None:
+            c.value = c.subject()
+        arg = _cast(sig, fuel, not up, lo.dom, hi.dom, lambda: av)
+        return _apply(sig, fuel, c.value, arg)
+    return _cast(sig, fuel, up, lo.cod, hi.cod, result)
+
+
+def _tag(sig: Signature, fuel: _Fuel, g: Type, v):
+    """The value of ``up[g => ?]`` on ``v``, for a ground ``g``."""
+    return _ERR if _is_err(sig, fuel, v, g) else Upcast(g, DYN, v)
+
+
+def _untag(sig: Signature, fuel: _Fuel, g: Type, v):
+    """The value of ``dn[? => g]`` on ``v``, for a ground ``g``."""
+    if type(v) is Upcast:
+        if v.low is g and sig.retract:
+            fuel.spend()
+            return v.body
+        if sig.disjointness and _unrelated_grounds(sig, g, v.low):
+            fuel.spend()
+            return _ERR
+    return _ERR if v is _ERR else Downcast(g, DYN, v)
+
+
+def _open(sig: Signature, fuel: _Fuel, c):
+    """A fresh variable for a closure's or cast closure's binder and the
+    body's value at it, computed once: an upcast's error test and readback
+    share them."""
     if c.opened is None:
-        x = _Var(None, c.lam.annot)
-        c.opened = x, _eval(sig, fuel, c.lam.body, (c.env[0], (*c.env[1], x)))
+        if type(c) is _Closure:
+            x = _Var(None, c.lam.annot)
+            c.opened = x, _eval(sig, fuel, c.lam.body, (c.env[0], (*c.env[1], x)))
+        else:
+            x = _Var(None, (c.high if c.up else c.low).dom)
+            c.opened = x, _unwrap(sig, fuel, c, x)
     return c.opened
 
 
@@ -269,7 +376,7 @@ def _is_err(sig: Signature, fuel: _Fuel, v, ty: Type) -> bool:
     if v is _ERR or type(ty) is Unit:
         return True
     k = type(v)
-    if k is _Closure:
+    if k is _Closure or k is _CastClosure:
         return _is_err(sig, fuel, _open(sig, fuel, v)[1], ty.cod)
     return (k is Pair and _is_err(sig, fuel, v.fst, ty.fst)
             and _is_err(sig, fuel, v.snd, ty.snd))
@@ -277,13 +384,16 @@ def _is_err(sig: Signature, fuel: _Fuel, v, ty: Type) -> bool:
 
 def _readback(sig: Signature, fuel: _Fuel, v, ty: Type, scope: set[str]) -> Term:
     """The eta-long normal form of ``v`` at ``ty`` under the names in
-    ``scope``, one more per binder.  Binder hints are chosen here only."""
+    ``scope``, one more per binder.  Binder hints are chosen here only; a
+    cast closure's is ``x``, where its elaborated wrapper's may be primed."""
     k = type(ty)
     if k is Dyn or k is Base:
         return Err(ty) if v is _ERR else _neutral(sig, fuel, v, scope)[0]
     if k is Fn:
-        if type(v) is _Closure:
-            (x, body), hint = _open(sig, fuel, v), v.lam.var
+        kv = type(v)
+        if kv is _Closure or kv is _CastClosure:
+            x, body = _open(sig, fuel, v)
+            hint = v.lam.var if kv is _Closure else "x"
         else:
             x, hint = _Var(None, ty.dom), "x"
             body = _ERR if v is _ERR else App(v, x)
@@ -321,13 +431,11 @@ def _neutral(sig: Signature, fuel: _Fuel, v, scope: set[str]) -> tuple[Term, Typ
 
 def equal_terms(sig: Signature, t: Term, u: Term,
                 ctx: Context = Context()) -> bool:
-    """Equality of eta-long normal forms after elaboration; both
-    terms must share the context and the type.  Each side is typed once:
-    elaboration preserves the type."""
+    """Equality of eta-long normal forms; both terms must share the context
+    and the type.  Each side is typed once and normalized as it is: the
+    evaluator runs its casts as elaboration would write them."""
     ta = infer_type(sig, ctx, t)
     tb = infer_type(sig, ctx, u)
     if ta != tb:
         raise TypeCheckError(f"equal_terms: type mismatch {ta} vs {tb}")
-    nt = _normal_form(sig, _elab(sig, t)[0], ta, ctx)
-    nu = _normal_form(sig, _elab(sig, u)[0], tb, ctx)
-    return nt == nu
+    return _normal_form(sig, t, ta, ctx) == _normal_form(sig, u, tb, ctx)

@@ -27,7 +27,7 @@ subclassed, so ``type(t) is App`` picks the same branch for less.
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Callable, Iterator, Mapping
 
 
@@ -177,25 +177,52 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+def _term(cls):
+    """``cls`` as a frozen slotted dataclass, with an ``__init__`` of its
+    own that stores each field through its slot descriptor.  The frozen
+    dataclass ``__init__`` stores through ``object.__setattr__``, which
+    looks the descriptor up again for every field, and so costs about
+    twice as much per node.  A class that writes its own ``__init__`` keeps
+    it, and gets the storing one as ``_store``.  ``==``, ``hash``,
+    ``repr`` and ``__match_args__`` are the dataclass's."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    scope, params, stores = {}, [], []
+    for f in fields(cls):
+        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        stores.append(f"\n    _set_{f.name}(self, {f.name})")
+    exec(f"def store(self, {', '.join(params)}):{''.join(stores) or ' pass'}", scope)
+    if "__init__" in cls.__dict__:
+        cls._store = staticmethod(scope["store"])
+    else:
+        scope["store"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = scope["store"]
+    return cls
+
+
+@_term
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_term
 class FnApp(Term):
     """Application of a signature function symbol (numerals included)."""
     sym: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_term
 class Bound(Term):
     """The variable of the ``index``-th enclosing lambda, the nearest 0."""
     index: int
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_term
 class Lam(Term):
     """``\\var:annot. body``; the body refers to the binder as ``Bound(0)``
     and ``var`` is a hint for printing.  ``Lam(x, annot, body)`` closes a
@@ -205,45 +232,40 @@ class Lam(Term):
     body: Term
 
     def __init__(self, var: str, annot: Type, body: Term):
-        _set_fields(self, var, annot, _walk(body, lambda v, d: Bound(d) if (
+        Lam._store(self, var, annot, _walk(body, lambda v, d: Bound(d) if (
             type(v) is Var and v.name == var) else v))
 
     @classmethod
     def nameless(cls, var: str, annot: Type, body: Term) -> "Lam":
-        return _set_fields(object.__new__(cls), var, annot, body)
+        lam = object.__new__(cls)
+        cls._store(lam, var, annot, body)
+        return lam
 
 
-def _set_fields(lam: Lam, var: str, annot: Type, body: Term) -> Lam:
-    object.__setattr__(lam, "var", var)
-    object.__setattr__(lam, "annot", annot)
-    object.__setattr__(lam, "body", body)
-    return lam
-
-
-@dataclass(frozen=True, slots=True)
+@_term
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_term
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_term
 class Proj(Term):
     index: int  # 1 or 2
     tup: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_term
 class UnitVal(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_term
 class Upcast(Term):
     """``up[low => high] body``: cast body from ``low`` up to ``high``.
 
@@ -255,7 +277,7 @@ class Upcast(Term):
     body: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_term
 class Downcast(Term):
     """``dn[high => low] body``: cast body from ``high`` down to ``low``.
 
@@ -267,7 +289,7 @@ class Downcast(Term):
     body: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_term
 class Err(Term):
     """The error constant, least term at its annotated type."""
     at: Type

@@ -80,8 +80,10 @@ class Signature:
     """Immutable bundle of declarations; validation happens on creation.
 
     It also holds the caches of the queries made against it: type
-    dynamism, well-formedness, the model's denotations and the checker's
-    verdict memo.  A new ``Signature``, ``replace`` included, starts them
+    dynamism, well-formedness, the model's denotations, the checker's
+    verdict memo, and ``elaborate``'s last output with its context and
+    type, one entry that ``normalize`` reads so as not to type that term
+    again.  A new ``Signature``, ``replace`` included, starts them
     empty."""
 
     def __init__(self,
@@ -106,6 +108,8 @@ class Signature:
         self._model_cache: dict = {}
         # ``dynamism``'s verdict memo: the new generation, then the old
         self._verdicts: tuple[dict, dict] = ({}, {})
+        # ``elaborate``'s last (output, context, type), read by ``normalize``
+        self._elaborated: tuple[Term, Context, Type] | None = None
         self._validate()
 
     # -- construction helpers ------------------------------------------------
@@ -352,27 +356,30 @@ def tydyn_holds(sig: Signature, a: Type, b: Type) -> bool:
 def is_ground(ty: Type) -> bool:
     """A ground type is one tag layer: a base type, ``? -> ?``, ``? * ?``
     or ``1``.  Every ground type sits directly below ``?``."""
-    match ty:
-        case Base(_) | Unit():
-            return True
-        case Fn(a, b) | Prod(a, b):
-            return a == DYN and b == DYN
-        case _:
-            return False
+    k = type(ty)
+    if k is Base or k is Unit:
+        return True
+    if k is Fn:
+        return ty.dom is DYN and ty.cod is DYN
+    if k is Prod:
+        return ty.fst is DYN and ty.snd is DYN
+    return False
 
 
 def floor_type(ty: Type) -> Type:
     """The ground tag of a non-dynamic type: its head constructor with
     dynamic arguments."""
-    match ty:
-        case Base(_) | Unit():
-            return ty
-        case Fn(_, _):
-            return Fn(DYN, DYN)
-        case Prod(_, _):
-            return Prod(DYN, DYN)
-        case _:
-            raise TypeCheckError("the dynamic type has no ground tag")
+    k = type(ty)
+    if k is Base or k is Unit:
+        return ty
+    if k is Fn:
+        return _FN_TAG
+    if k is Prod:
+        return _PROD_TAG
+    raise TypeCheckError("the dynamic type has no ground tag")
+
+
+_FN_TAG, _PROD_TAG = Fn(DYN, DYN), Prod(DYN, DYN)
 
 
 def _unrelated_grounds(sig: Signature, g: Type, g2: Type) -> bool:

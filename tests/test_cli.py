@@ -623,6 +623,15 @@ def test_an_undeclared_base_type_in_the_context(tmp_path, capsys, argv, code, ou
     assert capsys.readouterr() == (out, err)
 
 
+@pytest.mark.parametrize("command", ["elaborate", "normalize"])
+def test_an_ill_typed_term_is_exit_2_with_its_typing_error(tmp_path, capsys, command):
+    path = tmp_path / "ill.gtt"
+    path.write_text("[x : Nat] up[Nat => ?] (x, x)\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cast body has type Nat * Nat, expected Nat\n")
+
+
 def test_tmdyn_context_with_an_undeclared_base_type_is_exit_2(tmp_path, capsys):
     sig = tmp_path / "bad.gttsig"
     sig.write_text("basetypes: Nat\ntmdyn:\n  [x : Even] x <= [y : Even] y\n")

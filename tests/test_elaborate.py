@@ -1,15 +1,21 @@
+import dataclasses
 import hashlib
+import itertools
 import pathlib
+import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from gtt.grammar import parse_term, parse_term_file, parse_type, term_to_text
+from gtt.grammar import (
+    parse_signature, parse_term, parse_term_file, parse_type, term_to_text,
+)
 from gtt.syntax import (
-    App, Bound, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair, Prod,
+    App, Base, Bound, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair, Prod,
     Proj, Term, UNIT, UNITVAL, UnitVal, Upcast, Var, num, shift, substitute,
-    term_size,
+    subterms, term_size,
 )
 from gtt.typecheck import (
     Signature, TypeCheckError, default_signature, floor_type, infer_type,
@@ -226,13 +232,14 @@ def test_direction_sensitivity_without_retract():
 # -- normalization by evaluation against the substitution-based reference ------
 
 @pytest.fixture(scope="module")
-def termgen_battery():
+def termgen_sources():
     rng = random.Random(7)
-    battery = []
-    for i in range(3000):
-        ctx, t, _ = gen_welltyped(rng, SIG, size=1 + i % 30)
-        battery.append((ctx, elaborate(SIG, ctx, t)))
-    return battery
+    return [gen_welltyped(rng, SIG, size=1 + i % 30)[:2] for i in range(3000)]
+
+
+@pytest.fixture(scope="module")
+def termgen_battery(termgen_sources):
+    return [(ctx, elaborate(SIG, ctx, t)) for ctx, t in termgen_sources]
 
 
 @SETTINGS
@@ -251,6 +258,87 @@ def test_normal_forms_print_as_the_reference_on_fixtures(sig, path):
     t = elaborate(sig, ctx, t)
     assert term_to_text(normalize(sig, t, ctx)) == term_to_text(
         normalize_reference(sig, t, ctx))
+
+
+# -- casts evaluated as values, against elaboration -----------------------------
+
+FLAGS = [(r, d) for r in (True, False) for d in (True, False)]
+FLAG_IDS = [f"retract-{'on' if r else 'off'}-disjointness-{'on' if d else 'off'}"
+            for r, d in FLAGS]
+TWO_BASES = parse_signature((FIXTURES / "two_bases.gttsig").read_text())
+EVEN = Base("Even")
+TWO_BASES_CTX = Context.of(("x", EVEN), ("n", NAT), ("f", Fn(EVEN, EVEN)),
+                           ("g", Fn(NAT, NAT)), ("p", Prod(EVEN, NAT)))
+# casts between the axiom-related bases, alone and under the type formers
+TWO_BASES_TERMS = [
+    "up[Even => Nat] x", "dn[? => Nat] up[Even => ?] x", "n",
+    "up[Even => Nat] dn[Nat => Even] n", "dn[? => Nat] up[? => ?] up[Nat => ?] n",
+    "dn[Nat => Even] n", "dn[Nat => Even] up[Even => Nat] x", "x",
+    "dn[? => Even] up[Nat => ?] n",
+    "up[Even -> Even => Nat -> Nat] f", "dn[Nat -> Nat => Even -> Nat] g",
+    "dn[? -> ? => Nat -> Nat] up[Even -> Even => ? -> ?] f", "g",
+    "up[Even * Nat => Nat * ?] p", "dn[? => Nat * ?] up[Even * Nat => ?] p",
+    "dn[? => Even * Nat] up[Even * Nat => ?] p", "p",
+]
+
+
+def _normal_form_agrees(sig, ctx, t, reference=True):
+    """The normal form of the source ``t``, which must equal its
+    elaboration's, and the reference normalizer's on the elaboration."""
+    elab = elaborate(sig, ctx, t)
+    nf = normalize(sig, elab, ctx)
+    assert normalize(sig, t, ctx) == nf, term_to_text(t)
+    if reference:
+        assert normalize_reference(sig, elab, ctx) == nf, term_to_text(t)
+    return nf
+
+
+@pytest.mark.parametrize("retract, disjointness", FLAGS, ids=FLAG_IDS)
+def test_casts_evaluate_as_their_elaborations(termgen_sources, retract, disjointness):
+    # equal_terms and the normalizer run casts on values; elaboration writes
+    # them out as terms first: both must give one normal form
+    verdicts = []
+
+    def agree(sig, ctx, t, u, nt, nu):
+        verdicts.append(equal_terms(sig, t, u, ctx))
+        assert verdicts[-1] is (nt == nu), (term_to_text(t), term_to_text(u))
+
+    sig = default_signature(retract, disjointness)
+    last = {}  # the previous source of each type
+    for ctx, t in termgen_sources:
+        nf = _normal_form_agrees(sig, ctx, t)
+        u, nu = last.get(infer_type(sig, ctx, t), (t, nf))
+        agree(sig, ctx, t, u, nf, nu)
+        last[infer_type(sig, ctx, t)] = t, nf
+    # the benchmark's pairs; the reference, slower, sees every fourth
+    inputs = normalize_inputs(1)
+    for k, job in enumerate(inputs.jobs):
+        (ctx, t), (ctx2, u) = (parse_term_file(inputs.files[job[side]], sig)
+                               for side in ("left", "right"))
+        assert ctx == ctx2
+        reference = k % 4 == FLAGS.index((retract, disjointness))
+        nt, nu = (_normal_form_agrees(sig, ctx, s, reference) for s in (t, u))
+        agree(sig, ctx, t, u, nt, nu)
+    two = TWO_BASES.replace(retract=retract, disjointness=disjointness)
+    sources = [parse_term(text, two) for text in TWO_BASES_TERMS]
+    forms = [_normal_form_agrees(two, TWO_BASES_CTX, t) for t in sources]
+    for (t, nt), (u, nu) in itertools.product(zip(sources, forms), repeat=2):
+        if infer_type(two, TWO_BASES_CTX, t) is infer_type(two, TWO_BASES_CTX, u):
+            agree(two, TWO_BASES_CTX, t, u, nt, nu)
+    assert True in verdicts and False in verdicts
+
+
+def test_a_function_cast_evaluates_its_subject_where_its_wrapper_would():
+    # the wrapper is a lambda: a discarded cast of a diverging subject is
+    # never run, so both sides normalize to 0
+    omega = "(\\x:?. (dn[? => ? -> ?] x) x)"
+    t = parse_term(f"(\\f:Nat -> Nat. 0) (dn[? => Nat -> Nat] ({omega} up[? -> ? => ?] {omega}))",
+                   SIG)
+    assert equal_terms(SIG, t, num(0))
+    pair = parse_term(f"(\\q:(Nat -> Nat) * (1 -> Nat). 0) "
+                      f"(dn[? * ? => (Nat -> Nat) * (1 -> Nat)] ({omega} up[? -> ? => ?] {omega}, err[?]))",
+                      SIG)
+    assert equal_terms(SIG, pair, num(0))
 
 
 def test_binder_names_come_from_the_source_not_from_renaming_history():
@@ -310,6 +398,41 @@ def test_each_entry_point_types_each_term_once(monkeypatch):
     assert count(equal_terms, SIG, t, Var("f"), FN_CTX) == 2
     assert count(elaborate, SIG, FN_CTX, t) == 1
     assert count(normalize, SIG, u, FN_CTX) == 1
+
+
+def test_normalize_takes_the_type_only_of_what_elaborate_just_returned(monkeypatch):
+    evaluator = sys.modules["gtt.elaborate"]
+    typed = []
+    monkeypatch.setattr(evaluator, "infer_type",
+                        lambda *args: typed.append(args[1]) or infer_type(*args))
+    sig = default_signature()
+    t = parse_term("dn[? => Nat -> Nat] up[Nat -> Nat => ?] f", sig)
+    out = elaborate(sig, FN_CTX, t)
+    want = normalize_reference(sig, out, FN_CTX)
+    typed.clear()
+    # that very object under an equal context is not typed again
+    assert normalize(sig, out, Context(FN_CTX.entries)) == want
+    assert typed == []
+    # an equal copy, a wider context, another signature: each is typed
+    assert normalize(sig, pickle.loads(pickle.dumps(out)), FN_CTX) == want
+    wider = FN_CTX.extend("u", UNIT)
+    assert normalize(sig, out, wider) == want
+    retract_off = sig.replace(retract=False)
+    assert normalize(retract_off, out, FN_CTX) == normalize_reference(retract_off, out, FN_CTX)
+    assert typed == [FN_CTX, wider, FN_CTX]
+    # under a context where the output is ill typed, typing still rejects it
+    with pytest.raises(TypeCheckError, match="^argument type Nat does not match domain 1$"):
+        normalize(sig, out, Context.of(("f", Fn(UNIT, NAT))))
+    # an ill-typed term that elaborate never returned
+    bad = Upcast(NAT, DYN, Pair(Var("x"), Var("x")))
+    with pytest.raises(TypeCheckError, match=r"^cast body has type Nat \* Nat, expected Nat$"):
+        normalize(sig, bad, FN_CTX)
+    # the slot holds the last output only
+    for i in range(1000):
+        out = elaborate(sig, FN_CTX, Upcast(NAT, DYN, num(i)))
+        assert normalize(sig, out, FN_CTX) == out
+    assert sig._elaborated == (out, FN_CTX, DYN) and sig._elaborated[0] is out
+    assert vars(sig).keys() == vars(default_signature()).keys()
 
 
 def test_elaboration_scans_free_variables_linearly(monkeypatch):
@@ -445,3 +568,35 @@ def test_every_walk_handles_the_term_class(cls):
     assert normalize(ADD_SIG, elab, DISPATCH_CTX) == normal
     if cls is Bound:  # substitution keeps an index; ``shift`` moves a loose one
         assert shift(Bound(0), 1) == Bound(1)
+
+
+@pytest.mark.parametrize("cls", DISPATCH, ids=lambda c: c.__name__)
+def test_every_term_class_is_a_frozen_dataclass(cls):
+    # each class stores its fields through its own ``__init__``; the rest
+    # is the frozen dataclass's
+    t = next(s for s in subterms(DISPATCH[cls][0]) if type(s) is cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    values = tuple(getattr(t, name) for name in names)
+    assert cls.__match_args__ == names
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(t, name)
+    assert tuple(getattr(t, name) for name in names) == values
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and hash(copy) == hash(t) and copy is not t
+    assert repr(t) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    if cls is not Lam:  # ``Lam`` closes a named body; ``Lam.nameless`` stores
+        assert cls(*values) == t == cls(**dict(zip(names, values)))
+    assert Lam.nameless("z", NAT, t) == Lam.nameless("y", NAT, t) != Lam.nameless("y", UNIT, t)
+    match t:
+        case Var(a) | Bound(a) | Err(a):
+            matched = (a,)
+        case App(a, b) | Pair(a, b) | Proj(a, b) | FnApp(a, b):
+            matched = (a, b)
+        case Lam(a, b, c) | Upcast(a, b, c) | Downcast(a, b, c):
+            matched = (a, b, c)
+        case UnitVal():
+            matched = ()
+    assert matched == values
