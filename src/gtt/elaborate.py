@@ -36,6 +36,7 @@ per field, case after case.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .syntax import (
@@ -253,15 +254,18 @@ def _eval(sig: Signature, fuel: _Fuel, t: Term, env: tuple):
     if k is Err:
         return _ERR
     if k is App:
-        return _apply(sig, fuel, _eval(sig, fuel, t.fn, env), _eval(sig, fuel, t.arg, env))
+        fv, av = _eval(sig, fuel, t.fn, env), _eval(sig, fuel, t.arg, env)
+        if type(fv) is _Closure:  # here, a beta step takes one frame
+            fuel.spend()
+            return _eval(sig, fuel, fv.lam.body, (fv.env[0], (*fv.env[1], av)))
+        return _apply(sig, fuel, fv, av)
     if k is Downcast or k is Upcast:
         lo, hi = t.low, t.high
         if hi is DYN and is_ground(lo):  # as every cast of an elaborated term
             # is: evaluated here, it takes one frame, as other nodes do
             v = _eval(sig, fuel, t.body, env)
             return _tag(sig, fuel, lo, v) if k is Upcast else _untag(sig, fuel, lo, v)
-        return _cast(sig, fuel, k is Upcast, lo, hi,
-                     lambda: _eval(sig, fuel, t.body, env))
+        return _cast(sig, fuel, k is Upcast, lo, hi, partial(_eval, sig, fuel, t.body, env))
     if k is Lam:
         return _Closure(t, env)
     if k is Var:
@@ -290,7 +294,8 @@ def _cast(sig: Signature, fuel: _Fuel, up: bool, lo: Type, hi: Type,
     """The value of the cast of ``subject()`` from ``lo`` up to ``hi`` if
     ``up``, else from ``hi`` down to ``lo``, by ``_build``'s cases: the value
     of the term that ``_build`` writes, and ``subject`` is called where that
-    term would evaluate the subject."""
+    term would evaluate the subject.  Subjects are ``partial``s where they
+    can be, which take no interpreter frame of their own."""
     if lo is hi:
         return subject()
     if hi is DYN:
@@ -312,24 +317,29 @@ def _cast(sig: Signature, fuel: _Fuel, up: bool, lo: Type, hi: Type,
             if not shared:
                 shared.append(subject())
             return _proj(i, shared[0])
-        return Pair(_cast(sig, fuel, up, lo.fst, hi.fst, lambda: part(1)),
-                    _cast(sig, fuel, up, lo.snd, hi.snd, lambda: part(2)))
+        return Pair(_cast(sig, fuel, up, lo.fst, hi.fst, partial(part, 1)),
+                    _cast(sig, fuel, up, lo.snd, hi.snd, partial(part, 2)))
     if k is Base and type(hi) is Base:  # through ?, as ``_build`` goes
         source, target = (lo, hi) if up else (hi, lo)
         return _untag(sig, fuel, target, _tag(sig, fuel, source, subject()))
     raise _no_route(up, lo, hi)
 
 
-def _unwrap(sig: Signature, fuel: _Fuel, c: _CastClosure, av):
-    """The body of the wrapper ``c`` at the argument ``av``."""
+def _unwrap(sig: Signature, fuel: _Fuel, c: _CastClosure, av, cast_result: bool = True):
+    """The body of the wrapper ``c`` at the argument ``av``: the subject
+    applied to the argument cast back, then cast on if ``cast_result``.  An
+    identity or ground result cast runs here, so a chain of wrappers takes
+    two frames a cast; any other gets the result as a thunk."""
     lo, hi, up = c.low, c.high, c.up
-
-    def result():
-        if c.value is None:
-            c.value = c.subject()
-        arg = _cast(sig, fuel, not up, lo.dom, hi.dom, lambda: av)
-        return _apply(sig, fuel, c.value, arg)
-    return _cast(sig, fuel, up, lo.cod, hi.cod, result)
+    b, b1 = lo.cod, hi.cod
+    if cast_result and b is not b1 and not (b1 is DYN and is_ground(b)):
+        return _cast(sig, fuel, up, b, b1, partial(_unwrap, sig, fuel, c, av, False))
+    if c.value is None:
+        c.value = c.subject()
+    v = _apply(sig, fuel, c.value, _cast(sig, fuel, not up, lo.dom, hi.dom, lambda: av))
+    if not cast_result or b is b1:
+        return v
+    return _tag(sig, fuel, b, v) if up else _untag(sig, fuel, b, v)
 
 
 def _tag(sig: Signature, fuel: _Fuel, g: Type, v):
