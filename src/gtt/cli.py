@@ -5,6 +5,9 @@ underivable, rejected derivation, semantic counterexample), 2 for usage,
 parse or configuration errors and for internal errors.  Reports are line
 oriented: ``RESULT``, ``COUNTEREXAMPLE`` and ``SKIPPED`` prefixes,
 deterministic for fixed inputs and flags.
+
+A command imports each layer beyond parsing, typing and elaboration
+inside its own function, so that a call loads only the layers it runs.
 """
 
 from __future__ import annotations
@@ -22,17 +25,7 @@ from .typecheck import (
     DynCtx, Signature, default_signature, enumerate_types, infer_type,
     tydyn_holds,
 )
-from .dynamism import DynJudgment, check_derivation, derivation_errors
-from .derivio import derivations_to_text, parse_derivations
 from .elaborate import elaborate, equal_terms, normalize
-from .model import (
-    ModelError, check_equipment, check_judgment_semantics,
-    derivation_first_order, eval_term, first_order, model_signature,
-    value_to_text,
-)
-from .theorems import (
-    REDUCTION_THEOREMS, conclusion_equation, derive_theorem, theorem_instances,
-)
 
 
 class _Failure(Exception):
@@ -108,6 +101,8 @@ def _cmd_dyncheck(args, sig):
 
 
 def _cmd_prove(args, sig):
+    from .derivio import parse_derivations
+    from .dynamism import derivation_errors
     ds = parse_derivations(_read(args.file), sig)
     if not ds:  # a truncated `gtt derive > f.gttd` must not read as a pass
         raise _Failure(2, "error: no derivation in file")
@@ -127,6 +122,8 @@ def _cmd_prove(args, sig):
 
 
 def _cmd_derive(args, sig):
+    from .derivio import derivations_to_text
+    from .theorems import derive_theorem
     if args.name in ("ur-s", "ul-s", "dr-s", "dl-s"):
         raise _Failure(2, "sequent rules need a premise derivation; "
                           "use the library API for those")
@@ -160,6 +157,7 @@ def _cmd_normalize(args, sig):
 
 
 def _cmd_eval(args, sig):
+    from .model import ModelError, eval_term, value_to_text
     ctx, term = parse_term_file(_read(args.file), sig)
     if len(ctx):
         raise _Failure(2, "eval expects a closed term")
@@ -178,6 +176,8 @@ def _cmd_compare(args, sig):
     if ctx1.entries != ctx2.entries:
         raise _Failure(2, "compared terms must share one context")
     if args.semantic:
+        from .dynamism import DynJudgment
+        from .model import check_judgment_semantics, model_signature
         ty1 = infer_type(sig, ctx1, t1)
         ty2 = infer_type(sig, ctx2, t2)
         msig = model_signature(sig)
@@ -195,6 +195,7 @@ def _cmd_compare(args, sig):
 
 
 def _cmd_test_model(args, sig):
+    from .model import check_equipment, first_order, model_signature
     lines = []
     status = 0
     msig = model_signature(sig)
@@ -211,6 +212,11 @@ def _cmd_test_model(args, sig):
 
 
 def _cmd_test_theorems(args, sig):
+    from .dynamism import check_derivation
+    from .model import check_judgment_semantics, derivation_first_order
+    from .theorems import (
+        REDUCTION_THEOREMS, conclusion_equation, theorem_instances,
+    )
     lines = []
     counts = {"pass": 0, "fail": 0, "skip": 0}
     for name, params, ds in theorem_instances(sig, args.size):

@@ -55,13 +55,12 @@ what is trusted is still ``_SCHEMA`` and the presupposition check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from .syntax import (
     App, Bound, Downcast, DYN, Err, Fn, GttError, Lam, Pair, Prod, Proj, Term,
     Type, UNIT, UNITVAL, Upcast, Var, free_vars, instantiate, loose_indices,
-    substitute,
+    frozen, substitute,
 )
 from .typecheck import (
     DynCtx, Signature, _infer, _unrelated_grounds, check_dynctx_wf,
@@ -73,8 +72,10 @@ class DerivationError(GttError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class DynJudgment:
+    """``phi |- left <= right : type_left <= type_right``: term dynamism
+    between two terms over a context-dynamism witness."""
     phi: DynCtx
     left: Term
     right: Term
@@ -87,8 +88,10 @@ class DynJudgment:
                 f"{type_to_text(self.type_left)} <= {type_to_text(self.type_right)}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Derivation:
+    """A derivation tree: the rule that concludes ``conclusion`` from the
+    premise derivations, with the rule's extra data in ``aux``."""
     rule: str
     conclusion: DynJudgment
     premises: tuple["Derivation", ...] = ()

@@ -50,14 +50,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .syntax import (
     App, Base, Bound, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
     Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, cast_annotations,
+    frozen,
 )
 from .typecheck import Signature, first_order, floor_type, tydyn_holds
-from .dynamism import Derivation, DynJudgment
+
+if TYPE_CHECKING:  # annotations only, so that the model loads without the checker
+    from .dynamism import Derivation, DynJudgment
 
 
 class ModelError(GttError):
@@ -76,7 +79,7 @@ class SemValue:
 # slots through the slot descriptors, which costs about 40% less than the
 # initializer a frozen dataclass generates; assignment still raises.
 
-@dataclass(frozen=True, slots=True, init=False)
+@frozen(init=False)
 class NatVal(SemValue):
     """A base-type value or a leaf of ``?``: a natural, or None for the
     error."""
@@ -86,8 +89,9 @@ class NatVal(SemValue):
         _set_n(self, n)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@frozen(init=False)
 class PairVal(SemValue):
+    """A value of a product type, or a pair node of ``?``."""
     fst: SemValue
     snd: SemValue
 
@@ -100,9 +104,9 @@ _set_n = NatVal.n.__set__
 _set_fst, _set_snd = PairVal.fst.__set__, PairVal.snd.__set__
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class UnitValSem(SemValue):
-    pass
+    """The one value of the unit type."""
 
 
 UNIT_SEM = UnitValSem()
@@ -224,7 +228,7 @@ def enumerate_values(sig: Signature, ty: Type, bound: int = 2) -> list[SemValue]
     return enumeration(sig, ty, bound).values
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Enumeration:
     """The values of a function-free type within a bound, with what the
     checks read off them, all by position in ``values``:
@@ -329,8 +333,10 @@ def _dyn_enumeration(bound: int) -> Enumeration:
 # Coreflections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Coreflection:
+    """The coreflection of ``src <= tgt``: an upcast ``up`` into ``tgt`` and
+    a downcast ``dn`` that retracts it."""
     src: Type
     tgt: Type
     up: Callable[[SemValue], SemValue]

@@ -45,6 +45,27 @@ class ContextError(GttError):
     pass
 
 
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen(cls=None, /, *, init=True):
+    """``cls`` as a ``dataclass(frozen=True, slots=True)`` that refuses to
+    assign or delete any attribute, field or not.  The dataclass's own
+    ``__setattr__`` tests ``type(self)`` against the class it was given,
+    not the slotted copy it returns, so for a name that is not a field it
+    calls ``super()`` with the wrong class and raises ``TypeError``."""
+    def wrap(cls):
+        cls = dataclass(frozen=True, slots=True, init=init)(cls)
+        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
+        return cls
+    return wrap if cls is None else wrap(cls)
+
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
@@ -68,11 +89,7 @@ class Type:
 
         cls._table, cls._forget = table, forget
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = _refuse_set, _refuse_delete
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -178,14 +195,14 @@ class Term:
 
 
 def _term(cls):
-    """``cls`` as a frozen slotted dataclass, with an ``__init__`` of its
+    """``cls`` as a ``frozen`` dataclass, with an ``__init__`` of its
     own that stores each field through its slot descriptor.  The frozen
     dataclass ``__init__`` stores through ``object.__setattr__``, which
     looks the descriptor up again for every field, and so costs about
     twice as much per node.  A class that writes its own ``__init__`` keeps
     it, and gets the storing one as ``_store``.  ``==``, ``hash``,
     ``repr`` and ``__match_args__`` are the dataclass's."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls = frozen(cls, init=False)
     scope, params, stores = {}, [], []
     for f in fields(cls):
         scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
@@ -206,6 +223,7 @@ def _term(cls):
 
 @_term
 class Var(Term):
+    """A free variable, by name."""
     name: str
 
 
@@ -244,25 +262,28 @@ class Lam(Term):
 
 @_term
 class App(Term):
+    """Application of a term of function type to an argument."""
     fn: Term
     arg: Term
 
 
 @_term
 class Pair(Term):
+    """A pair, of product type."""
     fst: Term
     snd: Term
 
 
 @_term
 class Proj(Term):
+    """The first or second component of a pair."""
     index: int  # 1 or 2
     tup: Term
 
 
 @_term
 class UnitVal(Term):
-    pass
+    """The value ``()`` of the unit type."""
 
 
 @_term
@@ -348,7 +369,7 @@ def cast_annotations(t: Term) -> Iterator[Type]:
 # Contexts and substitutions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Context:
     """Ordered typing context with pairwise distinct variable names."""
 

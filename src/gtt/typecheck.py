@@ -22,12 +22,12 @@ field lookups, case after case), and compares hash-consed types with ``is``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .syntax import (
     App, Base, Bound, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam,
     Pair, Prod, Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, contains_fn,
+    frozen,
 )
 
 
@@ -41,7 +41,7 @@ class TypeCheckError(GttError):
         self.subterm = subterm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class DynCtx:
     """A context-dynamism witness: pointwise pairing of two contexts."""
 

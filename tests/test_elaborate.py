@@ -578,17 +578,17 @@ def test_every_term_class_is_a_frozen_dataclass(cls):
     names = tuple(f.name for f in dataclasses.fields(cls))
     values = tuple(getattr(t, name) for name in names)
     assert cls.__match_args__ == names
-    for name in names:
-        with pytest.raises(FrozenInstanceError):
+    for name in (*names, "extra"):  # a name that is no field is refused too
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
             setattr(t, name, None)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
             delattr(t, name)
     assert tuple(getattr(t, name) for name in names) == values
     copy = pickle.loads(pickle.dumps(t))
     assert copy == t and hash(copy) == hash(t) and copy is not t
     assert repr(t) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
     if cls is not Lam:  # ``Lam`` closes a named body; ``Lam.nameless`` stores
-        assert cls(*values) == t == cls(**dict(zip(names, values)))
+        assert cls(*values) == t == cls(**dict(zip(names, values))) == dataclasses.replace(t)
     assert Lam.nameless("z", NAT, t) == Lam.nameless("y", NAT, t) != Lam.nameless("y", UNIT, t)
     match t:
         case Var(a) | Bound(a) | Err(a):

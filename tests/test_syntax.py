@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -12,7 +13,9 @@ from gtt.syntax import (
     Prod, UNIT, UnboundVariable, Unit, Upcast, DYN, Var, free_vars, num,
     subst1, substitute,
 )
-from gtt.typecheck import default_signature
+from gtt.dynamism import Derivation, DynJudgment
+from gtt.model import NatVal, PairVal, UnitValSem, denote_coreflection, enumeration
+from gtt.typecheck import DynCtx, default_signature
 
 from oracles import alpha_eq_oracle, subst_nameless, to_nameless
 from termgen import gen_welltyped
@@ -189,6 +192,30 @@ def test_types_print_and_match_as_before():
             assert (a, b) == (UNIT, NAT)
     with pytest.raises(FrozenInstanceError):
         ty.dom = NAT
+
+
+ZERO_JUDGMENT = DynJudgment(DynCtx(), num(0), num(0), NAT, NAT)
+FROZEN = [  # one instance of each frozen class that is not a term
+    Context.of(("x", NAT)), DynCtx.of(("x", "y", NAT, DYN)), ZERO_JUDGMENT,
+    Derivation("refl", ZERO_JUDGMENT), NatVal(1), PairVal(NatVal(1), NatVal(None)),
+    UnitValSem(), enumeration(SIG, NAT, 2), denote_coreflection(SIG, NAT, DYN),
+]
+
+
+@pytest.mark.parametrize("obj", FROZEN, ids=lambda o: type(o).__name__)
+def test_every_frozen_class_refuses_any_attribute(obj):
+    names = tuple(f.name for f in dataclasses.fields(obj))
+    values = tuple(getattr(obj, name) for name in names)
+    for name in (*names, "extra"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, None)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+    assert tuple(getattr(obj, name) for name in names) == values
+    assert dataclasses.replace(obj) == obj == type(obj)(*values)
+    if not any(callable(v) for v in values):  # maps do not pickle
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and hash(copy) == hash(obj)
 
 
 def test_the_intern_table_does_not_keep_types_alive():
