@@ -35,7 +35,7 @@ _HOME = {
         "derive_sequent", "derive_theorem", "theorem_instances"), "theorems"),
     **dict.fromkeys((
         "Coreflection", "check_equipment", "check_judgment_semantics",
-        "denote_coreflection", "eval_term", "value_leq"), "model"),
+        "denote_coreflection"), "model"),
 }
 _LAYERS = ("syntax", "typecheck", "dynamism", "theorems", "model")
 

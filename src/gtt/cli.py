@@ -157,13 +157,13 @@ def _cmd_normalize(args, sig):
 
 
 def _cmd_eval(args, sig):
-    from .model import ModelError, eval_term, value_to_text
+    from .model import ModelError, compile_term, value_to_text
     ctx, term = parse_term_file(_read(args.file), sig)
     if len(ctx):
         raise _Failure(2, "eval expects a closed term")
     infer_type(sig, ctx, term)  # an ill-typed term has no value
     try:
-        v = eval_term(sig, {}, term)
+        v = compile_term(sig, term)({})
     except ModelError as e:
         raise _Failure(2, f"not evaluable: {e}")
     _emit(args, [value_to_text(v)])

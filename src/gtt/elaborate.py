@@ -171,8 +171,15 @@ def oblique_cast(a: Type, b: Type, t: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 class _Fuel:
+    """The state of one normalization: the steps left, and for each
+    ``Proj`` subject, by ``id``, the subject, its last environment and its
+    value there.  Elaboration shares a product cast's subject between the
+    two components as one object, so each is evaluated once per
+    environment, not once per component at every level of a chain.  An
+    entry holds its subject, so no ``id`` is reused while it lives."""
     def __init__(self, steps: int | None):
         self.remaining = steps
+        self.subjects: dict[int, tuple] = {}
 
     def spend(self):
         if self.remaining is None:
@@ -245,7 +252,13 @@ def _eval(sig: Signature, fuel: _Fuel, t: Term, env: tuple):
     name, and those of the enclosing binders, innermost last."""
     k = type(t)
     if k is Proj:
-        v = _eval(sig, fuel, t.tup, env)
+        tup = t.tup
+        seen = fuel.subjects.get(id(tup))
+        if seen is not None and seen[1] is env:
+            v = seen[2]
+        else:
+            v = _eval(sig, fuel, tup, env)
+            fuel.subjects[id(tup)] = tup, env, v
         if type(v) is Pair:
             fuel.spend()
         return _proj(t.index, v)

@@ -42,7 +42,9 @@ downcasts stay inside the enumeration, so a judgment check whose test
 fails, raises ``ModelError`` or leaves the enumeration walks every related
 pair instead, and a failing cover walks every related pair of its order:
 a failure reports the walk's first counterexample, error and count.
-``eval_term`` and ``value_leq_at`` compile and apply in one step.
+Each query has one entry point, compiled or built once and kept on the
+signature: ``compile_term`` evaluates, ``order_at`` and ``cross_order``
+compare, and ``enumeration`` enumerates.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .syntax import (
     App, Base, Bound, Downcast, DYN, Err, Fn, FnApp, GttError, Lam, Pair, Prod,
-    Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, cast_annotations,
-    frozen,
+    Proj, Term, Type, Unit, UnitVal, Upcast, Var, cast_annotations, frozen,
 )
 from .typecheck import Signature, first_order, floor_type, tydyn_holds
 
@@ -75,33 +76,18 @@ class SemValue:
     __slots__ = ()
 
 
-# Checks build values by the million, so the two value classes set their
-# slots through the slot descriptors, which costs about 40% less than the
-# initializer a frozen dataclass generates; assignment still raises.
-
-@frozen(init=False)
+@frozen
 class NatVal(SemValue):
     """A base-type value or a leaf of ``?``: a natural, or None for the
     error."""
     n: Optional[int]
 
-    def __init__(self, n: Optional[int]):
-        _set_n(self, n)
 
-
-@frozen(init=False)
+@frozen
 class PairVal(SemValue):
     """A value of a product type, or a pair node of ``?``."""
     fst: SemValue
     snd: SemValue
-
-    def __init__(self, fst: SemValue, snd: SemValue):
-        _set_fst(self, fst)
-        _set_snd(self, snd)
-
-
-_set_n = NatVal.n.__set__
-_set_fst, _set_snd = PairVal.fst.__set__, PairVal.snd.__set__
 
 
 @frozen
@@ -159,14 +145,22 @@ def _base_range(sig: Signature, name: str) -> tuple[int, float] | None:
     return None
 
 
+_MISSING = object()
+
+
+def _memo(sig: Signature, key, make: Callable[[], object]):
+    """The model's cache entry on ``sig`` at ``key``, ``make()`` on first
+    use.  An entry may be None; what ``make`` raises is not kept."""
+    cached = sig._model_cache.get(key, _MISSING)
+    if cached is _MISSING:
+        cached = sig._model_cache[key] = make()
+    return cached
+
+
 def model_signature(sig: Signature) -> Signature:
     """The signature with ``?`` restricted to function-free types, which is
     the fragment this model supports."""
-    cached = sig._model_cache.get("fo_sig")
-    if cached is None:
-        cached = sig.first_order_dyn()
-        sig._model_cache["fo_sig"] = cached
-    return cached
+    return _memo(sig, "fo_sig", sig.first_order_dyn)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +174,7 @@ def order_at(sig: Signature, ty: Type, bound: int = 2) -> Order:
     """The pointed-preorder order within one type's denotation, compiled
     once per type and bound.  Function orders are checked pointwise on the
     arguments within the bound."""
-    key = ("leq", ty, bound)
-    cached = sig._model_cache.get(key)
-    if cached is None:
-        cached = _compile_order(sig, ty, bound)
-        sig._model_cache[key] = cached
-    return cached
+    return _memo(sig, ("leq", ty, bound), lambda: _compile_order(sig, ty, bound))
 
 
 def _compile_order(sig: Signature, ty: Type, bound: int) -> Order:
@@ -200,7 +189,7 @@ def _compile_order(sig: Signature, ty: Type, bound: int) -> Order:
         case Fn(dom, cod):
             leq_cod = order_at(sig, cod, bound)
             return lambda v, w: all(leq_cod(v(arg), w(arg))
-                                    for arg in enumerate_values(sig, dom, bound))
+                                    for arg in enumeration(sig, dom, bound).values)
         case _:
             return _dyn_leq
 
@@ -216,22 +205,11 @@ def _dyn_leq(v: SemValue, w: SemValue) -> bool:
     return v.n is None or (type(w) is NatVal and w.n == v.n)
 
 
-def value_leq_at(sig: Signature, ty: Type, v: SemValue, w: SemValue,
-                 bound: int = 2) -> bool:
-    """Whether ``v`` is below ``w`` in ``ty``'s denotation."""
-    return order_at(sig, ty, bound)(v, w)
-
-
-def enumerate_values(sig: Signature, ty: Type, bound: int = 2) -> list[SemValue]:
-    """All values of a function-free type within the bound: naturals below
-    ``bound``, and at ``?`` pairs nested at most ``bound - 1`` deep."""
-    return enumeration(sig, ty, bound).values
-
-
 @frozen
 class Enumeration:
-    """The values of a function-free type within a bound, with what the
-    checks read off them, all by position in ``values``:
+    """The values of a function-free type within a bound (naturals below
+    ``bound``, and at ``?`` pairs nested at most ``bound - 1`` deep), with
+    what the checks read off them, all by position in ``values``:
 
     * ``position`` maps a value to its position, or None when it is not
       there;
@@ -250,12 +228,7 @@ def enumeration(sig: Signature, ty: Type, bound: int = 2) -> Enumeration:
     """The enumeration of a function-free type, built once per type and
     bound.  Each natural covers the error, and a product pairs its
     components' values, the first varying slowest, covered componentwise."""
-    key = ("enumeration", ty, bound)
-    cached = sig._model_cache.get(key)
-    if cached is None:
-        cached = _enumeration(sig, ty, bound)
-        sig._model_cache[key] = cached
-    return cached
+    return _memo(sig, ("enumeration", ty, bound), lambda: _enumeration(sig, ty, bound))
 
 
 def _enumeration(sig: Signature, ty: Type, bound: int) -> Enumeration:
@@ -335,23 +308,18 @@ def _dyn_enumeration(bound: int) -> Enumeration:
 
 @frozen
 class Coreflection:
-    """The coreflection of ``src <= tgt``: an upcast ``up`` into ``tgt`` and
-    a downcast ``dn`` that retracts it."""
-    src: Type
-    tgt: Type
+    """The coreflection of a pair ``A <= B``: an upcast ``up`` into ``B``
+    and a downcast ``dn`` that retracts it."""
     up: Callable[[SemValue], SemValue]
     dn: Callable[[SemValue], SemValue]
-
-    @staticmethod
-    def identity(ty: Type) -> "Coreflection":
-        return Coreflection(ty, ty, lambda v: v, lambda v: v)
 
     def compose(self, outer: "Coreflection") -> "Coreflection":
         """self : A <| B composed with outer : B <| C gives A <| C."""
         up1, dn1, up2, dn2 = self.up, self.dn, outer.up, outer.dn
-        return Coreflection(self.src, outer.tgt,
-                            lambda v: up2(up1(v)),
-                            lambda v: dn1(dn2(v)))
+        return Coreflection(lambda v: up2(up1(v)), lambda v: dn1(dn2(v)))
+
+
+_IDENTITY = Coreflection(lambda v: v, lambda v: v)
 
 
 def _tag_coreflection(sig: Signature, ground: Type) -> Coreflection:
@@ -378,18 +346,15 @@ def _tag_coreflection(sig: Signature, ground: Type) -> Coreflection:
                     return ERR_SEM
                 return NatVal(m - lo) if lo else v
 
-            return Coreflection(ground, DYN, up, dn)
+            return Coreflection(up, dn)
         case Prod(a, b) if a == DYN and b == DYN:
             bottom = PairVal(ERR_SEM, ERR_SEM)
             return Coreflection(
-                ground, DYN,
                 # the wedge glues the two bottoms
                 lambda v: ERR_SEM if v == bottom else v,
                 lambda v: v if type(v) is PairVal else bottom)
         case Unit():
-            return Coreflection(UNIT, DYN,
-                                lambda _v: ERR_SEM,
-                                lambda _v: UNIT_SEM)
+            return Coreflection(lambda _v: ERR_SEM, lambda _v: UNIT_SEM)
         case _:
             raise ModelError(f"type {ground} has no tag in the dynamic type")
 
@@ -397,18 +362,13 @@ def _tag_coreflection(sig: Signature, ground: Type) -> Coreflection:
 def denote_coreflection(sig: Signature, a: Type, b: Type) -> Coreflection:
     """The coreflection for a derivable pair ``a <= b``, built structurally
     and through ground tags at ``?``."""
-    key = ("coref", a, b)
-    cached = sig._model_cache.get(key)
-    if cached is not None:
-        return cached
-    msig = model_signature(sig)
-    if not (denotable(sig, a) and denotable(sig, b)):
-        raise ModelError(f"types not denotable in the tree model: {a}, {b}")
-    if not tydyn_holds(msig, a, b):
-        raise ModelError(f"{a} <= {b} is not derivable in the first-order model")
-    out = _coref(sig, a, b)
-    sig._model_cache[key] = out
-    return out
+    def make() -> Coreflection:
+        if not (denotable(sig, a) and denotable(sig, b)):
+            raise ModelError(f"types not denotable in the tree model: {a}, {b}")
+        if not tydyn_holds(model_signature(sig), a, b):
+            raise ModelError(f"{a} <= {b} is not derivable in the first-order model")
+        return _coref(sig, a, b)
+    return _memo(sig, ("coref", a, b), make)
 
 
 def _coref(sig: Signature, a: Type, b: Type) -> Coreflection:
@@ -416,7 +376,7 @@ def _coref(sig: Signature, a: Type, b: Type) -> Coreflection:
     up through ``denote_coreflection``, so that every derivable pair has one
     coreflection wherever it occurs."""
     if a == b:
-        return Coreflection.identity(a)
+        return _IDENTITY
     if b == DYN:
         tag = floor_type(a)
         if a == tag:
@@ -428,13 +388,11 @@ def _coref(sig: Signature, a: Type, b: Type) -> Coreflection:
             (up1, dn1), (up2, dn2) = [(c.up, c.dn) for c in (
                 denote_coreflection(sig, a1, b1), denote_coreflection(sig, a2, b2))]
             return Coreflection(
-                a, b,
                 lambda v: PairVal(up1(v.fst), up2(v.snd)),
                 lambda v: PairVal(dn1(v.fst), dn2(v.snd)))
         case Fn(a1, a2), Fn(b1, b2):
             carg, cres = denote_coreflection(sig, a1, b1), denote_coreflection(sig, a2, b2)
             return Coreflection(
-                a, b,
                 lambda f: FnVal(lambda v: cres.up(f(carg.dn(v)))),
                 lambda f: FnVal(lambda v: cres.dn(f(carg.up(v)))))
         case _:
@@ -518,11 +476,6 @@ def _cast(sig: Signature, lo: Type, hi: Type, direction: str,
     return lambda env: apply(body(env))
 
 
-def eval_term(sig: Signature, env: Env, t: Term) -> SemValue:
-    """The denotation of ``t`` in ``env``."""
-    return compile_term(sig, t)(dict(env))
-
-
 def value_to_text(v: SemValue) -> str:
     match v:
         case NatVal(None):
@@ -554,12 +507,6 @@ def cross_order(sig: Signature, a: Type, b: Type, bound: int = 2) -> Order:
             up = denote_coreflection(sig, a, b).up
         return leq(up(v), w)
     return cross
-
-
-def value_leq(sig: Signature, a: Type, b: Type, v: SemValue, w: SemValue,
-              bound: int = 2) -> bool:
-    """Whether ``v : [[a]]`` is below ``w : [[b]]``."""
-    return cross_order(sig, a, b, bound)(v, w)
 
 
 @dataclass
@@ -637,47 +584,40 @@ def check_equipment(sig: Signature, a: Type, b: Type, bound: int = 2) -> Report:
 
 def related_indices(sig: Signature, a: Type, b: Type, bound: int = 2
                     ) -> list[tuple[int, int]]:
-    """All ``(i, k)`` such that value ``i`` of ``enumerate_values(sig, a,
-    bound)`` is below value ``k`` of ``enumerate_values(sig, b, bound)``,
-    the first position varying slowest."""
-    key = ("relidx", a, b, bound)
-    cached = sig._model_cache.get(key)
-    if cached is None:
+    """All ``(i, k)`` such that value ``i`` of ``enumeration(sig, a,
+    bound)`` is below value ``k`` of ``enumeration(sig, b, bound)``, the
+    first position varying slowest."""
+    def make() -> list[tuple[int, int]]:
         leq = cross_order(sig, a, b, bound)
-        values_b = enumerate_values(sig, b, bound)
-        cached = [(i, k)
-                  for i, v in enumerate(enumerate_values(sig, a, bound))
-                  for k, w in enumerate(values_b)
-                  if leq(v, w)]
-        sig._model_cache[key] = cached
-    return cached
+        values_b = enumeration(sig, b, bound).values
+        return [(i, k)
+                for i, v in enumerate(enumeration(sig, a, bound).values)
+                for k, w in enumerate(values_b)
+                if leq(v, w)]
+    return _memo(sig, ("relidx", a, b, bound), make)
 
 
 def _dn_column(sig: Signature, tl: Type, tr: Type, bound: int
                ) -> tuple[Sequence[int], int] | None:
     """For a context entry ``tl <= tr``: the position of ``dn w`` in
-    ``enumerate_values(sig, tl, bound)`` for each value ``w`` of ``tr``, and
-    the number of related pairs of values, ``sum |down(dn w)|``, which the
+    ``enumeration(sig, tl, bound)`` for each value ``w`` of ``tr``, and the
+    number of related pairs of values, ``sum |down(dn w)|``, which the
     adjunction ``up v <= w`` iff ``v <= dn w`` gives.  None when some ``dn
     w`` lies outside the enumeration, where that count does not hold."""
-    key = ("column", tl, tr, bound)
-    if key in sig._model_cache:
-        return sig._model_cache[key]
-    left = enumeration(sig, tl, bound)
-    if tl == tr:
-        column: Sequence[int] | None = range(len(left.values))
-    else:
-        dn, position = denote_coreflection(sig, tl, tr).dn, left.position
-        column = []
-        for w in enumerate_values(sig, tr, bound):
-            p = position(dn(w))
-            if p is None:
-                column = None
-                break
-            column.append(p)
-    out = None if column is None else (column, sum(left.downs[p] for p in column))
-    sig._model_cache[key] = out
-    return out
+    def make() -> tuple[Sequence[int], int] | None:
+        left = enumeration(sig, tl, bound)
+        if tl == tr:
+            column: Sequence[int] = range(len(left.values))
+        else:
+            dn, position = denote_coreflection(sig, tl, tr).dn, left.position
+            column = []
+            for w in enumeration(sig, tr, bound).values:
+                p = position(dn(w))
+                if p is None:
+                    return None
+                column.append(p)
+        return column, sum(left.downs[p] for p in column)
+    return _memo(sig, ("column", tl, tr, bound), make)
 
 
 def check_judgment_semantics(sig: Signature, j: DynJudgment, bound: int = 2) -> Report:
@@ -720,8 +660,8 @@ def _adjoint_checks(sig: Signature, j: DynJudgment, bound: int,
     up = (denote_coreflection(sig, j.type_left, j.type_right).up
           if j.type_left != j.type_right else lambda v: v)
     leq = order_at(sig, j.type_right, bound)
-    entries = [(xl, xr, enumerate_values(sig, tl, bound),
-                enumerate_values(sig, tr, bound), column)
+    entries = [(xl, xr, enumeration(sig, tl, bound).values,
+                enumeration(sig, tr, bound).values, column)
                for (xl, xr, tl, tr), (column, _) in zip(j.phi, columns)]
     # the last entry varies in the inner loop; an empty context has one
     # environment, taken as a last entry that binds nothing
@@ -752,7 +692,7 @@ def _walk_related_pairs(sig: Signature, j: DynJudgment, bound: int,
     an evaluation error is raised at the first pair that meets it."""
     cross = cross_order(sig, j.type_left, j.type_right, bound)
     names = [(xl, xr) for xl, xr, _, _ in j.phi]
-    values = [(enumerate_values(sig, tl, bound), enumerate_values(sig, tr, bound))
+    values = [(enumeration(sig, tl, bound).values, enumeration(sig, tr, bound).values)
               for _, _, tl, tr in j.phi]
     checks = 0
     for combo in product(*[related_indices(sig, tl, tr, bound)

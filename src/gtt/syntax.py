@@ -53,17 +53,40 @@ def _refuse_delete(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def frozen(cls=None, /, *, init=True):
-    """``cls`` as a ``dataclass(frozen=True, slots=True)`` that refuses to
-    assign or delete any attribute, field or not.  The dataclass's own
-    ``__setattr__`` tests ``type(self)`` against the class it was given,
-    not the slotted copy it returns, so for a name that is not a field it
-    calls ``super()`` with the wrong class and raises ``TypeError``."""
-    def wrap(cls):
-        cls = dataclass(frozen=True, slots=True, init=init)(cls)
-        cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
-        return cls
-    return wrap if cls is None else wrap(cls)
+def frozen(cls):
+    """``cls`` as a ``dataclass(frozen=True, slots=True)`` with an
+    ``__init__`` that stores each field through its slot descriptor and
+    then calls ``__post_init__``, if the class defines one.  The dataclass
+    ``__init__`` stores through ``object.__setattr__``, which looks the
+    descriptor up again for every field, and so costs about twice as much
+    per object.  A class that writes its own ``__init__`` keeps it, and
+    gets the storing one as ``_store``.  ``==``, ``hash``, ``repr`` and
+    ``__match_args__`` are the dataclass's.  Assigning or deleting any
+    attribute, field or not, raises ``FrozenInstanceError``: the
+    dataclass's own ``__setattr__`` tests ``type(self)`` against the class
+    it was given, not the slotted copy it returns, so for a name that is
+    not a field it calls ``super()`` with the wrong class and raises
+    ``TypeError``."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
+    scope, params, stores = {}, [], []
+    for f in fields(cls):
+        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        stores.append(f"\n    _set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        stores.append("\n    self.__post_init__()")
+    exec(f"def store(self, {', '.join(params)}):{''.join(stores) or ' pass'}", scope)
+    if "__init__" in cls.__dict__:
+        cls._store = staticmethod(scope["store"])
+    else:
+        scope["store"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = scope["store"]
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -194,53 +217,26 @@ class Term:
     __slots__ = ()
 
 
-def _term(cls):
-    """``cls`` as a ``frozen`` dataclass, with an ``__init__`` of its
-    own that stores each field through its slot descriptor.  The frozen
-    dataclass ``__init__`` stores through ``object.__setattr__``, which
-    looks the descriptor up again for every field, and so costs about
-    twice as much per node.  A class that writes its own ``__init__`` keeps
-    it, and gets the storing one as ``_store``.  ``==``, ``hash``,
-    ``repr`` and ``__match_args__`` are the dataclass's."""
-    cls = frozen(cls, init=False)
-    scope, params, stores = {}, [], []
-    for f in fields(cls):
-        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            scope[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        stores.append(f"\n    _set_{f.name}(self, {f.name})")
-    exec(f"def store(self, {', '.join(params)}):{''.join(stores) or ' pass'}", scope)
-    if "__init__" in cls.__dict__:
-        cls._store = staticmethod(scope["store"])
-    else:
-        scope["store"].__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = scope["store"]
-    return cls
-
-
-@_term
+@frozen
 class Var(Term):
     """A free variable, by name."""
     name: str
 
 
-@_term
+@frozen
 class FnApp(Term):
     """Application of a signature function symbol (numerals included)."""
     sym: str
     args: tuple[Term, ...] = ()
 
 
-@_term
+@frozen
 class Bound(Term):
     """The variable of the ``index``-th enclosing lambda, the nearest 0."""
     index: int
 
 
-@_term
+@frozen
 class Lam(Term):
     """``\\var:annot. body``; the body refers to the binder as ``Bound(0)``
     and ``var`` is a hint for printing.  ``Lam(x, annot, body)`` closes a
@@ -260,33 +256,33 @@ class Lam(Term):
         return lam
 
 
-@_term
+@frozen
 class App(Term):
     """Application of a term of function type to an argument."""
     fn: Term
     arg: Term
 
 
-@_term
+@frozen
 class Pair(Term):
     """A pair, of product type."""
     fst: Term
     snd: Term
 
 
-@_term
+@frozen
 class Proj(Term):
     """The first or second component of a pair."""
     index: int  # 1 or 2
     tup: Term
 
 
-@_term
+@frozen
 class UnitVal(Term):
     """The value ``()`` of the unit type."""
 
 
-@_term
+@frozen
 class Upcast(Term):
     """``up[low => high] body``: cast body from ``low`` up to ``high``.
 
@@ -298,7 +294,7 @@ class Upcast(Term):
     body: Term
 
 
-@_term
+@frozen
 class Downcast(Term):
     """``dn[high => low] body``: cast body from ``high`` down to ``low``.
 
@@ -310,7 +306,7 @@ class Downcast(Term):
     body: Term
 
 
-@_term
+@frozen
 class Err(Term):
     """The error constant, least term at its annotated type."""
     at: Type

@@ -36,7 +36,7 @@ from gtt.syntax import (
 )
 from gtt.model import (
     FnVal, ModelError, NatVal, PairVal, Report, SemValue, UNIT_SEM,
-    denote_coreflection, enumerate_values, judgment_types, least_value,
+    denote_coreflection, enumeration, judgment_types, least_value,
     value_to_text,
 )
 from gtt.syntax import Base, Fn, Prod, Unit, contains_fn, type_size
@@ -795,6 +795,7 @@ def theorem_instances_reference(sig, size: int = 3, names=None, types=None):
 # -- the model by walking the term for every environment ----------------------
 
 def eval_term_reference(sig, env: dict, t: Term):
+    """The value of ``t`` in ``env``, for ``gtt.model.compile_term``."""
     match t:
         case Var(x):
             if x not in env:
@@ -835,6 +836,7 @@ def eval_term_reference(sig, env: dict, t: Term):
 
 
 def value_leq_at_reference(sig, ty, v, w, bound: int = 2) -> bool:
+    """Whether ``v`` is below ``w`` at ``ty``, for ``gtt.model.order_at``."""
     match ty:
         case Base(_):
             return v.n is None or v == w
@@ -845,12 +847,14 @@ def value_leq_at_reference(sig, ty, v, w, bound: int = 2) -> bool:
                     and value_leq_at_reference(sig, b, v.snd, w.snd, bound))
         case Fn(dom, cod):
             return all(value_leq_at_reference(sig, cod, v(arg), w(arg), bound)
-                       for arg in enumerate_values(sig, dom, bound))
+                       for arg in enumeration(sig, dom, bound).values)
         case _:
             return dyn_leq_oracle(v, w)
 
 
 def value_leq_reference(sig, a, b, v, w, bound: int = 2) -> bool:
+    """Whether ``v`` at ``a`` is below ``w`` at ``b``, for
+    ``gtt.model.cross_order``."""
     if a == b:
         return value_leq_at_reference(sig, a, v, w, bound)
     up = denote_coreflection(sig, a, b).up
@@ -864,8 +868,8 @@ def _related_reference(sig, a, b, bound: int) -> list:
     key = (sig, a, b, bound)
     if key not in _RELATED:
         _RELATED[key] = [(v, w)
-                         for v in enumerate_values(sig, a, bound)
-                         for w in enumerate_values(sig, b, bound)
+                         for v in enumeration(sig, a, bound).values
+                         for w in enumeration(sig, b, bound).values
                          if value_leq_reference(sig, a, b, v, w, bound)]
     return _RELATED[key]
 
@@ -910,8 +914,8 @@ def check_equipment_reference(sig, a, b, bound: int = 2) -> Report:
     monotonicity at every related pair of values with the orders above."""
     subject = f"equipment {type_to_text(a)} <= {type_to_text(b)}"
     c = denote_coreflection(sig, a, b)
-    values_a = enumerate_values(sig, a, bound)
-    values_b = enumerate_values(sig, b, bound)
+    values_a = enumeration(sig, a, bound).values
+    values_b = enumeration(sig, b, bound).values
     checks = 0
     for v in values_a:
         checks += 1
@@ -924,7 +928,7 @@ def check_equipment_reference(sig, a, b, bound: int = 2) -> Report:
             return Report(subject, bound, False,
                           f"up (dn w) not below w at w = {value_to_text(w)}", checks)
     for name, ty, other, f in (("up", a, b, c.up), ("dn", b, a, c.dn)):
-        values = enumerate_values(sig, ty, bound)
+        values = enumeration(sig, ty, bound).values
         for v in values:
             for w in values:
                 if not value_leq_at_reference(sig, ty, v, w, bound):

@@ -18,9 +18,9 @@ from gtt.derivio import derivations_to_text, parse_derivations
 from gtt.dynamism import DynJudgment, check_derivation
 from gtt.elaborate import elaborate, equal_terms, is_elaborated, normalize
 from gtt.model import (
-    check_equipment, check_judgment_semantics, derivation_first_order,
-    eval_term, first_order, least_value, model_signature, tydyn_holds,
-    value_leq_at,
+    check_equipment, check_judgment_semantics, compile_term,
+    derivation_first_order, first_order, least_value, model_signature,
+    order_at, tydyn_holds,
 )
 from gtt.theorems import (
     REDUCTION_THEOREMS, conclusion_equation, derive_theorem, theorem_instances,
@@ -86,7 +86,7 @@ def test_criterion_3_tree_order_oracle():
     for a in values:
         for b in values:
             pairs += 1
-            if value_leq_at(SIG, DYN, a, b, 3) == dyn_leq_oracle(a, b):
+            if order_at(SIG, DYN, 3)(a, b) == dyn_leq_oracle(a, b):
                 agreements += 1
     elapsed = time.perf_counter() - start
     ok = pairs > 1000 and agreements == pairs and elapsed < 10.0
@@ -180,7 +180,7 @@ def test_criterion_6_flag_sensitivity():
     # both defaults on: the cross-tag cast is the error, and eval agrees
     err_nf = normalize(SIG, elaborate(SIG, Context(), cross))
     collapses = err_nf == normalize(SIG, Err(Prod(DYN, DYN)))
-    eval_agrees = eval_term(SIG, {}, cross) == least_value(SIG, Prod(DYN, DYN))
+    eval_agrees = compile_term(SIG, cross)({}) == least_value(SIG, Prod(DYN, DYN))
 
     # with retract back on the round trip is an equality again
     equal_with_retract = equal_terms(SIG, round_trip, Var("v"), ctx)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import gtt.cli
 import gtt.grammar
 from gtt.cli import main
-from gtt.syntax import App, Proj, Var
+from gtt.syntax import App, FnApp, Proj, Var
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -780,3 +780,65 @@ def test_a_function_symbol_name_that_is_no_identifier_is_exit_2(tmp_path, capsys
                             capsys=capsys)
     assert (code, err) == (
         2, f"error: function symbol name {name!r} is not an identifier\n")
+
+
+# -- paths pinned byte for byte ----------------------------------------------
+
+SYMBOLS = "basetypes: Nat\nfnsyms:\n  f : (Nat) -> Nat\n  add : (Nat, Nat) -> Nat\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("eval", FIXTURES / "id_fn.gtt"), 0, "<fun>\n", ""),
+    (("eval", FIXTURES / "wrap.gtt"), 2, "", "eval expects a closed term\n"),
+    (("--sig", "{sig}", "eval", "{t}"), 2, "",
+     "not evaluable: function symbol f is not evaluable\n"),
+    (("elaborate", FIXTURES / "wrap.gtt"), 0,
+     "up[? -> ? => ?] (\\x:?. up[Nat => ?] (f dn[? => Nat] x))\n", ""),
+    (("compare", "--syntactic", FIXTURES / "wrap.gtt", FIXTURES / "zero.gtt"),
+     2, "", "compared terms must share one context\n"),
+    (("compare", "--semantic", FIXTURES / "zero.gtt", FIXTURES / "id_fn.gtt"),
+     2, "", "types not related: Nat <= Nat -> Nat fails\n"),
+    (("derive", "ur-s"), 2, "",
+     "sequent rules need a premise derivation; use the library API for those\n"),
+], ids=["eval-fun", "eval-open", "eval-symbol", "elaborate", "compare-contexts",
+        "compare-unrelated", "derive-sequent"])
+def test_a_command_path_prints_exactly(tmp_path, capsys, argv, code, out, err):
+    names = {"sig": tmp_path / "sig.gttsig", "t": tmp_path / "t.gtt"}
+    names["sig"].write_text(SYMBOLS)
+    names["t"].write_text("f(0)\n")
+    assert main([str(a).format(**names) for a in argv]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_a_symbol_application_prints_as_it_parses(tmp_path, capsys):
+    (tmp_path / "sig.gttsig").write_text(SYMBOLS)
+    (tmp_path / "t.gtt").write_text("[x : Nat] add(1, f(x))\n")
+    assert main(["--sig", str(tmp_path / "sig.gttsig"), "normalize",
+                 str(tmp_path / "t.gtt")]) == 0
+    assert capsys.readouterr() == ("add(1, f(x))\n", "")
+    sig = gtt.grammar.parse_signature(SYMBOLS)
+    assert gtt.grammar.parse_term("add(1, f(x))", sig) == FnApp(
+        "add", (FnApp("1"), FnApp("f", (Var("x"),))))
+
+
+def test_a_bound_that_is_no_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", "--semantic", "--bound", "x", str(FIXTURES / "zero.gtt"),
+              str(FIXTURES / "zero.gtt")])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: gtt compare ")
+    assert captured.err.endswith(
+        "\ngtt compare: error: argument --bound: invalid int value: 'x'\n")
+
+
+def test_a_long_product_cast_chain_normalizes(tmp_path, capsys):
+    # each level's two components share one subject; evaluated once per
+    # component, the chain would cost 4**100 steps
+    term = "p"
+    for _ in range(100):
+        term = f"dn[? * ? => Nat * Nat] up[Nat * Nat => ? * ?] ({term})"
+    path = tmp_path / "chain.gtt"
+    path.write_text(f"[p : Nat * Nat] {term}\n")
+    assert main(["normalize", str(path)]) == 0
+    assert capsys.readouterr() == ("(fst p, snd p)\n", "")

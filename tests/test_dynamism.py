@@ -624,3 +624,199 @@ def test_shape_faults_report_the_pinned_messages():
     assert len(lines) == 756
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "52da4b576c14ffc43f8f272d5c1c1d588f81a3c41745f6b5be16db0f7e3d56d8")
+
+
+# -- every rejection line of the rule checks ------------------------------------
+
+def _concl(d: Derivation, **fields) -> Derivation:
+    """``d`` with fields of its conclusion replaced."""
+    return dataclasses.replace(d, conclusion=dataclasses.replace(d.conclusion, **fields))
+
+
+def _node(rule, entries, left, right, tl, tr, premises=(), aux=None) -> Derivation:
+    return Derivation(rule, DynJudgment(DynCtx(tuple(entries)), left, right, tl, tr),
+                      premises, aux)
+
+
+def _diag(rule, ctx, left, right, ty, aux="fwd") -> Derivation:
+    """A node over the diagonal of ``ctx`` at one type, as conversions are."""
+    return _node(rule, DynCtx.diag(ctx).entries, left, right, ty, ty, aux=aux)
+
+
+_X = Var("x")
+_P = Prod(NAT, NAT)
+_NAT_FN = Fn(NAT, NAT)
+_REFL0 = refl_node(Context(), num(0), NAT)
+_VAR_X = var_node(DynCtx.of(("x", "x", NAT, NAT)), 0)
+_COMP = comp_node(_VAR_X, {"x": num(0)}, {"x": num(0)}, (_REFL0,))
+_UP_ENTRY = ("x", "x", NAT, DYN)  # related types where a rule needs equal ones
+_G = Context.of(("g", _NAT_FN))
+_DISJ = _node("disjoint", [("x", "x", NAT, NAT)],
+              Downcast(Prod(DYN, DYN), DYN, Upcast(NAT, DYN, _X)), Err(Prod(DYN, DYN)),
+              Prod(DYN, DYN), Prod(DYN, DYN))
+
+# one malformed node per rejection line that a node which passes its
+# presupposition can reach, each from a passing node, with every line
+# ``derivation_errors`` gives for it
+RULE_ERRORS = [
+    (dataclasses.replace(_REFL0, rule="frob"), ["root: unknown rule 'frob'"]),
+    (_concl(_REFL0, right=UNITVAL),
+     ["root: refl: right term has type 1, judgment claims Nat"]),
+    (_node("refl", [_UP_ENTRY], _X, _X, NAT, DYN),
+     ["root: refl: context must be diagonal (Gamma <= Gamma)",
+      "root: refl: endpoint types must coincide"]),
+    (_concl(trans_node(_REFL0, _REFL0), left=Err(NAT)),
+     ["root: trans: left side does not match first premise"]),
+    (dataclasses.replace(_COMP, aux=None),
+     ["root: comp: aux must carry the two substitutions"]),
+    (dataclasses.replace(_COMP, aux=((("y", num(0)),), (("x", num(0)),))),
+     ["root: comp: left substitution does not cover the main premise context"]),
+    (dataclasses.replace(_COMP, aux=((("x", num(0)),), ())),
+     ["root: comp: right substitution does not cover the main premise context"]),
+    (comp_node(refl_node(Context.of(("x", DYN)), num(0), NAT), {"x": num(0)},
+               {"x": num(0)}, (_REFL0,)),
+     ["root: comp: substitution premise 0 proves the wrong types"]),
+    (_concl(_COMP, left=Err(NAT)),
+     ["root: comp: left side is not the substituted main premise"]),
+    (_concl(_COMP, right=Err(NAT)),
+     ["root: comp: right side is not the substituted main premise"]),
+    (dataclasses.replace(_COMP, premises=(_concl(_VAR_X, left=Var("y")), _REFL0)),
+     ["root.0: var: left term does not type check: unbound variable y",
+      "root: comp: substitution failed: unbound variable: y"]),
+    (_concl(comp_node(_VAR_X, {"x": UNITVAL}, {"x": UNITVAL},
+                      (refl_node(Context(), UNITVAL, UNIT),)),
+            type_left=UNIT, type_right=UNIT),
+     ["root: comp: substitution premise 0 proves the wrong types",
+      "root: comp: types do not match the main premise"]),
+    (_node("ur", [_UP_ENTRY], _X, _X, NAT, DYN),
+     ["root: ur: context entry must be diagonal in its type"]),
+    (_concl(ur_node(NAT, DYN), left=Err(NAT)),
+     ["root: ur: left side must be the context variable"]),
+    (_concl(ul_node(NAT, DYN), left=Err(DYN)),
+     ["root: ul: left side must be the upcast of the context variable"]),
+    (_concl(ul_node(NAT, DYN), right=Err(DYN)),
+     ["root: ul: right side must be the context variable"]),
+    (_node("dl", [_UP_ENTRY], _X, _X, NAT, DYN),
+     ["root: dl: context entry must be diagonal in its type"]),
+    (_concl(dl_node(NAT, DYN), left=Err(NAT)),
+     ["root: dl: left side must be the downcast of the context variable"]),
+    (_concl(dr_node(NAT, DYN), left=Err(NAT)),
+     ["root: dr: left side must be the context variable"]),
+    (_concl(dr_node(NAT, DYN), right=Err(NAT)),
+     ["root: dr: right side must be the downcast of the context variable"]),
+    (_node("retract", [_UP_ENTRY], _X, _X, NAT, DYN),
+     ["root: retract: context entry must be diagonal in its type"]),
+    (_concl(retract_node(NAT, DYN), left=Err(NAT)),
+     ["root: retract: left side must be dn (up x) at the context type"]),
+    (_concl(retract_node(NAT, DYN), right=Err(NAT)),
+     ["root: retract: right side must be the context variable"]),
+    (_node("err-bot", [], Err(NAT), Err(DYN), NAT, DYN),
+     ["root: err-bot: endpoint types must coincide"]),
+    (dataclasses.replace(lam_mon(_VAR_X), premises=(
+        _concl(_VAR_X, type_left=DYN, type_right=DYN),)),
+     ["root.0: var: left term has type Nat, judgment claims ?",
+      "root.0: var: right term has type Nat, judgment claims ?",
+      "root: lam-mon: conclusion types are not the expected function types"]),
+    (_concl(lam_mon(_VAR_X), left=Lam("x", NAT, Err(NAT))),
+     ["root: lam-mon: left side is not the lambda of the premise"]),
+    (Derivation("app-mon", _REFL0.conclusion, (_REFL0, _REFL0)),
+     ["root: app-mon: function premise is not at function types"]),
+    (Derivation("app-mon", refl_node(_G, App(Var("g"), num(0)), NAT).conclusion,
+                (refl_node(_G, Var("g"), _NAT_FN), refl_node(_G, UNITVAL, UNIT))),
+     ["root: app-mon: argument premise types do not match the function domains",
+      "root: app-mon: left side is not the application of the premises",
+      "root: app-mon: right side is not the application of the premises"]),
+    (Derivation("app-mon", refl_node(_G, UNITVAL, UNIT).conclusion,
+                (refl_node(_G, Var("g"), _NAT_FN), refl_node(_G, num(0), NAT))),
+     ["root: app-mon: conclusion types are not the codomains",
+      "root: app-mon: left side is not the application of the premises",
+      "root: app-mon: right side is not the application of the premises"]),
+    (_concl(app_mon(refl_node(_G, Var("g"), _NAT_FN), refl_node(_G, num(0), NAT)),
+            left=App(Var("g"), Err(NAT))),
+     ["root: app-mon: left side is not the application of the premises"]),
+    (Derivation("pair-mon", refl_node(Context(), Pair(num(0), num(0)), _P).conclusion,
+                (_REFL0, refl_node(Context(), UNITVAL, UNIT))),
+     ["root: pair-mon: conclusion types are not the expected products",
+      "root: pair-mon: left side is not the pairing of the premises",
+      "root: pair-mon: right side is not the pairing of the premises"]),
+    (_concl(pair_mon(_REFL0, _REFL0), left=Pair(Err(NAT), num(0))),
+     ["root: pair-mon: left side is not the pairing of the premises"]),
+    (dataclasses.replace(_concl(prj_mon(refl_node(Context.of(("p", _P)), Var("p"), _P), 1),
+                                left=Err(NAT)), aux=None),
+     ["root: prj-mon: cannot determine the projection index"]),
+    (Derivation("prj-mon", refl_node(Context.of(("p", _P)), Proj(1, Var("p")), NAT).conclusion,
+                (refl_node(Context.of(("p", _P)), num(0), NAT),), 1),
+     ["root: prj-mon: premise is not at product types"]),
+    (_node("fn-beta", [], App(Lam("x", NAT, _X), num(0)), Upcast(NAT, DYN, num(0)),
+           NAT, DYN, aux="fwd"),
+     ["root: fn-beta: endpoint types must coincide",
+      "root: fn-beta: contractum is not the substituted body"]),
+    (dataclasses.replace(fn_beta_node(Context(), App(Lam("x", NAT, _X), num(0)), NAT),
+                         aux=None),
+     ["root: fn-beta: aux must be fwd or bwd"]),
+    (dataclasses.replace(_REFL0, rule="fn-eta", aux="fwd"),
+     ["root: fn-eta: endpoint types must be one function type"]),
+    (dataclasses.replace(fn_eta_node(_G, Var("g"), _NAT_FN, "fwd", "y"), aux=None),
+     ["root: fn-eta: aux must be fwd or bwd"]),
+    # f 0 <= \y. f y y: the expansion applies f y, which mentions its binder
+    (_diag("fn-eta", Context.of(("f", Fn(NAT, _NAT_FN))), App(Var("f"), num(0)),
+           Lam.nameless("y", NAT, App(App(Var("f"), Bound(0)), Bound(0))), _NAT_FN),
+     ["root: fn-eta: expansion binder captures the subject"]),
+    (_diag("fn-eta", Context.of(("g", _NAT_FN), ("h", _NAT_FN)), Var("g"),
+           Lam("y", NAT, App(Var("h"), Var("y"))), _NAT_FN),
+     ["root: fn-eta: expansion body does not apply the subject"]),
+    (_diag("fn-eta", _G, Var("g"), Var("g"), _NAT_FN),
+     ["root: fn-eta: expansion side is not an eta expansion"]),
+    (_node("prod-beta", [], Proj(1, Pair(num(0), UNITVAL)), Upcast(NAT, DYN, num(0)),
+           NAT, DYN, aux="fwd"),
+     ["root: prod-beta: endpoint types must coincide",
+      "root: prod-beta: contractum is not the projected component"]),
+    (dataclasses.replace(prod_beta_node(Context(), Proj(1, Pair(num(0), UNITVAL)), NAT),
+                         aux=None),
+     ["root: prod-beta: aux must be fwd or bwd"]),
+    (_diag("prod-beta", Context(), Proj(1, Pair(num(0), num(1))), num(1), NAT),
+     ["root: prod-beta: contractum is not the projected component"]),
+    (dataclasses.replace(_REFL0, rule="prod-beta", aux="fwd"),
+     ["root: prod-beta: subject is not a projection redex"]),
+    (dataclasses.replace(_REFL0, rule="prod-eta", aux="fwd"),
+     ["root: prod-eta: endpoint types must be one product type"]),
+    (dataclasses.replace(prod_eta_node(Context.of(("p", _P)), Var("p"), _P), aux=None),
+     ["root: prod-eta: aux must be fwd or bwd"]),
+    (_diag("prod-eta", Context.of(("p", _P), ("q", _P)), Var("p"),
+           Pair(Proj(1, Var("q")), Proj(2, Var("q"))), _P),
+     ["root: prod-eta: expansion does not project the subject"]),
+    (dataclasses.replace(_REFL0, rule="unit-eta", aux="fwd"),
+     ["root: unit-eta: endpoint types must be the unit type",
+      "root: unit-eta: one side must be the unit value"]),
+    (_diag("unit-eta", Context.of(("u", UNIT)), Var("u"), UNITVAL, UNIT, aux=None),
+     ["root: unit-eta: aux must be fwd or bwd"]),
+    (_diag("unit-eta", Context.of(("u", UNIT), ("v", UNIT)), Var("u"), Var("v"), UNIT),
+     ["root: unit-eta: one side must be the unit value"]),
+    (_concl(_DISJ, phi=DynCtx.of(_UP_ENTRY)),
+     ["root: disjoint: context entry must be diagonal in its type"]),
+    (_concl(_DISJ, right=Pair(Err(DYN), Err(DYN))),
+     ["root: disjoint: conclusion must be the error constant at the target tag"]),
+    (_concl(_DISJ, left=Err(Prod(DYN, DYN))),
+     ["root: disjoint: left side must be a cross-tag cast through ?"]),
+]
+
+
+def test_each_malformed_node_is_made_from_a_passing_one():
+    for d in (_REFL0, _VAR_X, _COMP, _DISJ, trans_node(_REFL0, _REFL0),
+              ur_node(NAT, DYN), ul_node(NAT, DYN), dl_node(NAT, DYN),
+              dr_node(NAT, DYN), retract_node(NAT, DYN), lam_mon(_VAR_X),
+              pair_mon(_REFL0, _REFL0),
+              app_mon(refl_node(_G, Var("g"), _NAT_FN), refl_node(_G, num(0), NAT)),
+              prj_mon(refl_node(Context.of(("p", _P)), Var("p"), _P), 1),
+              fn_beta_node(Context(), App(Lam("x", NAT, _X), num(0)), NAT),
+              fn_eta_node(_G, Var("g"), _NAT_FN, "fwd", "y"),
+              prod_beta_node(Context(), Proj(1, Pair(num(0), UNITVAL)), NAT),
+              prod_eta_node(Context.of(("p", _P)), Var("p"), _P),
+              _diag("unit-eta", Context.of(("u", UNIT)), Var("u"), UNITVAL, UNIT)):
+        assert derivation_errors(SIG, d) == [], d.rule
+
+
+@pytest.mark.parametrize("d, lines", RULE_ERRORS,
+                         ids=[d.rule for d, _ in RULE_ERRORS])
+def test_rule_errors_are_pinned(d, lines):
+    assert derivation_errors(SIG, d) == lines

@@ -61,7 +61,7 @@ HOMES = {
     "elaborate": ("elaborate", "equal_terms", "normalize", "oblique_cast"),
     "model": (
         "Coreflection", "check_equipment", "check_judgment_semantics",
-        "denote_coreflection", "eval_term", "value_leq"),
+        "denote_coreflection"),
 }
 SUBMODULES = ("syntax", "typecheck", "dynamism", "theorems", "model")
 PUBLIC = sorted([*SUBMODULES, *(n for names in HOMES.values() for n in names)])

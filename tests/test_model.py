@@ -18,9 +18,9 @@ from gtt import model
 from gtt.model import (
     ERR_SEM, Coreflection, FnVal, ModelError, NatVal, PairVal, UNIT_SEM,
     check_equipment, check_judgment_semantics, denote_coreflection,
-    derivation_first_order, enumerate_values, enumeration, eval_term,
+    compile_term, cross_order, derivation_first_order, enumeration,
     first_order, least_value, model_signature, order_at, related_indices,
-    tydyn_holds, value_leq, value_leq_at, value_to_text,
+    tydyn_holds, value_to_text,
 )
 from gtt.cli import main
 import gtt.cli
@@ -39,7 +39,7 @@ ERR, L0, L1 = NatVal(None), NatVal(0), NatVal(1)
 
 
 def _dyn_leq(v, w):
-    return value_leq_at(SIG, DYN, v, w, 3)
+    return order_at(SIG, DYN, 3)(v, w)
 
 
 # -- the order at ? ----------------------------------------------------------------
@@ -82,10 +82,10 @@ def test_tree_leq_partial_order_depth3():
 
 def test_dyn_values_are_enumerated_in_the_reference_order():
     for bound, count in [(2, 12), (3, 404)]:
-        values = enumerate_values(SIG, DYN, bound)
+        values = enumeration(SIG, DYN, bound).values
         assert len(values) == count
         assert values == enumerate_dyn_reference(bound)
-    assert enumerate_values(SIG, DYN, 2)[:6] == [
+    assert enumeration(SIG, DYN, 2).values[:6] == [
         ERR, L0, L1, PairVal(ERR, ERR), PairVal(ERR, L0), PairVal(ERR, L1)]
     assert least_value(SIG, DYN) is ERR_SEM
 
@@ -117,7 +117,7 @@ def test_pair_of_errors_glues_to_error_leaf():
     assert c.up(bottom) == ERR
     assert c.dn(ERR) == bottom
     # every other pair is its own node, and dn takes a node back to it
-    for v in enumerate_values(SIG, Prod(DYN, DYN), 2)[1:]:
+    for v in enumeration(SIG, Prod(DYN, DYN), 2).values[1:]:
         assert c.up(v) is v and c.dn(v) is v
 
 
@@ -130,11 +130,11 @@ def test_an_overridden_coreflection_reaches_the_pairs_built_from_it():
     pair, dyn2 = Prod(NAT, NAT), Prod(DYN, DYN)
     true = denote_coreflection(default_signature(), pair, dyn2)
     sig._model_cache[("coref", pair, dyn2)] = Coreflection(
-        pair, dyn2, lambda v: PairVal(true.up(v).snd, true.up(v).fst), true.dn)
+        lambda v: PairVal(true.up(v).snd, true.up(v).fst), true.dn)
     assert denote_coreflection(sig, pair, DYN).up(PairVal(L0, L1)) == PairVal(L1, L0)
     inner = Prod(NAT, DYN)
     sig._model_cache[("coref", pair, inner)] = Coreflection(
-        pair, inner, lambda v: PairVal(v.snd, v.fst), lambda w: w)
+        lambda v: PairVal(v.snd, v.fst), lambda w: w)
     outer = denote_coreflection(sig, Prod(NAT, pair), Prod(DYN, inner))
     assert outer.up(PairVal(L0, PairVal(L0, L1))) == PairVal(L0, PairVal(L1, L0))
 
@@ -171,45 +171,45 @@ def test_extra_base_needs_codes():
 # -- evaluation ----------------------------------------------------------------------
 
 def test_eval_retract():
-    v = eval_term(SIG, {}, parse_term("dn[? => Nat] up[Nat => ?] 0", SIG))
+    v = compile_term(SIG, parse_term("dn[? => Nat] up[Nat => ?] 0", SIG))({})
     assert v == NatVal(0)
 
 
 def test_eval_wrong_tag_errors():
-    v = eval_term(SIG, {}, parse_term("dn[? => ? * ?] up[Nat => ?] 0", SIG))
+    v = compile_term(SIG, parse_term("dn[? => ? * ?] up[Nat => ?] 0", SIG))({})
     assert v == PairVal(ERR, ERR)
     assert v == least_value(SIG, Prod(DYN, DYN))
 
 
 def test_eval_error_function():
-    f = eval_term(SIG, {}, Err(Fn(NAT, NAT)))
+    f = compile_term(SIG, Err(Fn(NAT, NAT)))({})
     assert f(NatVal(5)) == NatVal(None)
 
 
 def test_eval_rejects_uninterpreted_symbols():
     sig = Signature(fn_symbols={"f": ((NAT,), NAT)})
     with pytest.raises(ModelError):
-        eval_term(sig, {}, parse_term("f(0)", sig))
+        compile_term(sig, parse_term("f(0)", sig))({})
 
 
 def test_eval_beta_and_pairs():
     t = parse_term("(\\x:Nat * ?. fst x) (1, up[Nat => ?] 2)", SIG)
-    assert eval_term(SIG, {}, t) == NatVal(1)
+    assert compile_term(SIG, t)({}) == NatVal(1)
 
 
 # -- orders -----------------------------------------------------------------------
 
 def test_value_leq_examples():
-    assert value_leq(SIG, NAT, NAT, NatVal(None), NatVal(0))
-    assert value_leq(SIG, NAT, DYN, NatVal(0), L0)
-    assert not value_leq(SIG, NAT, DYN, NatVal(0), L1)
+    assert cross_order(SIG, NAT, NAT)(NatVal(None), NatVal(0))
+    assert cross_order(SIG, NAT, DYN)(NatVal(0), L0)
+    assert not cross_order(SIG, NAT, DYN)(NatVal(0), L1)
 
 
 def test_value_leq_functions_pointwise():
     bottom = least_value(SIG, Fn(NAT, NAT))
     ident = _semantic_identity()
-    assert value_leq(SIG, Fn(NAT, NAT), Fn(NAT, NAT), bottom, ident)
-    assert not value_leq(SIG, Fn(NAT, NAT), Fn(NAT, NAT), ident, bottom)
+    assert cross_order(SIG, Fn(NAT, NAT), Fn(NAT, NAT))(bottom, ident)
+    assert not cross_order(SIG, Fn(NAT, NAT), Fn(NAT, NAT))(ident, bottom)
 
 
 # -- equipment laws ------------------------------------------------------------------
@@ -231,9 +231,7 @@ def test_equipment_identity_trivial():
 
 def test_equipment_catches_broken_coreflection():
     # a deliberately broken pair: dn loses information
-    broken = Coreflection(NAT, DYN,
-                          up=lambda v: ERR,
-                          dn=lambda v: NatVal(None))
+    broken = Coreflection(up=lambda v: ERR, dn=lambda v: NatVal(None))
     SIG._model_cache[("coref", NAT, DYN)] = broken
     try:
         report = check_equipment(SIG, NAT, DYN, bound=2)
@@ -245,7 +243,7 @@ def test_equipment_catches_broken_coreflection():
 
 def _equipment_with(a, b, up, dn):
     sig = default_signature()
-    sig._model_cache[("coref", a, b)] = Coreflection(a, b, up, dn)
+    sig._model_cache[("coref", a, b)] = Coreflection(up, dn)
     return check_equipment(sig, a, b, bound=2)
 
 
@@ -254,7 +252,7 @@ def _not_monotone_up():
     the deflation laws and whose upcast is not monotone."""
     ups = {None: L0, 0: ERR, 1: L1}
     return Coreflection(
-        NAT, DYN, lambda v: ups[v.n],
+        lambda v: ups[v.n],
         lambda w: {L0: NatVal(None), L1: NatVal(1)}.get(w, NatVal(0)))
 
 
@@ -315,8 +313,8 @@ def test_related_counts_follow_the_downcasts(bound, compared):
     types = [ty for ty in enumerate_types(SIG, 3) if first_order(ty)]
     seen = 0
     for a, b in itertools.product(types, repeat=2):
-        size = (len(enumerate_values(sig, a, bound))
-                * len(enumerate_values(sig, b, bound)))
+        size = (len(enumeration(sig, a, bound).values)
+                * len(enumeration(sig, b, bound).values))
         if size > 10**6:
             continue
         got = _outcome(lambda: model._dn_column(sig, a, b, bound)[1])
@@ -339,10 +337,10 @@ def _next_bound(sig, ty, bound):
             return [PairVal(x, y) for x in some(_next_bound(sig, a, bound))
                     for y in some(_next_bound(sig, b, bound))]
         case _ if ty == DYN:
-            values = some(enumerate_values(sig, DYN, bound))
+            values = some(enumeration(sig, DYN, bound).values)
             return [NatVal(bound)] + [PairVal(x, y) for x in values for y in values]
         case _:
-            return enumerate_values(sig, ty, bound + 1)
+            return enumeration(sig, ty, bound + 1).values
 
 
 @pytest.mark.parametrize("sig", [SIG, TRUNCATED], ids=["default", "Nat-0-1"])
@@ -358,7 +356,7 @@ def test_the_enumeration_record_agrees_with_its_values(sig):
         enum = enumeration(sig, ty, bound)
         if len(enum.values) > 2 * 10**4:
             continue
-        assert enumerate_values(sig, ty, bound) is enum.values
+        assert enumeration(sig, ty, bound).values is enum.values
         records += 1
         where = {v: p for p, v in enumerate(enum.values)}
         assert len(where) == len(enum.values)
@@ -371,7 +369,7 @@ def test_the_enumeration_record_agrees_with_its_values(sig):
         assert enum.downs == [sum(map(leq, enum.values, itertools.repeat(w)))
                               for w in enum.values], (ty, bound)
     assert (records, reached) == ((35, 29) if sig is SIG else (35, 17))
-    assert enumerate_values(TRUNCATED, NAT, 3) == [ERR, L0]
+    assert enumeration(TRUNCATED, NAT, 3).values == [ERR, L0]
     assert enumeration(TRUNCATED, NAT, 3).position(L1) is None
 
 
@@ -405,7 +403,7 @@ def _closure(n, edges):
 @pytest.mark.parametrize("ty", [DYN, NAT, Prod(DYN, DYN), Prod(NAT, DYN)],
                          ids=str)
 def test_covers_generate_the_order(ty):
-    values = enumerate_values(SIG, ty, 2)
+    values = enumeration(SIG, ty, 2).values
     edges = list(enumeration(SIG, ty, 2).covers())
     order = set(related_indices(SIG, ty, ty, 2))
     assert len(edges) == len(set(edges))
@@ -420,7 +418,7 @@ def test_dyn_has_1124_covers_at_bound_3():
     edges = list(enumeration(SIG, DYN, 3).covers())
     assert len(edges) == len(set(edges)) == 1124
     leq = order_at(SIG, DYN, 3)
-    values = enumerate_values(SIG, DYN, 3)
+    values = enumeration(SIG, DYN, 3).values
     assert all(leq(values[i], values[k]) for i, k in edges)
 
 
@@ -453,7 +451,7 @@ def test_judgment_rejects_function_contexts():
 def test_model_validates_disjointness_for_grounds():
     for n in range(2):
         t = Downcast(Prod(DYN, DYN), DYN, Upcast(NAT, DYN, num(n)))
-        assert eval_term(SIG, {}, t) == least_value(SIG, Prod(DYN, DYN))
+        assert compile_term(SIG, t)({}) == least_value(SIG, Prod(DYN, DYN))
 
 
 def test_eval_commutes_with_elaboration():
@@ -465,11 +463,11 @@ def test_eval_commutes_with_elaboration():
         t = gen_term(rng, SIG, Context(), ty, size=rng.randint(1, 12),
                      first_order=True)
         try:
-            direct = eval_term(SIG, {}, t)
+            direct = compile_term(SIG, t)({})
         except ModelError:
             continue
         seen += 1
-        elaborated = eval_term(SIG, {}, elaborate(SIG, Context(), t))
+        elaborated = compile_term(SIG, elaborate(SIG, Context(), t))({})
         assert direct == elaborated, (t,)
     assert seen > 200
 
@@ -498,13 +496,13 @@ def test_eval_matches_the_term_walker_on_closed_first_order_terms():
         ty = rng.choice(types)
         t = gen_term(rng, SIG, Context(), ty, size=rng.randint(1, 14),
                      first_order=True)
-        got = _outcome(lambda: eval_term(SIG, {}, t))
+        got = _outcome(lambda: compile_term(SIG, t)({}))
         want = _outcome(lambda: eval_term_reference(SIG, {}, t))
         assert got == want, t
         if not isinstance(got, tuple):
             values += 1
-            for v in enumerate_values(SIG, ty, 2):
-                assert (value_leq_at(SIG, ty, got, v)
+            for v in enumeration(SIG, ty, 2).values:
+                assert (order_at(SIG, ty)(got, v)
                         == value_leq_at_reference(SIG, ty, got, v)), (t, v)
     assert values > 400
 
@@ -627,7 +625,7 @@ def _perturbed(rng, a, b):
     """The coreflection of ``a <= b`` with one or two of its values at
     bound 2 moved to another value, and unchanged elsewhere."""
     true = denote_coreflection(default_signature(), a, b)
-    values_a, values_b = enumerate_values(SIG, a, 2), enumerate_values(SIG, b, 2)
+    values_a, values_b = enumeration(SIG, a, 2).values, enumeration(SIG, b, 2).values
     ups = {v: true.up(v) for v in values_a}
     dns = {w: true.dn(w) for w in values_b}
     for _ in range(rng.randint(1, 2)):
@@ -635,7 +633,7 @@ def _perturbed(rng, a, b):
             ups[rng.choice(values_a)] = rng.choice(values_b)
         else:
             dns[rng.choice(values_b)] = rng.choice(values_a)
-    return Coreflection(a, b, lambda v: ups.get(v, true.up(v)),
+    return Coreflection(lambda v: ups.get(v, true.up(v)),
                         lambda w: dns.get(w, true.dn(w)))
 
 
@@ -658,7 +656,7 @@ def test_the_shortcut_matches_the_walk_under_every_coreflection_that_passes(
     rng = random.Random(7)
     judgments = [j for j in corpus_judgments if _uses(j, a, b)][:12]
     true = denote_coreflection(default_signature(), a, b)
-    swapped = Coreflection(a, b, lambda v: _swap(true.up(v)),
+    swapped = Coreflection(lambda v: _swap(true.up(v)),
                            lambda w: true.dn(_swap(w)))
     disagreed = 0
     for i in range(16):
@@ -718,10 +716,10 @@ def test_each_distinct_environment_is_evaluated_once(
     # downcast of its upcast, so these are the walk's counts too
     downcast_envs = sum(
         math.prod(len({denote_coreflection(SIG, tl, tr).dn(w)
-                       for w in enumerate_values(SIG, tr, 2)})
+                       for w in enumeration(SIG, tr, 2).values})
                   for _, _, tl, tr in j.phi)
         for j in corpus_judgments)
-    right_envs = sum(math.prod(len(enumerate_values(SIG, tr, 2))
+    right_envs = sum(math.prod(len(enumeration(SIG, tr, 2).values)
                                for _, _, _, tr in j.phi)
                      for j in corpus_judgments)
     assert (downcast_envs, right_envs) == (37_594, 71_152)
@@ -743,7 +741,7 @@ def test_each_left_value_is_cast_up_once():
         cast.append(v)
         return real.up(v)
 
-    sig._model_cache[("coref", a, b)] = Coreflection(a, b, counting_up, real.dn)
+    sig._model_cache[("coref", a, b)] = Coreflection(counting_up, real.dn)
     report = check_judgment_semantics(sig, j, 2)
     assert (report.passed, report.checks) == (True, 196)
     assert len(cast) == len(set(cast)) == 9
@@ -760,7 +758,7 @@ def test_evaluation_errors_stay_lazy():
         Lam("x", NAT, Upcast(Fn(NAT, NAT), DYN, Lam("z", NAT, Var("z")))),
     ]
     for t in lambdas:
-        closure = eval_term(sig, {}, t)
+        closure = compile_term(sig, t)({})
         assert isinstance(closure, FnVal)
         with pytest.raises(ModelError) as got:
             closure(NatVal(0))
