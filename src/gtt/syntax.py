@@ -199,16 +199,6 @@ def base_names(ty: Type) -> set[str]:
             return set()
 
 
-def contains_fn(ty: Type) -> bool:
-    match ty:
-        case Fn(_, _):
-            return True
-        case Prod(a, b):
-            return contains_fn(a) or contains_fn(b)
-        case _:
-            return False
-
-
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ from typing import Callable, Iterable, Optional
 
 from .syntax import (
     App, Base, Bound, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam,
-    Pair, Prod, Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, contains_fn,
-    frozen,
+    Pair, Prod, Proj, Term, Type, Unit, UNIT, UnitVal, Upcast, Var, frozen,
 )
 
 
@@ -73,7 +72,10 @@ class DynCtx:
 
 def first_order(ty: Type) -> bool:
     """Whether a type is function-free."""
-    return not contains_fn(ty)
+    k = type(ty)
+    if k is Prod:
+        return first_order(ty.fst) and first_order(ty.snd)
+    return k is not Fn
 
 
 class Signature:
@@ -154,20 +156,16 @@ class Signature:
         raise TypeCheckError(f"unknown function symbol: {name}")
 
     def base_closure(self) -> dict[str, frozenset[str]]:
-        """Reflexive-transitive closure of the base-type axioms."""
+        """Reflexive-transitive closure of the base-type axioms, by one
+        Warshall pass: after step ``k``, every path whose inner nodes are
+        among the first ``k`` is closed."""
         reach: dict[str, set[str]] = {n: {n} for n in self.base_types}
         for a, b in self.tydyn_axioms:
             reach[a.name].add(b.name)
-        changed = True
-        while changed:
-            changed = False
+        for k in reach:
             for n in reach:
-                extra = set()
-                for m in reach[n]:
-                    extra |= reach[m]
-                if not extra <= reach[n]:
-                    reach[n] |= extra
-                    changed = True
+                if k in reach[n]:
+                    reach[n] |= reach[k]
         return {n: frozenset(s) for n, s in reach.items()}
 
     # -- validation -------------------------------------------------------------

@@ -39,13 +39,13 @@ from gtt.model import (
     denote_coreflection, enumeration, judgment_types, least_value,
     value_to_text,
 )
-from gtt.syntax import Base, Fn, Prod, Unit, contains_fn, type_size
+from gtt.syntax import Base, Fn, Prod, Unit, type_size
 from gtt.theorems import (
     FlagRequired, HypothesisError, THEOREMS, derive_theorem,
 )
 from gtt.typecheck import (
     DynCtx, Signature, TypeCheckError, _unrelated_grounds, check_type_wf,
-    enumerate_types, infer_type, tydyn_holds,
+    enumerate_types, first_order, infer_type, tydyn_holds,
 )
 
 
@@ -879,9 +879,9 @@ def check_judgment_semantics_reference(sig, j, bound: int = 2) -> Report:
     every environment pair re-evaluated by the walkers above."""
     subject = f"judgment {j.describe()}"
     for _, _, tl, tr in j.phi:
-        if contains_fn(tl) or contains_fn(tr):
+        if not (first_order(tl) and first_order(tr)):
             raise ModelError("judgment context mentions function types")
-    if contains_fn(j.type_left) or contains_fn(j.type_right):
+    if not (first_order(j.type_left) and first_order(j.type_right)):
         raise ModelError("judgment endpoint types mention function types")
 
     def envs(entries, left_env, right_env):

@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 import gtt.cli
 import gtt.grammar
 from gtt.cli import main
-from gtt.syntax import App, FnApp, Proj, Var
+from gtt.elaborate import equal_terms
+from gtt.model import Coreflection, NatVal
+from gtt.syntax import App, DYN, FnApp, NAT, Proj, Upcast, Var
+from gtt.typecheck import SignatureError, default_signature
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -782,6 +785,70 @@ def test_a_function_symbol_name_that_is_no_identifier_is_exit_2(tmp_path, capsys
         2, f"error: function symbol name {name!r} is not an identifier\n")
 
 
+# each signature the checks of ``Signature`` refuse after it has parsed, and
+# the message they give
+SIGNATURE_ERRORS = [
+    ("basetypes: Nat\ntydyn:\n  Nat <= Foo\n",
+     "type-dynamism axiom mentions unknown base type: Foo"),
+    ("basetypes: Nat\nfnsyms:\n  f : (Foo) -> Nat\n",
+     "function symbol f mentions unknown base type: Foo"),
+    ("basetypes: Nat\nbasecodes:\n  Nat 5 5\n", "empty base-code range: [5, 5)"),
+    ("basetypes: Nat\ntmdyn:\n  [x : ?] x <= [y : ?] dn[? => Nat] y\n",
+     "term-dynamism axiom 0: result types are not related"),
+]
+
+
+@pytest.mark.parametrize("sig_text, message", SIGNATURE_ERRORS,
+                         ids=["tydyn", "fnsyms", "basecodes", "tmdyn"])
+def test_a_signature_that_fails_its_checks_is_exit_2(tmp_path, capsys, sig_text,
+                                                     message):
+    with pytest.raises(SignatureError) as caught:
+        gtt.grammar.parse_signature(sig_text)
+    assert str(caught.value) == message
+    sig = tmp_path / "bad.gttsig"
+    sig.write_text(sig_text)
+    assert main(["--sig", str(sig), "check", str(FIXTURES / "zero.gtt")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# -- test-theorems reports a failing theorem ------------------------------------
+
+def test_a_broken_coreflection_fails_test_theorems_in_the_model(monkeypatch, capsys):
+    # casts between Nat and ? that send every value to err: two theorems
+    # fail in the model, each after its judgment and counterexample
+    def signature():
+        sig = default_signature()
+        sig._model_cache[("coref", NAT, DYN)] = Coreflection(
+            lambda v: NatVal(None), lambda w: NatVal(None))
+        return sig
+
+    monkeypatch.setattr(gtt.cli, "default_signature", signature)
+    assert main(["test-theorems", "--size", "2"]) == 1
+    assert capsys.readouterr() == (
+        "RESULT FAIL judgment x <= dn[? => Nat] up[Nat => ?] x' : Nat <= Nat (bound 2)\n"
+        "COUNTEREXAMPLE [x=0, x''=0] gives 0 not below err\n"
+        "RESULT FAIL galois_unit (Base(name='Nat'), Dyn())\n"
+        "RESULT FAIL judgment x1 <= dn[? => Nat] up[Nat => ?] x2 : Nat <= Nat (bound 2)\n"
+        "COUNTEREXAMPLE [x1=0, x2'=0] gives 0 not below err\n"
+        "RESULT FAIL cast_r (Base(name='Nat'), Base(name='Nat'), Base(name='Nat'))\n"
+        "RESULT FAIL theorems: 86 passed, 2 failed, 0 skipped\n", "")
+
+
+def test_a_reduction_theorem_whose_sides_differ_fails_test_theorems(monkeypatch,
+                                                                   capsys):
+    # elaboration refuses identity_up at Nat, up[Nat => Nat] x = x, alone
+    def refuse(sig, lhs, rhs, ctx):
+        return ((lhs, rhs) != (Upcast(NAT, NAT, Var("x")), Var("x"))
+                and equal_terms(sig, lhs, rhs, ctx))
+
+    monkeypatch.setattr(gtt.cli, "equal_terms", refuse)
+    assert main(["test-theorems", "--size", "2"]) == 1
+    assert capsys.readouterr() == (
+        "RESULT FAIL identity_up (Base(name='Nat'),): sides differ after elaboration\n"
+        "RESULT FAIL identity_up (Base(name='Nat'),)\n"
+        "RESULT FAIL theorems: 87 passed, 1 failed, 0 skipped\n", "")
+
+
 # -- paths pinned byte for byte ----------------------------------------------
 
 SYMBOLS = "basetypes: Nat\nfnsyms:\n  f : (Nat) -> Nat\n  add : (Nat, Nat) -> Nat\n"
@@ -800,8 +867,9 @@ SYMBOLS = "basetypes: Nat\nfnsyms:\n  f : (Nat) -> Nat\n  add : (Nat, Nat) -> Na
      2, "", "types not related: Nat <= Nat -> Nat fails\n"),
     (("derive", "ur-s"), 2, "",
      "sequent rules need a premise derivation; use the library API for those\n"),
+    (("derive", "nope", "Nat"), 2, "", "cannot derive nope: unknown theorem 'nope'\n"),
 ], ids=["eval-fun", "eval-open", "eval-symbol", "elaborate", "compare-contexts",
-        "compare-unrelated", "derive-sequent"])
+        "compare-unrelated", "derive-sequent", "derive-unknown"])
 def test_a_command_path_prints_exactly(tmp_path, capsys, argv, code, out, err):
     names = {"sig": tmp_path / "sig.gttsig", "t": tmp_path / "t.gtt"}
     names["sig"].write_text(SYMBOLS)

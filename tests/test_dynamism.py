@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pathlib
 import random
+import re
 import sys
 
 import pytest
@@ -16,7 +17,7 @@ from gtt.syntax import (
 )
 from gtt.typecheck import DynCtx, Signature, default_signature
 from gtt.dynamism import (
-    Derivation, DynJudgment, check_derivation, derivation_errors,
+    _SCHEMA, Derivation, DynJudgment, check_derivation, derivation_errors,
 )
 from gtt.theorems import (
     app_mon, comp_node, derive_sequent, dl_node, dr_node, errbot_node,
@@ -47,14 +48,6 @@ def test_refl_accepts():
     assert check_derivation(SIG, refl_node(ctx, Var("x"), NAT))
 
 
-def test_errbot_wrong_side_rejected():
-    # err must be on the left
-    j = DynJudgment(DynCtx(), num(0), Err(NAT), NAT, NAT)
-    d = Derivation("err-bot", j)
-    errs = derivation_errors(SIG, d)
-    assert errs and "err-bot" in errs[0]
-
-
 def test_var_requires_context_entry():
     phi = DynCtx.of(("x", "x'", NAT, DYN))
     assert check_derivation(SIG, var_node(phi, 0))
@@ -81,13 +74,6 @@ def test_cast_rules_accept():
 
 def test_cast_rules_need_derivable_endpoints():
     assert not check_derivation(SIG, ur_node(DYN, NAT))  # ? <= Nat fails
-
-
-def test_retract_flag_discipline():
-    d = retract_node(NAT, DYN)
-    assert check_derivation(SIG, d)
-    errs = derivation_errors(NO_RETRACT, d)
-    assert errs and "retract" in errs[0]
 
 
 def test_retract_inside_larger_tree_rejected_without_flag():
@@ -117,19 +103,10 @@ def test_disjoint_node():
     assert d.conclusion.left == Downcast(Prod(DYN, DYN), DYN,
                                          Upcast(NAT, DYN, Var("x")))
     assert check_derivation(SIG, d)
-    assert not check_derivation(NO_DISJ, d)
     same_tag = _disjoint("Nat", "Nat")
     assert not check_derivation(SIG, same_tag)
     not_ground = _disjoint("Nat * ?", "Nat")
     assert not check_derivation(SIG, not_ground)
-
-
-def test_disjoint_rejects_related_tags():
-    sig = Signature(base_types=("Nat", "Even"),
-                    tydyn_axioms=((parse_type("Even"), NAT),),
-                    base_codes={"Nat": (0, 100), "Even": (100, 200)})
-    d = _disjoint("Nat", "Even", sig)
-    assert not check_derivation(sig, d)
 
 
 def test_beta_eta_rules():
@@ -654,10 +631,24 @@ _G = Context.of(("g", _NAT_FN))
 _DISJ = _node("disjoint", [("x", "x", NAT, NAT)],
               Downcast(Prod(DYN, DYN), DYN, Upcast(NAT, DYN, _X)), Err(Prod(DYN, DYN)),
               Prod(DYN, DYN), Prod(DYN, DYN))
+_TRANS = trans_node(_REFL0, _REFL0)
+_X_CTX = Context.of(("x", NAT))
+_ENTRY = ("y", "y", NAT, NAT)  # a well-formed entry that no term mentions
+_AX_SIG = Signature(tmdyn_axioms=((_X_CTX, _X, Context.of(("y", DYN)), Var("y")),))
+_AX = Derivation("ax", DynJudgment(DynCtx.of(("x", "y", NAT, DYN)), _X, Var("y"),
+                                   NAT, DYN), aux=0)
+_PRJ = prj_mon(refl_node(Context.of(("p", Prod(NAT, UNIT))), Var("p"),
+                         Prod(NAT, UNIT)), 1)
+_FN_BETA = fn_beta_node(Context(), App(Lam("x", NAT, _X), num(0)), NAT)
+_EVEN_SIG = Signature(base_types=("Nat", "Even"),
+                      tydyn_axioms=((parse_type("Even"), NAT),),
+                      base_codes={"Nat": (0, 100), "Even": (100, 200)})
 
 # one malformed node per rejection line that a node which passes its
 # presupposition can reach, each from a passing node, with every line
-# ``derivation_errors`` gives for it
+# ``derivation_errors`` gives for it; a third item is the signature to
+# check it in, where that is not ``SIG``.  The rows of one rule keep their
+# order, as the test ids number them.
 RULE_ERRORS = [
     (dataclasses.replace(_REFL0, rule="frob"), ["root: unknown rule 'frob'"]),
     (_concl(_REFL0, right=UNITVAL),
@@ -665,8 +656,33 @@ RULE_ERRORS = [
     (_node("refl", [_UP_ENTRY], _X, _X, NAT, DYN),
      ["root: refl: context must be diagonal (Gamma <= Gamma)",
       "root: refl: endpoint types must coincide"]),
-    (_concl(trans_node(_REFL0, _REFL0), left=Err(NAT)),
+    (_concl(_REFL0, left=Err(NAT)), ["root: refl: sides are not alpha-equal"]),
+    (Derivation("refl", _REFL0.conclusion, (_REFL0,)),
+     ["root: refl: takes no premises"]),
+    (_concl(_TRANS, left=Err(NAT)),
      ["root: trans: left side does not match first premise"]),
+    (Derivation("trans", _REFL0.conclusion, (_REFL0,)),
+     ["root: trans: expects exactly two premises"]),
+    (dataclasses.replace(_TRANS, premises=(refl_node(_X_CTX, num(0), NAT), _REFL0)),
+     ["root: trans: left context does not match first premise",
+      "root: trans: premises do not share the middle context",
+      "root: trans: stored middle judgment disagrees with the premises"]),
+    (dataclasses.replace(_TRANS, premises=(_REFL0, refl_node(_X_CTX, num(0), NAT))),
+     ["root: trans: right context does not match second premise",
+      "root: trans: premises do not share the middle context"]),
+    (dataclasses.replace(_TRANS, premises=(_REFL0, refl_node(Context(), UNITVAL, UNIT))),
+     ["root: trans: premises do not share the middle term",
+      "root: trans: premises do not share the middle type",
+      "root: trans: right side does not match second premise"]),
+    (dataclasses.replace(_TRANS, aux=((), num(1), NAT)),
+     ["root: trans: stored middle judgment disagrees with the premises"]),
+    (dataclasses.replace(_TRANS, aux="mid"),
+     ["root: trans: aux must be the stored middle judgment"]),
+    (dataclasses.replace(_AX, aux=5), ["root: ax: no term-dynamism axiom with index 5"],
+     _AX_SIG),
+    (dataclasses.replace(_AX, aux="0"), ["root: ax: aux must be an axiom index"], _AX_SIG),
+    (_concl(dataclasses.replace(_AX, aux=None), left=Err(NAT)),
+     ["root: ax: conclusion is not a term-dynamism axiom of the signature"], _AX_SIG),
     (dataclasses.replace(_COMP, aux=None),
      ["root: comp: aux must carry the two substitutions"]),
     (dataclasses.replace(_COMP, aux=((("y", num(0)),), (("x", num(0)),))),
@@ -688,10 +704,23 @@ RULE_ERRORS = [
             type_left=UNIT, type_right=UNIT),
      ["root: comp: substitution premise 0 proves the wrong types",
       "root: comp: types do not match the main premise"]),
+    (dataclasses.replace(_COMP, premises=()), ["root: comp: expects a main premise"]),
+    (dataclasses.replace(_COMP, premises=(_VAR_X,)),
+     ["root: comp: expects 2 premises, got 1"]),
+    (dataclasses.replace(_COMP, aux=((("x", num(0)), ("x", num(0))), (("x", num(0)),))),
+     ["root: comp: substitution binds a name twice"]),
+    (dataclasses.replace(_COMP, premises=(_VAR_X, refl_node(_X_CTX, num(0), NAT))),
+     ["root: comp: substitution premise 0 has a different context"]),
+    (dataclasses.replace(_COMP, premises=(_VAR_X, refl_node(Context(), num(1), NAT))),
+     ["root: comp: substitution premise 0 does not prove the images related"]),
     (_node("ur", [_UP_ENTRY], _X, _X, NAT, DYN),
      ["root: ur: context entry must be diagonal in its type"]),
     (_concl(ur_node(NAT, DYN), left=Err(NAT)),
      ["root: ur: left side must be the context variable"]),
+    (_concl(ur_node(NAT, DYN), right=Err(DYN)),
+     ["root: ur: right side must be the upcast of the context variable"]),
+    (dataclasses.replace(ur_node(NAT, DYN), aux=1), ["root: ur: takes no aux"]),
+    (_with_entry(ur_node(NAT, DYN), _ENTRY), ["root: ur: context must be a single entry"]),
     (_concl(ul_node(NAT, DYN), left=Err(DYN)),
      ["root: ul: left side must be the upcast of the context variable"]),
     (_concl(ul_node(NAT, DYN), right=Err(DYN)),
@@ -700,6 +729,8 @@ RULE_ERRORS = [
      ["root: dl: context entry must be diagonal in its type"]),
     (_concl(dl_node(NAT, DYN), left=Err(NAT)),
      ["root: dl: left side must be the downcast of the context variable"]),
+    (_concl(dl_node(NAT, DYN), right=Err(DYN)),
+     ["root: dl: right side must be the context variable"]),
     (_concl(dr_node(NAT, DYN), left=Err(NAT)),
      ["root: dr: left side must be the context variable"]),
     (_concl(dr_node(NAT, DYN), right=Err(NAT)),
@@ -710,8 +741,11 @@ RULE_ERRORS = [
      ["root: retract: left side must be dn (up x) at the context type"]),
     (_concl(retract_node(NAT, DYN), right=Err(NAT)),
      ["root: retract: right side must be the context variable"]),
-    (_node("err-bot", [], Err(NAT), Err(DYN), NAT, DYN),
-     ["root: err-bot: endpoint types must coincide"]),
+    (retract_node(NAT, DYN), ["root: retract: retract axiom is disabled in this signature"],
+     NO_RETRACT),
+    (_node("err-bot", [], num(0), Err(DYN), NAT, DYN),
+     ["root: err-bot: left side must be the error constant at the judgment type",
+      "root: err-bot: endpoint types must coincide"]),
     (dataclasses.replace(lam_mon(_VAR_X), premises=(
         _concl(_VAR_X, type_left=DYN, type_right=DYN),)),
      ["root.0: var: left term has type Nat, judgment claims ?",
@@ -719,6 +753,12 @@ RULE_ERRORS = [
       "root: lam-mon: conclusion types are not the expected function types"]),
     (_concl(lam_mon(_VAR_X), left=Lam("x", NAT, Err(NAT))),
      ["root: lam-mon: left side is not the lambda of the premise"]),
+    (_concl(lam_mon(_VAR_X), right=Lam("x", NAT, Err(NAT))),
+     ["root: lam-mon: right side is not the lambda of the premise"]),
+    (_concl(lam_mon(_VAR_X), phi=DynCtx.of(_ENTRY)),
+     ["root: lam-mon: premise context must extend the conclusion context by one entry"]),
+    (dataclasses.replace(lam_mon(_VAR_X), premises=()),
+     ["root: lam-mon: expects one premise"]),
     (Derivation("app-mon", _REFL0.conclusion, (_REFL0, _REFL0)),
      ["root: app-mon: function premise is not at function types"]),
     (Derivation("app-mon", refl_node(_G, App(Var("g"), num(0)), NAT).conclusion,
@@ -734,6 +774,9 @@ RULE_ERRORS = [
     (_concl(app_mon(refl_node(_G, Var("g"), _NAT_FN), refl_node(_G, num(0), NAT)),
             left=App(Var("g"), Err(NAT))),
      ["root: app-mon: left side is not the application of the premises"]),
+    (_with_entry(app_mon(refl_node(_G, Var("g"), _NAT_FN), refl_node(_G, num(0), NAT)),
+                 _ENTRY),
+     ["root: app-mon: premises must share the conclusion context"]),
     (Derivation("pair-mon", refl_node(Context(), Pair(num(0), num(0)), _P).conclusion,
                 (_REFL0, refl_node(Context(), UNITVAL, UNIT))),
      ["root: pair-mon: conclusion types are not the expected products",
@@ -741,19 +784,30 @@ RULE_ERRORS = [
       "root: pair-mon: right side is not the pairing of the premises"]),
     (_concl(pair_mon(_REFL0, _REFL0), left=Pair(Err(NAT), num(0))),
      ["root: pair-mon: left side is not the pairing of the premises"]),
+    (_with_entry(pair_mon(_REFL0, _REFL0), _ENTRY),
+     ["root: pair-mon: premises must share the conclusion context"]),
+    (dataclasses.replace(pair_mon(_REFL0, _REFL0), premises=(_REFL0,)),
+     ["root: pair-mon: expects two premises"]),
     (dataclasses.replace(_concl(prj_mon(refl_node(Context.of(("p", _P)), Var("p"), _P), 1),
                                 left=Err(NAT)), aux=None),
      ["root: prj-mon: cannot determine the projection index"]),
     (Derivation("prj-mon", refl_node(Context.of(("p", _P)), Proj(1, Var("p")), NAT).conclusion,
                 (refl_node(Context.of(("p", _P)), num(0), NAT),), 1),
      ["root: prj-mon: premise is not at product types"]),
+    (_with_entry(_PRJ, _ENTRY), ["root: prj-mon: premise must share the conclusion context"]),
+    (dataclasses.replace(_PRJ, aux=2),
+     ["root: prj-mon: conclusion types are not the projected components",
+      "root: prj-mon: left side is not the projection of the premise",
+      "root: prj-mon: right side is not the projection of the premise"]),
+    (dataclasses.replace(_PRJ, aux=3), ["root: prj-mon: aux must be 1 or 2"]),
     (_node("fn-beta", [], App(Lam("x", NAT, _X), num(0)), Upcast(NAT, DYN, num(0)),
            NAT, DYN, aux="fwd"),
      ["root: fn-beta: endpoint types must coincide",
       "root: fn-beta: contractum is not the substituted body"]),
-    (dataclasses.replace(fn_beta_node(Context(), App(Lam("x", NAT, _X), num(0)), NAT),
-                         aux=None),
-     ["root: fn-beta: aux must be fwd or bwd"]),
+    (dataclasses.replace(_FN_BETA, aux=None), ["root: fn-beta: aux must be fwd or bwd"]),
+    (dataclasses.replace(_REFL0, rule="fn-beta", aux="fwd"),
+     ["root: fn-beta: subject is not a beta redex"]),
+    (_with_entry(_FN_BETA, _UP_ENTRY), ["root: fn-beta: context must be diagonal"]),
     (dataclasses.replace(_REFL0, rule="fn-eta", aux="fwd"),
      ["root: fn-eta: endpoint types must be one function type"]),
     (dataclasses.replace(fn_eta_node(_G, Var("g"), _NAT_FN, "fwd", "y"), aux=None),
@@ -785,6 +839,8 @@ RULE_ERRORS = [
     (_diag("prod-eta", Context.of(("p", _P), ("q", _P)), Var("p"),
            Pair(Proj(1, Var("q")), Proj(2, Var("q"))), _P),
      ["root: prod-eta: expansion does not project the subject"]),
+    (_diag("prod-eta", Context.of(("p", _P)), Var("p"), Var("p"), _P),
+     ["root: prod-eta: expansion side is not a product eta expansion"]),
     (dataclasses.replace(_REFL0, rule="unit-eta", aux="fwd"),
      ["root: unit-eta: endpoint types must be the unit type",
       "root: unit-eta: one side must be the unit value"]),
@@ -798,17 +854,47 @@ RULE_ERRORS = [
      ["root: disjoint: conclusion must be the error constant at the target tag"]),
     (_concl(_DISJ, left=Err(Prod(DYN, DYN))),
      ["root: disjoint: left side must be a cross-tag cast through ?"]),
+    (_DISJ, ["root: disjoint: disjointness axioms are disabled in this signature"],
+     NO_DISJ),
+    (_disjoint("? -> Nat", "Nat"), ["root: disjoint: both tags must be ground types"]),
+    (_disjoint("Nat", "Even", _EVEN_SIG),
+     ["root: disjoint: tags must be distinct unrelated ground types"], _EVEN_SIG),
+    (_node("var", [("x", "x'", NAT, NAT), ("y", "y'", NAT, NAT)], _X, Var("y'"),
+           NAT, NAT),
+     ["root: var: conclusion is not a context entry"]),
+    # a rule check tests no type that the presupposition has fixed: each of
+    # these nodes breaks one such condition, and the presupposition rejects it
+    (_node("var", [("x", "x'", NAT, NAT)], _X, Var("x'"), DYN, DYN),
+     ["root: var: left term has type Nat, judgment claims ?",
+      "root: var: right term has type Nat, judgment claims ?"]),
+    (_concl(ur_node(NAT, DYN), type_left=DYN),
+     ["root: ur: left term has type Nat, judgment claims ?"]),
+    (_concl(ul_node(NAT, DYN), type_right=NAT),
+     ["root: ul: right term has type ?, judgment claims Nat",
+      "root: ul: type dynamism presupposition fails: ? <= Nat not derivable"]),
+    (_concl(dl_node(NAT, DYN), type_right=NAT),
+     ["root: dl: right term has type ?, judgment claims Nat"]),
+    (_concl(dr_node(NAT, DYN), type_right=DYN),
+     ["root: dr: right term has type Nat, judgment claims ?"]),
+    (_concl(retract_node(NAT, DYN), type_right=DYN),
+     ["root: retract: right term has type Nat, judgment claims ?"]),
+    (_concl(fn_eta_node(_G, Var("g"), _NAT_FN, "fwd", "y"),
+            right=Lam("y", UNIT, App(Var("g"), Var("y")))),
+     ["root: fn-eta: right term does not type check: "
+      "argument type 1 does not match domain Nat"]),
+    (_concl(_DISJ, left=Downcast(Prod(DYN, DYN), DYN, Upcast(NAT, DYN, Var("z")))),
+     ["root: disjoint: left term does not type check: unbound variable z"]),
 ]
 
 
 def test_each_malformed_node_is_made_from_a_passing_one():
-    for d in (_REFL0, _VAR_X, _COMP, _DISJ, trans_node(_REFL0, _REFL0),
+    assert derivation_errors(_AX_SIG, _AX) == []
+    for d in (_REFL0, _VAR_X, _COMP, _DISJ, _TRANS, _PRJ, _FN_BETA,
               ur_node(NAT, DYN), ul_node(NAT, DYN), dl_node(NAT, DYN),
               dr_node(NAT, DYN), retract_node(NAT, DYN), lam_mon(_VAR_X),
               pair_mon(_REFL0, _REFL0),
               app_mon(refl_node(_G, Var("g"), _NAT_FN), refl_node(_G, num(0), NAT)),
               prj_mon(refl_node(Context.of(("p", _P)), Var("p"), _P), 1),
-              fn_beta_node(Context(), App(Lam("x", NAT, _X), num(0)), NAT),
               fn_eta_node(_G, Var("g"), _NAT_FN, "fwd", "y"),
               prod_beta_node(Context(), Proj(1, Pair(num(0), UNITVAL)), NAT),
               prod_eta_node(Context.of(("p", _P)), Var("p"), _P),
@@ -816,7 +902,67 @@ def test_each_malformed_node_is_made_from_a_passing_one():
         assert derivation_errors(SIG, d) == [], d.rule
 
 
-@pytest.mark.parametrize("d, lines", RULE_ERRORS,
-                         ids=[d.rule for d, _ in RULE_ERRORS])
-def test_rule_errors_are_pinned(d, lines):
-    assert derivation_errors(SIG, d) == lines
+@pytest.mark.parametrize("d, lines, sig", [(*row, SIG)[:3] for row in RULE_ERRORS],
+                         ids=[row[0].rule for row in RULE_ERRORS])
+def test_rule_errors_are_pinned(d, lines, sig):
+    assert derivation_errors(sig, d) == lines
+
+
+def _messages(node: ast.AST) -> list[tuple[str, str]]:
+    """Each message literal under ``node``, with ``{}`` for the holes of an
+    f-string, and the pattern it prints: its literal fragments around any
+    text.  Docstrings, dict keys and the operands of comparisons are no
+    messages."""
+    skip = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.FunctionDef) and ast.get_docstring(n) is not None:
+            skip.add(n.body[0].value)
+        elif isinstance(n, ast.Compare):
+            skip.update([n.left, *n.comparators])
+        elif isinstance(n, ast.Dict):
+            skip.update(n.keys)
+        elif isinstance(n, ast.JoinedStr):
+            skip.update(n.values)
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.JoinedStr):
+            parts = [v.value if isinstance(v, ast.Constant) else None for v in n.values]
+            out.append(("".join(p if p is not None else "{}" for p in parts),
+                        "".join(re.escape(p) if p is not None else ".+" for p in parts)))
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and n not in skip):
+            out.append((n.value, re.escape(n.value)))
+    return out
+
+
+def test_every_rule_check_message_is_pinned_in_the_table():
+    # each message of the shape and rule checks must be printed by some row
+    # of RULE_ERRORS, under a rule whose check holds the literal: a check
+    # that no node can reach leaves its message out and fails here
+    tree = ast.parse((ROOT / "src" / "gtt" / "dynamism.py").read_text())
+    rules_of = {}
+    for rule, row in _SCHEMA.items():
+        rules_of.setdefault(row.check.__name__, set()).add(rule)
+    shape = {"_rule_errors", "_PREMISES", "_DISABLED", "_AUX"}
+    printed = {}
+    for row in RULE_ERRORS:
+        for line in row[1]:
+            rule, _, message = line.partition(": ")[2].partition(": ")
+            printed.setdefault(rule, set()).add(message)
+    missing, scanned = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            name = node.targets[0].id if isinstance(node.targets[0], ast.Name) else ""
+        else:
+            name = getattr(node, "name", "")
+        if name not in shape and not name.startswith("_chk_"):
+            continue
+        scanned.add(name)
+        rules = set(_SCHEMA) if name in shape else rules_of[name]
+        for text, pattern in _messages(node):
+            if not any(re.fullmatch(pattern, m)
+                       for rule in rules for m in printed.get(rule, ())):
+                missing.append((name, text))
+    assert scanned == shape | set(rules_of)
+    assert set(_SCHEMA) <= set(printed)
+    assert missing == []

@@ -246,6 +246,25 @@ def test_agrees_with_derivation_search_size4(sig, types, related):
                 sig, a, b, depth=5, universe=types), (a, b)
 
 
+@pytest.mark.parametrize("axioms, related", [
+    # a chain listed from its top, so each axiom extends the ones after it
+    ("D <= E, C <= D, B <= C, A <= B", 23),
+    # a cycle A <= B <= C <= A with a way out to D and a way in from E
+    ("A <= B, B <= C, C <= A, C <= D, E <= A", 26),
+], ids=["chain", "cycle"])
+def test_the_base_closure_agrees_with_derivation_search(axioms, related):
+    pairs = [line.split(" <= ") for line in axioms.split(", ")]
+    sig = Signature(base_types=("A", "B", "C", "D", "E", "F"),
+                    tydyn_axioms=tuple((Base(a), Base(b)) for a, b in pairs))
+    types = [Base(n) for n in "ABCDEF"] + [DYN]
+    holds = {(a, b) for a in types for b in types if tydyn_holds(sig, a, b)}
+    assert len(holds) == related
+    for a in types:
+        for b in types:
+            assert ((a, b) in holds) == tydyn_search(
+                sig, a, b, depth=5, universe=types), (a, b)
+
+
 def test_monotone_closure_small():
     atoms = [NAT, UNIT, DYN]
     for a, a1, b, b1 in itertools.product(atoms, repeat=4):
