@@ -43,6 +43,14 @@ def test_errbot_accepts():
     assert check_derivation(SIG, d)
 
 
+def test_errbot_wrong_side_rejected():
+    # err must be on the left
+    j = DynJudgment(DynCtx(), num(0), Err(NAT), NAT, NAT)
+    d = Derivation("err-bot", j)
+    assert derivation_errors(SIG, d) == [
+        "root: err-bot: left side must be the error constant at the judgment type"]
+
+
 def test_refl_accepts():
     ctx = Context.of(("x", NAT))
     assert check_derivation(SIG, refl_node(ctx, Var("x"), NAT))
