@@ -229,8 +229,8 @@ def _cmd_test_theorems(args, sig):
             ctx, lhs, rhs = conclusion_equation(ds[0])
             ok = equal_terms(sig, lhs, rhs, ctx)
             if not ok:
-                lines.append(f"RESULT FAIL {name} {params}: sides differ "
-                             "after elaboration")
+                lines.append(f"RESULT FAIL {name} {_words(params)}: sides "
+                             "differ after elaboration")
         if ok:
             for d in ds:
                 if derivation_first_order(d):
@@ -241,12 +241,18 @@ def _cmd_test_theorems(args, sig):
                         break
         counts["pass" if ok else "fail"] += 1
         if not ok:
-            lines.append(f"RESULT FAIL {name} {params}")
+            lines.append(f"RESULT FAIL {name} {_words(params)}")
     lines.append(f"RESULT {'PASS' if counts['fail'] == 0 else 'FAIL'} theorems: "
                  f"{counts['pass']} passed, {counts['fail']} failed, "
                  f"{counts['skip']} skipped")
     _emit(args, lines)
     return 0 if counts["fail"] == 0 else 1
+
+
+def _words(params: tuple) -> str:
+    """A theorem's parameters as ``derive`` reads them, one word each."""
+    texts = (p if isinstance(p, str) else type_to_text(p) for p in params)
+    return " ".join(f"({t})" if " " in t else t for t in texts)
 
 
 def _count(text: str) -> int:

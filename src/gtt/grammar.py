@@ -16,8 +16,7 @@ parse as nullary function symbols.  Comments run from ``#`` to end of line.
 
 Whether ``f(...)`` is a symbol application or a variable applied to a
 parenthesized argument depends on the signature, so the term parser takes
-the ambient signature (defaulting to the built-in one with only ``Nat``
-and its numerals).
+the ambient signature.
 
 One ``re.findall`` cuts a type, term, term file or signature line into
 token texts, and the parser walks that list by index.  Identifiers are
@@ -173,15 +172,8 @@ def _operand(ty: Type, looser) -> str:
 # innermost binder of a name wins; None once it is closed), and ``depth``,
 # the number of binders: the name at level ``l`` is ``Bound(depth - 1 - l)``.
 
-def parse_term(text: str, sig=None) -> Term:
-    return _read(text, "trailing input after term", _term, _default_sig(sig), {}, 0)
-
-
-def _default_sig(sig):
-    if sig is None:
-        from .typecheck import default_signature
-        sig = default_signature()
-    return sig
+def parse_term(text: str, sig) -> Term:
+    return _read(text, "trailing input after term", _term, sig, {}, 0)
 
 
 def _term(toks: list[str], i: int, sig, bound: dict, depth: int) -> tuple[Term, int]:
@@ -336,9 +328,9 @@ class _Printer:
 # Term files: an optional ``[x : T, y : U]`` context, then a term
 # ---------------------------------------------------------------------------
 
-def parse_term_file(text: str, sig=None) -> tuple[Context, Term]:
+def parse_term_file(text: str, sig) -> tuple[Context, Term]:
     """A term file: optional ``[x : T, ...]`` context prefix, then a term."""
-    return _read(text, "trailing input", _file, _default_sig(sig))
+    return _read(text, "trailing input", _file, sig)
 
 
 def _file(toks: list[str], i: int, sig) -> tuple[tuple[Context, Term], int]:

@@ -211,8 +211,8 @@ class Enumeration:
     ``bound``, and at ``?`` pairs nested at most ``bound - 1`` deep), with
     what the checks read off them, all by position in ``values``:
 
-    * ``position`` maps a value to its position, or None when it is not
-      there;
+    * ``position`` maps a value of the type to its position, or None when
+      it is not there;
     * ``downs`` is the number of values below each value;
     * ``covers()`` yields the covering pairs ``(i, k)``: value ``k`` is
       above value ``i`` with nothing in between.  The enumeration is closed
@@ -250,8 +250,6 @@ def _enumeration(sig: Signature, ty: Type, bound: int) -> Enumeration:
             width = len(second.values)
 
             def position(v: SemValue) -> int | None:
-                if type(v) is not PairVal:
-                    return None
                 i, k = first.position(v.fst), second.position(v.snd)
                 return None if i is None or k is None else i * width + k
 
@@ -323,14 +321,10 @@ _IDENTITY = Coreflection(lambda v: v, lambda v: v)
 
 
 def _tag_coreflection(sig: Signature, ground: Type) -> Coreflection:
-    """The chosen embedding of a ground tag into ``?``."""
+    """The chosen embedding into ``?`` of a coded base, ``? * ?`` or ``1``."""
     match ground:
         case Base(name):
-            rng = _base_range(sig, name)
-            if rng is None:
-                raise ModelError(
-                    f"base type {name} needs a code range to embed into ?")
-            lo, hi = rng
+            lo, hi = _base_range(sig, name)
 
             # a range from 0 leaves values as they are, so they are reused
             def up(v: SemValue) -> SemValue:
@@ -347,16 +341,13 @@ def _tag_coreflection(sig: Signature, ground: Type) -> Coreflection:
                 return NatVal(m - lo) if lo else v
 
             return Coreflection(up, dn)
-        case Prod(a, b) if a == DYN and b == DYN:
+        case Prod():
             bottom = PairVal(ERR_SEM, ERR_SEM)
             return Coreflection(
                 # the wedge glues the two bottoms
                 lambda v: ERR_SEM if v == bottom else v,
                 lambda v: v if type(v) is PairVal else bottom)
-        case Unit():
-            return Coreflection(lambda _v: ERR_SEM, lambda _v: UNIT_SEM)
-        case _:
-            raise ModelError(f"type {ground} has no tag in the dynamic type")
+    return Coreflection(lambda _v: ERR_SEM, lambda _v: UNIT_SEM)  # the unit
 
 
 def denote_coreflection(sig: Signature, a: Type, b: Type) -> Coreflection:
@@ -689,9 +680,11 @@ def _walk_related_pairs(sig: Signature, j: DynJudgment, bound: int,
                         left: Compiled, right: Compiled, subject: str) -> Report:
     """Evaluate both sides at every related pair of environments, the
     first context entry varying slowest, up to the first counterexample;
-    an evaluation error is raised at the first pair that meets it."""
+    an evaluation error is raised at the first pair that meets it.  A
+    counterexample primes the right names only if one is a left name."""
     cross = cross_order(sig, j.type_left, j.type_right, bound)
     names = [(xl, xr) for xl, xr, _, _ in j.phi]
+    mark = "'" if {xl for xl, _ in names} & {xr for _, xr in names} else ""
     values = [(enumeration(sig, tl, bound).values, enumeration(sig, tr, bound).values)
               for _, _, tl, tr in j.phi]
     checks = 0
@@ -704,7 +697,7 @@ def _walk_related_pairs(sig: Signature, j: DynJudgment, bound: int,
         if not cross(lv, rv):
             env_text = ", ".join(
                 f"{x}={value_to_text(v)}" for x, v in
-                list(left_env.items()) + [(f"{x}'", v) for x, v in right_env.items()])
+                list(left_env.items()) + [(x + mark, v) for x, v in right_env.items()])
             return Report(subject, bound, False,
                           f"[{env_text}] gives {value_to_text(lv)} not below "
                           f"{value_to_text(rv)}", checks)

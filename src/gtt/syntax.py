@@ -36,9 +36,7 @@ class GttError(Exception):
 
 
 class UnboundVariable(GttError):
-    def __init__(self, name: str):
-        super().__init__(f"unbound variable: {name}")
-        self.name = name
+    pass
 
 
 class ContextError(GttError):
@@ -428,7 +426,7 @@ def substitute(t: Term, sigma: Substitution) -> Term:
         if isinstance(v, Bound):
             return v
         if v.name not in sigma:
-            raise UnboundVariable(v.name)
+            raise UnboundVariable(f"unbound variable: {v.name}")
         return sigma[v.name]
     return _walk(t, leaf)
 

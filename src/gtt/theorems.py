@@ -45,7 +45,7 @@ Catalog:
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .syntax import (
     App, Bound, Context, Downcast, DYN, Err, Fn, Lam, Pair, Prod, Proj, Term,
@@ -56,9 +56,7 @@ from .dynamism import Derivation, DerivationError, DynJudgment, _rename_along
 
 
 class FlagRequired(DerivationError):
-    def __init__(self, theorem: str, flag: str):
-        super().__init__(f"{theorem} requires the {flag} flag")
-        self.flag = flag
+    pass
 
 
 class HypothesisError(DerivationError):
@@ -631,7 +629,7 @@ def derive_theorem(sig: Signature, name: str, *params) -> tuple[Derivation, ...]
     if len(params) != row.arity:
         raise DerivationError(f"{name} expects {row.arity} parameters, got {len(params)}")
     if flag and not getattr(sig, flag):
-        raise FlagRequired(name, flag)
+        raise FlagRequired(f"{name} requires the {flag} flag")
     if row.shapes and params[0] not in row.shapes:
         raise DerivationError(f"unknown {name} shape {params[0]!r}")
     for a, b in _sides(row.hypotheses, params):
@@ -698,23 +696,19 @@ def _params_for(sig: Signature, kind: Kind, types: list[Type], size: int
     return join([None] * kind.arity, 0)
 
 
-def theorem_instances(sig: Signature, size: int = 3,
-                      names: Iterable[str] | None = None,
-                      types: list[Type] | None = None
+def theorem_instances(sig: Signature, size: int = 3
                       ) -> Iterator[tuple[str, tuple, tuple[Derivation, ...] | str]]:
     """Instantiate every catalog theorem at every hypothesis-satisfying
     parameter tuple whose instantiated conclusions mention only types of
-    the given size or smaller.  Given types larger than the size are
-    dropped first; the join then yields only the tuples that fit, so every
-    derivation built is kept.
+    the given size or smaller.  The parameters range over the types of
+    that size or smaller; the join yields only the tuples that fit, so
+    every derivation built is kept.
 
     Yields ``(name, params, derivations)``; a flag-gated theorem whose
     flag is off yields the string ``"SKIPPED(flag)"`` instead.
     """
-    if types is None:
-        types = enumerate_types(sig, size)
-    types = [ty for ty in types if type_size(ty) <= size]
-    for name in (THEOREMS if names is None else names):
+    types = enumerate_types(sig, size)
+    for name in THEOREMS:
         for params in _params_for(sig, KINDS[THEOREMS[name].kind], types, size):
             try:
                 ds = derive_theorem(sig, name, *params)

@@ -775,10 +775,9 @@ def _params_reference(sig, kind: str, types: list):
         raise ValueError(kind)
 
 
-def theorem_instances_reference(sig, size: int = 3, names=None, types=None):
-    if types is None:
-        types = enumerate_types(sig, size)
-    for name in (THEOREMS if names is None else names):
+def theorem_instances_reference(sig, size: int = 3):
+    types = enumerate_types(sig, size)
+    for name in THEOREMS:
         for params in _params_reference(sig, THEOREMS[name].kind, types):
             try:
                 ds = derive_theorem(sig, name, *params)
@@ -894,6 +893,8 @@ def check_judgment_semantics_reference(sig, j, bound: int = 2) -> Report:
             right_env[xr] = w
             yield from envs(rest, left_env, right_env)
 
+    # right names as the judgment writes them, primed if some is a left name
+    mark = "'" if {xl for xl, *_ in j.phi} & {xr for _, xr, *_ in j.phi} else ""
     checks = 0
     for left_env, right_env in envs(list(j.phi.entries), {}, {}):
         lv = eval_term_reference(sig, left_env, j.left)
@@ -902,7 +903,7 @@ def check_judgment_semantics_reference(sig, j, bound: int = 2) -> Report:
         if not value_leq_reference(sig, j.type_left, j.type_right, lv, rv, bound):
             env_text = ", ".join(
                 f"{x}={value_to_text(v)}" for x, v in
-                list(left_env.items()) + [(f"{x}'", v) for x, v in right_env.items()])
+                list(left_env.items()) + [(x + mark, v) for x, v in right_env.items()])
             return Report(subject, bound, False,
                           f"[{env_text}] gives {value_to_text(lv)} not below "
                           f"{value_to_text(rv)}", checks)

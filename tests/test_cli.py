@@ -626,6 +626,15 @@ def test_an_undeclared_base_type_in_the_context(tmp_path, capsys, argv, code, ou
     assert capsys.readouterr() == (out, err)
 
 
+def test_a_context_type_without_a_code_range_is_exit_2(tmp_path, capsys):
+    # Foo is declared, so the terms type, but the model has no values for it
+    sig, path = tmp_path / "foo.gttsig", tmp_path / "foo.gtt"
+    sig.write_text("basetypes: Nat Foo\n")
+    path.write_text("[x : Foo] x\n")
+    assert main(["--sig", str(sig), "compare", "--semantic", str(path), str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: judgment context is not denotable\n")
+
+
 @pytest.mark.parametrize("command", ["elaborate", "normalize"])
 def test_an_ill_typed_term_is_exit_2_with_its_typing_error(tmp_path, capsys, command):
     path = tmp_path / "ill.gtt"
@@ -826,11 +835,11 @@ def test_a_broken_coreflection_fails_test_theorems_in_the_model(monkeypatch, cap
     assert main(["test-theorems", "--size", "2"]) == 1
     assert capsys.readouterr() == (
         "RESULT FAIL judgment x <= dn[? => Nat] up[Nat => ?] x' : Nat <= Nat (bound 2)\n"
-        "COUNTEREXAMPLE [x=0, x''=0] gives 0 not below err\n"
-        "RESULT FAIL galois_unit (Base(name='Nat'), Dyn())\n"
+        "COUNTEREXAMPLE [x=0, x'=0] gives 0 not below err\n"
+        "RESULT FAIL galois_unit Nat ?\n"
         "RESULT FAIL judgment x1 <= dn[? => Nat] up[Nat => ?] x2 : Nat <= Nat (bound 2)\n"
-        "COUNTEREXAMPLE [x1=0, x2'=0] gives 0 not below err\n"
-        "RESULT FAIL cast_r (Base(name='Nat'), Base(name='Nat'), Base(name='Nat'))\n"
+        "COUNTEREXAMPLE [x1=0, x2=0] gives 0 not below err\n"
+        "RESULT FAIL cast_r Nat Nat Nat\n"
         "RESULT FAIL theorems: 86 passed, 2 failed, 0 skipped\n", "")
 
 
@@ -844,9 +853,18 @@ def test_a_reduction_theorem_whose_sides_differ_fails_test_theorems(monkeypatch,
     monkeypatch.setattr(gtt.cli, "equal_terms", refuse)
     assert main(["test-theorems", "--size", "2"]) == 1
     assert capsys.readouterr() == (
-        "RESULT FAIL identity_up (Base(name='Nat'),): sides differ after elaboration\n"
-        "RESULT FAIL identity_up (Base(name='Nat'),)\n"
+        "RESULT FAIL identity_up Nat: sides differ after elaboration\n"
+        "RESULT FAIL identity_up Nat\n"
         "RESULT FAIL theorems: 87 passed, 1 failed, 0 skipped\n", "")
+
+
+def test_a_failing_instance_names_its_parameters_as_derive_reads_them(capsys):
+    # one word a parameter: a composite type in parentheses, a shape as it is
+    fn, fn2 = (gtt.grammar.parse_type(t) for t in ("Nat -> Nat", "Nat * ? -> 1"))
+    assert gtt.cli._words((NAT, fn, DYN, DYN)) == "Nat (Nat -> Nat) ? ?"
+    assert gtt.cli._words(("app", fn2, NAT)) == "app (Nat * ? -> 1) Nat"
+    assert main(["derive", "fn_cast_up", "Nat", "(Nat -> Nat)", "?", "?"]) == 0
+    assert capsys.readouterr().out.startswith("(")
 
 
 # -- paths pinned byte for byte ----------------------------------------------

@@ -57,6 +57,17 @@ def test_ground_predicates():
     assert not is_ground(DYN)
     assert floor_type(parse_type("Nat -> Nat")) == parse_type("? -> ?")
     assert floor_type(parse_type("(Nat * 1) * Nat")) == parse_type("? * ?")
+    with pytest.raises(TypeCheckError) as error:
+        floor_type(DYN)
+    assert str(error.value) == "the dynamic type has no ground tag"
+
+
+def test_is_elaborated_refuses_a_cast_that_is_not_ground():
+    # a cast that does not reach ?, and one from a type that is no tag
+    assert not is_elaborated(Upcast(NAT, NAT, Var("x")))
+    assert not is_elaborated(Lam("f", parse_type("Nat -> Nat"), Downcast(
+        parse_type("Nat -> Nat"), DYN, Err(DYN))))
+    assert is_elaborated(Downcast(parse_type("? -> ?"), DYN, Err(DYN)))
 
 
 # -- elaboration ----------------------------------------------------------------
@@ -211,7 +222,9 @@ def test_equal_terms_type_mismatch():
 
 def test_reduction_theorems_cohere_small():
     count = 0
-    for name, params, ds in theorem_instances(SIG, 2, names=REDUCTION_THEOREMS):
+    for name, params, ds in theorem_instances(SIG, 2):
+        if name not in REDUCTION_THEOREMS:
+            continue
         ctx, lhs, rhs = conclusion_equation(ds[0])
         assert equal_terms(SIG, lhs, rhs, ctx), (name, params)
         count += 1

@@ -33,6 +33,7 @@ from oracles import (
 from termgen import gen_term
 
 SIG = default_signature()
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 # the values of ?: the error, leaves and nodes
 ERR, L0, L1 = NatVal(None), NatVal(0), NatVal(1)
@@ -168,6 +169,24 @@ def test_extra_base_needs_codes():
     assert cn.up(NatVal(3)) == NatVal(3)
 
 
+def test_axiom_related_bases_have_no_coreflection():
+    # the model has no case for Even <= Nat, which the signature's axiom
+    # derives: the open gap of ROADMAP item 4, pinned as it stands
+    two = parse_signature((FIXTURES / "two_bases.gttsig").read_text())
+    with pytest.raises(ModelError) as error:
+        denote_coreflection(two, parse_type("Even"), NAT)
+    assert str(error.value) == "no structural coreflection for Even <= Nat"
+
+
+def test_enumeration_refuses_functions_and_uncoded_bases():
+    with pytest.raises(ModelError) as error:
+        enumeration(SIG, Fn(NAT, NAT))
+    assert str(error.value) == "cannot enumerate a function space"
+    with pytest.raises(ModelError) as error:
+        enumeration(Signature(base_types=("Nat", "Foo")), parse_type("Foo"))
+    assert str(error.value) == "base type Foo has no code range"
+
+
 # -- evaluation ----------------------------------------------------------------------
 
 def test_eval_retract():
@@ -254,6 +273,27 @@ def _not_monotone_up():
     return Coreflection(
         lambda v: ups[v.n],
         lambda w: {L0: NatVal(None), L1: NatVal(1)}.get(w, NatVal(0)))
+
+
+def test_equipment_reports_an_embedding_that_does_not_factor():
+    # the first component's code shifted by one: a coreflection of its own
+    # that passes every law but disagrees with the embedding of Nat into ?
+    def shift(v):
+        return ERR if v.n is None else NatVal(v.n + 1)
+
+    def unshift(w):
+        return NatVal(w.n - 1) if type(w) is NatVal and w.n else ERR
+    report = _equipment_with(Prod(NAT, NAT), Prod(DYN, NAT),
+                             lambda v: PairVal(shift(v.fst), v.snd),
+                             lambda w: PairVal(unshift(w.fst), w.snd))
+    assert (report.passed, report.counterexample) == (
+        False, "embedding into ? does not factor at (0 , err)")
+
+
+def test_equipment_needs_function_free_types():
+    with pytest.raises(ModelError) as error:
+        check_equipment(SIG, Fn(NAT, NAT), Fn(NAT, DYN))
+    assert str(error.value) == "equipment checks need function-free types"
 
 
 def test_equipment_reports_a_map_that_is_not_monotone():
@@ -448,6 +488,29 @@ def test_judgment_rejects_function_contexts():
         check_judgment_semantics(SIG, j, 2)
 
 
+def test_a_downcast_outside_the_enumeration_takes_the_walk(monkeypatch):
+    # dn sends the leaf 1 to 5, which Nat's enumeration at bound 2 lacks:
+    # the adjoint shortcut gives way to the walk, which passes
+    sig = default_signature()
+    true = denote_coreflection(SIG, NAT, DYN)
+    sig._model_cache[("coref", NAT, DYN)] = Coreflection(
+        true.up, lambda w: NatVal(5) if w == L1 else true.dn(w))
+    walks = []
+    walk = model._walk_related_pairs
+    monkeypatch.setattr(model, "_walk_related_pairs",
+                        lambda *args: walks.append(args) or walk(*args))
+    j = DynJudgment(DynCtx.of(("x", "y", NAT, DYN)), Var("x"), Var("y"), NAT, DYN)
+    report = check_judgment_semantics(sig, j, 2)
+    assert (report.passed, report.checks, len(walks)) == (True, 14, 1)
+
+
+def test_a_non_term_fails_when_evaluated():
+    run = compile_term(SIG, NAT)
+    with pytest.raises(ModelError) as error:
+        run({})
+    assert str(error.value) == "cannot evaluate Base(name='Nat')"
+
+
 def test_model_validates_disjointness_for_grounds():
     for n in range(2):
         t = Downcast(Prod(DYN, DYN), DYN, Upcast(NAT, DYN, num(n)))
@@ -541,7 +604,7 @@ def _memo_cases():
         # the right term raises at x' = 1, after the counterexample at y = 0
         (DynJudgment(xy, Pair(Var("y"), Err(DYN)),
                      Pair(Err(NAT), _raising_at_1("x'")), nd, nd),
-         "[x=err, y=0, x''=err, y''=0] gives (0 , err) not below (err , err)"),
+         "[x=err, y=0, x'=err, y'=0] gives (0 , err) not below (err , err)"),
         # the right term raises at x' = 1, before the counterexample at x = 0
         (DynJudgment(xy, Pair(Err(NAT), Upcast(COLOR, DYN, Var("x"))),
                      Pair(Var("y'"), _raising_at_1("x'")), nd, nd),
@@ -549,7 +612,7 @@ def _memo_cases():
         # the left term raises at x = 1, after the counterexample at x = 0
         (DynJudgment(yx, Pair(Var("y"), _raising_at_1("x")),
                      Pair(Var("y'"), Err(DYN)), nd, nd),
-         "[y=err, x=0, y''=err, x''=0] gives (err , 0) not below (err , err)"),
+         "[y=err, x=0, y'=err, x'=0] gives (err , 0) not below (err , err)"),
         # the left term raises at x = 1, before the counterexample at y = 0
         (DynJudgment(yx, Pair(Var("y"), _raising_at_1("x")),
                      Pair(Err(NAT), Upcast(NAT, DYN, num(0))), nd, nd),
@@ -596,8 +659,7 @@ def test_reports_match_the_term_walker_on_the_compare_fixtures():
     # checks (one context, related types), with the judgment it builds
     from gtt.grammar import parse_term_file
     from gtt.typecheck import infer_type
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    files = [parse_term_file((fixtures / name).read_text(), SIG) for name in
+    files = [parse_term_file((FIXTURES / name).read_text(), SIG) for name in
              ["cross_tag.gtt", "err_nat.gtt", "id_fn.gtt", "wrap.gtt", "zero.gtt"]]
     msig = model_signature(SIG)
     outcomes = []
