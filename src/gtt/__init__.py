@@ -24,10 +24,10 @@ _HOME = {
         "App", "Base", "Bound", "Context", "Downcast", "DYN", "Err", "Fn",
         "FnApp", "GttError", "Lam", "NAT", "Pair", "Prod", "Proj", "Term",
         "Type", "Unit", "UNIT", "UnitVal", "UNITVAL", "Upcast", "Var",
-        "free_vars", "instantiate", "num", "substitute", "subst1"), "syntax"),
+        "free_vars", "instantiate", "num", "substitute"), "syntax"),
     **dict.fromkeys((
-        "DynCtx", "Signature", "check_ctx_dyn", "check_type_wf",
-        "default_signature", "infer_type", "tydyn_holds"), "typecheck"),
+        "DynCtx", "Signature", "check_type_wf", "default_signature",
+        "infer_type", "tydyn_holds"), "typecheck"),
     **dict.fromkeys((
         "Derivation", "DynJudgment", "check_derivation",
         "derivation_errors"), "dynamism"),

@@ -29,9 +29,7 @@ from .elaborate import elaborate, equal_terms, normalize
 
 
 class _Failure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A usage error: its message goes to stderr, with exit status 2."""
 
 
 def _load_signature(args) -> Signature:
@@ -52,13 +50,13 @@ def _read(path: str) -> str:
         try:
             return fh.read()
         except UnicodeDecodeError as e:
-            raise _Failure(2, f"error: {path} is not UTF-8 text: {e}")
+            raise _Failure(f"error: {path} is not UTF-8 text: {e}")
 
 
 def _emit(args, lines: list[str]):
     text = "\n".join(lines) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
 
@@ -68,7 +66,8 @@ def _cmd_check(args, sig):
     try:
         ty = infer_type(sig, ctx, term)
     except GttError as e:
-        raise _Failure(1, f"RESULT FAIL ill-typed: {e}")
+        _emit(args, [f"RESULT FAIL ill-typed: {e}"])
+        return 1
     _emit(args, [type_to_text(ty)])
     return 0
 
@@ -78,7 +77,7 @@ def _check_declared(sig, text: str, *types):
     ``types``, which were read from ``text``."""
     unknown = sorted(set().union(*map(base_names, types)) - sig.base_types)
     if unknown:
-        raise _Failure(2, f"unknown base type {', '.join(unknown)} in {text!r}")
+        raise _Failure(f"unknown base type {', '.join(unknown)} in {text!r}")
 
 
 def _cmd_dyncheck(args, sig):
@@ -95,7 +94,7 @@ def _cmd_dyncheck(args, sig):
                          f"{type_to_text(a)} <= {type_to_text(b)}")
         status = status or (0 if ok else 1)
     if not lines_out:  # a truncated file must not read as a pass
-        raise _Failure(2, "error: no 'A <= B' line in file")
+        raise _Failure("error: no 'A <= B' line in file")
     _emit(args, lines_out)
     return status
 
@@ -105,7 +104,7 @@ def _cmd_prove(args, sig):
     from .dynamism import derivation_errors
     ds = parse_derivations(_read(args.file), sig)
     if not ds:  # a truncated `gtt derive > f.gttd` must not read as a pass
-        raise _Failure(2, "error: no derivation in file")
+        raise _Failure("error: no derivation in file")
     lines = []
     status = 0
     for i, d in enumerate(ds):
@@ -125,8 +124,8 @@ def _cmd_derive(args, sig):
     from .derivio import derivations_to_text
     from .theorems import derive_theorem
     if args.name in ("ur-s", "ul-s", "dr-s", "dl-s"):
-        raise _Failure(2, "sequent rules need a premise derivation; "
-                          "use the library API for those")
+        raise _Failure("sequent rules need a premise derivation; "
+                       "use the library API for those")
     # err_elim's first parameter is an eliminator shape; every other is a type
     shape = args.params[:1] if args.name == "err_elim" else []
     words = args.params[len(shape):]
@@ -137,7 +136,7 @@ def _cmd_derive(args, sig):
     try:
         ds = derive_theorem(sig, args.name, *params)
     except GttError as e:
-        raise _Failure(2, f"cannot derive {args.name}: {e}")
+        raise _Failure(f"cannot derive {args.name}: {e}")
     _emit(args, [derivations_to_text(ds).rstrip("\n")])
     return 0
 
@@ -160,12 +159,12 @@ def _cmd_eval(args, sig):
     from .model import ModelError, compile_term, value_to_text
     ctx, term = parse_term_file(_read(args.file), sig)
     if len(ctx):
-        raise _Failure(2, "eval expects a closed term")
+        raise _Failure("eval expects a closed term")
     infer_type(sig, ctx, term)  # an ill-typed term has no value
     try:
         v = compile_term(sig, term)({})
     except ModelError as e:
-        raise _Failure(2, f"not evaluable: {e}")
+        raise _Failure(f"not evaluable: {e}")
     _emit(args, [value_to_text(v)])
     return 0
 
@@ -174,7 +173,7 @@ def _cmd_compare(args, sig):
     ctx1, t1 = parse_term_file(_read(args.left), sig)
     ctx2, t2 = parse_term_file(_read(args.right), sig)
     if ctx1.entries != ctx2.entries:
-        raise _Failure(2, "compared terms must share one context")
+        raise _Failure("compared terms must share one context")
     if args.semantic:
         from .dynamism import DynJudgment
         from .model import check_judgment_semantics, model_signature
@@ -182,8 +181,8 @@ def _cmd_compare(args, sig):
         ty2 = infer_type(sig, ctx2, t2)
         msig = model_signature(sig)
         if not tydyn_holds(msig, ty1, ty2):
-            raise _Failure(2, f"types not related: {type_to_text(ty1)} "
-                              f"<= {type_to_text(ty2)} fails")
+            raise _Failure(f"types not related: {type_to_text(ty1)} "
+                           f"<= {type_to_text(ty2)} fails")
         phi = DynCtx.diag(ctx1)
         report = check_judgment_semantics(
             sig, DynJudgment(phi, t1, t2, ty1, ty2), args.bound)
@@ -360,8 +359,8 @@ def main(argv: list[str] | None = None) -> int:
         sig = _load_signature(args)
         return args.run(args, sig)
     except _Failure as f:
-        print(f.args[0], file=sys.stderr if f.code == 2 else sys.stdout)
-        return f.code
+        print(f, file=sys.stderr)
+        return 2
     except OSError as e:  # a missing, unreadable or unwritable file
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -431,11 +431,6 @@ def substitute(t: Term, sigma: Substitution) -> Term:
     return _walk(t, leaf)
 
 
-def subst1(t: Term, name: str, image: Term) -> Term:
-    """Substitute a single variable, keeping all other free variables."""
-    return _walk(t, lambda v, d: image if type(v) is Var and v.name == name else v)
-
-
 def shift(t: Term, by: int) -> Term:
     """``t`` put under ``by`` more binders: its loose indices raised by ``by``."""
     return _walk(t, lambda v, d: Bound(v.index + by) if (

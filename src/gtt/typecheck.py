@@ -22,7 +22,8 @@ field lookups, case after case), and compares hash-consed types with ``is``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+import dataclasses
+from typing import Iterable
 
 from .syntax import (
     App, Base, Bound, Context, Downcast, DYN, Err, Fn, FnApp, GttError, Lam,
@@ -78,6 +79,7 @@ def first_order(ty: Type) -> bool:
     return k is not Fn
 
 
+@dataclasses.dataclass(eq=False, repr=False)
 class Signature:
     """Immutable bundle of declarations; validation happens on creation.
 
@@ -88,23 +90,22 @@ class Signature:
     again.  A new ``Signature``, ``replace`` included, starts them
     empty."""
 
-    def __init__(self,
-                 base_types: Iterable[str] = ("Nat",),
-                 tydyn_axioms: Iterable[tuple[Type, Type]] = (),
-                 fn_symbols: dict[str, tuple[tuple[Type, ...], Type]] | None = None,
-                 tmdyn_axioms: Iterable[tuple[Context, Term, Context, Term]] = (),
-                 retract: bool = True,
-                 disjointness: bool = True,
-                 dyn_top: Optional[Callable[[Type], bool]] = None,
-                 base_codes: dict[str, tuple[int, int]] | None = None):
-        self.base_types = frozenset(base_types)
-        self.tydyn_axioms = tuple(tydyn_axioms)
-        self.fn_symbols = dict(fn_symbols or {})
-        self.tmdyn_axioms = tuple(tmdyn_axioms)
-        self.retract = retract
-        self.disjointness = disjointness
-        self.dyn_top = dyn_top
-        self.base_codes = dict(base_codes or {})
+    base_types: Iterable[str] = ("Nat",)
+    tydyn_axioms: Iterable[tuple[Type, Type]] = ()
+    fn_symbols: dict[str, tuple[tuple[Type, ...], Type]] | None = None
+    tmdyn_axioms: Iterable[tuple[Context, Term, Context, Term]] = ()
+    retract: bool = True
+    disjointness: bool = True
+    # only function-free types sit below ``?``
+    dyn_first_order: bool = False
+    base_codes: dict[str, tuple[int, int]] | None = None
+
+    def __post_init__(self):
+        self.base_types = frozenset(self.base_types)
+        self.tydyn_axioms = tuple(self.tydyn_axioms)
+        self.fn_symbols = dict(self.fn_symbols or {})
+        self.tmdyn_axioms = tuple(self.tmdyn_axioms)
+        self.base_codes = dict(self.base_codes or {})
         self._dyn_cache: dict[tuple[Type, Type], bool] = {}
         self._wf_cache: dict[Type, bool] = {}
         self._model_cache: dict = {}
@@ -116,19 +117,7 @@ class Signature:
 
     # -- construction helpers ------------------------------------------------
 
-    def replace(self, **kwargs) -> "Signature":
-        fields = dict(
-            base_types=self.base_types,
-            tydyn_axioms=self.tydyn_axioms,
-            fn_symbols=self.fn_symbols,
-            tmdyn_axioms=self.tmdyn_axioms,
-            retract=self.retract,
-            disjointness=self.disjointness,
-            dyn_top=self.dyn_top,
-            base_codes=self.base_codes,
-        )
-        fields.update(kwargs)
-        return Signature(**fields)
+    replace = dataclasses.replace
 
     def first_order_dyn(self) -> "Signature":
         """Variant where only function-free types sit below ``?``.
@@ -136,7 +125,7 @@ class Signature:
         Term-dynamism axioms are dropped: the variant only ever answers
         type-dynamism queries, and axioms whose typing leans on casts
         through ``?`` at function type would fail revalidation here."""
-        return self.replace(dyn_top=first_order, tmdyn_axioms=())
+        return self.replace(dyn_first_order=True, tmdyn_axioms=())
 
     # -- queries ---------------------------------------------------------------
 
@@ -204,7 +193,8 @@ class Signature:
                 tb = infer_type(self, rctx, rt)
             except GttError as e:
                 raise SignatureError(f"term-dynamism axiom {i} does not type check: {e}")
-            if check_ctx_dyn(self, lctx, rctx) is None:
+            if len(lctx) != len(rctx) or not all(
+                    tydyn_holds(self, tl, tr) for (_, tl), (_, tr) in zip(lctx, rctx)):
                 raise SignatureError(
                     f"term-dynamism axiom {i}: contexts are not pointwise related")
             if not tydyn_holds(self, ta, tb):
@@ -334,7 +324,7 @@ def tydyn_holds(sig: Signature, a: Type, b: Type) -> bool:
     if a == b:
         out = True
     elif b == DYN:
-        out = sig.dyn_top is None or sig.dyn_top(a)
+        out = not sig.dyn_first_order or first_order(a)
     else:
         match a, b:
             case Base(x), Base(y):
@@ -382,19 +372,6 @@ _FN_TAG, _PROD_TAG = Fn(DYN, DYN), Prod(DYN, DYN)
 
 def _unrelated_grounds(sig: Signature, g: Type, g2: Type) -> bool:
     return g != g2 and not tydyn_holds(sig, g, g2) and not tydyn_holds(sig, g2, g)
-
-
-def check_ctx_dyn(sig: Signature, left: Context, right: Context) -> DynCtx | None:
-    """The unique pointwise pairing when lengths match and every position
-    is related; None otherwise."""
-    if len(left) != len(right):
-        return None
-    entries = []
-    for (xl, tl), (xr, tr) in zip(left, right):
-        if not tydyn_holds(sig, tl, tr):
-            return None
-        entries.append((xl, xr, tl, tr))
-    return DynCtx(tuple(entries))
 
 
 def check_dynctx_wf(sig: Signature, phi: DynCtx) -> bool:

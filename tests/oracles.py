@@ -98,7 +98,7 @@ def tydyn_search(sig: Signature, a: Type, b: Type, depth: int = 5,
             return True
         if (x, y) in sig.tydyn_axioms:
             return True
-        if y == DYN and (sig.dyn_top is None or sig.dyn_top(x)):
+        if y == DYN and (not sig.dyn_first_order or first_order(x)):
             return True
         match x, y:
             case (Fn(x1, y1), Fn(x2, y2)) | (Prod(x1, y1), Prod(x2, y2)):

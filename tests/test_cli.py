@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
+import importlib
 import io
+import os
 import pathlib
 import subprocess
 import sys
@@ -198,6 +200,30 @@ def test_entry_point_runs_as_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Nat -> Nat"
+
+
+def test_out_is_utf8_whatever_the_locale(tmp_path):
+    # the grammar reads the Arabic-Indic digit one as a numeral; inputs are
+    # read as UTF-8, and so the report file is written in it too
+    path, out = tmp_path / "u.gtt", tmp_path / "o.txt"
+    path.write_text("\u0661\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": str(FIXTURES.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtt.cli", "--out", str(out), "normalize", str(path)],
+        capture_output=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_bytes() == proc.stdout == "\u0661\n".encode()
+
+
+def test_out_holds_the_negative_report_of_check(tmp_path, capsys):
+    path, out = tmp_path / "bad.gtt", tmp_path / "r.txt"
+    path.write_text("up[Nat => Nat] ()\n")
+    out.write_text("a stale report\n")
+    assert main(["--out", str(out), "check", str(path)]) == 1
+    line = "RESULT FAIL ill-typed: cast body has type 1, expected Nat\n"
+    assert capsys.readouterr() == (line, "")
+    assert out.read_text() == line
 
 
 def run_cli_err(*argv, capsys):
@@ -804,11 +830,16 @@ SIGNATURE_ERRORS = [
     ("basetypes: Nat\nbasecodes:\n  Nat 5 5\n", "empty base-code range: [5, 5)"),
     ("basetypes: Nat\ntmdyn:\n  [x : ?] x <= [y : ?] dn[? => Nat] y\n",
      "term-dynamism axiom 0: result types are not related"),
+    ("basetypes: Nat\ntmdyn:\n  [x : ?] x <= [y : Nat] up[Nat => ?] y\n",
+     "term-dynamism axiom 0: contexts are not pointwise related"),
+    ("basetypes: Nat\ntmdyn:\n  [x : Nat] x <= 0\n",
+     "term-dynamism axiom 0: contexts are not pointwise related"),
 ]
 
 
 @pytest.mark.parametrize("sig_text, message", SIGNATURE_ERRORS,
-                         ids=["tydyn", "fnsyms", "basecodes", "tmdyn"])
+                         ids=["tydyn", "fnsyms", "basecodes", "tmdyn",
+                              "tmdyn-ctx-entry", "tmdyn-ctx-length"])
 def test_a_signature_that_fails_its_checks_is_exit_2(tmp_path, capsys, sig_text,
                                                      message):
     with pytest.raises(SignatureError) as caught:
@@ -928,3 +959,28 @@ def test_a_long_product_cast_chain_normalizes(tmp_path, capsys):
     path.write_text(f"[p : Nat * Nat] {term}\n")
     assert main(["normalize", str(path)]) == 0
     assert capsys.readouterr() == ("(fst p, snd p)\n", "")
+
+
+def test_a_long_function_cast_chain_compares_in_quadratic_time(tmp_path, capsys,
+                                                               monkeypatch):
+    # the evaluator runs each cast as a cast closure: n levels take n*n + 2*n
+    # _unwrap calls, where the wrappers that elaboration writes take 2**n
+    # closure opens
+    def chain(n: int) -> pathlib.Path:
+        path = tmp_path / f"chain{n}.gtt"
+        path.write_text("[f : Nat -> Nat] "
+                        + "dn[? => Nat -> Nat] up[Nat -> Nat => ?] " * n + "f\n")
+        return path
+
+    f = tmp_path / "f.gtt"
+    f.write_text("[f : Nat -> Nat] f\n")
+    assert main(["compare", "--syntactic", str(chain(100)), str(f)]) == 0
+    assert capsys.readouterr() == ("RESULT PASS syntactic comparison\n", "")
+    elaborate = importlib.import_module("gtt.elaborate")
+    unwrap, calls = elaborate._unwrap, []
+    monkeypatch.setattr(elaborate, "_unwrap",
+                        lambda *args: calls.append(1) or unwrap(*args))
+    for n, expected in ((10, 120), (20, 440)):
+        calls.clear()
+        assert main(["compare", "--syntactic", str(chain(n)), str(f)]) == 0
+        assert len(calls) == expected

@@ -51,10 +51,10 @@ HOMES = {
         "App", "Base", "Bound", "Context", "Downcast", "DYN", "Err", "Fn",
         "FnApp", "GttError", "Lam", "NAT", "Pair", "Prod", "Proj", "Term",
         "Type", "Unit", "UNIT", "UnitVal", "UNITVAL", "Upcast", "Var",
-        "free_vars", "instantiate", "num", "substitute", "subst1"),
+        "free_vars", "instantiate", "num", "substitute"),
     "typecheck": (
-        "DynCtx", "Signature", "check_ctx_dyn", "check_type_wf",
-        "default_signature", "infer_type", "tydyn_holds"),
+        "DynCtx", "Signature", "check_type_wf", "default_signature",
+        "infer_type", "tydyn_holds"),
     "dynamism": (
         "Derivation", "DynJudgment", "check_derivation", "derivation_errors"),
     "theorems": ("derive_sequent", "derive_theorem", "theorem_instances"),

@@ -11,7 +11,7 @@ from gtt.grammar import parse_term, parse_type, term_to_text
 from gtt.syntax import (
     App, Base, Bound, Context, ContextError, Dyn, Err, Fn, Lam, NAT, Pair,
     Prod, UNIT, UnboundVariable, Unit, Upcast, DYN, Var, free_vars, num,
-    subst1, substitute,
+    substitute,
 )
 from gtt.dynamism import Derivation, DynJudgment
 from gtt.model import NatVal, PairVal, UnitValSem, denote_coreflection, enumeration
@@ -143,11 +143,6 @@ def test_alpha_eq_matches_canonical_renaming_oracle():
     for t in terms:
         for u in terms[:25]:
             assert (t == u) == alpha_eq_oracle(t, u)
-
-
-def test_subst1_keeps_other_frees():
-    t = App(Var("x"), Var("y"))
-    assert subst1(t, "x", num(0)) == App(num(0), Var("y"))
 
 
 def test_a_capturing_substitution_prints_with_fresh_names():

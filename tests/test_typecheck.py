@@ -9,14 +9,13 @@ from gtt.elaborate import elaborate
 from gtt.grammar import parse_signature, parse_term, parse_term_file, parse_type
 from gtt.syntax import (
     App, Base, Bound, Context, DYN, Downcast, Err, Fn, FnApp, Lam, NAT, Pair,
-    Prod, Proj, UNIT, UNITVAL, Upcast, Var, instantiate, num, subst1, subterms,
-    term_size,
+    Prod, Proj, UNIT, UNITVAL, Upcast, Var, instantiate, num, substitute,
+    subterms, term_size,
 )
 from gtt.theorems import theorem_instances
 from gtt.typecheck import (
-    DynCtx, Signature, SignatureError, TypeCheckError, check_ctx_dyn,
-    check_type_wf, default_signature, enumerate_types, infer_type,
-    tydyn_holds,
+    Signature, SignatureError, TypeCheckError, check_type_wf,
+    default_signature, enumerate_types, infer_type, tydyn_holds,
 )
 
 from oracles import infer_type_reference, tydyn_search
@@ -278,29 +277,9 @@ def test_typing_preserved_by_substitution():
     for _ in range(200):
         ctx, t, ty = gen_welltyped(rng, SIG, size=rng.randint(1, 15))
         u = num(rng.randint(0, 3))
-        out = subst1(t, "a", u)  # a : Nat in the generator's context
+        # a : Nat in the generator's context; every other name stays
+        out = substitute(t, {**{x: Var(x) for x, _ in ctx}, "a": u})
         assert infer_type(SIG, ctx, out) == ty
-
-
-# -- context dynamism --------------------------------------------------------
-
-def test_ctx_dyn_present():
-    phi = check_ctx_dyn(SIG, Context.of(("x", NAT)), Context.of(("x'", DYN)))
-    assert phi == DynCtx.of(("x", "x'", NAT, DYN))
-
-
-def test_ctx_dyn_empty():
-    assert check_ctx_dyn(SIG, Context(), Context()) == DynCtx()
-
-
-def test_ctx_dyn_length_mismatch():
-    left = Context.of(("x", NAT), ("y", NAT))
-    right = Context.of(("x'", NAT))
-    assert check_ctx_dyn(SIG, left, right) is None
-
-
-def test_ctx_dyn_unrelated_entry():
-    assert check_ctx_dyn(SIG, Context.of(("x", DYN)), Context.of(("y", NAT))) is None
 
 
 # -- signature validation ----------------------------------------------------
